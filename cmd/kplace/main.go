@@ -112,7 +112,7 @@ func main() {
 	}
 	if *httpAddr != "" {
 		http.Handle("/metrics", reg)
-		//lint:ignore parpolicy,golife background debug server: deliberately fire-and-forget, it lives for the whole process
+		//lint:ignore parpolicy background debug server: deliberately fire-and-forget, it lives for the whole process
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				log.Printf("debug server: %v", err)

@@ -29,6 +29,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/place"
 )
 
 func main() {
@@ -75,20 +77,14 @@ type traceRec struct {
 }
 
 // knownPhaseKeys is the trace-key allowlist: the t_<phase>_ns keys an
-// iteration record may carry, one per place.PhaseKeys entry (with -
-// spelled _). kvet's phasereg analyzer checks this map against the
-// IterStats schema, so a phase added there without a line here is a lint
-// failure, not silent drift.
-var knownPhaseKeys = map[string]bool{
-	"t_weight_ns":     true,
-	"t_gather_ns":     true,
-	"t_field_ns":      true,
-	"t_build_ns":      true,
-	"t_solve_x_ns":    true,
-	"t_solve_y_ns":    true,
-	"t_solve_pair_ns": true,
-	"t_step_ns":       true,
-}
+// iteration record may carry, one per place.PhaseKeys entry.
+var knownPhaseKeys = func() map[string]bool {
+	keys := make(map[string]bool)
+	for _, p := range place.PhaseKeys() {
+		keys[phaseKey(p)] = true
+	}
+	return keys
+}()
 
 // phaseKey maps a meta-record phase name ("solve-x") to its trace key
 // ("t_solve_x_ns").

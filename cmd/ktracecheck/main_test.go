@@ -93,17 +93,3 @@ func TestCheckTrace(t *testing.T) {
 		})
 	}
 }
-
-// TestKnownPhaseKeysMatchMeta pins the allowlist to the phase-key shape:
-// every entry must parse as t_<phase>_ns, and the canonical place schema's
-// required key must be present.
-func TestKnownPhaseKeysMatchMeta(t *testing.T) {
-	for k := range knownPhaseKeys {
-		if !strings.HasPrefix(k, "t_") || !strings.HasSuffix(k, "_ns") {
-			t.Errorf("allowlist key %q does not look like t_<phase>_ns", k)
-		}
-	}
-	if !knownPhaseKeys["t_step_ns"] {
-		t.Error("allowlist is missing t_step_ns, which checkTrace requires on every record")
-	}
-}

@@ -3,18 +3,10 @@
 // CI gate for the invariants the engine depends on: deterministic
 // iteration (detrange), clock and randomness discipline (noclock),
 // centralized parallelism (parpolicy), no exact float equality (floatcmp),
-// the obsv nil-handle contract (nilsafe) — and, through the
-// interprocedural fact layer, cancellation coverage on the serving path
-// (ctxflow), no blocking under a mutex (lockheld), a zero-alloc
-// place.Step loop (hotalloc), no dropped errors (errflow) — and the
-// whole-program concurrency-soundness trio: a global lock-acquisition
-// order free of deadlock cycles (lockorder), joined goroutines and
-// received-from channels (golife), and no unsynchronized closure-capture
-// races (sharecap). v4 adds the contract suite: every Config knob plumbed
-// to its CLI/HTTP/hash/engine surfaces (knobflow), every phase surface
-// mirroring the canonical t_<phase>_ns list and metric names obeying the
-// Prometheus rules (phasereg), and exhaustive switches over module-local
-// enum types (enumswitch).
+// the obsv nil-handle contract (nilsafe), no blocking under a mutex
+// (lockheld, through the interprocedural may-block facts), no dropped
+// errors (errflow), and exhaustive switches over module-local enum types
+// (enumswitch).
 //
 // Usage:
 //

@@ -23,8 +23,9 @@ type StepPhases struct {
 	Build  int64 `json:"build_ns"`
 	SolveX int64 `json:"solve_x_ns"`
 	SolveY int64 `json:"solve_y_ns"`
-	// SolvePair is the concurrent x/y solve pair's wall time; the per-axis
-	// entries are CPU times and can sum past Step when the pair overlaps.
+	// SolvePair is the concurrent x/y solve pair's wall time. The per-axis
+	// entries are the wall times of the two overlapping solves
+	// (CGResult.Elapsed), so they can sum past Step.
 	SolvePair int64 `json:"solve_pair_ns"`
 	Step      int64 `json:"step_ns"`
 }

@@ -238,7 +238,6 @@ func (fc *fieldCache) solve(g *Grid) *Field {
 	} else {
 		fc.plan.ConvolveSpectra(fc.out[:], fc.src, fc.specs[:])
 	}
-	//lint:ignore hotalloc the Field is the solve's result and escapes to the caller; one backing allocation per field solve, not per bin
 	f := &Field{grid: g, FX: make([]float64, len(g.D)), FY: make([]float64, len(g.D))}
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {

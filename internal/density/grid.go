@@ -189,7 +189,6 @@ func (g *Grid) appendDeposits(buf []deposit, r geom.Rect, scale float64) []depos
 		for ix := ix0; ix <= ix1; ix++ {
 			ov := g.BinRect(ix, iy).Overlap(r)
 			if ov > 0 {
-				//lint:ignore hotalloc buf is the caller's reused deposit buffer; growth amortizes to zero once it has seen the largest accumulation
 				buf = append(buf, deposit{g.Idx(ix, iy), scale * ov})
 				deposited += ov
 			}
@@ -200,7 +199,6 @@ func (g *Grid) appendDeposits(buf []deposit, r geom.Rect, scale float64) []depos
 	if res := total - deposited; res > 1e-12*total {
 		cx := clampInt(int((r.Center().X-g.Region.Lo.X)/g.BinW), 0, g.NX-1)
 		cy := clampInt(int((r.Center().Y-g.Region.Lo.Y)/g.BinH), 0, g.NY-1)
-		//lint:ignore hotalloc same reused deposit buffer as above; at most one residue entry per cell
 		buf = append(buf, deposit{g.Idx(cx, cy), scale * res})
 	}
 	return buf
@@ -270,9 +268,7 @@ func (g *Grid) Overflow() float64 {
 // the average supply.
 func (g *Grid) LargestEmptySquare(emptyFrac float64) float64 {
 	best := 0 // side length in bins
-	//lint:ignore hotalloc stopping-criterion scan: two NX-length rows once per iteration, dwarfed by the field solve it follows
 	prev := make([]int, g.NX)
-	//lint:ignore hotalloc second row of the same once-per-iteration scan
 	cur := make([]int, g.NX)
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {

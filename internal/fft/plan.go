@@ -141,7 +141,6 @@ func (p *Plan) transform2D(data []complex128, inverse bool) {
 	})
 	// Columns, gathered through a per-worker scratch vector.
 	par.Run(workers, w, func(_, lo, hi int) {
-		//lint:ignore hotalloc per-worker column scratch: one make per fork-join worker, not per element, and sharing it would race
 		col := make([]complex128, h)
 		for x := lo; x < hi; x++ {
 			for y := 0; y < h; y++ {

@@ -80,7 +80,6 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64) {
 	if h == 1 {
 		// A single row has no partner to pack with: transform it as a
 		// complex signal and keep the non-redundant half.
-		//lint:ignore hotalloc degenerate H=1 path (full grids are always ≥2 rows); one row vector per call
 		c := make([]complex128, w)
 		for x, v := range src {
 			c[x] = complex(v, 0)
@@ -90,7 +89,6 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64) {
 		return
 	}
 	par.Run(par.Workers(w*h), h/2, func(_, lo, hi int) {
-		//lint:ignore hotalloc per-worker packed-row scratch: one make per fork-join worker, not per element, and sharing it would race
 		c := make([]complex128, w)
 		for pr := lo; pr < hi; pr++ {
 			y := 2 * pr
@@ -127,7 +125,6 @@ func (p *RealPlan) inverseRows(dst []float64, spec []complex128) {
 	w, h, hw := p.W, p.H, p.hw
 	scale := 1 / float64(w*h)
 	if h == 1 {
-		//lint:ignore hotalloc degenerate H=1 path (full grids are always ≥2 rows); one row vector per call
 		c := make([]complex128, w)
 		copy(c, spec[:hw])
 		for k := hw; k < w; k++ {
@@ -141,7 +138,6 @@ func (p *RealPlan) inverseRows(dst []float64, spec []complex128) {
 		return
 	}
 	par.Run(par.Workers(w*h), h/2, func(_, lo, hi int) {
-		//lint:ignore hotalloc per-worker packed-row scratch: one make per fork-join worker, not per element, and sharing it would race
 		c := make([]complex128, w)
 		for pr := lo; pr < hi; pr++ {
 			y := 2 * pr
@@ -176,7 +172,6 @@ func (p *RealPlan) transformCols(spec []complex128, inverse bool) {
 		return
 	}
 	par.Run(par.Workers(p.W*h), hw, func(_, lo, hi int) {
-		//lint:ignore hotalloc per-worker column scratch: one make per fork-join worker, not per element, and sharing it would race
 		col := make([]complex128, h)
 		for x := lo; x < hi; x++ {
 			for y := 0; y < h; y++ {

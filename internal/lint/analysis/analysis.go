@@ -7,7 +7,7 @@
 // written against this package ports to x/tools by changing one import.
 //
 // Beyond the per-package core, the package defines the two interprocedural
-// primitives the v2 analyzers build on: a Fact is a datum attached to a
+// primitives lockheld builds on: a Fact is a datum attached to a
 // package-level object (a function summary, say) that survives across
 // package boundaries, and a FactStore is the driver-owned map that carries
 // facts from a dependency's pass to its dependents' passes. Objects are
@@ -43,12 +43,6 @@ type Analyzer struct {
 	// skipped the fact phase sees a nil Facts and must degrade to
 	// reporting nothing rather than guessing.
 	NeedsFacts bool
-	// NeedsRegistry marks an analyzer that consumes the contract registry
-	// (knob/phase/metric schemas extracted from the whole loaded tree).
-	// The driver runs the registry-extraction phase before any such
-	// analyzer and stores the result in the fact store; the same nil-Facts
-	// degradation rule as NeedsFacts applies.
-	NeedsRegistry bool
 }
 
 // Fact is an arbitrary datum attached to one package-level object. A fact
@@ -114,20 +108,4 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ObjectKey returns the canonical cross-package key for obj: FullName for
-// functions and methods, "pkg/path.Name" for other package-level objects,
-// and "" for objects that have no stable identity (locals, blank).
-func ObjectKey(obj types.Object) string {
-	if obj == nil || obj.Name() == "_" {
-		return ""
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		return fn.FullName()
-	}
-	if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }

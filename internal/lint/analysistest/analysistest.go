@@ -16,16 +16,13 @@
 // Suppression directives (//lint:ignore) are honored, so fixtures also
 // exercise the ignore path.
 //
-// Interprocedural analyzers use RunWithConfig, which runs the callgraph
-// fact phase over every package of the fixture (so multi-package fixtures
-// exercise cross-package fact propagation) with the roots the fixture
-// declares. Analyzers with autofixes use RunFix, which checks the fixed
-// output against `.fixed` goldens, proves it still compiles, and proves a
-// second fix pass has nothing left to do.
+// Analyzers that declare NeedsFacts get the callgraph fact phase over the
+// fixture, as under kvet. Analyzers with autofixes use RunFix, which
+// checks the fixed output against `.fixed` goldens, proves it still
+// compiles, and proves a second fix pass has nothing left to do.
 package analysistest
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -35,9 +32,7 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/callgraph"
 	"repro/internal/lint/load"
-	"repro/internal/lint/registry"
 )
 
 // wantRE extracts the backquoted patterns of one want comment.
@@ -57,29 +52,7 @@ type expectation struct {
 // mismatch between diagnostics and want comments as test errors.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	check(t, dir, a, nil, nil, ".")
-}
-
-// RunWithConfig is Run with the interprocedural fact phase enabled: every
-// package under dir loads (so cross-package fixtures work) and cfg names
-// the reachability roots, usually functions inside the fixture itself.
-func RunWithConfig(t *testing.T, dir string, a *analysis.Analyzer, cfg callgraph.Config) {
-	t.Helper()
-	check(t, dir, a, &cfg, nil, "./...")
-}
-
-// RunWithRegistry is Run with the contract-registry phase enabled: every
-// package under dir loads and reg names the fixture's own contract
-// anchors (its Config struct, flags package, phase surfaces), so fixtures
-// exercise the same extraction the real tree gets.
-func RunWithRegistry(t *testing.T, dir string, a *analysis.Analyzer, reg registry.Config) {
-	t.Helper()
-	check(t, dir, a, nil, &reg, "./...")
-}
-
-func check(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, reg *registry.Config, pattern string) {
-	t.Helper()
-	pkgs, res := run(t, dir, a, cfg, reg, pattern)
+	pkgs, res := run(t, dir, a)
 	var wants []*expectation
 	for _, pkg := range pkgs {
 		wants = append(wants, collectWants(t, pkg)...)
@@ -97,18 +70,13 @@ func check(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config
 }
 
 // run loads the fixture and applies the analyzer as a one-rule suite.
-func run(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, reg *registry.Config, pattern string) ([]*load.Package, *lint.Result) {
+func run(t *testing.T, dir string, a *analysis.Analyzer) ([]*load.Package, *lint.Result) {
 	t.Helper()
-	pkgs, err := load.Load(load.Config{Dir: dir}, pattern)
+	pkgs, err := load.Load(load.Config{Dir: dir}, ".")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	opts := lint.Options{
-		Graph:    cfg,
-		Registry: reg,
-		NoFacts:  cfg == nil && reg == nil && !a.NeedsFacts && !a.NeedsRegistry,
-	}
-	res, err := lint.RunSuite(pkgs, []lint.Rule{{Analyzer: a}}, opts)
+	res, err := lint.RunSuite(pkgs, []lint.Rule{{Analyzer: a}}, lint.Options{})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
@@ -120,9 +88,9 @@ func run(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config, 
 // its `<name>.fixed` golden, the fixed package still compiles (it is
 // re-loaded and type-checked from a scratch module), and a second run over
 // the fixed code suggests nothing — the fix is idempotent.
-func RunFix(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Config) {
+func RunFix(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkgs, res := run(t, dir, a, cfg, nil, ".")
+	pkgs, res := run(t, dir, a)
 	if len(pkgs) != 1 {
 		t.Fatalf("RunFix wants a single-package fixture, got %d packages", len(pkgs))
 	}
@@ -185,7 +153,7 @@ func RunFix(t *testing.T, dir string, a *analysis.Analyzer, cfg *callgraph.Confi
 	if err != nil {
 		t.Fatalf("fixed fixture no longer compiles: %v", err)
 	}
-	reres, err := lint.RunSuite(repkgs, []lint.Rule{{Analyzer: a}}, lint.Options{Graph: cfg, NoFacts: cfg == nil && !a.NeedsFacts})
+	reres, err := lint.RunSuite(repkgs, []lint.Rule{{Analyzer: a}}, lint.Options{})
 	if err != nil {
 		t.Fatalf("re-running %s on fixed fixture: %v", a.Name, err)
 	}
@@ -236,16 +204,4 @@ func collectWants(t *testing.T, pkg *load.Package) []*expectation {
 		}
 	}
 	return wants
-}
-
-// RunAll is a convenience for multi-fixture analyzers: it runs each
-// subdirectory of testdata as its own fixture.
-func RunAll(t *testing.T, a *analysis.Analyzer, dirs ...string) {
-	t.Helper()
-	for _, d := range dirs {
-		d := d
-		t.Run(d, func(t *testing.T) {
-			Run(t, fmt.Sprintf("testdata/%s", d), a)
-		})
-	}
 }

@@ -1,9 +1,9 @@
-// Package callgraph builds the interprocedural layer under kvet's v2
-// analyzers: a per-function summary fact (does it block, how, does it take
-// a context, whom does it call) exported per package object, and a
-// package-spanning call graph over those facts with reachability marks
-// (is this function on a cancellation path from place.Run or an HTTP
-// handler; is it inside place.Step's per-transformation hot loop).
+// Package callgraph builds kvet's one interprocedural fact layer: a
+// per-function summary (which blocking operations its body performs, whom
+// it calls) exported per package object, closed over a package-spanning
+// call graph into a may-block fact. lockheld reads it to catch a blocking
+// call made under a mutex even when the blocking op is several calls and
+// packages away.
 //
 // Facts are keyed by the canonical object string (types.Func.FullName),
 // not by object identity: the load package type-checks target packages
@@ -25,18 +25,16 @@ package callgraph
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/load"
 )
 
-// Class is a bitmask of blocking-operation classes. ctxflow cares about
-// everything except Lock (mutexes are short-held by policy — lockheld
-// enforces that separately); lockheld cares about all of them, nested Lock
-// included.
+// Class is a bitmask of blocking-operation classes. lockheld cares about
+// all of them, nested Lock included.
 type Class uint8
 
 const (
@@ -71,101 +69,28 @@ func (c Class) String() string {
 }
 
 // FuncFact is the per-function interprocedural summary. The builder fills
-// the direct fields; Finalize fills the closure fields and marks.
+// the direct fields; Analyze fills MayBlock.
 type FuncFact struct {
 	// Key is the canonical object string the fact is stored under.
 	Key string
-	// HasCtx reports a context.Context (or *http.Request, which carries
-	// one) among the parameters, i.e. the function is cancellation-aware.
-	HasCtx bool
-	// HandlerShape reports the (http.ResponseWriter, *http.Request)
-	// signature; such functions are automatic cancellation roots.
-	HandlerShape bool
 	// Blocks is the union of blocking classes of ops in the function body
 	// itself (function literals included).
 	Blocks Class
-	// BlockDetail names one representative direct blocking op per class,
-	// e.g. "time.Sleep", for diagnostics.
-	BlockDetail []string
 	// Callees lists the canonical keys of statically resolved calls,
 	// sorted and deduplicated.
 	Callees []string
-
-	// The v3 lock-set and lifecycle facts (see sync.go). All class names
-	// are canonical sync classes; all slices are sorted and deduplicated.
-	//
-	// Acquires lists the lock classes this function acquires directly
-	// (function literals included; `go` bodies included — the spawned
-	// goroutine has its own held set but the acquisition is still this
-	// declaration's code).
-	Acquires []LockSite
-	// LockPairs records direct nested acquisition: Inner taken at Pos
-	// while Outer was held in this body.
-	LockPairs []LockPair
-	// HeldCalls records resolved calls made while a lock class was held.
-	HeldCalls []HeldCall
-	// CallSites records one representative position per resolved
-	// synchronous callee (`go`-spawned calls excluded), for witness paths.
-	CallSites []CallSite
-	// WGWaits / WGDones are WaitGroup classes this function calls
-	// Wait/Done on.
-	WGWaits []string
-	WGDones []string
-	// ChanRecvs / ChanSends / ChanCloses are channel classes this function
-	// receives from, sends on, and closes.
-	ChanRecvs  []string
-	ChanSends  []string
-	ChanCloses []string
-	// Drains are receiver classes a drain-shaped method (Close,
-	// CloseContext, Shutdown, Stop, Drain) is called on.
-	Drains []string
-
 	// MayBlock is the closure union: Blocks of this function and of every
-	// function reachable from it through resolved calls. Filled by
-	// Finalize.
+	// function reachable from it through resolved calls.
 	MayBlock Class
-	// AcquireSet is the closure union of lock classes acquired by this
-	// function or any function synchronously reachable from it through
-	// CallSites. Filled by Finalize.
-	AcquireSet []string
-	// CtxReachable marks functions reachable from a cancellation root
-	// (place.Run, the serve handlers). Filled by Finalize.
-	CtxReachable bool
-	// Hot marks functions reachable from a hot-loop root (place.Step).
-	// Filled by Finalize.
-	Hot bool
 }
 
 // AFact marks FuncFact as an analysis.Fact.
 func (*FuncFact) AFact() {}
 
-// Config parameterizes graph construction. The repo policy lives in
-// lint.GraphConfig; fixtures pass their own roots.
-type Config struct {
-	// CtxRoots are canonical keys of cancellation entry points. Functions
-	// with HandlerShape are roots automatically.
-	CtxRoots []string
-	// HotRoots are canonical keys of hot-loop entry points.
-	HotRoots []string
-	// Bounded are canonical keys treated as non-blocking even though they
-	// contain waits: bounded fork-joins (par.Run, par.Pair) that return as
-	// soon as their own CPU-bound work finishes, so cancellation at their
-	// granularity is neither possible nor wanted.
-	Bounded []string
-	// Cold are canonical keys where the Hot reachability walk stops: the
-	// function itself is not marked and its callees are not visited through
-	// it. This declares a sanctioned cache-miss / construction layer — code
-	// a hot root can reach on the first iteration but that amortizes away
-	// in steady state (plan construction behind a cache lookup, symbolic
-	// rebuilds behind a topology check).
-	Cold []string
-}
-
 // DefaultBounded lists the repo's sanctioned bounded fork-join primitives:
 // they contain waits and channel ops, but return as soon as their own
-// CPU-bound work finishes, so treating them as blocking would indict every
-// hot-path caller without making anything more cancellable. Cancellation
-// happens at the granularity of the place.Step that invoked them.
+// CPU-bound work finishes, so a call to one is CPU-bound work, not a
+// blocking wait.
 var DefaultBounded = []string{
 	"repro/internal/par.Run",
 	"repro/internal/par.Pair",
@@ -244,17 +169,6 @@ func ClassifyCall(info *types.Info, call *ast.CallExpr, bounded map[string]bool)
 	return 0, "", key
 }
 
-// CalleeKey resolves the canonical key of a call's static callee, or ""
-// for dynamic calls and builtins — for analyzers that need to recognize
-// specific callees (e.g. the bounded fork-joins) without classification.
-func CalleeKey(info *types.Info, call *ast.CallExpr) string {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.FullName()
-}
-
 // calleeFunc resolves the *types.Func a call statically dispatches to, or
 // nil for dynamic calls (function values, interface methods resolve to the
 // abstract method — kept, it still yields a stable key even if no fact
@@ -276,70 +190,42 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // summarize walks one function declaration and produces its direct fact.
 func summarize(pkg *load.Package, decl *ast.FuncDecl, key string, bounded map[string]bool) *FuncFact {
 	f := &FuncFact{Key: key}
-	if decl.Type.Params != nil {
-		for _, field := range decl.Type.Params.List {
-			tv, ok := pkg.Info.Types[field.Type]
-			if !ok {
-				continue
-			}
-			switch typeKey(tv.Type) {
-			case "context.Context", "*net/http.Request":
-				f.HasCtx = true
-			}
-		}
-		f.HandlerShape = handlerShape(pkg.Info, decl.Type)
-	}
 	if decl.Body == nil {
 		return f
 	}
 	callees := map[string]bool{}
-	detail := map[Class]string{}
-	addOp := func(c Class, what string) {
-		f.Blocks |= c
-		if _, ok := detail[c]; !ok {
-			detail[c] = what
-		}
-	}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			cls, what, callee := ClassifyCall(pkg.Info, n, bounded)
-			if cls != 0 {
-				addOp(cls, what)
-			}
+			cls, _, callee := ClassifyCall(pkg.Info, n, bounded)
+			f.Blocks |= cls
 			if callee != "" {
 				callees[callee] = true
 			}
 		case *ast.SendStmt:
-			addOp(Chan, "chan send")
+			f.Blocks |= Chan
 		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
-				addOp(Chan, "chan receive")
+			if n.Op == token.ARROW {
+				f.Blocks |= Chan
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(n) {
-				addOp(Chan, "select")
+				f.Blocks |= Chan
 			}
 		case *ast.RangeStmt:
 			if tv, ok := pkg.Info.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					addOp(Chan, "range over chan")
+					f.Blocks |= Chan
 				}
 			}
 		}
 		return true
 	})
-	for c := Chan; c <= IO; c <<= 1 {
-		if w, ok := detail[c]; ok {
-			f.BlockDetail = append(f.BlockDetail, w)
-		}
-	}
 	f.Callees = make([]string, 0, len(callees))
 	for k := range callees {
 		f.Callees = append(f.Callees, k)
 	}
 	sort.Strings(f.Callees)
-	summarizeSync(pkg, decl, f)
 	return f
 }
 
@@ -353,40 +239,12 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 	return false
 }
 
-// typeKey renders a type as its canonical string ("context.Context",
-// "*net/http.Request") for table lookups.
-func typeKey(t types.Type) string {
-	return types.TypeString(t, nil)
-}
-
-// handlerShape matches func(http.ResponseWriter, *http.Request).
-func handlerShape(info *types.Info, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	var flat []string
-	for _, field := range ft.Params.List {
-		tv, ok := info.Types[field.Type]
-		if !ok {
-			return false
-		}
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
-			flat = append(flat, typeKey(tv.Type))
-		}
-	}
-	return len(flat) == 2 && flat[0] == "net/http.ResponseWriter" && flat[1] == "*net/http.Request"
-}
-
 // FuncKey returns the canonical key for the function declared by decl, or
 // "" when the declaration has no resolvable object.
 func FuncKey(info *types.Info, decl *ast.FuncDecl) string {
-	obj := info.Defs[decl.Name]
-	if obj == nil {
+	fn, _ := info.Defs[decl.Name].(*types.Func)
+	if fn == nil {
 		return ""
 	}
-	return analysis.ObjectKey(obj)
+	return fn.FullName()
 }

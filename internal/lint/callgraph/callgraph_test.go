@@ -23,15 +23,15 @@ func loadMulti(t *testing.T) []*load.Package {
 	return pkgs
 }
 
-func analyzeMulti(t *testing.T, cfg Config) (*Store, *Graph) {
+func analyzeMulti(t *testing.T, bounded []string) (*Store, *Graph) {
 	t.Helper()
 	store := NewStore()
-	g := Analyze(loadMulti(t), store, cfg)
+	g := Analyze(loadMulti(t), store, bounded)
 	return store, g
 }
 
 func TestDirectSummaries(t *testing.T) {
-	_, g := analyzeMulti(t, Config{})
+	_, g := analyzeMulti(t, nil)
 
 	sleepy := g.Func(fixtureBase + "/a.Sleepy")
 	if sleepy == nil {
@@ -40,13 +40,10 @@ func TestDirectSummaries(t *testing.T) {
 	if sleepy.Blocks&Sleep == 0 {
 		t.Errorf("a.Sleepy Blocks = %v, want Sleep", sleepy.Blocks)
 	}
-	if sleepy.HasCtx {
-		t.Error("a.Sleepy should not be cancellation-aware")
-	}
 
 	ctxOK := g.Func(fixtureBase + "/a.CtxOK")
-	if ctxOK == nil || !ctxOK.HasCtx {
-		t.Error("a.CtxOK should be cancellation-aware")
+	if ctxOK == nil {
+		t.Fatal("no summary for a.CtxOK")
 	}
 	if ctxOK.Blocks&Chan == 0 {
 		t.Errorf("a.CtxOK Blocks = %v, want Chan", ctxOK.Blocks)
@@ -62,7 +59,7 @@ func TestDirectSummaries(t *testing.T) {
 }
 
 func TestCrossPackagePropagation(t *testing.T) {
-	_, g := analyzeMulti(t, Config{})
+	_, g := analyzeMulti(t, nil)
 
 	// b.Cold calls a.Sleepy across the package boundary; the callee key
 	// must match the fact exported when a was summarized.
@@ -97,65 +94,8 @@ func TestCrossPackagePropagation(t *testing.T) {
 	}
 }
 
-func TestReachabilityMarks(t *testing.T) {
-	_, g := analyzeMulti(t, Config{HotRoots: []string{fixtureBase + "/b.Cold"}})
-
-	// Handler is a root by signature; the mark must cross into package a.
-	for _, key := range []string{
-		fixtureBase + "/b.Handler",
-		fixtureBase + "/a.Chain",
-		fixtureBase + "/a.Sleepy",
-	} {
-		if f := g.Func(key); f == nil || !f.CtxReachable {
-			t.Errorf("%s should be CtxReachable", key)
-		}
-	}
-	if f := g.Func(fixtureBase + "/b.Cold"); f.CtxReachable {
-		t.Error("b.Cold must not be CtxReachable")
-	}
-	if f := g.Func(fixtureBase + "/a.Calm"); f.CtxReachable {
-		t.Error("a.Calm must not be CtxReachable")
-	}
-
-	// Hot marks follow the explicit root list.
-	for key, want := range map[string]bool{
-		fixtureBase + "/b.Cold":   true,
-		fixtureBase + "/a.Sleepy": true,
-		fixtureBase + "/a.CtxOK":  false,
-	} {
-		if f := g.Func(key); f == nil || f.Hot != want {
-			t.Errorf("%s Hot = %v, want %v", key, f != nil && f.Hot, want)
-		}
-	}
-}
-
-func TestColdBarrier(t *testing.T) {
-	// Without a barrier the hot mark flows b.Handler -> a.Chain -> a.Sleepy.
-	_, g := analyzeMulti(t, Config{HotRoots: []string{fixtureBase + "/b.Handler"}})
-	for _, key := range []string{fixtureBase + "/a.Chain", fixtureBase + "/a.Sleepy"} {
-		if f := g.Func(key); f == nil || !f.Hot {
-			t.Errorf("without Cold, %s should be Hot", key)
-		}
-	}
-
-	// Declaring a.Chain cold stops the walk there: neither it nor anything
-	// only reachable through it is marked.
-	_, g = analyzeMulti(t, Config{
-		HotRoots: []string{fixtureBase + "/b.Handler"},
-		Cold:     []string{fixtureBase + "/a.Chain"},
-	})
-	if f := g.Func(fixtureBase + "/b.Handler"); f == nil || !f.Hot {
-		t.Error("the root itself must stay Hot")
-	}
-	for _, key := range []string{fixtureBase + "/a.Chain", fixtureBase + "/a.Sleepy"} {
-		if f := g.Func(key); f == nil || f.Hot {
-			t.Errorf("with a.Chain cold, %s must not be Hot", key)
-		}
-	}
-}
-
 func TestBoundedSuppressesEdge(t *testing.T) {
-	_, g := analyzeMulti(t, Config{Bounded: []string{fixtureBase + "/a.Sleepy"}})
+	_, g := analyzeMulti(t, []string{fixtureBase + "/a.Sleepy"})
 	if cold := g.Func(fixtureBase + "/b.Cold"); cold.MayBlock != 0 {
 		t.Errorf("with a.Sleepy bounded, b.Cold MayBlock = %v, want none", cold.MayBlock)
 	}
@@ -166,96 +106,8 @@ func TestBoundedSuppressesEdge(t *testing.T) {
 	}
 }
 
-func TestAcquireSetCrossPackage(t *testing.T) {
-	_, g := analyzeMulti(t, Config{})
-	aClass := fixtureBase + "/a.Guarded.mu"
-	bClass := fixtureBase + "/b.Holder.mu"
-
-	locked := g.Func(fixtureBase + "/a.Locked")
-	if locked == nil {
-		t.Fatal("no summary for a.Locked")
-	}
-	if !hasString(locked.AcquireSet, aClass) {
-		t.Errorf("a.Locked AcquireSet = %v, want %s", locked.AcquireSet, aClass)
-	}
-
-	// b.Nested acquires its own lock directly and a.Guarded.mu through the
-	// cross-package call; both classes must be in the closed set.
-	nested := g.Func(fixtureBase + "/b.Nested")
-	if nested == nil {
-		t.Fatal("no summary for b.Nested")
-	}
-	for _, class := range []string{aClass, bClass} {
-		if !hasString(nested.AcquireSet, class) {
-			t.Errorf("b.Nested AcquireSet = %v, missing %s", nested.AcquireSet, class)
-		}
-	}
-
-	// The go-spawned call must not extend the spawner's synchronous set —
-	// a goroutine's acquisitions do not happen while the caller runs.
-	spawned := g.Func(fixtureBase + "/b.Spawned")
-	if spawned == nil {
-		t.Fatal("no summary for b.Spawned")
-	}
-	if len(spawned.AcquireSet) != 0 {
-		t.Errorf("b.Spawned AcquireSet = %v, want empty (callee is go-spawned)", spawned.AcquireSet)
-	}
-}
-
-func TestConcEdgeCrossPackage(t *testing.T) {
-	store, g := analyzeMulti(t, Config{})
-	aClass := fixtureBase + "/a.Guarded.mu"
-	bClass := fixtureBase + "/b.Holder.mu"
-
-	conc := g.Conc()
-	if conc == nil {
-		t.Fatal("no ConcFact on the graph")
-	}
-	var edge *LockEdge
-	for i := range conc.Edges {
-		if conc.Edges[i].From == bClass && conc.Edges[i].To == aClass {
-			edge = &conc.Edges[i]
-		}
-	}
-	if edge == nil {
-		t.Fatalf("no %s -> %s edge; edges: %+v", bClass, aClass, conc.Edges)
-	}
-	if len(edge.Path) < 2 {
-		t.Fatalf("cross-package edge should carry a multi-step witness, got %+v", edge.Path)
-	}
-	if want := fixtureBase + "/b.Nested"; edge.Path[0].Func != want {
-		t.Errorf("witness starts at %s, want %s", edge.Path[0].Func, want)
-	}
-	if want := fixtureBase + "/a.Locked"; edge.Path[len(edge.Path)-1].Func != want {
-		t.Errorf("witness ends at %s, want %s", edge.Path[len(edge.Path)-1].Func, want)
-	}
-
-	// No cycle in this fixture: the edge is one-directional.
-	if len(conc.Cycles) != 0 {
-		t.Errorf("acyclic fixture produced cycles: %+v", conc.Cycles)
-	}
-
-	// The singleton fact round-trips through the store under GlobalKey.
-	var round ConcFact
-	if !store.ObjectFact(GlobalKey, &round) {
-		t.Fatal("ConcFact not in store under GlobalKey")
-	}
-	if len(round.Edges) != len(conc.Edges) {
-		t.Errorf("round-tripped ConcFact has %d edges, want %d", len(round.Edges), len(conc.Edges))
-	}
-}
-
-func hasString(xs []string, want string) bool {
-	for _, x := range xs {
-		if x == want {
-			return true
-		}
-	}
-	return false
-}
-
 func TestStoreRoundTrip(t *testing.T) {
-	store, _ := analyzeMulti(t, Config{})
+	store, _ := analyzeMulti(t, nil)
 	var f FuncFact
 	if !store.ObjectFact(fixtureBase+"/a.Sleepy", &f) {
 		t.Fatal("fact for a.Sleepy not in store")

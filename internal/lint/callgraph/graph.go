@@ -51,32 +51,25 @@ func (s *Store) ObjectFact(key string, ptr analysis.Fact) bool {
 }
 
 // Graph is the whole-program view over the FuncFacts of one driver
-// invocation. It shares fact pointers with the Store, so Finalize's
-// closure fields and marks are visible through both.
+// invocation. It shares fact pointers with the Store, so the MayBlock
+// closure Analyze computes is visible through both.
 type Graph struct {
 	funcs map[string]*FuncFact
 	order []string // sorted keys, for deterministic iteration
-	conc  *ConcFact
 }
 
 // Func returns the summary for key, or nil.
 func (g *Graph) Func(key string) *FuncFact { return g.funcs[key] }
 
-// Conc returns the condensed whole-program concurrency fact.
-func (g *Graph) Conc() *ConcFact { return g.conc }
-
-// Len returns the number of summarized functions.
-func (g *Graph) Len() int { return len(g.order) }
-
 // Analyze builds function summaries for every package (visited in
 // dependency order so a summary is exported before any dependent's call
-// sites reference it), exports them into store, then finalizes the global
-// graph: fixpoint-propagates MayBlock through the call edges and marks
-// reachability from the configured roots.
-func Analyze(pkgs []*load.Package, store *Store, cfg Config) *Graph {
-	bounded := make(map[string]bool, len(cfg.Bounded))
-	for _, k := range cfg.Bounded {
-		bounded[k] = true
+// sites reference it), exports them into store, then propagates MayBlock
+// through the call edges to a fixpoint. Calls to the bounded keys (see
+// DefaultBounded) are neither blocking ops nor edges.
+func Analyze(pkgs []*load.Package, store *Store, bounded []string) *Graph {
+	isBounded := make(map[string]bool, len(bounded))
+	for _, k := range bounded {
+		isBounded[k] = true
 	}
 	g := &Graph{funcs: make(map[string]*FuncFact)}
 	for _, pkg := range depOrder(pkgs) {
@@ -90,7 +83,7 @@ func Analyze(pkgs []*load.Package, store *Store, cfg Config) *Graph {
 				if key == "" {
 					continue
 				}
-				f := summarize(pkg, decl, key, bounded)
+				f := summarize(pkg, decl, key, isBounded)
 				g.funcs[key] = f
 				store.ExportObjectFact(key, f)
 			}
@@ -101,16 +94,13 @@ func Analyze(pkgs []*load.Package, store *Store, cfg Config) *Graph {
 		g.order = append(g.order, k)
 	}
 	sort.Strings(g.order)
-	g.finalize(cfg)
-	g.conc = buildConc(g)
-	store.ExportObjectFact(GlobalKey, g.conc)
+	g.closeMayBlock()
 	return g
 }
 
-// finalize computes the closure fields: MayBlock to a fixpoint (cycles in
-// the call graph converge because the union only grows), then the
-// reachability marks from the cancellation and hot roots.
-func (g *Graph) finalize(cfg Config) {
+// closeMayBlock computes MayBlock to a fixpoint; cycles in the call graph
+// converge because the union only grows.
+func (g *Graph) closeMayBlock() {
 	for _, k := range g.order {
 		g.funcs[k].MayBlock = g.funcs[k].Blocks
 	}
@@ -125,72 +115,6 @@ func (g *Graph) finalize(cfg Config) {
 						changed = true
 					}
 				}
-			}
-		}
-	}
-
-	// AcquireSet: lock classes acquired here or anywhere synchronously
-	// reachable. Same fixpoint shape as MayBlock, but over CallSites —
-	// `go`-spawned calls must not extend a caller's lock reachability.
-	acq := make(map[string]map[string]bool, len(g.order))
-	for _, k := range g.order {
-		m := make(map[string]bool)
-		for _, a := range g.funcs[k].Acquires {
-			m[a.Class] = true
-		}
-		acq[k] = m
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, k := range g.order {
-			m := acq[k]
-			for _, cs := range g.funcs[k].CallSites {
-				for _, c := range sortedSet(acq[cs.Callee]) {
-					if !m[c] {
-						m[c] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	for _, k := range g.order {
-		g.funcs[k].AcquireSet = sortedSet(acq[k])
-	}
-
-	ctxRoots := append([]string(nil), cfg.CtxRoots...)
-	for _, k := range g.order {
-		if g.funcs[k].HandlerShape {
-			ctxRoots = append(ctxRoots, k)
-		}
-	}
-	g.mark(ctxRoots, nil, func(f *FuncFact) *bool { return &f.CtxReachable })
-
-	cold := make(map[string]bool, len(cfg.Cold))
-	for _, k := range cfg.Cold {
-		cold[k] = true
-	}
-	g.mark(cfg.HotRoots, cold, func(f *FuncFact) *bool { return &f.Hot })
-}
-
-// mark sets field(f) for every function reachable from roots, roots
-// included. Keys in barrier are neither marked nor traversed through:
-// the walk stops there.
-func (g *Graph) mark(roots []string, barrier map[string]bool, field func(*FuncFact) *bool) {
-	queue := make([]string, 0, len(roots))
-	for _, r := range roots {
-		if f := g.funcs[r]; f != nil && !barrier[r] && !*field(f) {
-			*field(f) = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		k := queue[0]
-		queue = queue[1:]
-		for _, c := range g.funcs[k].Callees {
-			if f := g.funcs[c]; f != nil && !barrier[c] && !*field(f) {
-				*field(f) = true
-				queue = append(queue, c)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ package a
 
 import (
 	"context"
-	"sync"
 	"time"
 )
 
@@ -13,7 +12,7 @@ func Sleepy() {
 	time.Sleep(time.Millisecond)
 }
 
-// CtxOK blocks but is cancellation-aware.
+// CtxOK blocks on a channel receive.
 func CtxOK(ctx context.Context) {
 	<-ctx.Done()
 }
@@ -31,17 +30,3 @@ type Counter struct{ n int }
 
 // Bump is a method with a pointer receiver.
 func (c *Counter) Bump() { c.n++ }
-
-// Guarded carries its own lock; acquisitions of g.mu from any caller must
-// coarsen into the one a.Guarded.mu class.
-type Guarded struct {
-	mu sync.Mutex
-	v  int
-}
-
-// Locked acquires the Guarded lock around its bump.
-func Locked(g *Guarded) {
-	g.mu.Lock()
-	g.v++
-	g.mu.Unlock()
-}

@@ -1,21 +1,20 @@
 // Package b is the dependent side of the callgraph fixture: its call
-// sites resolve into package a through export data, and reachability from
-// its handler must cross the package boundary.
+// sites resolve into package a through export data, so may-block facts
+// must cross the package boundary.
 package b
 
 import (
 	"net/http"
-	"sync"
 
 	"repro/internal/lint/callgraph/testdata/multi/a"
 )
 
-// Handler is an automatic cancellation root by signature.
+// Handler reaches a.Sleepy through two hops.
 func Handler(w http.ResponseWriter, r *http.Request) {
 	a.Chain()
 }
 
-// Cold is not reachable from any root.
+// Cold reaches a.Sleepy through one cross-package call.
 func Cold() {
 	a.Sleepy()
 }
@@ -30,24 +29,4 @@ func Fanout(run func(func())) {
 // UsesMethod calls a method across the boundary.
 func UsesMethod(c *a.Counter) {
 	c.Bump()
-}
-
-// Holder has its own lock class on the dependent side.
-type Holder struct {
-	mu sync.Mutex
-}
-
-// Nested calls into a while holding its own lock: the cross-package
-// acquire must land in Nested's AcquireSet and produce a b.Holder.mu ->
-// a.Guarded.mu order edge whose witness path crosses the boundary.
-func Nested(h *Holder, g *a.Guarded) {
-	h.mu.Lock()
-	a.Locked(g)
-	h.mu.Unlock()
-}
-
-// Spawned runs the acquiring callee on its own goroutine, so the
-// acquisition must NOT extend Spawned's synchronous AcquireSet.
-func Spawned(g *a.Guarded) {
-	go a.Locked(g)
 }

@@ -14,5 +14,5 @@ func TestFixture(t *testing.T) {
 // TestFix proves the err -> _ autofix matches the golden, still compiles,
 // and leaves nothing for a second -fix pass.
 func TestFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata/fixture", errflow.Analyzer, nil)
+	analysistest.RunFix(t, "testdata/fixture", errflow.Analyzer)
 }

@@ -2,13 +2,12 @@
 // exist, which packages each one polices, and how findings are collected,
 // suppressed and ordered. cmd/kvet is a thin driver over this package.
 //
-// v2 adds an interprocedural layer: before any reporting analyzer runs,
-// RunSuite builds per-function summaries over every loaded package (does
-// it block, does it take a context, whom does it call — see
-// internal/lint/callgraph), propagates them across package boundaries
-// through a fact store, and hands the store to analyzers that declare
-// NeedsFacts. ctxflow, lockheld and hotalloc reason from those facts;
-// the per-file analyzers are unchanged.
+// Before any reporting analyzer runs, RunSuite builds one interprocedural
+// fact layer: per-function summaries over every loaded package (does it
+// block, whom does it call — see internal/lint/callgraph), closed across
+// package boundaries into a may-block fact and handed through a fact store
+// to analyzers that declare NeedsFacts. lockheld is the one such analyzer;
+// the rest work per file.
 //
 // Suppression: a finding is silenced by a comment
 //
@@ -32,23 +31,15 @@ import (
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/callgraph"
-	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/detrange"
 	"repro/internal/lint/enumswitch"
 	"repro/internal/lint/errflow"
 	"repro/internal/lint/floatcmp"
-	"repro/internal/lint/golife"
-	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/knobflow"
 	"repro/internal/lint/load"
 	"repro/internal/lint/lockheld"
-	"repro/internal/lint/lockorder"
 	"repro/internal/lint/nilsafe"
 	"repro/internal/lint/noclock"
 	"repro/internal/lint/parpolicy"
-	"repro/internal/lint/phasereg"
-	"repro/internal/lint/registry"
-	"repro/internal/lint/sharecap"
 	"repro/internal/obsv"
 )
 
@@ -110,23 +101,10 @@ func matchAny(pats []string, path string) bool {
 //     cmd as in the solver.
 //   - nilsafe enforces the obsv handle contract (every exported method on a
 //     nil handle is a no-op), so it runs only there.
-//   - ctxflow polices the serving path's cancellation contract everywhere
-//     except the reporting set (whose blocking prints are the product, not
-//     a hazard) and internal/par, whose bounded joins are cancelled at the
-//     granularity of the step that invoked them (see callgraph.DefaultBounded).
 //   - lockheld applies everywhere: a critical section that blocks is wrong
 //     in a cmd exactly as in the solver.
-//   - hotalloc polices only the packages place.Step's loop actually runs
-//     through; allocation elsewhere is none of its business.
 //   - errflow applies everywhere: a dropped error hides a failure path
 //     regardless of the package.
-//   - lockorder, golife and sharecap (the v3 concurrency suite) apply
-//     everywhere: a lock-order inversion, a leaked goroutine, or an
-//     unsynchronized captured write is a program property — the analyzers
-//     already anchor each finding to the package that owns the witness.
-//   - knobflow and phasereg (the v4 contract suite) apply everywhere: the
-//     registry is extracted from the whole tree and each finding is
-//     anchored in the one package owning the declaration that must change.
 //   - enumswitch applies everywhere: a silent fall-through on a new enum
 //     constant is wrong in a cmd exactly as in the solver.
 //   - staleignore applies everywhere a directive can appear.
@@ -137,115 +115,16 @@ func Rules() []Rule {
 		"repro/cmd/...",
 		"repro/examples/...",
 	}
-	ctxExempt := append(append([]string(nil), reporting...), "repro/internal/par")
-	engine := []string{
-		"repro/internal/place",
-		"repro/internal/density",
-		"repro/internal/fft",
-		"repro/internal/sparse",
-		"repro/internal/qp",
-		"repro/internal/geom",
-		"repro/internal/netlist",
-		"repro/internal/par",
-	}
 	return []Rule{
 		{Analyzer: detrange.Analyzer, Exempt: reporting},
 		{Analyzer: noclock.Analyzer, Exempt: reporting},
 		{Analyzer: parpolicy.Analyzer, Exempt: []string{"repro/internal/par"}},
 		{Analyzer: floatcmp.Analyzer},
 		{Analyzer: nilsafe.Analyzer, Only: []string{"repro/internal/obsv"}},
-		{Analyzer: ctxflow.Analyzer, Exempt: ctxExempt},
 		{Analyzer: lockheld.Analyzer},
-		{Analyzer: hotalloc.Analyzer, Only: engine},
 		{Analyzer: errflow.Analyzer},
-		{Analyzer: lockorder.Analyzer},
-		{Analyzer: golife.Analyzer},
-		{Analyzer: sharecap.Analyzer},
-		{Analyzer: knobflow.Analyzer},
-		{Analyzer: phasereg.Analyzer},
 		{Analyzer: enumswitch.Analyzer},
 		{Analyzer: StaleIgnore},
-	}
-}
-
-// RegistryConfig names the repo's contract anchors: where the knob,
-// phase and metric schemas live. The v4 analyzers compare every mirror
-// surface against these.
-func RegistryConfig() registry.Config {
-	return registry.Config{
-		ConfigStruct: "repro/internal/place.Config",
-		HashMethod:   "Hash",
-		FlagsPkg:     "repro/cmd/kplace",
-		SubmitStruct: "repro/internal/serve.SubmitRequest",
-		FacadePkg:    "repro",
-
-		IterStruct:    "repro/internal/place.IterStats",
-		TotalsStruct:  "repro/internal/place.PhaseTotals",
-		SpanPkg:       "repro/internal/place",
-		SpanPrefix:    "place/",
-		PhaseKeysFunc: "repro/internal/place.PhaseKeys",
-		EventStruct:   "repro/internal/serve.Event",
-		// serve's streaming event carries one aggregate solve time; the
-		// three solver phases collapse into it by design.
-		EventCollapse: map[string][]string{
-			"solve": {"solve-x", "solve-y", "solve-pair"},
-		},
-		WaterfallPkg:    "repro/internal/serve",
-		WaterfallPrefix: "phase/",
-		// The waterfall renders the pipeline stages a job passes through;
-		// solve-pair is an alternative to solve-x/solve-y (never both in
-		// one iteration) and step is the enclosing span itself.
-		WaterfallExempt: []string{"solve-pair", "step"},
-		TraceCheckVar:   "repro/cmd/ktracecheck.knownPhaseKeys",
-
-		MetricsType: "repro/internal/obsv.Registry",
-	}
-}
-
-// GraphConfig is the repo's interprocedural root set: cancellation enters
-// through place.Run (and the Global wrappers); the hot loop is everything
-// place.Step reaches. Serve handlers are roots automatically by shape.
-//
-// Cold declares the sanctioned construction layer — functions Step can
-// reach only on a cache miss or topology change, where allocation is the
-// point (building FFT twiddle tables, assembling a fresh sparsity
-// pattern) and amortizes to zero in steady state. The Hot mark stops
-// there instead of indicting every make in a constructor.
-func GraphConfig() callgraph.Config {
-	return callgraph.Config{
-		CtxRoots: []string{
-			"(*repro/internal/place.Placer).Run",
-			"repro/internal/place.Global",
-			"repro/internal/place.GlobalContext",
-		},
-		HotRoots: []string{
-			"(*repro/internal/place.Placer).Step",
-		},
-		Bounded: callgraph.DefaultBounded,
-		Cold: []string{
-			// Field-solver cache miss: plan + kernel-spectrum construction,
-			// guarded by the pw/ph topology check in fieldSolver.
-			"(*repro/internal/density.Grid).fieldSolver",
-			// Baseline comparison paths, kept deliberately allocation-heavy
-			// (NoCache / Direct method) so the cached path has a reference.
-			"repro/internal/density.computeFFTCold",
-			"repro/internal/density.computeRealFFTCold",
-			"repro/internal/density.computeDirect",
-			// Twiddle/bit-reversal table construction, amortized globally
-			// through tableCache.
-			"repro/internal/fft.NewPlan",
-			"repro/internal/fft.NewRealPlan",
-			// Symbolic rebuild on topology change; steady state replays the
-			// numeric refill through the cached pattern instead. qp.Build is
-			// the uncached one-shot assembly behind the NoReuse baseline flag.
-			"(*repro/internal/qp.Assembler).rebuild",
-			"repro/internal/qp.Build",
-			// IC0 pattern construction: allocation happens once per sparsity
-			// pattern; the steady state replays alloc-free Refactor calls
-			// through the cached IC0Factor.
-			"repro/internal/sparse.NewIC0Pattern",
-			"repro/internal/sparse.NewIC0",
-		},
 	}
 }
 
@@ -263,22 +142,13 @@ type Finding struct {
 
 // Options adjusts a RunSuite call.
 type Options struct {
-	// Graph overrides the interprocedural root set; nil means GraphConfig().
-	Graph *callgraph.Config
-	// Registry overrides the contract-schema anchors; nil means
-	// RegistryConfig(). Fixture tests point this at their own structs.
-	Registry *registry.Config
-	// NoFacts skips the whole-program fact and registry phases. Analyzers
-	// that declare NeedsFacts or NeedsRegistry then see a nil store and
-	// stay silent.
-	NoFacts bool
 	// CheckStale reports //lint:ignore directives that suppressed nothing.
 	CheckStale bool
 }
 
 // Timing is the accumulated wall time of one analyzer across every
-// package it ran on. The pseudo-analyzer names "facts" and "registry"
-// carry the whole-program phases.
+// package it ran on. The pseudo-analyzer name "facts" carries the
+// whole-program fact phase.
 type Timing struct {
 	Analyzer string
 	Wall     time.Duration
@@ -296,9 +166,9 @@ type Result struct {
 }
 
 // RunSuite applies the rule set to the loaded packages: one whole-program
-// fact phase (package summaries in dependency order, MayBlock fixpoint,
-// reachability marks), then the reporting analyzers per package, then
-// stale-suppression detection over the accumulated directive hits.
+// fact phase (package summaries in dependency order, MayBlock fixpoint),
+// then the reporting analyzers per package, then stale-suppression
+// detection over the accumulated directive hits.
 func RunSuite(pkgs []*load.Package, rules []Rule, opts Options) (*Result, error) {
 	if len(pkgs) == 0 {
 		return &Result{}, nil
@@ -307,27 +177,11 @@ func RunSuite(pkgs []*load.Package, rules []Rule, opts Options) (*Result, error)
 	wall := make(map[string]time.Duration)
 
 	var store *callgraph.Store
-	if !opts.NoFacts && anyNeedsFacts(rules) {
-		cfg := GraphConfig()
-		if opts.Graph != nil {
-			cfg = *opts.Graph
-		}
+	if anyNeedsFacts(rules) {
 		store = callgraph.NewStore()
 		sw := obsv.StartTimer()
-		callgraph.Analyze(pkgs, store, cfg)
+		callgraph.Analyze(pkgs, store, callgraph.DefaultBounded)
 		wall["facts"] = sw.Elapsed()
-	}
-	if !opts.NoFacts && anyNeedsRegistry(rules) {
-		if store == nil {
-			store = callgraph.NewStore()
-		}
-		rcfg := RegistryConfig()
-		if opts.Registry != nil {
-			rcfg = *opts.Registry
-		}
-		sw := obsv.StartTimer()
-		registry.Analyze(pkgs, store, rcfg)
-		wall["registry"] = sw.Elapsed()
 	}
 
 	ix := collectIgnores(pkgs)
@@ -418,15 +272,6 @@ func sortTimings(wall map[string]time.Duration) []Timing {
 func anyNeedsFacts(rules []Rule) bool {
 	for _, r := range rules {
 		if r.Analyzer.NeedsFacts {
-			return true
-		}
-	}
-	return false
-}
-
-func anyNeedsRegistry(rules []Rule) bool {
-	for _, r := range rules {
-		if r.Analyzer.NeedsRegistry {
 			return true
 		}
 	}
@@ -608,15 +453,4 @@ func firstSentence(doc string) string {
 		return doc[:i+1]
 	}
 	return strings.TrimSpace(doc)
-}
-
-// Analyzers returns every analyzer in the suite, for drivers that want to
-// run all of them regardless of package policy.
-func Analyzers() []*analysis.Analyzer {
-	rules := Rules()
-	as := make([]*analysis.Analyzer, len(rules))
-	for i, r := range rules {
-		as[i] = r.Analyzer
-	}
-	return as
 }

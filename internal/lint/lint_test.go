@@ -8,16 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/callgraph"
 	"repro/internal/lint/enumswitch"
 	"repro/internal/lint/floatcmp"
-	"repro/internal/lint/golife"
-	"repro/internal/lint/knobflow"
 	"repro/internal/lint/load"
-	"repro/internal/lint/lockorder"
-	"repro/internal/lint/phasereg"
-	"repro/internal/lint/registry"
-	"repro/internal/lint/sharecap"
 )
 
 func loadStale(t *testing.T) []*load.Package {
@@ -34,10 +27,7 @@ func loadStale(t *testing.T) []*load.Package {
 // reported, and a stale directive vouched for by a reasoned
 // //lint:ignore staleignore stays — with the voucher earning its own hit.
 func TestStaleIgnore(t *testing.T) {
-	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{
-		NoFacts:    true,
-		CheckStale: true,
-	})
+	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{CheckStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +52,7 @@ func TestStaleIgnore(t *testing.T) {
 // TestStaleIgnoreFix checks that applying the stale finding's fix deletes
 // the whole directive line, not just the comment text.
 func TestStaleIgnoreFix(t *testing.T) {
-	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{
-		NoFacts:    true,
-		CheckStale: true,
-	})
+	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{CheckStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,87 +89,6 @@ func TestStaleIgnoreFix(t *testing.T) {
 	}
 }
 
-// TestStaleIgnoreV3Analyzers runs the concurrency analyzers over a fixture
-// whose golife directive suppresses a real leak (live) while its lockorder
-// and sharecap directives suppress nothing: exactly those two must come
-// back as staleignore findings.
-func TestStaleIgnoreV3Analyzers(t *testing.T) {
-	pkgs, err := load.Load(load.Config{Dir: "testdata/stalev3"}, ".")
-	if err != nil {
-		t.Fatalf("loading stalev3 fixture: %v", err)
-	}
-	rules := []lint.Rule{
-		{Analyzer: lockorder.Analyzer},
-		{Analyzer: golife.Analyzer},
-		{Analyzer: sharecap.Analyzer},
-	}
-	res, err := lint.RunSuite(pkgs, rules, lint.Options{
-		Graph:      &callgraph.Config{Bounded: callgraph.DefaultBounded},
-		CheckStale: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var staleNames []string
-	for _, f := range res.Findings {
-		if f.Analyzer != "staleignore" {
-			t.Errorf("unexpected non-stale finding: %s:%d [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
-			continue
-		}
-		staleNames = append(staleNames, f.Message)
-	}
-	if len(staleNames) != 2 {
-		t.Fatalf("want 2 stale directives (lockorder, sharecap), got %d: %v", len(staleNames), staleNames)
-	}
-	for i, want := range []string{"lockorder", "sharecap"} {
-		if !strings.Contains(staleNames[i], want) {
-			t.Errorf("stale finding %d = %q, want it to name %s", i, staleNames[i], want)
-		}
-	}
-}
-
-// TestStaleIgnoreV4Analyzers runs the contract analyzers over a fixture
-// whose knobflow directive suppresses a real dead-knob finding (live)
-// while its phasereg and enumswitch directives suppress nothing: exactly
-// those two must come back as staleignore findings.
-func TestStaleIgnoreV4Analyzers(t *testing.T) {
-	pkgs, err := load.Load(load.Config{Dir: "testdata/stalev4"}, ".")
-	if err != nil {
-		t.Fatalf("loading stalev4 fixture: %v", err)
-	}
-	rules := []lint.Rule{
-		{Analyzer: knobflow.Analyzer},
-		{Analyzer: phasereg.Analyzer},
-		{Analyzer: enumswitch.Analyzer},
-	}
-	res, err := lint.RunSuite(pkgs, rules, lint.Options{
-		Registry: &registry.Config{
-			ConfigStruct: "repro/internal/lint/testdata/stalev4.Config",
-			HashMethod:   "Hash",
-		},
-		CheckStale: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var staleNames []string
-	for _, f := range res.Findings {
-		if f.Analyzer != "staleignore" {
-			t.Errorf("unexpected non-stale finding: %s:%d [%s] %s", f.File, f.Line, f.Analyzer, f.Message)
-			continue
-		}
-		staleNames = append(staleNames, f.Message)
-	}
-	if len(staleNames) != 2 {
-		t.Fatalf("want 2 stale directives (enumswitch, phasereg), got %d: %v", len(staleNames), staleNames)
-	}
-	for i, want := range []string{"enumswitch", "phasereg"} {
-		if !strings.Contains(staleNames[i], want) {
-			t.Errorf("stale finding %d = %q, want it to name %s", i, staleNames[i], want)
-		}
-	}
-}
-
 // TestDedupeFindings proves identical (analyzer, position, message)
 // triples from overlapping package loads print once: running the suite
 // over the same package listed twice yields exactly the single-load
@@ -192,7 +98,7 @@ func TestDedupeFindings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading enumswitch fixture: %v", err)
 	}
-	single, err := lint.RunSuite(pkgs, []lint.Rule{{Analyzer: enumswitch.Analyzer}}, lint.Options{NoFacts: true})
+	single, err := lint.RunSuite(pkgs, []lint.Rule{{Analyzer: enumswitch.Analyzer}}, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +106,7 @@ func TestDedupeFindings(t *testing.T) {
 		t.Fatal("fixture yields no findings to deduplicate")
 	}
 	doubled := append(append([]*load.Package(nil), pkgs...), pkgs...)
-	deduped, err := lint.RunSuite(doubled, []lint.Rule{{Analyzer: enumswitch.Analyzer}}, lint.Options{NoFacts: true})
+	deduped, err := lint.RunSuite(doubled, []lint.Rule{{Analyzer: enumswitch.Analyzer}}, lint.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +148,7 @@ func TestWriteListGolden(t *testing.T) {
 // are reported with the unmatched count, and a fully consumed baseline
 // reports nothing.
 func TestStaleBaseline(t *testing.T) {
-	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{
-		NoFacts:    true,
-		CheckStale: true,
-	})
+	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{CheckStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +184,7 @@ func TestStaleBaseline(t *testing.T) {
 // TestBaselineRoundTrip writes a baseline from current findings and
 // checks it grandfathers exactly those findings and nothing else.
 func TestBaselineRoundTrip(t *testing.T) {
-	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{
-		NoFacts:    true,
-		CheckStale: true,
-	})
+	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{CheckStale: true})
 	if err != nil {
 		t.Fatal(err)
 	}

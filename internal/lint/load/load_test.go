@@ -39,16 +39,16 @@ func TestLoadMemoized(t *testing.T) {
 
 // TestLoadDistinctKeys proves different patterns are cached separately.
 func TestLoadDistinctKeys(t *testing.T) {
-	cfg := Config{Dir: "../testdata"}
-	stale, err := Load(cfg, "./stale")
+	cfg := Config{Dir: ".."}
+	stale, err := Load(cfg, "./testdata/stale")
 	if err != nil {
 		t.Fatalf("loading stale: %v", err)
 	}
-	v3, err := Load(cfg, "./stalev3")
+	other, err := Load(cfg, "./floatcmp/testdata/fixture")
 	if err != nil {
-		t.Fatalf("loading stalev3: %v", err)
+		t.Fatalf("loading floatcmp fixture: %v", err)
 	}
-	if stale[0].ImportPath == v3[0].ImportPath {
+	if stale[0].ImportPath == other[0].ImportPath {
 		t.Errorf("distinct patterns returned the same package %q", stale[0].ImportPath)
 	}
 }

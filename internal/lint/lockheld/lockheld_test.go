@@ -4,14 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/lint/analysistest"
-	"repro/internal/lint/callgraph"
 	"repro/internal/lint/lockheld"
 )
 
 func TestFixture(t *testing.T) {
-	// No roots needed: MayBlock propagation is root-free; the config only
-	// carries the bounded allowlist.
-	analysistest.RunWithConfig(t, "testdata/fixture", lockheld.Analyzer, callgraph.Config{
-		Bounded: callgraph.DefaultBounded,
-	})
+	analysistest.Run(t, "testdata/fixture", lockheld.Analyzer)
 }

@@ -24,8 +24,6 @@ import (
 // Lines starting with '#' and blank lines are ignored.
 
 // Write serializes the netlist to w in the text interchange format.
-//
-//lint:ignore ctxflow bounded local serialization: the writer is a file or buffer, and a half-written netlist is worse than a late cancel
 func Write(w io.Writer, nl *Netlist) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "circuit %s\n", nameOr(nl.Name, "unnamed"))

@@ -1,0 +1,60 @@
+//go:build !race && !kraftwerkcheck
+
+// The race detector and the kraftwerkcheck assertions both add
+// allocations of their own, so the steady-state count is pinned only in
+// the plain build.
+
+package place
+
+import (
+	"testing"
+
+	"repro/internal/netgen"
+)
+
+// TestStepAllocs pins the steady-state allocation count of one placement
+// transformation in both solver regimes (Jacobi below the IC0 threshold,
+// IC0 above it). Step reuses its force increment, position snapshot and
+// sort buffers, qp reuses its right-hand sides, and the assembler, IC0
+// factor and field solver cache their storage. What remains is per-solve
+// CG vectors, the Field result, and one closure per matvec (par.Run's
+// callback escapes), so the count also tracks CG iterations: a change
+// that adds iterations raises it. The count is deterministic for a fixed
+// design and step sequence and does not depend on GOMAXPROCS, so each
+// ceiling is the measured count: a new per-transformation allocation
+// anywhere under Step fails this test.
+func TestStepAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("places a 6000-cell design")
+	}
+	for _, tc := range []struct {
+		name              string
+		cells, nets, rows int
+		maxAllocs         float64
+	}{
+		{"jacobi-1k", 1000, 1333, 12, 151},
+		{"ic0-6k", 6000, 8000, 26, 76},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nl := netgen.Generate(netgen.Config{Name: tc.name, Cells: tc.cells, Nets: tc.nets, Rows: tc.rows, Seed: 1})
+			p := New(nl, Config{})
+			if err := p.Initialize(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if _, err := p.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := p.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s: %.0f allocs/step", tc.name, allocs)
+			if allocs > tc.maxAllocs {
+				t.Errorf("Step allocates %.0f objects per transformation, ceiling %.0f", allocs, tc.maxAllocs)
+			}
+		})
+	}
+}

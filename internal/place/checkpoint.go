@@ -162,8 +162,6 @@ func (c *Checkpoint) Validate() error {
 }
 
 // Encode writes the snapshot as a single JSON object.
-//
-//lint:ignore ctxflow bounded local write: a checkpoint must land whole or not at all, so it should not be severable mid-stream by a context
 func (c *Checkpoint) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(c)

@@ -3,11 +3,11 @@ package place
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/netgen"
-	"repro/internal/sparse"
 )
 
 func TestConfigHashStability(t *testing.T) {
@@ -20,32 +20,77 @@ func TestConfigHashStability(t *testing.T) {
 		t.Errorf("hash %q is not 16 hex digits", a.Hash())
 	}
 
-	// Every algorithmic knob must move the hash; observability must not.
-	variants := []Config{
-		{K: 0.3, MaxIter: 100},
-		{K: 0.2, MaxIter: 101},
-		{K: 0.2, MaxIter: 100, GridBins: 64},
-		{K: 0.2, MaxIter: 100, NoLinearize: true},
-		{K: 0.2, MaxIter: 100, StopSquareFactor: 5},
-		{K: 0.2, MaxIter: 100, CG: sparse.CGOptions{Tol: 1e-4}},
-		{K: 0.2, MaxIter: 100, CG: sparse.CGOptions{Precond: sparse.IC0}},
-		{K: 0.2, MaxIter: 100, NoWarmStart: true},
-		{K: 0.2, MaxIter: 100, NoReuse: true},
-		{K: 0.2, MaxIter: 100, ForceFloor: 0.1},
-		{K: 0.2, MaxIter: 100, KeepPlacement: true},
+	// Every Config field, nested CG fields included, either moves the hash
+	// or is listed here as leaving the iteration sequence unchanged. A new
+	// field in neither group fails until Hash covers it or it is listed.
+	unhashed := map[string]bool{
+		"NoTrace":     true,
+		"OnIteration": true,
+		"Spans":       true,
+		"Metrics":     true,
+		// The placer's assembler replaces the factor on every solve.
+		"CG.Factor": true,
 	}
-	seen := map[string]int{a.Hash(): -1}
-	for i, v := range variants {
-		h := v.Hash()
-		if j, dup := seen[h]; dup {
-			t.Errorf("variant %d collides with %d: %s", i, j, h)
+	base := Config{}.Hash()
+	seen := map[string]string{base: "zero Config"}
+	walkConfigFields(reflect.TypeOf(Config{}), nil, "", func(name string, index []int) {
+		var c Config
+		setNonZero(t, name, reflect.ValueOf(&c).Elem().FieldByIndex(index))
+		h := c.Hash()
+		if unhashed[name] {
+			delete(unhashed, name)
+			if h != base {
+				t.Errorf("%s does not change the iteration sequence but changes the hash", name)
+			}
+			return
 		}
-		seen[h] = i
+		if prev, dup := seen[h]; dup {
+			t.Errorf("setting %s hashes the same as %s: Hash does not cover it", name, prev)
+		}
+		seen[h] = name
+	})
+	for name := range unhashed {
+		t.Errorf("unhashed list names %s, which is not a Config field", name)
 	}
+}
 
-	obs := Config{K: 0.2, MaxIter: 100, NoTrace: true, OnIteration: func(IterStats) {}}
-	if obs.Hash() != a.Hash() {
-		t.Errorf("observability options changed the hash")
+// walkConfigFields calls visit for every leaf field of the struct type st,
+// descending into nested structs, with its dotted name and field index.
+func walkConfigFields(st reflect.Type, index []int, prefix string, visit func(name string, index []int)) {
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		idx := append(append([]int(nil), index...), i)
+		if f.Type.Kind() == reflect.Struct {
+			walkConfigFields(f.Type, idx, prefix+f.Name+".", visit)
+			continue
+		}
+		visit(prefix+f.Name, idx)
+	}
+}
+
+// setNonZero gives v a value other than its zero value.
+func setNonZero(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int:
+		v.SetInt(1)
+	case reflect.Float64:
+		v.SetFloat(0.5)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Func:
+		ft := v.Type()
+		v.Set(reflect.MakeFunc(ft, func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, ft.NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(ft.Out(i))
+			}
+			return out
+		}))
+	default:
+		t.Fatalf("Config.%s has kind %s; teach setNonZero to set it", name, v.Kind())
 	}
 }
 

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,5 +119,47 @@ func TestSpansAndMetricsSinks(t *testing.T) {
 	}
 	if got := reg.Gauge("place_hpwl", "").Value(); got != res.HPWL {
 		t.Errorf("place_hpwl gauge = %g, want %g", got, res.HPWL)
+	}
+}
+
+// TestPhaseSchema holds the phase surfaces to one list: PhaseKeys is the
+// IterStats t_<phase>_ns tags in declaration order, and PhaseTotals has one
+// field per phase, in the same order, that add fills from its IterStats
+// field.
+func TestPhaseSchema(t *testing.T) {
+	var keys, fields []string
+	st := reflect.TypeOf(IterStats{})
+	for i := 0; i < st.NumField(); i++ {
+		tag := strings.Split(st.Field(i).Tag.Get("json"), ",")[0]
+		if !strings.HasPrefix(tag, "t_") || !strings.HasSuffix(tag, "_ns") {
+			continue
+		}
+		phase := strings.TrimSuffix(strings.TrimPrefix(tag, "t_"), "_ns")
+		keys = append(keys, strings.ReplaceAll(phase, "_", "-"))
+		fields = append(fields, st.Field(i).Name)
+	}
+	if got := PhaseKeys(); !reflect.DeepEqual(got, keys) {
+		t.Errorf("PhaseKeys() = %q, IterStats t_*_ns tags give %q", got, keys)
+	}
+
+	tt := reflect.TypeOf(PhaseTotals{})
+	if tt.NumField() != len(fields) {
+		t.Fatalf("PhaseTotals has %d fields, IterStats has %d phases", tt.NumField(), len(fields))
+	}
+	var s IterStats
+	for i, name := range fields {
+		reflect.ValueOf(&s).Elem().FieldByName(name).SetInt(int64(i + 1))
+	}
+	var tot PhaseTotals
+	tot.add(s)
+	for i, name := range fields {
+		want := strings.TrimPrefix(name, "T")
+		if got := tt.Field(i).Name; got != want {
+			t.Errorf("PhaseTotals field %d is %s, want %s to mirror IterStats.%s", i, got, want, name)
+			continue
+		}
+		if got := reflect.ValueOf(tot).Field(i).Int(); got != int64(i+1) {
+			t.Errorf("PhaseTotals.add puts %d into %s, want IterStats.%s = %d", got, want, name, i+1)
+		}
 	}
 }

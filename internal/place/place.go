@@ -77,7 +77,6 @@ type Config struct {
 	// MaxIter runs on large designs don't retain O(iterations) stats the
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
 	// Overflow, Iterations) are still filled, and OnIteration still fires.
-	//lint:ignore knobflow library-only memory knob: callers that stream stats set it in code; it never changes the iteration sequence (excluded from Hash) and has no CLI/HTTP surface by design
 	NoTrace bool
 	// NoWarmStart disables seeding each transformation's CG solve with the
 	// previous transformation's displacement response. Cells move slowly
@@ -250,10 +249,9 @@ func stopReasonFor(err error) StopReason {
 
 // PhaseKeys returns the canonical per-transformation phase names, in
 // IterStats declaration order: the t_<phase>_ns trace keys with the t_/_ns
-// affixes stripped and underscores dashed. Every surface that breaks a
-// transformation down by phase (PhaseTotals, span names, serve events,
-// ktracecheck's allowlist) mirrors this list; kvet's phasereg analyzer
-// holds them to it.
+// affixes stripped and underscores dashed. TestPhaseSchema holds the
+// IterStats tags and PhaseTotals to this list; ktracecheck derives its
+// allowlist from it.
 func PhaseKeys() []string {
 	return []string{
 		"weight", "gather", "field", "build",

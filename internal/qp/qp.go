@@ -391,7 +391,6 @@ func (s *System) prepPrecond(opt *sparse.CGOptions) {
 // small forces still move cells even when the absolute system is large.
 func (s *System) SolveDelta(forces []geom.Point, opt sparse.CGOptions) (SolveResult, error) {
 	n := s.N()
-	//lint:ignore hotalloc zero-guess entry point (NoWarmStart baseline); the steady-state path is SolveDeltaFrom with caller-reused guesses
 	return s.SolveDeltaFrom(forces, make([]float64, n), make([]float64, n), opt)
 }
 

@@ -107,7 +107,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-//lint:ignore ctxflow response writes ride the http.Server's own connection deadlines; the handler's context adds nothing here
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

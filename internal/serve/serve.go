@@ -599,8 +599,6 @@ func (s *Server) noteRejection() {
 func (s *Server) FlightRecorder() *obsv.FlightRecorder { return s.rec }
 
 // writeCheckpoint serializes a drained job's placer state.
-//
-//lint:ignore ctxflow drain-path checkpoint: the job's context is already cancelled here, and the write must finish to be worth anything
 func (s *Server) writeCheckpoint(id string, p *place.Placer) (string, error) {
 	path := filepath.Join(s.cfg.CheckpointDir, id+".ckpt")
 	f, err := os.Create(path)

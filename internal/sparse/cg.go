@@ -175,7 +175,6 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 		eff = IC0
 	}
 	start := obsv.StartTimer()
-	//lint:ignore hotalloc metrics defer: one closure per solve, recording after the result is known
 	defer func() {
 		res.Elapsed = start.Elapsed()
 		res.Precond = eff
@@ -188,7 +187,6 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 			mt.notConverged.Inc()
 		}
 	}()
-	//lint:ignore hotalloc per-solve Jacobi vector; the diagonal changes with every refill, so it cannot be cached on the matrix
 	invDiag := make([]float64, n)
 	for i, d := range m.Diag() {
 		if d > 0 {
@@ -197,7 +195,6 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 			invDiag[i] = 1 // row with no anchor yet; plain CG behaviour
 		}
 	}
-	//lint:ignore hotalloc one closure per solve selecting the preconditioner; hoisting it would thread chol/invDiag through every call site
 	precond := func(z, r []float64) {
 		if chol != nil {
 			chol.Apply(z, r)
@@ -211,13 +208,9 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 	// The four CG work vectors are per-solve by design: SolveCG is a
 	// stateless package function (warm starts ride in through x), and
 	// caller-owned scratch would leak solver internals through the API.
-	//lint:ignore hotalloc per-solve CG work vector (see above)
 	r := make([]float64, n)
-	//lint:ignore hotalloc per-solve CG work vector (see above)
 	z := make([]float64, n)
-	//lint:ignore hotalloc per-solve CG work vector (see above)
 	p := make([]float64, n)
-	//lint:ignore hotalloc per-solve CG work vector (see above)
 	ap := make([]float64, n)
 
 	m.MulVec(r, x)

@@ -37,7 +37,6 @@ func (b *Builder) Add(i, j int, v float64) {
 	if i < 0 || i >= b.n || j < 0 || j >= b.n {
 		panic(fmt.Sprintf("sparse: Add(%d,%d) out of range for n=%d", i, j, b.n))
 	}
-	//lint:ignore hotalloc Reset retains row capacity, so refill-path appends stop growing after the first full assembly
 	b.rows[i] = append(b.rows[i], entry{j, v})
 }
 
@@ -129,7 +128,6 @@ func (m *CSR) mulRange(dst, x []float64, lo, hi int) {
 // first entry at or past the diagonal). CG reads the diagonal on every
 // solve for Jacobi preconditioning.
 func (m *CSR) Diag() []float64 {
-	//lint:ignore hotalloc Diag returns a fresh slice by contract; one n-vector per solve, invalidated by every refill
 	d := make([]float64, m.n)
 	for i := 0; i < m.n; i++ {
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
