@@ -19,6 +19,7 @@ func GlobalSwapPass(nl *netlist.Netlist, segs []*Segment, passes int) int {
 		return 0
 	}
 	idx := nl.CellNets()
+	var sc scratch
 	segOf := map[int]*Segment{}
 	for _, s := range segs {
 		for _, ci := range s.cells {
@@ -41,7 +42,7 @@ func GlobalSwapPass(nl *netlist.Netlist, segs []*Segment, passes int) int {
 				if segOf[ci] != s {
 					continue // already moved this pass
 				}
-				if tryGlobalMove(nl, idx, segOf, byRow, ci) {
+				if tryGlobalMove(nl, idx, &sc, segOf, byRow, ci) {
 					moved++
 				}
 			}
@@ -57,8 +58,8 @@ func GlobalSwapPass(nl *netlist.Netlist, segs []*Segment, passes int) int {
 
 // optimalPoint returns the median-of-bounding-box position that minimizes
 // the cell's HPWL contribution, the classic "optimal region" center.
-func optimalPoint(nl *netlist.Netlist, idx [][]int, ci int) geom.Point {
-	var xs, ys []float64
+func optimalPoint(nl *netlist.Netlist, idx [][]int, sc *scratch, ci int) geom.Point {
+	xs, ys := sc.xs[:0], sc.ys[:0]
 	for _, ni := range idx[ci] {
 		var bb geom.BBox
 		for _, p := range nl.Nets[ni].Pins {
@@ -74,6 +75,7 @@ func optimalPoint(nl *netlist.Netlist, idx [][]int, ci int) geom.Point {
 		xs = append(xs, r.Lo.X, r.Hi.X)
 		ys = append(ys, r.Lo.Y, r.Hi.Y)
 	}
+	sc.xs, sc.ys = xs, ys
 	if len(xs) == 0 {
 		return nl.Cells[ci].Pos
 	}
@@ -84,9 +86,8 @@ func optimalPoint(nl *netlist.Netlist, idx [][]int, ci int) geom.Point {
 
 // tryGlobalMove relocates ci toward its optimal point via the best swap
 // with a width-compatible cell there.
-func tryGlobalMove(nl *netlist.Netlist, idx [][]int, segOf map[int]*Segment, byRow map[int][]*Segment, ci int) bool {
-	opt := optimalPoint(nl, idx, ci)
-	curSeg := segOf[ci]
+func tryGlobalMove(nl *netlist.Netlist, idx [][]int, sc *scratch, segOf map[int]*Segment, byRow map[int][]*Segment, ci int) bool {
+	opt := optimalPoint(nl, idx, sc, ci)
 	// Candidate segments: the optimal row and its neighbors.
 	row := nl.Region.RowAt(opt.Y)
 	var best int = -1
@@ -107,7 +108,7 @@ func tryGlobalMove(nl *netlist.Netlist, idx [][]int, segOf map[int]*Segment, byR
 				if !widthCompatible(nl, ci, cj) {
 					continue
 				}
-				if d := swapDelta(nl, idx, ci, cj); d < bestDelta {
+				if d := swapDelta(nl, idx, sc, ci, cj); d < bestDelta {
 					bestDelta = d
 					best = cj
 				}
@@ -134,7 +135,6 @@ func tryGlobalMove(nl *netlist.Netlist, idx [][]int, segOf map[int]*Segment, byR
 		segOf[ci], segOf[cj] = sj, si
 	}
 	nl.Cells[ci].Pos, nl.Cells[cj].Pos = nl.Cells[cj].Pos, nl.Cells[ci].Pos
-	_ = curSeg
 	return true
 }
 
@@ -148,8 +148,8 @@ func widthCompatible(nl *netlist.Netlist, a, b int) bool {
 // and b (negative = improvement). Nets are accumulated in ascending id
 // order: summing in map order would let the last-ulp rounding of the
 // delta — and therefore the swap decision — vary between runs.
-func swapDelta(nl *netlist.Netlist, idx [][]int, a, b int) float64 {
-	nets := incidentNets(idx, []int{a, b})
+func swapDelta(nl *netlist.Netlist, idx [][]int, sc *scratch, a, b int) float64 {
+	nets := sc.incidentNets(idx, a, b)
 	before := 0.0
 	for _, ni := range nets {
 		before += nl.Nets[ni].Weight * nl.NetHPWL(ni)
@@ -163,22 +163,32 @@ func swapDelta(nl *netlist.Netlist, idx [][]int, a, b int) float64 {
 	return after - before
 }
 
+// scratch holds the buffers a pass reuses across its cost evaluations, so
+// evaluating a move allocates nothing. Each pass creates its own, which
+// keeps concurrent legalizations independent.
+type scratch struct {
+	nets   []int
+	xs, ys []float64
+}
+
 // incidentNets returns the deduplicated ids of all nets incident to the
 // given cells, in ascending order, so float accumulation over them is
-// bit-reproducible across runs.
-func incidentNets(idx [][]int, cells []int) []int {
-	seen := map[int]bool{}
-	var nets []int
+// bit-reproducible across runs. The result aliases sc and is valid until
+// the next call.
+func (sc *scratch) incidentNets(idx [][]int, cells ...int) []int {
+	nets := sc.nets[:0]
 	for _, ci := range cells {
-		for _, ni := range idx[ci] {
-			if !seen[ni] {
-				seen[ni] = true
-				nets = append(nets, ni)
-			}
-		}
+		nets = append(nets, idx[ci]...)
 	}
 	sort.Ints(nets)
-	return nets
+	out := nets[:0]
+	for k, ni := range nets {
+		if k == 0 || ni != nets[k-1] {
+			out = append(out, ni)
+		}
+	}
+	sc.nets = nets
+	return out
 }
 
 func replaceInSeg(s *Segment, old, new int) {

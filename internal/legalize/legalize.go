@@ -436,10 +436,11 @@ func clampF(v, lo, hi float64) float64 {
 // the half-perimeter wire length. Returns the number of improving changes.
 func DetailedPlace(nl *netlist.Netlist, segs []*Segment, passes int) int {
 	improved := 0
+	var sc scratch
 	for pass := 0; pass < passes; pass++ {
 		changed := 0
 		for _, s := range segs {
-			changed += improveSegment(nl, s)
+			changed += improveSegment(nl, &sc, s)
 		}
 		improved += changed
 		if changed == 0 {
@@ -451,19 +452,19 @@ func DetailedPlace(nl *netlist.Netlist, segs []*Segment, passes int) int {
 
 // improveSegment tries reversing each adjacent pair and rotating each
 // adjacent triple, keeping changes that shorten incident nets.
-func improveSegment(nl *netlist.Netlist, s *Segment) int {
+func improveSegment(nl *netlist.Netlist, sc *scratch, s *Segment) int {
 	if len(s.cells) < 2 {
 		return 0
 	}
 	idx := nl.CellNets()
 	changed := 0
 	for i := 0; i+1 < len(s.cells); i++ {
-		if tryReorder(nl, idx, s, i, 2) {
+		if tryReorder(nl, idx, sc, s, i, 2) {
 			changed++
 		}
 	}
 	for i := 0; i+2 < len(s.cells); i++ {
-		if tryReorder(nl, idx, s, i, 3) {
+		if tryReorder(nl, idx, sc, s, i, 3) {
 			changed++
 		}
 	}
@@ -472,11 +473,11 @@ func improveSegment(nl *netlist.Netlist, s *Segment) int {
 
 // tryReorder permutes the k cells starting at window position i and keeps
 // the best ordering (cells repacked over the same span).
-func tryReorder(nl *netlist.Netlist, idx [][]int, s *Segment, i, k int) bool {
+func tryReorder(nl *netlist.Netlist, idx [][]int, sc *scratch, s *Segment, i, k int) bool {
 	window := s.cells[i : i+k]
 	// Incident nets in ascending id order: the cost sums must accumulate
 	// identically across runs or the kept ordering could differ.
-	nets := incidentNets(idx, window)
+	nets := sc.incidentNets(idx, window...)
 	cost := func() float64 {
 		var c float64
 		for _, ni := range nets {

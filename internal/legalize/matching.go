@@ -22,6 +22,7 @@ func MatchingPass(nl *netlist.Netlist, segs []*Segment, groupSize int) int {
 		groupSize = 12
 	}
 	idx := nl.CellNets()
+	var sc scratch
 	segOf := map[int]*Segment{}
 	for _, s := range segs {
 		for _, ci := range s.cells {
@@ -65,7 +66,7 @@ func MatchingPass(nl *netlist.Netlist, segs []*Segment, groupSize int) int {
 			if end > len(b.cells) {
 				end = len(b.cells)
 			}
-			if matchGroup(nl, idx, segOf, b.cells[start:end]) {
+			if matchGroup(nl, idx, &sc, segOf, b.cells[start:end]) {
 				committed++
 			}
 		}
@@ -110,7 +111,7 @@ func widthClass(w float64) int { return int(w * 4) }
 // matchGroup reassigns the group's cells over the group's current
 // positions by minimum-cost assignment; commits only on verified HPWL
 // improvement.
-func matchGroup(nl *netlist.Netlist, idx [][]int, segOf map[int]*Segment, group []int) bool {
+func matchGroup(nl *netlist.Netlist, idx [][]int, sc *scratch, segOf map[int]*Segment, group []int) bool {
 	n := len(group)
 	if n < 2 {
 		return false
@@ -122,7 +123,7 @@ func matchGroup(nl *netlist.Netlist, idx [][]int, segOf map[int]*Segment, group 
 	// Incident-net HPWL of the whole group, the exact verification metric,
 	// accumulated in ascending net order so accept/revert decisions
 	// reproduce across runs.
-	nets := incidentNets(idx, group)
+	nets := sc.incidentNets(idx, group...)
 	exact := func() float64 {
 		var s float64
 		for _, ni := range nets {

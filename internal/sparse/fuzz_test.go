@@ -65,8 +65,8 @@ func sameCSR(a, b *CSR) bool {
 //     silently scattering into the wrong slots.
 //  5. IC0 refactorization through a cached pattern is bit-identical to a
 //     fresh factorization of the refilled matrix (the hot-path contract
-//     qp's preconditioner cache relies on), on an SPD symmetrization of
-//     the fuzzed triplets.
+//     qp's preconditioner cache relies on) and to the two-pointer merge
+//     kernel, on an SPD symmetrization of the fuzzed triplets.
 func FuzzSymbolicRefill(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 8, 1, 0, 8, 2, 2, 16})           // small symmetric-ish
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 252})                   // duplicate that cancels to zero
@@ -157,6 +157,7 @@ func FuzzSymbolicRefill(f *testing.F) {
 		addSPD(sb, 1)
 		sm, ssym := sb.BuildSymbolic()
 		pat := NewIC0Pattern(sm)
+		ref := NewIC0Pattern(sm)
 		for round, scale := range []float64{1, 1.75} {
 			if round > 0 {
 				sb.Reset()
@@ -170,11 +171,20 @@ func FuzzSymbolicRefill(f *testing.F) {
 			if ok != (fresh != nil) {
 				t.Fatalf("round %d: Refactor ok=%v but NewIC0 nil=%v", round, ok, fresh == nil)
 			}
+			if refOK := refactorMerge(ref, sm); ok != refOK {
+				t.Fatalf("round %d: Refactor ok=%v but merge kernel ok=%v", round, ok, refOK)
+			}
+			if !scratchClean(pat) {
+				t.Fatalf("round %d: scratch row left dirty", round)
+			}
 			if !ok {
 				continue
 			}
 			if !sameFactor(pat, fresh) {
 				t.Fatalf("round %d: refactor-vs-fresh-factor not bit-identical", round)
+			}
+			if !sameFactor(pat, ref) {
+				t.Fatalf("round %d: dense kernel differs from the merge kernel", round)
 			}
 			// The factor must actually precondition: applying it to a
 			// finite vector stays finite.

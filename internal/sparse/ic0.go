@@ -13,9 +13,17 @@ import "math"
 // Symbolic split matrix assembly: NewIC0Pattern records the strict-lower
 // pattern and the value-source mapping once, and Refactor re-derives the
 // numeric factor from the matrix's current values with no allocation and no
-// position lookups — the dot products walk the two sorted rows directly.
-// Placement matrices are refilled (same pattern, new spring weights) on
-// every transformation, so the steady state is one Refactor per assembly.
+// position lookups. Placement matrices are refilled (same pattern, new
+// spring weights) on every transformation, so the steady state is one
+// Refactor per assembly.
+//
+// Refactor eliminates each row through a dense scatter: the finished
+// entries of the row being eliminated sit in the scratch row w, indexed by
+// column, so each dot product runs over the other row alone, without
+// branches. w is all zero between rows and on every return from Refactor.
+// Refactor writes the factor and w, so it must not run concurrently with
+// itself or with Apply on one factor; Apply only reads, so any number of
+// solves may share a finished factor.
 type IC0Factor struct {
 	n      int
 	rowPtr []int32
@@ -28,6 +36,8 @@ type IC0Factor struct {
 	// row has no stored diagonal, which Refactor reports as a breakdown).
 	src  []int32
 	dsrc []int32
+
+	w []float64 // dense scratch row for Refactor; all zero between rows
 }
 
 // NewIC0Pattern records the strict-lower-triangle pattern of m and the
@@ -41,6 +51,7 @@ func NewIC0Pattern(m *CSR) *IC0Factor {
 		rowPtr: make([]int32, n+1),
 		diag:   make([]float64, n),
 		dsrc:   make([]int32, n),
+		w:      make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		f.dsrc[i] = -1
@@ -76,6 +87,15 @@ func NewIC0(m *CSR) *IC0Factor {
 // false on breakdown (a non-positive or NaN pivot) — the factor's values
 // are then unspecified and the caller must fall back to Jacobi until the
 // next refill. Refactor allocates nothing.
+//
+// Each entry L[i][j] subtracts the products L[i][t]·L[j][t] over row j's
+// columns t in ascending order, reading L[i][t] from the scratch row w.
+// Where row i has no column t, w[t] is +0 and the product is ±0; a row j
+// of a factor still being built holds finite entries (a non-finite one
+// fails row j's own pivot first), so such a term leaves the running sum
+// unchanged unless that sum is -0. Builder and Symbolic.Refill never
+// store -0, so on the matrices they produce the factor is bit-identical
+// to one that visits only the shared columns.
 func (f *IC0Factor) Refactor(m *CSR) bool {
 	// Load the raw strict-lower values; row i's raw values are consumed
 	// exactly when row i is eliminated, and rows j < i already hold L.
@@ -83,44 +103,34 @@ func (f *IC0Factor) Refactor(m *CSR) bool {
 	for k, s := range f.src {
 		f.vals[k] = mv[s]
 	}
-	rp, cols, vals, diag := f.rowPtr, f.cols, f.vals, f.diag
+	rp, cols, vals, diag, w := f.rowPtr, f.cols, f.vals, f.diag, f.w
 	for i := 0; i < f.n; i++ {
 		lo, hi := rp[i], rp[i+1]
-		// Off-diagonal entries of row i, in ascending column order.
+		// Off-diagonal entries of row i, in ascending column order; each
+		// finished L[i][j] is scattered into w[j] for the entries after it.
 		for k := lo; k < hi; k++ {
 			j := cols[k]
 			s := vals[k]
-			// s -= Σ_{t<j} L[i][t]·L[j][t] over shared sparsity: both rows
-			// are sorted, so the intersection is a two-pointer merge — row
-			// i's entries before k all have column < j, and row j's entries
-			// are strictly below j by construction.
-			a, b := lo, rp[j]
-			bHi := rp[j+1]
-			for a < k && b < bHi {
-				switch ca, cb := cols[a], cols[b]; {
-				case ca == cb:
-					s -= vals[a] * vals[b]
-					a++
-					b++
-				case ca < cb:
-					a++
-				default:
-					b++
-				}
+			jc := cols[rp[j]:rp[j+1]]
+			jv := vals[rp[j]:rp[j+1]]
+			jv = jv[:len(jc)] // lets the compiler drop jv's bounds check
+			for b, c := range jc {
+				s -= w[c] * jv[b]
 			}
-			d := diag[j]
-			if d == 0 {
-				return false
-			}
-			vals[k] = s / d
+			// diag[j] is the square root of a pivot that passed d > 0.
+			l := s / diag[j]
+			vals[k] = l
+			w[j] = l
 		}
-		// Diagonal pivot.
+		// Diagonal pivot; clearing w here restores the all-zero invariant
+		// before any return.
 		var d float64
 		if di := f.dsrc[i]; di >= 0 {
 			d = mv[di]
 		}
 		for k := lo; k < hi; k++ {
 			d -= vals[k] * vals[k]
+			w[cols[k]] = 0
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return false

@@ -67,6 +67,138 @@ func buildSPDSymbolic(rng *rand.Rand, n int) (*CSR, *Symbolic, *Builder, []spdSp
 	return m, sym, b, ss
 }
 
+// refactorMerge is the two-pointer merge kernel Refactor used before the
+// dense scatter: each L[i][j] subtracts the products over the columns rows
+// i and j share, found by merging the two sorted rows. It is kept as the
+// reference the dense kernel must reproduce bit for bit.
+func refactorMerge(f *IC0Factor, m *CSR) bool {
+	mv := m.vals
+	for k, s := range f.src {
+		f.vals[k] = mv[s]
+	}
+	rp, cols, vals, diag := f.rowPtr, f.cols, f.vals, f.diag
+	for i := 0; i < f.n; i++ {
+		lo, hi := rp[i], rp[i+1]
+		for k := lo; k < hi; k++ {
+			j := cols[k]
+			s := vals[k]
+			a, b := lo, rp[j]
+			bHi := rp[j+1]
+			for a < k && b < bHi {
+				switch ca, cb := cols[a], cols[b]; {
+				case ca == cb:
+					s -= vals[a] * vals[b]
+					a++
+					b++
+				case ca < cb:
+					a++
+				default:
+					b++
+				}
+			}
+			vals[k] = s / diag[j]
+		}
+		var d float64
+		if di := f.dsrc[i]; di >= 0 {
+			d = mv[di]
+		}
+		for k := lo; k < hi; k++ {
+			d -= vals[k] * vals[k]
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return false
+		}
+		diag[i] = math.Sqrt(d)
+	}
+	return true
+}
+
+// scratchClean reports whether f's dense scratch row is all +0, the state
+// Refactor must leave it in on every return.
+func scratchClean(f *IC0Factor) bool {
+	for _, v := range f.w {
+		if math.Float64bits(v) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// cliqueSprings draws a clique-model spring system shaped like a placement
+// matrix: nets of 2–12 pins over n cells, each expanded into its clique
+// with weight 1/(d-1) times a random net weight. nets/n sets the row
+// degree (about 50·nets/n stored entries per row).
+func cliqueSprings(rng *rand.Rand, n, nets int) []spdSpring {
+	var ss []spdSpring
+	pins := make([]int, 0, 12)
+	for e := 0; e < nets; e++ {
+		d := 2 + rng.Intn(11)
+		pins = pins[:0]
+		for len(pins) < d {
+			pins = append(pins, rng.Intn(n))
+		}
+		w := (0.5 + rng.Float64()) / float64(d-1)
+		for a := 0; a < d; a++ {
+			for b := a + 1; b < d; b++ {
+				if pins[a] != pins[b] {
+					ss = append(ss, spdSpring{pins[a], pins[b], w})
+				}
+			}
+		}
+	}
+	return ss
+}
+
+// reweight keeps the springs' (i, j) sequence, the Refill contract, and
+// draws fresh weights.
+func reweight(rng *rand.Rand, ss []spdSpring) []spdSpring {
+	out := make([]spdSpring, len(ss))
+	for k, sp := range ss {
+		out[k] = spdSpring{sp.i, sp.j, sp.w * (0.25 + 1.5*rng.Float64())}
+	}
+	return out
+}
+
+// TestIC0RefactorMatchesMergeKernel pins the dense-scatter Refactor to the
+// merge kernel, entry for entry, on clique-shaped systems with placement's
+// row degree, across several refills of one pattern.
+func TestIC0RefactorMatchesMergeKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 4; trial++ {
+		n := 200 + rng.Intn(400)
+		nets := n/2 + rng.Intn(n)
+		ss := cliqueSprings(rng, n, nets)
+		b := NewBuilder(n)
+		fillSPD(b, n, ss, 1)
+		m, sym := b.BuildSymbolic()
+		if deg := float64(m.NNZ()) / float64(n); deg < 20 || deg > 100 {
+			t.Fatalf("trial %d: %.1f stored entries per row, want 20–100", trial, deg)
+		}
+		f := NewIC0Pattern(m)
+		ref := NewIC0Pattern(m)
+		for round := 0; round < 4; round++ {
+			if round > 0 {
+				b.Reset()
+				fillSPD(b, n, reweight(rng, ss), 1)
+				if !sym.Refill(m, b) {
+					t.Fatalf("trial %d round %d: refill rejected", trial, round)
+				}
+			}
+			ok, refOK := f.Refactor(m), refactorMerge(ref, m)
+			if !ok || !refOK {
+				t.Fatalf("trial %d round %d: breakdown on an SPD matrix (dense %v, merge %v)",
+					trial, round, ok, refOK)
+			}
+			if !sameFactor(f, ref) {
+				t.Fatalf("trial %d round %d: dense kernel differs from the merge kernel", trial, round)
+			}
+			if !scratchClean(f) {
+				t.Fatalf("trial %d round %d: scratch row left dirty", trial, round)
+			}
+		}
+	}
+}
+
 func TestIC0RefactorMatchesFreshFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
@@ -162,30 +294,60 @@ func TestIC0SharedFactorMatchesPerSolve(t *testing.T) {
 }
 
 func TestIC0RefactorBreakdownReported(t *testing.T) {
-	b := NewBuilder(2)
-	b.AddSym(0, 0, 4)
-	b.AddSym(1, 1, 4)
-	b.AddSym(0, 1, 1)
+	// A tridiagonal 3×3 pattern, so a breakdown can come at row 0, before
+	// any scatter, or at row 1, after L[1][0] went into the scratch row.
+	fill := func(b *Builder, d0, d1, d2 float64) {
+		b.Reset()
+		b.AddSym(0, 0, d0)
+		b.AddSym(1, 1, d1)
+		b.AddSym(2, 2, d2)
+		b.AddSym(0, 1, 1)
+		b.AddSym(1, 2, 1)
+	}
+	b := NewBuilder(3)
+	fill(b, 4, 4, 4)
 	m, sym := b.BuildSymbolic()
 	f := NewIC0Pattern(m)
 	if !f.Refactor(m) {
 		t.Fatal("refactor broke down on an SPD matrix")
 	}
 
-	// Refill the same pattern with indefinite values: Refactor must report
-	// breakdown, matching NewIC0's nil on the same matrix.
-	b.Reset()
-	b.AddSym(0, 0, -4)
-	b.AddSym(1, 1, -4)
-	b.AddSym(0, 1, 1)
-	if !sym.Refill(m, b) {
-		t.Fatal("refill rejected")
-	}
-	if f.Refactor(m) {
-		t.Fatal("refactor succeeded on a negative-definite matrix")
-	}
-	if NewIC0(m) != nil {
-		t.Fatal("NewIC0 succeeded on a negative-definite matrix")
+	for _, bad := range []struct {
+		name       string
+		d0, d1, d2 float64
+	}{
+		{"negative-definite", -4, -4, -4}, // breaks down at row 0
+		{"indefinite", 4, -4, 4},          // breaks down at row 1, after L[1][0]
+	} {
+		// Refill the same pattern with bad values: Refactor must report
+		// breakdown, matching NewIC0's nil on the same matrix.
+		fill(b, bad.d0, bad.d1, bad.d2)
+		if !sym.Refill(m, b) {
+			t.Fatal("refill rejected")
+		}
+		if f.Refactor(m) {
+			t.Fatalf("%s: refactor succeeded", bad.name)
+		}
+		if NewIC0(m) != nil {
+			t.Fatalf("%s: NewIC0 succeeded", bad.name)
+		}
+		if !scratchClean(f) {
+			t.Fatalf("%s: breakdown left the scratch row dirty", bad.name)
+		}
+
+		// SPD values again: the factor that just broke down must refactor
+		// to exactly what a fresh factorization gives.
+		fill(b, 4, 5, 6)
+		if !sym.Refill(m, b) {
+			t.Fatal("refill rejected")
+		}
+		if !f.Refactor(m) {
+			t.Fatalf("%s: refactor broke down on the SPD refill", bad.name)
+		}
+		fresh := NewIC0(m)
+		if fresh == nil || !sameFactor(f, fresh) {
+			t.Fatalf("%s: refactor after breakdown differs from a fresh factor", bad.name)
+		}
 	}
 }
 
@@ -239,4 +401,24 @@ func TestAutoPrecondSmallSystemStaysJacobi(t *testing.T) {
 	if res.Precond != Jacobi {
 		t.Fatalf("Auto on %d unknowns resolved to %v, want jacobi", n, res.Precond)
 	}
+}
+
+// BenchmarkIC0Refactor times one numeric refactorization of a clique-shaped
+// 5000-row system (about 90 stored entries per row, like kplace-5k's
+// placement matrix); sparse random matrices would understate the kernel.
+func BenchmarkIC0Refactor(b *testing.B) {
+	rng := rand.New(rand.NewSource(46))
+	n := 5000
+	bb := NewBuilder(n)
+	fillSPD(bb, n, cliqueSprings(rng, n, 7*n/4), 1)
+	m := bb.Build()
+	f := NewIC0Pattern(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !f.Refactor(m) {
+			b.Fatal("refactor broke down")
+		}
+	}
+	b.ReportMetric(float64(m.NNZ())/float64(n), "nnz/row")
 }

@@ -103,14 +103,20 @@ func (m *CSR) At(i, j int) float64 {
 // MulVec computes dst = M·x. dst and x must have length N and not alias.
 // Matrices with at least par.Threshold rows are processed on all CPUs; the
 // result is deterministic either way (each row is written by exactly one
-// goroutine, with the same per-row kernel as the serial path).
+// goroutine, with the same per-row kernel as the serial path). The serial
+// path calls the kernel directly and allocates nothing; par.Run's callback
+// escapes, so routing it there would cost a closure per product.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.n || len(x) != m.n {
 		panic("sparse: MulVec dimension mismatch")
 	}
-	par.Run(par.Workers(m.n), m.n, func(_, lo, hi int) {
-		m.mulRange(dst, x, lo, hi)
-	})
+	if w := par.Workers(m.n); w > 1 {
+		par.Run(w, m.n, func(_, lo, hi int) {
+			m.mulRange(dst, x, lo, hi)
+		})
+		return
+	}
+	m.mulRange(dst, x, 0, m.n)
 }
 
 func (m *CSR) mulRange(dst, x []float64, lo, hi int) {
