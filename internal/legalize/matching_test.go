@@ -94,3 +94,54 @@ func TestRebindSegments(t *testing.T) {
 		t.Errorf("used = %v", segs[0].used)
 	}
 }
+
+// TestMatchingRespectsSegmentCapacity: two groups of one width class each
+// want to trade a 1.2-wide cell in row 0 for a 1.0-wide cell in row 1.
+// Row 1 has 0.3 units of slack, enough for one trade but not for two, so
+// the second group must see the first one's width in row 1 and stay put.
+func TestMatchingRespectsSegmentCapacity(t *testing.T) {
+	b := netlist.NewBuilder("cap", geom.NewRegion(2, 1, 12))
+	b.AddPad("top0", geom.Point{X: 0.6, Y: 2})
+	b.AddPad("bot0", geom.Point{X: 0.5, Y: 0})
+	b.AddPad("top1", geom.Point{X: 8.3, Y: 2})
+	b.AddPad("bot1", geom.Point{X: 8.2, Y: 0})
+	cells := []struct {
+		name string
+		w, x float64
+		row  int
+	}{
+		{"a0", 1.2, 0.6, 0}, {"a1", 1.2, 8.3, 0}, {"f0", 3, 3.5, 0},
+		{"b0", 1, 0.5, 1}, {"f1", 3, 2.5, 1}, {"f2", 3.7, 5.85, 1},
+		{"b1", 1, 8.2, 1}, {"f3", 3, 10.2, 1},
+	}
+	for _, c := range cells {
+		b.AddCell(c.name, c.w, 1)
+	}
+	// a_k wants row 1 and b_k wants row 0; the fillers are unconnected.
+	b.Connect("na0", "top0", "a0")
+	b.Connect("nb0", "bot0", "b0")
+	b.Connect("na1", "top1", "a1")
+	b.Connect("nb1", "bot1", "b1")
+	nl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := []*Segment{{Row: 0, Y: 0.5, X0: 0, X1: 12}, {Row: 1, Y: 1.5, X0: 0, X1: 12}}
+	for k, c := range cells {
+		ci := 4 + k
+		nl.Cells[ci].Pos = geom.Point{X: c.x, Y: segs[c.row].Y}
+		segs[c.row].cells = append(segs[c.row].cells, ci)
+		segs[c.row].used += c.w
+	}
+	if got := MatchingPass(nl, segs, 2); got != 1 {
+		t.Errorf("committed %d group moves, want 1 (the second overfills row 1)", got)
+	}
+	if err := checkSegments(nl, segs); err != nil {
+		t.Error(err)
+	}
+	for ci := range nl.Cells {
+		if r := nl.Cells[ci].Rect(); r.Lo.X < -1e-9 || r.Hi.X > 12+1e-9 {
+			t.Errorf("cell %d spans [%v, %v], past the row", ci, r.Lo.X, r.Hi.X)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package legalize
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,8 +11,9 @@ import (
 
 // TestLegalizeInvariantsProperty: over random circuits and random starting
 // placements, legalization always yields zero overlap, cells inside the
-// region, and standard cells on row centers — and the detailed pass never
-// worsens the wire length it starts from.
+// region, standard cells on row centers, and after every pass each
+// segment's used width equal to its cells' widths and within capacity —
+// and the detailed pass never worsens the wire length it starts from.
 func TestLegalizeInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -33,9 +35,18 @@ func TestLegalizeInvariantsProperty(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		ri, err := Legalize(nl, Options{})
+		var bookkeeping error
+		ri, err := legalize(nl, Options{}, func(pass string, segs []*Segment) {
+			if err := checkSegments(nl, segs); err != nil && bookkeeping == nil {
+				bookkeeping = fmt.Errorf("after %s: %v", pass, err)
+			}
+		})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if bookkeeping != nil {
+			t.Logf("seed %d: %v", seed, bookkeeping)
 			return false
 		}
 		if nl.OverlapArea() > 1e-6 {
