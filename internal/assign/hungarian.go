@@ -13,25 +13,40 @@ import "math"
 // cost. All rows are assigned. Infinite costs mark forbidden pairs; if no
 // perfect finite matching exists the result contains -1 entries.
 func Solve(cost [][]float64) []int {
+	var s Solver
+	return s.Solve(cost)
+}
+
+// Solver solves assignment problems in buffers it keeps between calls, so
+// repeated solves allocate only when a larger problem arrives. The zero
+// value is ready to use; a Solver is not safe for concurrent use.
+type Solver struct {
+	u, v, minv    []float64
+	matchCol, way []int
+	used          []bool
+	out           []int
+}
+
+// Solve is the package-level Solve. The result aliases s and is valid
+// until the next call.
+func (s *Solver) Solve(cost [][]float64) []int {
 	n := len(cost)
 	if n == 0 {
 		return nil
 	}
 	// Jonker–Volgenant style: potentials u, v; matchCol[j] = row matched
 	// to column j. 1-indexed internals with a virtual column 0.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	matchCol := make([]int, n+1)
-	for j := range matchCol {
-		matchCol[j] = 0
-	}
-	way := make([]int, n+1)
-
+	s.u = zeroed(s.u, n+1)
+	s.v = zeroed(s.v, n+1)
+	s.matchCol = zeroed(s.matchCol, n+1)
+	s.way = zeroed(s.way, n+1)
+	s.minv = zeroed(s.minv, n+1)
+	s.used = zeroed(s.used, n+1)
+	u, v, matchCol, way, minv, used := s.u, s.v, s.matchCol, s.way, s.minv, s.used
 	for i := 1; i <= n; i++ {
 		matchCol[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
+		clear(used)
 		for j := range minv {
 			minv[j] = math.Inf(1)
 		}
@@ -57,7 +72,7 @@ func Solve(cost [][]float64) []int {
 			if j1 < 0 || math.IsInf(delta, 1) {
 				// No augmenting path with finite cost: the remaining rows
 				// cannot be assigned.
-				return partialResult(matchCol, n)
+				return s.result(n)
 			}
 			for j := 0; j <= n; j++ {
 				if used[j] {
@@ -79,20 +94,33 @@ func Solve(cost [][]float64) []int {
 			j0 = j1
 		}
 	}
-	return partialResult(matchCol, n)
+	return s.result(n)
 }
 
-func partialResult(matchCol []int, n int) []int {
-	out := make([]int, n)
+// result reads each row's column off matchCol.
+func (s *Solver) result(n int) []int {
+	out := zeroed(s.out, n)
+	s.out = out
 	for i := range out {
 		out[i] = -1
 	}
 	for j := 1; j <= n; j++ {
-		if r := matchCol[j]; r >= 1 && r <= n {
+		if r := s.matchCol[j]; r >= 1 && r <= n {
 			out[r-1] = j - 1
 		}
 	}
 	return out
+}
+
+// zeroed returns buf resized to n zero values, reallocating only when its
+// capacity is short.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Cost sums the matrix cost of an assignment (math.Inf(1) if any row is

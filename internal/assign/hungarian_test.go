@@ -123,3 +123,29 @@ func bruteForce(cost [][]float64) float64 {
 	rec(0)
 	return best
 }
+
+// TestSolverReuse: one Solver fed problems of changing sizes, some with
+// forbidden pairs and some with no finite matching, answers every one as a
+// fresh Solve does, and re-solving a size it has seen allocates nothing.
+func TestSolverReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s Solver
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(8)
+		cost := randMatrix(rng, n)
+		for k := rng.Intn(1 + n*n/2); k > 0; k-- {
+			cost[rng.Intn(n)][rng.Intn(n)] = math.Inf(1)
+		}
+		got := s.Solve(cost)
+		want := Solve(cost)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: reused solver gave %v, fresh Solve %v", trial, got, want)
+			}
+		}
+	}
+	cost := randMatrix(rng, 8)
+	if a := testing.AllocsPerRun(10, func() { s.Solve(cost) }); a != 0 {
+		t.Errorf("re-solve allocated %v times", a)
+	}
+}
