@@ -6,7 +6,7 @@
 //	kbench -table 4            # Table 4 (exploitation; runs Table 3)
 //	kbench -exp fast           # §6.1 fast-vs-standard mode experiment
 //	kbench -exp tradeoff       # §5 timing/area tradeoff curve
-//	kbench -exp step           # hot-vs-cold engine phase breakdown (E10)
+//	kbench -exp step           # place.Step phase breakdown (E10)
 //	kbench -exp serve          # serving-layer throughput/latency (E12)
 //	kbench -all                # everything
 //
@@ -50,7 +50,6 @@ func main() {
 		stepOut  = flag.String("step-out", "", "write the step experiment's JSON document to this file (e.g. BENCH_step.json)")
 		stepIter = flag.Int("step-iter", 60, "max placement transformations per step-experiment run")
 		stepPC   = flag.String("step-preconds", "", "comma-separated preconditioner sweep for the step experiment (default jacobi,ic0,auto; 'none' skips the sweep)")
-		stepFM   = flag.String("step-fields", "", "comma-separated field-method sweep for the step experiment (default fft,rfft; 'none' skips the sweep)")
 		stepChk  = flag.String("step-check", "", "compare the step experiment's hot run against this baseline BENCH_step.json and exit nonzero on regression")
 		stepChkN = flag.Int("step-check-cells", 10000, "cell count of the row the -step-check gate compares")
 		stepTol  = flag.Float64("step-check-tol", 0.20, "allowed fractional hot step-time regression for -step-check")
@@ -173,16 +172,15 @@ func main() {
 			}
 			ns = append(ns, n)
 		}
-		sweep := func(s string) []string {
-			switch s {
-			case "":
-				return nil // bench default
-			case "none":
-				return []string{""}
-			}
-			return splitComma(s)
+		var preconds []string // nil: the bench default sweep
+		switch *stepPC {
+		case "":
+		case "none":
+			preconds = []string{}
+		default:
+			preconds = splitComma(*stepPC)
 		}
-		b := bench.RunStepBench(opts, ns, *stepIter, sweep(*stepPC), sweep(*stepFM))
+		b := bench.RunStepBench(opts, ns, *stepIter, preconds)
 		bench.PrintStepBench(os.Stdout, b)
 		fmt.Println()
 		if *stepChk != "" {

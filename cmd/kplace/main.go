@@ -67,9 +67,8 @@ func main() {
 		legal   = flag.Bool("legalize", true, "run legalization/detailed placement afterwards")
 		plot    = flag.Bool("plot", false, "print an ASCII plot of the result")
 		maxIter = flag.Int("maxiter", 0, "iteration cap (0 = default)")
-		cold    = flag.Bool("cold", false, "disable the hot-path engine (iteration-reuse caches and CG warm start); the A/B baseline for -metrics comparisons")
 		precond = flag.String("precond", "auto", "CG preconditioner: jacobi, ic0, or auto (ic0 above a size threshold)")
-		field   = flag.String("field", "auto", "density field solver: auto, direct, fft, or rfft (real-input FFT)")
+		field   = flag.String("field", "auto", "density field solver: auto, direct, or rfft (real-input FFT)")
 
 		gridBins  = flag.Int("gridbins", 0, "density grid resolution per axis (0 = automatic from design size)")
 		noLin     = flag.Bool("nolinearize", false, "disable the net-weight linearization (purely quadratic solve)")
@@ -137,7 +136,7 @@ func main() {
 	}
 	fm, ok := density.ParseMethod(*field)
 	if !ok {
-		log.Fatalf("unknown -field %q (want auto, direct, fft, or rfft)", *field)
+		log.Fatalf("unknown -field %q (want auto, direct, or rfft)", *field)
 	}
 	nm, ok := qp.ParseNetModel(*netModel)
 	if !ok {
@@ -163,10 +162,9 @@ func main() {
 			StopSquareFactor: *stopSq,
 			EmptyFrac:        *emptyFrac,
 			ForceFloor:       *floor,
-			NoReuse:          *cold, NoWarmStart: *cold,
-			CG:          sparse.CGOptions{Tol: *cgTol, MaxIter: *cgMaxIter, Precond: pc},
-			FieldMethod: fm,
-			Spans:       spans, Metrics: reg,
+			CG:               sparse.CGOptions{Tol: *cgTol, MaxIter: *cgMaxIter, Precond: pc},
+			FieldMethod:      fm,
+			Spans:            spans, Metrics: reg,
 		}
 		if trace != nil {
 			// The trace file opens with a self-describing meta record:

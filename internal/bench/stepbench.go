@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/density"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
@@ -43,7 +42,7 @@ func stepPhases(p place.PhaseTotals) StepPhases {
 	}
 }
 
-// StepRun is one full placement run of the hot/cold comparison.
+// StepRun is one full placement run of the step experiment.
 type StepRun struct {
 	Iterations int        `json:"iterations"`
 	CGIters    int        `json:"cg_iters"` // Σ(cg_iter_x + cg_iter_y) over the run
@@ -54,33 +53,30 @@ type StepRun struct {
 	Phases     StepPhases `json:"phases"`
 }
 
-// StepVariant is one hot run under an explicit solver-engine
-// configuration of the preconditioner × field-method sweep. All variants
-// run at the engine-default CG tolerance, like the cold/hot baselines.
-// Caveat for the quality columns: a fixed-iteration snapshot far from
+// StepVariant is one run under an explicit preconditioner of the sweep.
+// All variants run at the engine-default CG tolerance, like the default
+// run. Caveat for the quality columns: a fixed-iteration snapshot far from
 // convergence (the 50k row at 40 of ~300 transformations) is chaotically
-// sensitive, so switching solver engine there shifts HPWL by a few
+// sensitive, so switching preconditioner there shifts HPWL by a few
 // percent in either direction — trajectory divergence, not solver
 // quality. Where trajectories stay aligned (2k/10k) the deltas are
 // below 0.25%, and solver-level equivalence is pinned by unit tests.
 type StepVariant struct {
 	Precond string `json:"precond"`
-	Field   string `json:"field"`
 	StepRun
 }
 
-// StepRow compares the cold (NoReuse + NoWarmStart) and hot (default)
-// engines on one circuit size, plus the solver-engine variant sweep.
+// StepRow holds one circuit size's default-engine run plus the
+// preconditioner sweep.
 type StepRow struct {
 	Cells    int           `json:"cells"`
 	Nets     int           `json:"nets"`
-	Cold     StepRun       `json:"cold"`
 	Hot      StepRun       `json:"hot"`
 	Variants []StepVariant `json:"variants,omitempty"`
 }
 
-// StepBench is the BENCH_step.json document: the hot-path engine's effect on
-// the per-phase cost of place.Step across design sizes.
+// StepBench is the BENCH_step.json document: the per-phase cost of
+// place.Step across design sizes.
 type StepBench struct {
 	GOMAXPROCS int       `json:"gomaxprocs"`
 	Seed       int64     `json:"seed"`
@@ -88,14 +84,11 @@ type StepBench struct {
 	Rows       []StepRow `json:"rows"`
 }
 
-// RunStepBench places a synthetic circuit per size twice — cold with every
-// iteration-reuse cache disabled, hot with the default engine — and records
-// the per-phase time breakdown of each run. Both runs start from identical
-// clones with the same seed, so quality deltas isolate the reuse machinery.
-// Every preconds × fields combination then runs hot as a labeled variant;
-// nil slices default to the full jacobi/ic0/auto × fft/rfft sweep, and
-// a single-element []string{""} on both suppresses the sweep.
-func RunStepBench(opts Options, sizes []int, maxIter int, preconds, fields []string) StepBench {
+// RunStepBench places a synthetic circuit per size with the default engine
+// and records the per-phase time breakdown of the run. Every preconditioner
+// in preconds then runs from an identical clone as a labeled variant; nil
+// defaults to the full jacobi/ic0/auto sweep, and an empty slice skips it.
+func RunStepBench(opts Options, sizes []int, maxIter int, preconds []string) StepBench {
 	opts.setDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{2000, 10000}
@@ -105,9 +98,6 @@ func RunStepBench(opts Options, sizes []int, maxIter int, preconds, fields []str
 	}
 	if preconds == nil {
 		preconds = []string{"jacobi", "ic0", "auto"}
-	}
-	if fields == nil {
-		fields = []string{"fft", "rfft"}
 	}
 	b := StepBench{GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: opts.Seed, MaxIter: maxIter}
 	for _, n := range sizes {
@@ -120,46 +110,30 @@ func RunStepBench(opts Options, sizes []int, maxIter int, preconds, fields []str
 			Seed:  opts.Seed,
 		})
 		row := StepRow{Cells: n, Nets: nets}
-		row.Cold = runStep(&opts, base, maxIter, true, "", "")
-		opts.logf("step %6d cells cold: %6.2fs  %3d iters (%s)\n",
-			n, row.Cold.WallSec, row.Cold.Iterations, row.Cold.StopReason)
-		row.Hot = runStep(&opts, base, maxIter, false, "", "")
+		row.Hot = runStep(&opts, base, maxIter, "")
 		opts.logf("step %6d cells hot:  %6.2fs  %3d iters (%s)\n",
 			n, row.Hot.WallSec, row.Hot.Iterations, row.Hot.StopReason)
 		for _, pc := range preconds {
-			for _, fm := range fields {
-				if pc == "" && fm == "" {
-					continue
-				}
-				v := StepVariant{Precond: pc, Field: fm}
-				v.StepRun = runStep(&opts, base, maxIter, false, pc, fm)
-				opts.logf("step %6d cells %s/%s: %6.2fs  %3d iters  %6d cg-it (%s)\n",
-					n, pc, fm, v.WallSec, v.Iterations, v.CGIters, v.StopReason)
-				row.Variants = append(row.Variants, v)
-			}
+			v := StepVariant{Precond: pc, StepRun: runStep(&opts, base, maxIter, pc)}
+			opts.logf("step %6d cells %s: %6.2fs  %3d iters  %6d cg-it (%s)\n",
+				n, pc, v.WallSec, v.Iterations, v.CGIters, v.StopReason)
+			row.Variants = append(row.Variants, v)
 		}
 		b.Rows = append(b.Rows, row)
 	}
 	return b
 }
 
-func runStep(o *Options, base *netlist.Netlist, maxIter int, cold bool, precond, field string) StepRun {
+func runStep(o *Options, base *netlist.Netlist, maxIter int, precond string) StepRun {
 	nl := base.Clone()
 	cgIters := 0
 	pc, ok := sparse.ParsePreconditioner(precond)
 	if !ok {
 		return StepRun{StopReason: "error: unknown preconditioner " + precond}
 	}
-	fm, ok := density.ParseMethod(field)
-	if !ok {
-		return StepRun{StopReason: "error: unknown field method " + field}
-	}
 	cfg := o.placeCfg(place.Config{
-		MaxIter:     maxIter,
-		NoReuse:     cold,
-		NoWarmStart: cold,
-		CG:          sparse.CGOptions{Precond: pc},
-		FieldMethod: fm,
+		MaxIter: maxIter,
+		CG:      sparse.CGOptions{Precond: pc},
 	}, nl)
 	prev := cfg.OnIteration
 	cfg.OnIteration = func(s place.IterStats) {
@@ -191,52 +165,24 @@ func WriteStepBench(w io.Writer, b StepBench) error {
 	return enc.Encode(b)
 }
 
-// PrintStepBench renders the comparison with per-phase hot-vs-cold speedups.
+// PrintStepBench renders each run's wall time and per-phase breakdown.
 func PrintStepBench(w io.Writer, b StepBench) {
-	fmt.Fprintf(w, "E10: hot-path engine, cold vs hot (gomaxprocs %d, max %d iters, seed %d)\n",
+	fmt.Fprintf(w, "E10: place.Step phase breakdown (gomaxprocs %d, max %d iters, seed %d)\n",
 		b.GOMAXPROCS, b.MaxIter, b.Seed)
 	fmt.Fprintf(w, "%8s %-12s | %8s %6s %7s | %9s %9s %9s %9s | %9s\n",
 		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "solve", "step")
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	for _, r := range b.Rows {
-		modes := []struct {
-			name string
-			run  StepRun
-		}{{"cold", r.Cold}, {"hot", r.Hot}}
-		for _, v := range r.Variants {
-			modes = append(modes, struct {
-				name string
-				run  StepRun
-			}{v.Precond + "/" + v.Field, v.StepRun})
-		}
-		for _, m := range modes {
-			p := m.run.Phases
+		line := func(mode string, run StepRun) {
+			p := run.Phases
 			fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
-				r.Cells, m.name, m.run.WallSec, m.run.Iterations, m.run.CGIters,
+				r.Cells, mode, run.WallSec, run.Iterations, run.CGIters,
 				ms(p.Gather), ms(p.Field), ms(p.Build), ms(p.SolvePair), ms(p.Step))
 		}
-		// Per-iteration speedups, so differing stop iterations don't skew the
-		// phase comparison; wall speedup is the end-to-end ratio.
-		speed := func(cold, hot int64, ci, hi int) float64 {
-			if hot <= 0 || ci <= 0 || hi <= 0 {
-				return 0
-			}
-			return (float64(cold) / float64(ci)) / (float64(hot) / float64(hi))
+		line("hot", r.Hot)
+		for _, v := range r.Variants {
+			line(v.Precond, v.StepRun)
 		}
-		// The solve column compares the pair's wall time; older documents
-		// without it degrade to the per-axis sum on both sides.
-		coldSolve, hotSolve := r.Cold.Phases.SolvePair, r.Hot.Phases.SolvePair
-		if coldSolve <= 0 || hotSolve <= 0 {
-			coldSolve = r.Cold.Phases.SolveX + r.Cold.Phases.SolveY
-			hotSolve = r.Hot.Phases.SolveX + r.Hot.Phases.SolveY
-		}
-		fmt.Fprintf(w, "%8s %-12s | %8.2fx %6s %7s | %8.2fx %8.2fx %8.2fx %8.2fx | %8.2fx\n",
-			"", "speed", r.Cold.WallSec/r.Hot.WallSec, "", "",
-			speed(r.Cold.Phases.Gather, r.Hot.Phases.Gather, r.Cold.Iterations, r.Hot.Iterations),
-			speed(r.Cold.Phases.Field, r.Hot.Phases.Field, r.Cold.Iterations, r.Hot.Iterations),
-			speed(r.Cold.Phases.Build, r.Hot.Phases.Build, r.Cold.Iterations, r.Hot.Iterations),
-			speed(coldSolve, hotSolve, r.Cold.Iterations, r.Hot.Iterations),
-			speed(r.Cold.Phases.Step, r.Hot.Phases.Step, r.Cold.Iterations, r.Hot.Iterations))
 	}
 }
 

@@ -125,16 +125,39 @@ func TestFieldAttractsTowardVoid(t *testing.T) {
 func TestFFTMatchesDirect(t *testing.T) {
 	_, g := gridded(t, 400, 32, 32, 3)
 	fd := ComputeField(g, Direct)
-	ff := ComputeField(g, FFT)
+	ff := ComputeField(g, RealFFT)
 	scale := fd.MaxMagnitude()
 	if scale == 0 {
 		t.Fatal("zero field")
 	}
 	for i := range fd.FX {
 		if math.Abs(fd.FX[i]-ff.FX[i]) > 1e-6*scale || math.Abs(fd.FY[i]-ff.FY[i]) > 1e-6*scale {
-			t.Fatalf("bin %d: direct (%g,%g) vs fft (%g,%g)",
+			t.Fatalf("bin %d: direct (%g,%g) vs rfft (%g,%g)",
 				i, fd.FX[i], fd.FY[i], ff.FX[i], ff.FY[i])
 		}
+	}
+}
+
+func TestMethodStringAndParse(t *testing.T) {
+	for _, tc := range []struct {
+		m   Method
+		tag string
+	}{{Auto, "auto"}, {Direct, "direct"}, {RealFFT, "rfft"}} {
+		if tc.m.String() != tc.tag {
+			t.Errorf("%d.String() = %q, want %q", tc.m, tc.m.String(), tc.tag)
+		}
+		m, ok := ParseMethod(tc.tag)
+		if !ok || m != tc.m {
+			t.Errorf("ParseMethod(%q) = %v,%v", tc.tag, m, ok)
+		}
+	}
+	for _, tag := range []string{"spectral", "fft"} {
+		if _, ok := ParseMethod(tag); ok {
+			t.Errorf("ParseMethod accepted the unknown tag %q", tag)
+		}
+	}
+	if m, ok := ParseMethod(""); !ok || m != Auto {
+		t.Error("empty tag must parse as Auto")
 	}
 }
 

@@ -22,30 +22,24 @@ type Method int
 
 const (
 	// Auto picks RealFFT for grids with ≥ 64 bins per axis (the soaked
-	// production pipeline: half the transform flops of FFT, identical
-	// answers), Direct below.
+	// production pipeline), Direct below.
 	Auto Method = iota
 	// Direct evaluates eq. (9) by O(B²) superposition. It is the oracle
 	// implementation.
 	Direct
-	// FFT evaluates the same convolution on a zero-padded grid in
-	// O(B log B). Requires power-of-two grid dimensions.
-	FFT
-	// RealFFT evaluates the convolution through real-input transforms
+	// RealFFT evaluates the same superposition as a linear convolution on
+	// a zero-padded grid in O(B log B), through real-input transforms
 	// (fft.RealPlan): the density map and both kernels are real, so only
-	// the Hermitian half-spectrum is computed and stored — half the
-	// transform flops and spectrum memory of FFT, identical answers to
-	// roundoff. Requires power-of-two grid dimensions.
+	// the Hermitian half-spectrum is computed and stored. Requires
+	// power-of-two grid dimensions.
 	RealFFT
 )
 
-// String returns the method's tag ("auto", "direct", "fft", "rfft").
+// String returns the method's tag ("auto", "direct", "rfft").
 func (m Method) String() string {
 	switch m {
 	case Direct:
 		return "direct"
-	case FFT:
-		return "fft"
 	case RealFFT:
 		return "rfft"
 	default:
@@ -61,8 +55,6 @@ func ParseMethod(s string) (m Method, ok bool) {
 		return Auto, true
 	case "direct":
 		return Direct, true
-	case "fft":
-		return FFT, true
 	case "rfft":
 		return RealFFT, true
 	}
@@ -70,22 +62,22 @@ func ParseMethod(s string) (m Method, ok bool) {
 }
 
 // fieldSeconds times field evaluations per effective method (indexed by
-// Direct/FFT/RealFFT). Nil until EnableMetrics; a nil histogram skips even
+// Direct/RealFFT). Nil until EnableMetrics; a nil histogram skips even
 // the clock reads.
-var fieldSeconds [4]*obsv.Histogram
+var fieldSeconds [3]*obsv.Histogram
 
 // EnableMetrics registers field-evaluation timing in r:
 //
-//	density_field_seconds{method="direct"|"fft"|"rfft"}
+//	density_field_seconds{method="direct"|"rfft"}
 //
 // labeled by the *effective* method (Auto resolves before recording).
 // Passing nil detaches the package from any registry.
 func EnableMetrics(r *obsv.Registry) {
 	if r == nil {
-		fieldSeconds = [4]*obsv.Histogram{}
+		fieldSeconds = [3]*obsv.Histogram{}
 		return
 	}
-	for _, m := range []Method{Direct, FFT, RealFFT} {
+	for _, m := range []Method{Direct, RealFFT} {
 		fieldSeconds[m] = r.Histogram(`density_field_seconds{method="`+m.String()+`"}`,
 			"force-field evaluation wall time in seconds", obsv.SecondsBuckets)
 	}
@@ -105,10 +97,8 @@ func ComputeField(g *Grid, m Method) *Field {
 	switch m {
 	case Direct:
 		f = computeDirect(g)
-	case FFT:
-		f = computeFFT(g)
 	case RealFFT:
-		f = computeRealFFT(g)
+		f = g.fieldSolver().solve(g)
 	default:
 		panic("density: unknown field method")
 	}
@@ -176,45 +166,31 @@ func fieldKernels(g *Grid, pw, ph int) (kx, ky []float64) {
 	return kx, ky
 }
 
-// fieldCache is the reusable FFT field solver of one grid: the transform
-// plan (complex or real-input), the forward spectra of the two kernels
-// (they depend only on the grid geometry, fixed at construction), and the
-// padded scratch fields. With it, each field solve costs one forward and
-// two inverse transforms instead of four forwards and two inverses, and
-// allocates nothing. The real-input variant stores half-spectra and runs
-// half-size transforms for the same answers to roundoff.
+// fieldCache is the reusable field solver of one grid: the real-input
+// transform plan for the grid zero-padded to 2NX×2NY (so the cyclic
+// convolution equals the linear one on the region), the half-spectra of the
+// two kernels (they depend only on the grid geometry, fixed at
+// construction), and the padded scratch fields. With it, each field solve
+// costs one forward and two inverse transforms.
 type fieldCache struct {
-	pw, ph int
-	real   bool
-	plan   *fft.Plan     // when !real
-	rplan  *fft.RealPlan // when real
-	specs  [2][]complex128
-	src    []float64
-	out    [2][]float64
+	pw    int
+	plan  *fft.RealPlan
+	specs [2][]complex128
+	src   []float64
+	out   [2][]float64
 }
 
-func (g *Grid) fieldSolver(realFFT bool) *fieldCache {
+func (g *Grid) fieldSolver() *fieldCache {
+	if g.fcache != nil {
+		return g.fcache
+	}
 	pw, ph := fft.NextPow2(2*g.NX), fft.NextPow2(2*g.NY)
-	if fc := g.fcache; fc != nil && fc.pw == pw && fc.ph == ph && fc.real == realFFT {
-		return fc
-	}
 	n := pw * ph
-	fc := &fieldCache{pw: pw, ph: ph, real: realFFT, src: make([]float64, n)}
-	specLen := n
-	if realFFT {
-		fc.rplan = fft.NewRealPlan(pw, ph)
-		specLen = fc.rplan.SpecLen()
-	} else {
-		fc.plan = fft.NewPlan(pw, ph)
-	}
+	fc := &fieldCache{pw: pw, plan: fft.NewRealPlan(pw, ph), src: make([]float64, n)}
 	kx, ky := fieldKernels(g, pw, ph)
 	for i, k := range [2][]float64{kx, ky} {
-		fc.specs[i] = make([]complex128, specLen)
-		if realFFT {
-			fc.rplan.Spectrum(fc.specs[i], k)
-		} else {
-			fc.plan.Spectrum(fc.specs[i], k)
-		}
+		fc.specs[i] = make([]complex128, fc.plan.SpecLen())
+		fc.plan.Spectrum(fc.specs[i], k)
 		fc.out[i] = make([]float64, n)
 	}
 	g.fcache = fc
@@ -233,94 +209,12 @@ func (fc *fieldCache) solve(g *Grid) *Field {
 			fc.src[iy*pw+ix] = g.D[g.Idx(ix, iy)]
 		}
 	}
-	if fc.real {
-		fc.rplan.ConvolveSpectra(fc.out[:], fc.src, fc.specs[:])
-	} else {
-		fc.plan.ConvolveSpectra(fc.out[:], fc.src, fc.specs[:])
-	}
+	fc.plan.ConvolveSpectra(fc.out[:], fc.src, fc.specs[:])
 	f := &Field{grid: g, FX: make([]float64, len(g.D)), FY: make([]float64, len(g.D))}
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {
 			f.FX[g.Idx(ix, iy)] = fc.out[0][iy*pw+ix]
 			f.FY[g.Idx(ix, iy)] = fc.out[1][iy*pw+ix]
-		}
-	}
-	return f
-}
-
-// computeFFT evaluates the same superposition as computeDirect, as a linear
-// convolution with the kernels on a grid zero-padded to 2NX×2NY (so the
-// cyclic convolution equals the linear one on the region). The kernel
-// spectra and all working storage are cached on the grid; NoCache keeps the
-// original allocate-and-retransform path for baseline comparisons.
-func computeFFT(g *Grid) *Field {
-	if g.NoCache {
-		return computeFFTCold(g)
-	}
-	return g.fieldSolver(false).solve(g)
-}
-
-// computeRealFFT is computeFFT on the real-input pipeline: identical
-// zero-padding and kernels, half-spectrum transforms. NoCache keeps a cold
-// real-input path so hot-vs-cold stays bit-identical per configuration.
-func computeRealFFT(g *Grid) *Field {
-	if g.NoCache {
-		return computeRealFFTCold(g)
-	}
-	return g.fieldSolver(true).solve(g)
-}
-
-// computeFFTCold is the uncached path: fresh scratch and a full kernel
-// transform per call.
-func computeFFTCold(g *Grid) *Field {
-	pw, ph := fft.NextPow2(2*g.NX), fft.NextPow2(2*g.NY)
-	n := pw * ph
-	src := make([]float64, n)
-	for iy := 0; iy < g.NY; iy++ {
-		for ix := 0; ix < g.NX; ix++ {
-			src[iy*pw+ix] = g.D[g.Idx(ix, iy)]
-		}
-	}
-	kx, ky := fieldKernels(g, pw, ph)
-	outX := make([]float64, n)
-	outY := make([]float64, n)
-	fft.Convolve2D(outX, src, kx, pw, ph)
-	fft.Convolve2D(outY, src, ky, pw, ph)
-	f := &Field{grid: g, FX: make([]float64, len(g.D)), FY: make([]float64, len(g.D))}
-	for iy := 0; iy < g.NY; iy++ {
-		for ix := 0; ix < g.NX; ix++ {
-			f.FX[g.Idx(ix, iy)] = outX[iy*pw+ix]
-			f.FY[g.Idx(ix, iy)] = outY[iy*pw+ix]
-		}
-	}
-	return f
-}
-
-// computeRealFFTCold is the uncached real-input path: a fresh plan, fresh
-// scratch, and full kernel transforms per call. It runs the same spectrum
-// and convolution kernels as the cached path, so hot and cold real-FFT
-// solves are bit-identical, not merely close.
-func computeRealFFTCold(g *Grid) *Field {
-	pw, ph := fft.NextPow2(2*g.NX), fft.NextPow2(2*g.NY)
-	n := pw * ph
-	src := make([]float64, n)
-	for iy := 0; iy < g.NY; iy++ {
-		for ix := 0; ix < g.NX; ix++ {
-			src[iy*pw+ix] = g.D[g.Idx(ix, iy)]
-		}
-	}
-	plan := fft.NewRealPlan(pw, ph)
-	kx, ky := fieldKernels(g, pw, ph)
-	specs := [2][]complex128{make([]complex128, plan.SpecLen()), make([]complex128, plan.SpecLen())}
-	plan.Spectrum(specs[0], kx)
-	plan.Spectrum(specs[1], ky)
-	out := [2][]float64{make([]float64, n), make([]float64, n)}
-	plan.ConvolveSpectra(out[:], src, specs[:])
-	f := &Field{grid: g, FX: make([]float64, len(g.D)), FY: make([]float64, len(g.D))}
-	for iy := 0; iy < g.NY; iy++ {
-		for ix := 0; ix < g.NX; ix++ {
-			f.FX[g.Idx(ix, iy)] = out[0][iy*pw+ix]
-			f.FY[g.Idx(ix, iy)] = out[1][iy*pw+ix]
 		}
 	}
 	return f

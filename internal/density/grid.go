@@ -33,17 +33,11 @@ type Grid struct {
 	// placement; it participates in D but is rescaled so ∫D stays 0.
 	Extra []float64
 
-	// NoCache disables the cached FFT field solver (kernel spectra + plan),
-	// forcing every ComputeField call back onto the allocate-and-retransform
-	// path. Benchmark baselines and A/B comparisons set it; normal runs
-	// leave it false.
-	NoCache bool
-
 	// scratch backs AddArea's deposit staging; shards are the per-worker
 	// deposit buffers of the parallel Accumulate, reused across iterations.
 	scratch []deposit
 	shards  [][]deposit
-	// fcache is the lazily built FFT field solver (see field.go).
+	// fcache is the lazily built RealFFT field solver (see field.go).
 	fcache *fieldCache
 }
 

@@ -4,13 +4,13 @@
 package fft
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/obsv"
 )
 
-// convolveSeconds times Convolve2D calls; nil (free) until EnableMetrics.
+// convolveSeconds times Plan and RealPlan convolutions; nil (free) until
+// EnableMetrics.
 var convolveSeconds *obsv.Histogram
 
 // EnableMetrics registers transform timing in r:
@@ -50,45 +50,4 @@ func Inverse(a []complex128) {
 	for i := range a {
 		a[i] *= scale
 	}
-}
-
-// Grid is a 2-D complex field with power-of-two dimensions, stored row-major.
-type Grid struct {
-	W, H int
-	Data []complex128
-}
-
-// NewGrid allocates a zeroed W×H grid. Both dimensions must be powers of
-// two.
-func NewGrid(w, h int) *Grid {
-	if !IsPow2(w) || !IsPow2(h) {
-		panic(fmt.Sprintf("fft: grid %dx%d not power-of-two", w, h))
-	}
-	return &Grid{W: w, H: h, Data: make([]complex128, w*h)}
-}
-
-// At returns the value at column x, row y.
-func (g *Grid) At(x, y int) complex128 { return g.Data[y*g.W+x] }
-
-// Set stores v at column x, row y.
-func (g *Grid) Set(x, y int, v complex128) { g.Data[y*g.W+x] = v }
-
-// Forward2D performs an in-place forward 2-D FFT (rows then columns).
-func (g *Grid) Forward2D() { NewPlan(g.W, g.H).Forward2D(g.Data) }
-
-// Inverse2D performs an in-place inverse 2-D FFT with 1/(W·H) scaling.
-func (g *Grid) Inverse2D() { NewPlan(g.W, g.H).Inverse2D(g.Data) }
-
-// Convolve2D computes the cyclic 2-D convolution of src with kernel and
-// writes the real part into dst (row-major, w*h). All three must describe
-// the same power-of-two dimensions. src and kernel are real-valued inputs.
-//
-// Callers wanting a *linear* convolution must zero-pad to at least double
-// size themselves; internal/density does so. Iterative callers that reuse
-// the same kernel should hold a Plan and cache its Spectrum instead (one
-// forward transform per call instead of two).
-func Convolve2D(dst, src, kernel []float64, w, h int) {
-	p := pooledPlan(w, h)
-	p.Convolve(dst, src, kernel)
-	putPooledPlan(p)
 }

@@ -86,44 +86,7 @@ func TestNonPow2Panics(t *testing.T) {
 	Forward(make([]complex128, 6))
 }
 
-func TestGridRoundTrip2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := NewGrid(8, 16)
-	orig := make([]complex128, len(g.Data))
-	for i := range g.Data {
-		g.Data[i] = complex(rng.NormFloat64(), 0)
-		orig[i] = g.Data[i]
-	}
-	g.Forward2D()
-	g.Inverse2D()
-	for i := range orig {
-		if cmplx.Abs(g.Data[i]-orig[i]) > 1e-10 {
-			t.Fatalf("2D roundtrip[%d] = %v, want %v", i, g.Data[i], orig[i])
-		}
-	}
-}
-
-func TestGridAtSet(t *testing.T) {
-	g := NewGrid(4, 4)
-	g.Set(1, 2, 5)
-	if g.At(1, 2) != 5 {
-		t.Error("At/Set broken")
-	}
-	if g.Data[2*4+1] != 5 {
-		t.Error("row-major layout broken")
-	}
-}
-
-func TestNewGridNonPow2Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewGrid(5, 4)
-}
-
-func TestConvolve2DImpulse(t *testing.T) {
+func TestPlanConvolveImpulse(t *testing.T) {
 	// Convolving with a unit impulse at (0,0) is the identity.
 	const w, h = 8, 8
 	src := make([]float64, w*h)
@@ -134,7 +97,7 @@ func TestConvolve2DImpulse(t *testing.T) {
 	}
 	kernel[0] = 1
 	dst := make([]float64, w*h)
-	Convolve2D(dst, src, kernel, w, h)
+	NewPlan(w, h).Convolve(dst, src, kernel)
 	for i := range src {
 		if math.Abs(dst[i]-src[i]) > 1e-10 {
 			t.Fatalf("impulse conv[%d] = %v, want %v", i, dst[i], src[i])
@@ -142,7 +105,7 @@ func TestConvolve2DImpulse(t *testing.T) {
 	}
 }
 
-func TestConvolve2DShift(t *testing.T) {
+func TestPlanConvolveShift(t *testing.T) {
 	// An impulse kernel at (1,0) cyclically shifts the source right by one.
 	const w, h = 4, 4
 	src := make([]float64, w*h)
@@ -151,7 +114,7 @@ func TestConvolve2DShift(t *testing.T) {
 	kernel := make([]float64, w*h)
 	kernel[0*w+1] = 1
 	dst := make([]float64, w*h)
-	Convolve2D(dst, src, kernel, w, h)
+	NewPlan(w, h).Convolve(dst, src, kernel)
 	if math.Abs(dst[0*w+1]-1) > 1e-10 {
 		t.Errorf("shifted value at (1,0) = %v", dst[0*w+1])
 	}
@@ -160,7 +123,7 @@ func TestConvolve2DShift(t *testing.T) {
 	}
 }
 
-func TestConvolve2DMatchesNaive(t *testing.T) {
+func TestPlanConvolveMatchesNaive(t *testing.T) {
 	const w, h = 8, 4
 	rng := rand.New(rand.NewSource(5))
 	src := make([]float64, w*h)
@@ -170,7 +133,7 @@ func TestConvolve2DMatchesNaive(t *testing.T) {
 		kernel[i] = rng.NormFloat64()
 	}
 	dst := make([]float64, w*h)
-	Convolve2D(dst, src, kernel, w, h)
+	NewPlan(w, h).Convolve(dst, src, kernel)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			want := 0.0
@@ -194,7 +157,7 @@ func TestConvolveDimensionPanic(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Convolve2D(make([]float64, 4), make([]float64, 8), make([]float64, 8), 4, 2)
+	NewPlan(4, 2).Convolve(make([]float64, 4), make([]float64, 8), make([]float64, 8))
 }
 
 func TestParsevalProperty(t *testing.T) {

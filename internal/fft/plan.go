@@ -203,8 +203,9 @@ func (p *Plan) Convolve(dst, src, kernel []float64) {
 
 // ConvolveSpectra transforms src once and convolves it against each cached
 // kernel spectrum: dsts[i] receives the real part of IFFT(FFT(src)·specs[i]).
-// This is the field-solve fast path: one forward plus one inverse transform
-// per kernel instead of two forwards and one inverse.
+// It costs one forward plus one inverse transform per kernel instead of two
+// forwards and one inverse, and is the full-spectrum reference that
+// RealPlan.ConvolveSpectra is tested against.
 func (p *Plan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]complex128) {
 	n := p.W * p.H
 	if len(src) != n || len(dsts) != len(specs) {
@@ -228,25 +229,5 @@ func (p *Plan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]comple
 		for i := range dst {
 			dst[i] = real(b[i])
 		}
-	}
-}
-
-// planPool recycles plans per size for the package-level Convolve2D, which
-// has no owner to hold one.
-var planPool sync.Map // [2]int -> *sync.Pool
-
-func pooledPlan(w, h int) *Plan {
-	key := [2]int{w, h}
-	if p, ok := planPool.Load(key); ok {
-		return p.(*sync.Pool).Get().(*Plan)
-	}
-	pool := &sync.Pool{New: func() any { return NewPlan(w, h) }}
-	actual, _ := planPool.LoadOrStore(key, pool)
-	return actual.(*sync.Pool).Get().(*Plan)
-}
-
-func putPooledPlan(p *Plan) {
-	if pool, ok := planPool.Load([2]int{p.W, p.H}); ok {
-		pool.(*sync.Pool).Put(p)
 	}
 }

@@ -67,25 +67,6 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanConvolveMatchesConvolve2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	w, h := 16, 16
-	src := randField(rng, w*h)
-	kernel := randField(rng, w*h)
-
-	want := make([]float64, w*h)
-	Convolve2D(want, src, kernel, w, h)
-
-	got := make([]float64, w*h)
-	p := NewPlan(w, h)
-	p.Convolve(got, src, kernel)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("Plan.Convolve differs at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestConvolveSpectraMatchesConvolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	w, h := 16, 8
@@ -118,22 +99,22 @@ func TestConvolveSpectraMatchesConvolve(t *testing.T) {
 	}
 }
 
-func TestConvolve2DParallelMatchesSerial(t *testing.T) {
+func TestPlanConvolveParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w, h := 32, 16
 	src := randField(rng, w*h)
 	kernel := randField(rng, w*h)
 
 	serial := make([]float64, w*h)
-	Convolve2D(serial, src, kernel, w, h)
+	NewPlan(w, h).Convolve(serial, src, kernel)
 
 	parallel := make([]float64, w*h)
 	withThreshold(t, 1, func() {
-		Convolve2D(parallel, src, kernel, w, h)
+		NewPlan(w, h).Convolve(parallel, src, kernel)
 	})
 	for i := range serial {
 		if serial[i] != parallel[i] {
-			t.Fatalf("parallel Convolve2D differs at %d: %g vs %g", i, parallel[i], serial[i])
+			t.Fatalf("parallel Plan.Convolve differs at %d: %g vs %g", i, parallel[i], serial[i])
 		}
 	}
 }
@@ -163,13 +144,14 @@ func benchmarkGrids(n int) (src, kernel, dst []float64) {
 	return randField(rng, n), randField(rng, n), make([]float64, n)
 }
 
-func BenchmarkConvolve2D(b *testing.B) {
+func BenchmarkPlanConvolve(b *testing.B) {
 	const w, h = 128, 128
 	src, kernel, dst := benchmarkGrids(w * h)
+	p := NewPlan(w, h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Convolve2D(dst, src, kernel, w, h)
+		p.Convolve(dst, src, kernel)
 	}
 }
 

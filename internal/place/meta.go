@@ -42,8 +42,6 @@ func (c Config) Hash() string {
 	put("cgmaxiter=%d", c.CG.MaxIter)
 	put("precond=%d", int(c.CG.Precond))
 	put("forcefloor=%g", c.ForceFloor)
-	put("nowarm=%t", c.NoWarmStart)
-	put("noreuse=%t", c.NoReuse)
 	put("beforetransform=%t", c.BeforeTransform != nil)
 	put("extrademand=%t", c.ExtraDemand != nil)
 	return fmt.Sprintf("%016x", h.Sum64())

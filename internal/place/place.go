@@ -78,18 +78,6 @@ type Config struct {
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
 	// Overflow, Iterations) are still filled, and OnIteration still fires.
 	NoTrace bool
-	// NoWarmStart disables seeding each transformation's CG solve with the
-	// previous transformation's displacement response. Cells move slowly
-	// between transformations (§4.2), so the warm start normally saves CG
-	// iterations at identical tolerance; disable it to reproduce the
-	// zero-guess baseline.
-	NoWarmStart bool
-	// NoReuse disables the iteration-reuse caches: the quadratic system is
-	// rebuilt from scratch (fresh sort/merge) and the density field solver
-	// re-transforms the Green's-function kernel on every transformation.
-	// The cold path is the benchmark baseline for BENCH_step.json; normal
-	// runs leave it false.
-	NoReuse bool
 	// Spans, when set, receives per-phase span recordings
 	// ("place/gather", "place/field", "place/build", "place/solve-x",
 	// "place/solve-y", "place/solve-pair", "place/weight", "place/step")
@@ -293,11 +281,15 @@ type Placer struct {
 	avgArea float64 // cached AvgCellArea (>0); denominator of GapProxy
 
 	// asm caches the quadratic system's sparsity pattern and storage
-	// across transformations; nil under Config.NoReuse.
+	// across transformations.
 	asm *qp.Assembler
 	// warmDX/warmDY hold the previous transformation's displacement
 	// response, the CG starting guess of the next one.
 	warmDX, warmDY []float64
+	// zeroGuess starts every transformation's CG solve from zero instead
+	// of the previous response. Only tests set it, to check that the warm
+	// start does not change where the iteration ends up.
+	zeroGuess bool
 	// Step scratch, reused across transformations so the steady-state
 	// iteration allocates nothing: the force increment, the pre-solve
 	// position snapshot, and capDelta's displacement sort buffers.
@@ -396,21 +388,9 @@ func New(nl *netlist.Netlist, cfg Config) *Placer {
 		forces:  make([]geom.Point, len(nl.Cells)),
 		met:     newPlaceMetrics(cfg.Metrics),
 		avgArea: avg,
-	}
-	p.grid.NoCache = cfg.NoReuse
-	if !cfg.NoReuse {
-		p.asm = qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize, Model: cfg.NetModel})
+		asm:     qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize, Model: cfg.NetModel}),
 	}
 	return p
-}
-
-// system assembles the quadratic system for the netlist's current state,
-// through the pattern-caching assembler when iteration reuse is on.
-func (p *Placer) system() *qp.System {
-	if p.asm != nil {
-		return p.asm.Assemble()
-	}
-	return qp.Build(p.nl, qp.Options{Linearize: !p.cfg.NoLinearize, Model: p.cfg.NetModel})
 }
 
 // Netlist returns the netlist being placed.
@@ -444,7 +424,7 @@ func (p *Placer) Initialize() error {
 			p.nl.Cells[i].Pos = c
 		}
 	}
-	sys := p.system()
+	sys := p.asm.Assemble()
 	_, err := sys.Solve(nil, p.cfg.CG)
 	p.rs.bestSnap = p.nl.Snapshot()
 	return err
@@ -481,7 +461,7 @@ func (p *Placer) Step() (IterStats, error) {
 	// Assemble the (possibly re-linearized) quadratic system; the force
 	// normalization depends on its stiffness.
 	mark = obsv.StartTimer()
-	sys := p.system()
+	sys := p.asm.Assemble()
 	tBuild = mark.Elapsed()
 	check.Symmetric("place/step C", sys.C, 1e-8)
 	check.SPDHint("place/step C", sys.C, 1e-8)
@@ -567,7 +547,7 @@ func (p *Placer) Step() (IterStats, error) {
 	before := p.before
 	var res qp.SolveResult
 	var err error
-	if cfg.NoWarmStart {
+	if p.zeroGuess {
 		res, err = sys.SolveDelta(inc, cfg.CG)
 	} else {
 		if len(p.warmDX) != sys.N() {

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/density"
 	"repro/internal/netgen"
+	"repro/internal/netlist"
+	"repro/internal/sparse"
 )
 
 // TestGlobalInvariantsProperty: over random circuits, a global placement
@@ -60,17 +63,36 @@ func TestGlobalInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestDeterministicRuns: identical configurations produce identical
-// placements (the algorithm has no hidden randomness).
+// TestDeterministicRuns: identical configurations produce bit-identical
+// placements. The algorithm has no hidden randomness, and the reuse
+// machinery (pattern refill, refactored IC0 factor, cached field spectra,
+// warm start) carries no hidden state between runs.
 func TestDeterministicRuns(t *testing.T) {
-	run := func() float64 {
-		nl := netgen.Generate(netgen.Config{Name: "det", Cells: 120, Nets: 160, Rows: 6, Seed: 77})
-		if _, err := Global(nl, Config{MaxIter: 40}); err != nil {
-			t.Fatal(err)
-		}
-		return nl.HPWL()
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("non-deterministic: %v vs %v", a, b)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{MaxIter: 40}},
+		{"ic0-rfft", Config{
+			MaxIter:     40,
+			CG:          sparse.CGOptions{Precond: sparse.IC0},
+			FieldMethod: density.RealFFT,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() *netlist.Netlist {
+				nl := warmNetlist(53)
+				if _, err := Global(nl, tc.cfg); err != nil {
+					t.Fatal(err)
+				}
+				return nl
+			}
+			a, b := run(), run()
+			for ci := range a.Cells {
+				if a.Cells[ci].Pos != b.Cells[ci].Pos {
+					t.Fatalf("runs diverge at cell %d: %v vs %v", ci, a.Cells[ci].Pos, b.Cells[ci].Pos)
+				}
+			}
+		})
 	}
 }

@@ -4,83 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/density"
-	"repro/internal/netlist"
 	"repro/internal/sparse"
 )
-
-// solver2Config is the v2 solver engine under test: IC0-preconditioned CG
-// plus the real-input FFT field solver.
-func solver2Config(maxIter int, cold bool) Config {
-	return Config{
-		MaxIter:     maxIter,
-		NoReuse:     cold,
-		NoWarmStart: cold,
-		CG:          sparse.CGOptions{Precond: sparse.IC0},
-		FieldMethod: density.RealFFT,
-	}
-}
-
-// TestSolverV2HotEngineMatchesCold is TestHotEngineMatchesCold with the v2
-// solver engine switched on: reuse (pattern refill + refactored IC0 factor +
-// cached real-FFT spectra) must land on the same placement as the cold
-// rebuild-everything engine, at the paper's quality level.
-func TestSolverV2HotEngineMatchesCold(t *testing.T) {
-	run := func(cold bool) (Result, *netlist.Netlist) {
-		nl := warmNetlist(54)
-		res, err := Global(nl, solver2Config(80, cold))
-		if err != nil {
-			t.Fatalf("cold=%v: %v", cold, err)
-		}
-		return res, nl
-	}
-	coldRes, coldNl := run(true)
-	hotRes, hotNl := run(false)
-
-	if hotRes.StopReason != coldRes.StopReason {
-		t.Errorf("stop reason: hot %q vs cold %q", hotRes.StopReason, coldRes.StopReason)
-	}
-	ci, hi := coldRes.Iterations, hotRes.Iterations
-	if d := math.Abs(float64(hi - ci)); d > 0.3*float64(ci)+2 {
-		t.Errorf("iterations: hot %d vs cold %d", hi, ci)
-	}
-	if d := math.Abs(hotRes.HPWL - coldRes.HPWL); d > 0.15*coldRes.HPWL {
-		t.Errorf("HPWL: hot %g vs cold %g", hotRes.HPWL, coldRes.HPWL)
-	}
-	if d := math.Abs(hotRes.Overflow - coldRes.Overflow); d > 0.05 {
-		t.Errorf("overflow: hot %g vs cold %g", hotRes.Overflow, coldRes.Overflow)
-	}
-	diag := math.Hypot(coldNl.Region.W(), coldNl.Region.H())
-	var worst float64
-	for ciN := range coldNl.Cells {
-		d := coldNl.Cells[ciN].Pos.Sub(hotNl.Cells[ciN].Pos).Norm()
-		if d > worst {
-			worst = d
-		}
-	}
-	if worst > 0.1*diag {
-		t.Errorf("max cell divergence %.3g exceeds 10%% of the region diagonal %.3g", worst, diag)
-	}
-}
-
-// TestSolverV2Deterministic: two hot runs with IC0 + real FFT must be
-// bit-identical — the factor refactorization and the half-spectrum cache
-// introduce no hidden cross-run state.
-func TestSolverV2Deterministic(t *testing.T) {
-	run := func() *netlist.Netlist {
-		nl := warmNetlist(55)
-		if _, err := Global(nl, solver2Config(40, false)); err != nil {
-			t.Fatal(err)
-		}
-		return nl
-	}
-	a, b := run(), run()
-	for ci := range a.Cells {
-		if a.Cells[ci].Pos != b.Cells[ci].Pos {
-			t.Fatalf("v2 hot runs diverge at cell %d: %v vs %v", ci, a.Cells[ci].Pos, b.Cells[ci].Pos)
-		}
-	}
-}
 
 // TestIC0CutsCGIterations compares total CG work across a run. The IC0
 // engine must converge each solve in fewer iterations than Jacobi, and the

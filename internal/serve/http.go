@@ -31,10 +31,10 @@ type SubmitRequest struct {
 	// stop_reason "deadline". 0 uses the server default.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
 	// Precond selects the CG preconditioner: "jacobi", "ic0", or "auto"
-	// ("" → jacobi, the engine default). Unknown values are a 400.
+	// ("" → auto). Unknown values are a 400.
 	Precond string `json:"precond,omitempty"`
-	// Field selects the density field solver: "auto", "direct", "fft",
-	// or "rfft" ("" → auto). Unknown values are a 400.
+	// Field selects the density field solver: "auto", "direct", or
+	// "rfft" ("" → auto). Unknown values are a 400.
 	Field string `json:"field,omitempty"`
 	// GridBins is the density grid resolution per axis (0 → automatic
 	// from the design size).
@@ -62,9 +62,6 @@ type SubmitRequest struct {
 	CGTol float64 `json:"cg_tol,omitempty"`
 	// CGMaxIter caps CG iterations per solve (0 → engine default).
 	CGMaxIter int `json:"cg_max_iter,omitempty"`
-	// Cold disables both the warm start and the iteration-reuse caches,
-	// reproducing the cold-path baseline.
-	Cold bool `json:"cold,omitempty"`
 }
 
 // SubmitResponse is the POST /jobs success body.
@@ -118,7 +115,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a trace would otherwise not see; Submit folds it into the span tree.
 	sw := obsv.StartTimer()
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields() // a typo or retired knob must not be silently ignored
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -134,7 +133,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	fm, ok := density.ParseMethod(req.Field)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown field %q (want auto, direct, fft, or rfft)", req.Field)})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown field %q (want auto, direct, or rfft)", req.Field)})
 		return
 	}
 	nm, ok := qp.ParseNetModel(req.NetModel)
@@ -158,8 +157,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ForceFloor:       req.ForceFloor,
 			CG:               sparse.CGOptions{Tol: req.CGTol, MaxIter: req.CGMaxIter, Precond: pc},
 			FieldMethod:      fm,
-			NoWarmStart:      req.Cold,
-			NoReuse:          req.Cold,
 		},
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 		Trace:    parent,

@@ -534,9 +534,45 @@ func TestSubmitSolverKnobs(t *testing.T) {
 	for _, req := range []SubmitRequest{
 		{Netlist: text, Precond: "ilu"},
 		{Netlist: text, Field: "spectral"},
+		{Netlist: text, Field: "fft"},
 	} {
 		if code, _ := postJob(t, hs.URL, req); code != http.StatusBadRequest {
 			t.Fatalf("bad knob %q/%q accepted with %d, want 400", req.Precond, req.Field, code)
+		}
+	}
+}
+
+// TestSubmitRejectsUnknownKeys: a retired knob or a misspelled one is a 400,
+// not a silently ignored key that runs the job under other settings.
+func TestSubmitRejectsUnknownKeys(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	text := netlistText(t, testNetlist(60, 8))
+	for _, extra := range []map[string]any{
+		{"cold": true},
+		{"precon": "ic0"},
+	} {
+		body := map[string]any{"netlist": text, "max_iter": 3}
+		for k, v := range extra {
+			body[k] = v
+		}
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		_ = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("submit with %v: %d, want 400", extra, resp.StatusCode)
+		}
+		for k := range extra {
+			if !strings.Contains(er.Error, k) {
+				t.Errorf("submit with %v: error %q does not name the key", extra, er.Error)
+			}
 		}
 	}
 }

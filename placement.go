@@ -172,13 +172,12 @@ const (
 	PrecondAuto   = sparse.Auto
 )
 
-// Field-method choices for Config.FieldMethod. FieldRealFFT evaluates the
-// same convolution as FieldFFT through real-input transforms on half
-// spectra, roughly halving transform work.
+// Field-method choices for Config.FieldMethod. FieldDirect sums eq. (9)
+// over all bin pairs; FieldRealFFT evaluates the same superposition as a
+// convolution through real-input transforms on half spectra.
 const (
 	FieldAuto    = density.Auto
 	FieldDirect  = density.Direct
-	FieldFFT     = density.FFT
 	FieldRealFFT = density.RealFFT
 )
 
@@ -186,7 +185,7 @@ const (
 // Preconditioner; ok is false for anything else.
 func ParsePreconditioner(s string) (Preconditioner, bool) { return sparse.ParsePreconditioner(s) }
 
-// ParseFieldMethod maps "auto" (or ""), "direct", "fft", "rfft" to a
+// ParseFieldMethod maps "auto" (or ""), "direct", "rfft" to a
 // FieldMethod; ok is false for anything else.
 func ParseFieldMethod(s string) (FieldMethod, bool) { return density.ParseMethod(s) }
 
