@@ -45,7 +45,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obsv"
 	"repro/internal/place"
-	"repro/internal/qp"
 	"repro/internal/sparse"
 	"repro/internal/timing"
 	"repro/internal/visual"
@@ -55,33 +54,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("kplace: ")
 
+	var cfg place.Config // the kraftwerk engine's knobs: one flag each
+	cfg.RegisterFlags(flag.CommandLine)
 	var (
-		in      = flag.String("in", "", "input netlist file (text interchange format)")
-		aux     = flag.String("bookshelf", "", "input Bookshelf .aux file instead of -in")
-		out     = flag.String("out", "", "output netlist file with placement (default: stdout summary only)")
-		gen     = flag.String("gen", "", "generate a synthetic circuit instead: cells:nets:rows")
-		seed    = flag.Int64("seed", 1, "seed for generation and stochastic engines")
-		engine  = flag.String("engine", "kraftwerk", "placement engine: kraftwerk, gordian, anneal")
-		k       = flag.Float64("k", 0.2, "Kraftwerk speed parameter K (0.2 standard, 1.0 fast)")
-		doTime  = flag.Bool("timing", false, "timing-driven placement (kraftwerk engine)")
-		legal   = flag.Bool("legalize", true, "run legalization/detailed placement afterwards")
-		plot    = flag.Bool("plot", false, "print an ASCII plot of the result")
-		maxIter = flag.Int("maxiter", 0, "iteration cap (0 = default)")
-		precond = flag.String("precond", "auto", "CG preconditioner: jacobi, ic0, or auto (ic0 above a size threshold)")
-		field   = flag.String("field", "auto", "density field solver: auto, direct, or rfft (real-input FFT)")
+		in     = flag.String("in", "", "input netlist file (text interchange format)")
+		aux    = flag.String("bookshelf", "", "input Bookshelf .aux file instead of -in")
+		out    = flag.String("out", "", "output netlist file with placement (default: stdout summary only)")
+		gen    = flag.String("gen", "", "generate a synthetic circuit instead: cells:nets:rows")
+		seed   = flag.Int64("seed", 1, "seed for generation and stochastic engines")
+		engine = flag.String("engine", "kraftwerk", "placement engine: kraftwerk, gordian, anneal")
+		doTime = flag.Bool("timing", false, "timing-driven placement (kraftwerk engine)")
+		legal  = flag.Bool("legalize", true, "run legalization/detailed placement afterwards")
+		plot   = flag.Bool("plot", false, "print an ASCII plot of the result")
 
-		gridBins  = flag.Int("gridbins", 0, "density grid resolution per axis (0 = automatic from design size)")
-		noLin     = flag.Bool("nolinearize", false, "disable the net-weight linearization (purely quadratic solve)")
-		netModel  = flag.String("netmodel", "clique", "net decomposition: clique (paper model), star, or hybrid")
-		keep      = flag.Bool("keep", false, "start from the input netlist's positions instead of gathering at the region center")
-		stopSq    = flag.Float64("stopsq", 0, "stopping-criterion multiple of average cell area (0 = default 4)")
-		emptyFrac = flag.Float64("emptyfrac", 0, "empty-bin demand fraction threshold (0 = default 0.25)")
-		floor     = flag.Float64("forcefloor", 0, "zero force increments below this fraction of the field maximum (0 = off)")
-		cgTol     = flag.Float64("cgtol", 0, "CG relative residual tolerance (0 = default 1e-6)")
-		cgMaxIter = flag.Int("cgmaxiter", 0, "CG iteration cap per solve (0 = default)")
-		timeout   = flag.Duration("timeout", 0, "wall-time budget for the kraftwerk run (0 = none); on expiry the best placement so far is kept")
-		ckpt      = flag.String("checkpoint", "", "write the iteration state here if the kraftwerk run is interrupted (-timeout or Ctrl-C)")
-		resume    = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
+		timeout = flag.Duration("timeout", 0, "wall-time budget for the kraftwerk run (0 = none); on expiry the best placement so far is kept")
+		ckpt    = flag.String("checkpoint", "", "write the iteration state here if the kraftwerk run is interrupted (-timeout or Ctrl-C)")
+		resume  = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
 
 		tracePath = flag.String("trace", "", "write a JSONL run trace (one record per transformation)")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry as Prometheus text on exit")
@@ -130,19 +118,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	pc, ok := sparse.ParsePreconditioner(*precond)
-	if !ok {
-		log.Fatalf("unknown -precond %q (want jacobi, ic0, or auto)", *precond)
-	}
-	fm, ok := density.ParseMethod(*field)
-	if !ok {
-		log.Fatalf("unknown -field %q (want auto, direct, or rfft)", *field)
-	}
-	nm, ok := qp.ParseNetModel(*netModel)
-	if !ok {
-		log.Fatalf("unknown -netmodel %q (want clique, star, or hybrid)", *netModel)
-	}
-
 	nl, err := load(*in, *aux, *gen, *seed)
 	if err != nil {
 		log.Fatal(err)
@@ -153,19 +128,7 @@ func main() {
 	start := time.Now()
 	switch *engine {
 	case "kraftwerk":
-		cfg := place.Config{
-			K: *k, MaxIter: *maxIter,
-			GridBins:         *gridBins,
-			NoLinearize:      *noLin,
-			NetModel:         nm,
-			KeepPlacement:    *keep,
-			StopSquareFactor: *stopSq,
-			EmptyFrac:        *emptyFrac,
-			ForceFloor:       *floor,
-			CG:               sparse.CGOptions{Tol: *cgTol, MaxIter: *cgMaxIter, Precond: pc},
-			FieldMethod:      fm,
-			Spans:            spans, Metrics: reg,
-		}
+		cfg.Spans, cfg.Metrics = spans, reg
 		if trace != nil {
 			// The trace file opens with a self-describing meta record:
 			// design size, seed, config hash — the context a bare stream
@@ -319,25 +282,27 @@ func runKraftwerk(nl *netlist.Netlist, cfg place.Config, timeout time.Duration, 
 }
 
 // printRunSummary reports how and why a Kraftwerk run ended, with the
-// per-phase time breakdown of the global placement loop.
+// per-phase time breakdown of the global placement loop; "other" is the
+// step time no phase covers (force scaling, the IC0 refactor, clamping).
 func printRunSummary(res place.Result) {
 	fmt.Printf("global: %d iterations, stopped on %s, overflow %.3f, %.2fs\n",
 		res.Iterations, res.StopReason, res.Overflow, res.Runtime.Seconds())
-	p := res.Phases
-	if p.Step > 0 {
-		line := func(name string, d time.Duration) {
-			fmt.Printf("  %-12s %10.3fs  %5.1f%%\n", name, d.Seconds(), 100*d.Seconds()/p.Step.Seconds())
-		}
-		fmt.Printf("  per-phase breakdown of %.2fs in transformations:\n", p.Step.Seconds())
-		if p.Weight > 0 {
-			line("weight", p.Weight)
-		}
-		line("gather", p.Gather)
-		line("field", p.Field)
-		line("build", p.Build)
-		line("solve-x", p.SolveX)
-		line("solve-y", p.SolveY)
+	step := res.Phases.TStep
+	if step <= 0 {
+		return
 	}
+	line := func(name string, d time.Duration) {
+		fmt.Printf("  %-12s %10.3fs  %5.1f%%\n", name, d.Seconds(), 100*d.Seconds()/step.Seconds())
+	}
+	fmt.Printf("  per-phase breakdown of %.2fs in transformations:\n", step.Seconds())
+	other := step
+	res.Phases.Each(func(k string, d time.Duration) {
+		if k != "step" && d > 0 {
+			line(k, d)
+			other -= d
+		}
+	})
+	line("other", other)
 }
 
 func load(in, aux, gen string, seed int64) (*netlist.Netlist, error) {

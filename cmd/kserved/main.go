@@ -10,7 +10,8 @@
 //
 // Endpoints:
 //
-//	POST /jobs                   submit {"netlist": "...", "k", "max_iter", "deadline_ms"};
+//	POST /jobs                   submit {"netlist": "...", "deadline_ms", and any
+//	                             place.Knobs key: "k", "max_iter", "precond", ...};
 //	                             honors/returns W3C traceparent
 //	GET  /jobs                   list job statuses
 //	GET  /jobs/{id}              one job's status

@@ -13,44 +13,15 @@ import (
 	"repro/internal/sparse"
 )
 
-// StepPhases is one run's per-phase wall time in integer nanoseconds,
-// mirroring place.PhaseTotals for the BENCH_step.json schema.
-type StepPhases struct {
-	Weight int64 `json:"weight_ns"`
-	Gather int64 `json:"gather_ns"`
-	Field  int64 `json:"field_ns"`
-	Build  int64 `json:"build_ns"`
-	SolveX int64 `json:"solve_x_ns"`
-	SolveY int64 `json:"solve_y_ns"`
-	// SolvePair is the concurrent x/y solve pair's wall time. The per-axis
-	// entries are the wall times of the two overlapping solves
-	// (CGResult.Elapsed), so they can sum past Step.
-	SolvePair int64 `json:"solve_pair_ns"`
-	Step      int64 `json:"step_ns"`
-}
-
-func stepPhases(p place.PhaseTotals) StepPhases {
-	return StepPhases{
-		Weight:    p.Weight.Nanoseconds(),
-		Gather:    p.Gather.Nanoseconds(),
-		Field:     p.Field.Nanoseconds(),
-		Build:     p.Build.Nanoseconds(),
-		SolveX:    p.SolveX.Nanoseconds(),
-		SolveY:    p.SolveY.Nanoseconds(),
-		SolvePair: p.SolvePair.Nanoseconds(),
-		Step:      p.Step.Nanoseconds(),
-	}
-}
-
 // StepRun is one full placement run of the step experiment.
 type StepRun struct {
-	Iterations int        `json:"iterations"`
-	CGIters    int        `json:"cg_iters"` // Σ(cg_iter_x + cg_iter_y) over the run
-	StopReason string     `json:"stop_reason"`
-	HPWL       float64    `json:"hpwl"`
-	Overflow   float64    `json:"overflow"`
-	WallSec    float64    `json:"wall_seconds"`
-	Phases     StepPhases `json:"phases"`
+	Iterations int          `json:"iterations"`
+	CGIters    int          `json:"cg_iters"` // Σ(cg_iter_x + cg_iter_y) over the run
+	StopReason string       `json:"stop_reason"`
+	HPWL       float64      `json:"hpwl"`
+	Overflow   float64      `json:"overflow"`
+	WallSec    float64      `json:"wall_seconds"`
+	Phases     place.Phases `json:"phases"`
 }
 
 // StepVariant is one run under an explicit preconditioner of the sweep.
@@ -154,7 +125,7 @@ func runStep(o *Options, base *netlist.Netlist, maxIter int, precond string) Ste
 		HPWL:       res.HPWL,
 		Overflow:   res.Overflow,
 		WallSec:    time.Since(start).Seconds(),
-		Phases:     stepPhases(res.Phases),
+		Phases:     res.Phases,
 	}
 }
 
@@ -171,13 +142,13 @@ func PrintStepBench(w io.Writer, b StepBench) {
 		b.GOMAXPROCS, b.MaxIter, b.Seed)
 	fmt.Fprintf(w, "%8s %-12s | %8s %6s %7s | %9s %9s %9s %9s | %9s\n",
 		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "solve", "step")
-	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	for _, r := range b.Rows {
 		line := func(mode string, run StepRun) {
 			p := run.Phases
 			fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
 				r.Cells, mode, run.WallSec, run.Iterations, run.CGIters,
-				ms(p.Gather), ms(p.Field), ms(p.Build), ms(p.SolvePair), ms(p.Step))
+				ms(p.TGather), ms(p.TField), ms(p.TBuild), ms(p.TSolvePair), ms(p.TStep))
 		}
 		line("hot", r.Hot)
 		for _, v := range r.Variants {
@@ -217,12 +188,12 @@ func CheckStepRegression(cur, base StepBench, cells int, tol float64) error {
 	if err != nil {
 		return err
 	}
-	if c.Iterations <= 0 || b.Iterations <= 0 || c.Phases.Step <= 0 || b.Phases.Step <= 0 {
-		return fmt.Errorf("step regression check needs positive iterations and step_ns (current %d/%d, baseline %d/%d)",
-			c.Iterations, c.Phases.Step, b.Iterations, b.Phases.Step)
+	if c.Iterations <= 0 || b.Iterations <= 0 || c.Phases.TStep <= 0 || b.Phases.TStep <= 0 {
+		return fmt.Errorf("step regression check needs positive iterations and t_step_ns (current %d/%d, baseline %d/%d)",
+			c.Iterations, c.Phases.TStep, b.Iterations, b.Phases.TStep)
 	}
-	curNS := float64(c.Phases.Step) / float64(c.Iterations)
-	baseNS := float64(b.Phases.Step) / float64(b.Iterations)
+	curNS := float64(c.Phases.TStep) / float64(c.Iterations)
+	baseNS := float64(b.Phases.TStep) / float64(b.Iterations)
 	if curNS > baseNS*(1+tol) {
 		return fmt.Errorf("hot step time at %d cells regressed: %.1fms/iter vs baseline %.1fms/iter (+%.0f%% > +%.0f%% budget)",
 			cells, curNS/1e6, baseNS/1e6, 100*(curNS/baseNS-1), 100*tol)

@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/place"
 )
 
 // stepDoc is a one-row step document whose hot run took stepNS over iters
@@ -10,7 +13,7 @@ import (
 func stepDoc(cells, iters int, stepNS int64) StepBench {
 	return StepBench{Rows: []StepRow{{
 		Cells: cells,
-		Hot:   StepRun{Iterations: iters, Phases: StepPhases{Step: stepNS}},
+		Hot:   StepRun{Iterations: iters, Phases: place.Phases{TStep: time.Duration(stepNS)}},
 	}}}
 }
 

@@ -2,6 +2,7 @@ package density
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -158,6 +159,21 @@ func TestMethodStringAndParse(t *testing.T) {
 	}
 	if m, ok := ParseMethod(""); !ok || m != Auto {
 		t.Error("empty tag must parse as Auto")
+	}
+	// MarshalText/UnmarshalText share String and ParseMethod.
+	for _, m := range []Method{Auto, Direct, RealFFT} {
+		text, err := m.MarshalText()
+		var back Method
+		if err != nil || string(text) != m.String() || back.UnmarshalText(text) != nil || back != m {
+			t.Errorf("%v does not round-trip through its text %q", m, text)
+		}
+	}
+	back := RealFFT
+	if err := back.UnmarshalText(nil); err != nil || back != Auto {
+		t.Errorf("UnmarshalText(\"\") = %v, %v, want Auto", back, err)
+	}
+	if err := back.UnmarshalText([]byte("fft")); err == nil || !strings.Contains(err.Error(), "want auto, direct, or rfft") {
+		t.Errorf("UnmarshalText(fft) error %v, want one listing the choices", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package density
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/fft"
@@ -59,6 +60,20 @@ func ParseMethod(s string) (m Method, ok bool) {
 		return RealFFT, true
 	}
 	return Auto, false
+}
+
+// MarshalText implements encoding.TextMarshaler with the String tag.
+func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through ParseMethod,
+// so flags and JSON share one parse and one error.
+func (m *Method) UnmarshalText(b []byte) error {
+	v, ok := ParseMethod(string(b))
+	if !ok {
+		return fmt.Errorf("unknown field method %q (want auto, direct, or rfft)", b)
+	}
+	*m = v
+	return nil
 }
 
 // fieldSeconds times field evaluations per effective method (indexed by

@@ -12,13 +12,13 @@ import (
 	"repro/internal/netlist"
 )
 
-// Hash digests the algorithmic configuration — every knob that changes
-// the iteration sequence, and none of the observability hooks that don't
-// (Spans, Metrics, OnIteration, NoTrace). Two runs with equal hashes on
-// equal inputs walk the same iterations. The digest is FNV-1a over a
-// canonical text rendering, so it is stable across processes and
-// platforms but NOT across releases that add knobs; it identifies
-// configurations, it does not authenticate them.
+// Hash digests the algorithmic configuration — every knob of the knob
+// table and whether BeforeTransform and ExtraDemand are set, and none of
+// the observability hooks (Spans, Metrics, OnIteration, NoTrace). Two runs
+// with equal hashes on equal inputs walk the same iterations. The digest
+// is FNV-1a over a canonical text rendering, so it is stable across
+// processes and platforms but NOT across releases that add knobs; it
+// identifies configurations, it does not authenticate them.
 func (c Config) Hash() string {
 	// Hash the knobs as given: GridBins=0 ("automatic") hashes as 0,
 	// which is correct — the resolved resolution follows from the
@@ -29,21 +29,11 @@ func (c Config) Hash() string {
 		fmt.Fprintf(h, format, args...)
 		h.Write([]byte{0}) // field separator: ("ab","c") ≠ ("a","bc")
 	}
-	put("k=%g", c.K)
-	put("maxiter=%d", c.MaxIter)
-	put("gridbins=%d", c.GridBins)
-	put("field=%d", int(c.FieldMethod))
-	put("nolin=%t", c.NoLinearize)
-	put("netmodel=%d", int(c.NetModel))
-	put("keep=%t", c.KeepPlacement)
-	put("stopsq=%g", c.StopSquareFactor)
-	put("emptyfrac=%g", c.EmptyFrac)
-	put("cgtol=%g", c.CG.Tol)
-	put("cgmaxiter=%d", c.CG.MaxIter)
-	put("precond=%d", int(c.CG.Precond))
-	put("forcefloor=%g", c.ForceFloor)
-	put("beforetransform=%t", c.BeforeTransform != nil)
-	put("extrademand=%t", c.ExtraDemand != nil)
+	for _, k := range knobs {
+		put("%s=%v", k.Key, k.value(&c))
+	}
+	put("before_transform=%t", c.BeforeTransform != nil)
+	put("extra_demand=%t", c.ExtraDemand != nil)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -2,6 +2,9 @@ package place
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -20,9 +23,10 @@ func TestConfigHashStability(t *testing.T) {
 		t.Errorf("hash %q is not 16 hex digits", a.Hash())
 	}
 
-	// Every Config field, nested CG fields included, either moves the hash
-	// or is listed here as leaving the iteration sequence unchanged. A new
-	// field in neither group fails until Hash covers it or it is listed.
+	// Every Config field, nested CG fields included, is a knob of the knob
+	// table, a hook whose presence is hashed, or listed here as leaving the
+	// iteration sequence unchanged. A field in none of the three fails, and
+	// every knob and hook must move the hash on its own.
 	unhashed := map[string]bool{
 		"NoTrace":     true,
 		"OnIteration": true,
@@ -31,17 +35,33 @@ func TestConfigHashStability(t *testing.T) {
 		// The placer's assembler replaces the factor on every solve.
 		"CG.Factor": true,
 	}
+	hooks := map[string]bool{"BeforeTransform": true, "ExtraDemand": true}
+	var probe Config
+	knobAt := map[uintptr]string{} // field address in probe → knob key
+	for _, k := range knobs {
+		knobAt[reflect.ValueOf(k.Ptr(&probe)).Pointer()] = k.Key
+	}
+	if len(knobAt) != len(knobs) {
+		t.Errorf("%d knobs share %d Config fields", len(knobs), len(knobAt))
+	}
 	base := Config{}.Hash()
 	seen := map[string]string{base: "zero Config"}
 	walkConfigFields(reflect.TypeOf(Config{}), nil, "", func(name string, index []int) {
 		var c Config
 		setNonZero(t, name, reflect.ValueOf(&c).Elem().FieldByIndex(index))
 		h := c.Hash()
-		if unhashed[name] {
+		_, isKnob := knobAt[reflect.ValueOf(&probe).Elem().FieldByIndex(index).Addr().Pointer()]
+		switch {
+		case unhashed[name]:
 			delete(unhashed, name)
 			if h != base {
 				t.Errorf("%s does not change the iteration sequence but changes the hash", name)
 			}
+			return
+		case hooks[name]:
+			delete(hooks, name)
+		case !isKnob:
+			t.Errorf("Config.%s is neither a knob of the knob table, a hashed hook, nor listed as unhashed", name)
 			return
 		}
 		if prev, dup := seen[h]; dup {
@@ -51,6 +71,45 @@ func TestConfigHashStability(t *testing.T) {
 	})
 	for name := range unhashed {
 		t.Errorf("unhashed list names %s, which is not a Config field", name)
+	}
+	for name := range hooks {
+		t.Errorf("hook list names %s, which is not a Config field", name)
+	}
+}
+
+// TestKnobFlags sets every knob through its kplace flag on a fresh
+// FlagSet and gets the Config that sets the field directly; a bad enum
+// tag is a flag error.
+func TestKnobFlags(t *testing.T) {
+	flags, keys := map[string]bool{}, map[string]bool{}
+	for _, k := range Knobs() {
+		if flags[k.Flag] || keys[k.Key] {
+			t.Fatalf("knob %s/%s: duplicate flag or key", k.Flag, k.Key)
+		}
+		flags[k.Flag], keys[k.Key] = true, true
+
+		var want Config
+		v := reflect.ValueOf(k.Ptr(&want)).Elem()
+		setNonZero(t, k.Key, v)
+		var got Config
+		fs := flag.NewFlagSet("kplace", flag.ContinueOnError)
+		got.RegisterFlags(fs)
+		arg := fmt.Sprintf("-%s=%v", k.Flag, v) // enums print their tag
+		if err := fs.Parse([]string{arg}); err != nil {
+			t.Fatalf("%s: %v", arg, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: config %+v, want %+v", arg, got, want)
+		}
+	}
+	for _, arg := range []string{"-precond=ilu", "-field=fft", "-netmodel=steiner", "-cold"} {
+		var c Config
+		fs := flag.NewFlagSet("kplace", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c.RegisterFlags(fs)
+		if err := fs.Parse([]string{arg}); err == nil {
+			t.Errorf("%s parsed, want a flag error", arg)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package place
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -37,21 +39,20 @@ func TestObserverConsistency(t *testing.T) {
 		if s.TStep <= 0 {
 			t.Fatalf("iteration %d: TStep = %v, want > 0", i, s.TStep)
 		}
-		for name, d := range map[string]time.Duration{
-			"gather": s.TGather, "field": s.TField, "build": s.TBuild,
-			"solve-x": s.TSolveX, "solve-y": s.TSolveY,
-		} {
-			if d <= 0 {
-				t.Fatalf("iteration %d: phase %s duration = %v, want > 0", i, name, d)
+		// Every phase but weight (no BeforeTransform hook) is timed, and
+		// the phases are sequential (the x/y solves are one concurrent
+		// pair), so they sum to at most the step wall time.
+		var sum time.Duration
+		s.Phases.Each(func(k string, d time.Duration) {
+			if k == "step" {
+				return
 			}
-		}
-		// The x/y solves run concurrently, so the sequential phases plus
-		// the slower solve bound the step wall time from below.
-		solve := s.TSolveX
-		if s.TSolveY > solve {
-			solve = s.TSolveY
-		}
-		if sum := s.TWeight + s.TGather + s.TField + s.TBuild + solve; sum > s.TStep {
+			if d <= 0 && k != "weight" {
+				t.Fatalf("iteration %d: phase %s duration = %v, want > 0", i, k, d)
+			}
+			sum += d
+		})
+		if sum > s.TStep {
 			t.Fatalf("iteration %d: phase sum %v exceeds step wall time %v", i, sum, s.TStep)
 		}
 		if s.CGResidX < 0 || s.CGResidY < 0 {
@@ -59,9 +60,9 @@ func TestObserverConsistency(t *testing.T) {
 		}
 	}
 	// The run-level phase totals must equal the trace sums.
-	var want PhaseTotals
+	var want Phases
 	for _, s := range res.Trace {
-		want.add(s)
+		want.add(s.Phases)
 	}
 	if res.Phases != want {
 		t.Fatalf("Result.Phases %+v != trace sum %+v", res.Phases, want)
@@ -86,7 +87,7 @@ func TestNoTraceSuppressesTrace(t *testing.T) {
 		t.Fatalf("aggregates must survive NoTrace: iterations %d, observer calls %d",
 			res.Iterations, calls)
 	}
-	if res.Phases.Step <= 0 {
+	if res.Phases.TStep <= 0 {
 		t.Fatal("Result.Phases must be filled with NoTrace set")
 	}
 	if res.HPWL <= 0 {
@@ -102,15 +103,13 @@ func TestSpansAndMetricsSinks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Global: %v", err)
 	}
-	for _, phase := range []string{
-		"place/gather", "place/field", "place/build",
-		"place/solve-x", "place/solve-y", "place/step",
-	} {
+	for _, k := range PhaseKeys() {
+		phase := "place/" + k
 		st := spans.Get(phase)
 		if st.Count != int64(res.Iterations) {
 			t.Errorf("span %q recorded %d times, want %d", phase, st.Count, res.Iterations)
 		}
-		if st.Total <= 0 {
+		if st.Total <= 0 && k != "weight" { // no BeforeTransform hook
 			t.Errorf("span %q total = %v, want > 0", phase, st.Total)
 		}
 	}
@@ -122,44 +121,57 @@ func TestSpansAndMetricsSinks(t *testing.T) {
 	}
 }
 
-// TestPhaseSchema holds the phase surfaces to one list: PhaseKeys is the
-// IterStats t_<phase>_ns tags in declaration order, and PhaseTotals has one
-// field per phase, in the same order, that add fills from its IterStats
-// field.
+// TestPhaseSchema pins the phase schema derived from Phases: the trace
+// record's keys and their order, the PhaseKeys names, and that Each and add
+// visit every field in declaration order.
 func TestPhaseSchema(t *testing.T) {
-	var keys, fields []string
-	st := reflect.TypeOf(IterStats{})
-	for i := 0; i < st.NumField(); i++ {
-		tag := strings.Split(st.Field(i).Tag.Get("json"), ",")[0]
-		if !strings.HasPrefix(tag, "t_") || !strings.HasSuffix(tag, "_ns") {
-			continue
-		}
-		phase := strings.TrimSuffix(strings.TrimPrefix(tag, "t_"), "_ns")
-		keys = append(keys, strings.ReplaceAll(phase, "_", "-"))
-		fields = append(fields, st.Field(i).Name)
+	raw, err := json.Marshal(IterStats{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := PhaseKeys(); !reflect.DeepEqual(got, keys) {
-		t.Errorf("PhaseKeys() = %q, IterStats t_*_ns tags give %q", got, keys)
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	var keys []string
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every value of the zero IterStats is a number, so the string
+		// tokens are exactly the keys.
+		if k, ok := tok.(string); ok {
+			keys = append(keys, k)
+		}
+	}
+	wantKeys := []string{
+		"iter", "hpwl", "overflow", "empty_square", "gap_proxy", "max_force",
+		"cg_iter_x", "cg_iter_y", "cg_resid_x", "cg_resid_y",
+		"t_weight_ns", "t_gather_ns", "t_field_ns", "t_build_ns", "t_solve_pair_ns", "t_step_ns",
+	}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("trace record keys %q, want %q", keys, wantKeys)
+	}
+	wantPhases := []string{"weight", "gather", "field", "build", "solve-pair", "step"}
+	if got := PhaseKeys(); !reflect.DeepEqual(got, wantPhases) {
+		t.Errorf("PhaseKeys() = %q, want %q", got, wantPhases)
 	}
 
-	tt := reflect.TypeOf(PhaseTotals{})
-	if tt.NumField() != len(fields) {
-		t.Fatalf("PhaseTotals has %d fields, IterStats has %d phases", tt.NumField(), len(fields))
+	var p Phases
+	v := reflect.ValueOf(&p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
 	}
-	var s IterStats
-	for i, name := range fields {
-		reflect.ValueOf(&s).Elem().FieldByName(name).SetInt(int64(i + 1))
-	}
-	var tot PhaseTotals
-	tot.add(s)
-	for i, name := range fields {
-		want := strings.TrimPrefix(name, "T")
-		if got := tt.Field(i).Name; got != want {
-			t.Errorf("PhaseTotals field %d is %s, want %s to mirror IterStats.%s", i, got, want, name)
-			continue
+	p.add(p)
+	i := 0
+	p.Each(func(k string, d time.Duration) {
+		if k != wantPhases[i] || d != time.Duration(2*(i+1)) {
+			t.Errorf("Each visit %d: %s=%d, want %s=%d after add", i, k, d, wantPhases[i], 2*(i+1))
 		}
-		if got := reflect.ValueOf(tot).Field(i).Int(); got != int64(i+1) {
-			t.Errorf("PhaseTotals.add puts %d into %s, want IterStats.%s = %d", got, want, name, i+1)
-		}
+		i++
+	})
+	if i != len(wantPhases) {
+		t.Errorf("Each visited %d phases, want %d", i, len(wantPhases))
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -78,10 +80,9 @@ type Config struct {
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
 	// Overflow, Iterations) are still filled, and OnIteration still fires.
 	NoTrace bool
-	// Spans, when set, receives per-phase span recordings
-	// ("place/gather", "place/field", "place/build", "place/solve-x",
-	// "place/solve-y", "place/solve-pair", "place/weight", "place/step")
-	// for every placement transformation. Nil costs nothing.
+	// Spans, when set, receives one "place/<key>" span recording per
+	// PhaseKeys entry for every placement transformation. Nil costs
+	// nothing.
 	Spans *obsv.Spans
 	// Metrics, when set, receives the run's counters and gauges
 	// (place_transformations_total, place_hpwl, place_overflow,
@@ -163,41 +164,57 @@ type IterStats struct {
 	CGResidX float64 `json:"cg_resid_x"` // final relative residual, x solve
 	CGResidY float64 `json:"cg_resid_y"` // final relative residual, y solve
 
-	// Per-phase wall times of this transformation. The x and y solves run
-	// concurrently, so TSolveX+TSolveY can exceed TStep; TSolvePair is the
-	// pair's wall time — the duration the solve phase actually occupies —
-	// and the sequential phases plus TSolvePair are bounded by TStep.
-	TWeight    time.Duration `json:"t_weight_ns"` // BeforeTransform (net-weight update)
-	TGather    time.Duration `json:"t_gather_ns"` // density accumulation (fine + coarse grids)
-	TField     time.Duration `json:"t_field_ns"`  // Poisson force-field evaluation
-	TBuild     time.Duration `json:"t_build_ns"`  // quadratic system assembly
-	TSolveX    time.Duration `json:"t_solve_x_ns"`
-	TSolveY    time.Duration `json:"t_solve_y_ns"`
+	// Phases is embedded, so its t_*_ns keys follow cg_resid_y at the
+	// top level of the trace record.
+	Phases
+}
+
+// Phases holds the per-phase wall times of one transformation (IterStats)
+// or their sums over a run (Result.Phases). It declares the phase schema
+// once: its JSON tags are the trace keys, and PhaseKeys, the span names and
+// every per-phase breakdown derive from its fields. The x/y solves are one
+// concurrent phase, so the phases before TStep are sequential and sum to
+// at most TStep.
+type Phases struct {
+	TWeight    time.Duration `json:"t_weight_ns"`     // BeforeTransform (net-weight update)
+	TGather    time.Duration `json:"t_gather_ns"`     // density accumulation (fine + coarse grids)
+	TField     time.Duration `json:"t_field_ns"`      // Poisson force-field evaluation
+	TBuild     time.Duration `json:"t_build_ns"`      // quadratic system assembly
 	TSolvePair time.Duration `json:"t_solve_pair_ns"` // wall time of the concurrent x/y solve pair
 	TStep      time.Duration `json:"t_step_ns"`       // whole transformation
 }
 
-// PhaseTotals accumulates per-phase durations over a run.
-type PhaseTotals struct {
-	Weight    time.Duration
-	Gather    time.Duration
-	Field     time.Duration
-	Build     time.Duration
-	SolveX    time.Duration
-	SolveY    time.Duration
-	SolvePair time.Duration // wall time of the concurrent solve pairs
-	Step      time.Duration // total transformation wall time
+// phaseKeys names each Phases field, in declaration order: its
+// t_<phase>_ns JSON tag with the affixes stripped and underscores dashed.
+var phaseKeys = func() []string {
+	t := reflect.TypeOf(Phases{})
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		tag := strings.TrimSuffix(strings.TrimPrefix(t.Field(i).Tag.Get("json"), "t_"), "_ns")
+		keys[i] = strings.ReplaceAll(tag, "_", "-")
+	}
+	return keys
+}()
+
+// PhaseKeys returns the canonical per-transformation phase names, in
+// Phases declaration order ("weight", ..., "solve-pair", "step").
+// ktracecheck derives its allowlist from it.
+func PhaseKeys() []string { return append([]string(nil), phaseKeys...) }
+
+// Each calls fn with every phase's key and duration, in declaration order.
+func (p Phases) Each(fn func(key string, d time.Duration)) {
+	v := reflect.ValueOf(p)
+	for i, k := range phaseKeys {
+		fn(k, time.Duration(v.Field(i).Int()))
+	}
 }
 
-func (p *PhaseTotals) add(s IterStats) {
-	p.Weight += s.TWeight
-	p.Gather += s.TGather
-	p.Field += s.TField
-	p.Build += s.TBuild
-	p.SolveX += s.TSolveX
-	p.SolveY += s.TSolveY
-	p.SolvePair += s.TSolvePair
-	p.Step += s.TStep
+// add accumulates q into p, phase by phase.
+func (p *Phases) add(q Phases) {
+	v, w := reflect.ValueOf(p).Elem(), reflect.ValueOf(q)
+	for i := range phaseKeys {
+		v.Field(i).SetInt(v.Field(i).Int() + w.Field(i).Int())
+	}
 }
 
 // StopReason says why a run ended. The typed string keeps the value set
@@ -235,18 +252,6 @@ func stopReasonFor(err error) StopReason {
 	return StopCancelled
 }
 
-// PhaseKeys returns the canonical per-transformation phase names, in
-// IterStats declaration order: the t_<phase>_ns trace keys with the t_/_ns
-// affixes stripped and underscores dashed. TestPhaseSchema holds the
-// IterStats tags and PhaseTotals to this list; ktracecheck derives its
-// allowlist from it.
-func PhaseKeys() []string {
-	return []string{
-		"weight", "gather", "field", "build",
-		"solve-x", "solve-y", "solve-pair", "step",
-	}
-}
-
 // Result summarizes a full run.
 type Result struct {
 	// Iterations is the total number of placement transformations the
@@ -264,7 +269,7 @@ type Result struct {
 	Runtime    time.Duration
 	// Phases breaks the run's time down by transformation phase; filled
 	// even with NoTrace set.
-	Phases PhaseTotals
+	Phases Phases
 	Trace  []IterStats
 }
 
@@ -437,10 +442,10 @@ func (p *Placer) Step() (IterStats, error) {
 	nl := p.nl
 	cfg := &p.cfg
 	stepStart := obsv.StartTimer()
-	var tWeight, tGather, tField, tBuild time.Duration
+	var ph Phases
 	if cfg.BeforeTransform != nil {
 		cfg.BeforeTransform(p.iter, p)
-		tWeight = stepStart.Elapsed()
+		ph.TWeight = stepStart.Elapsed()
 	}
 
 	// Density of the current placement (with any injected extra demand).
@@ -449,12 +454,12 @@ func (p *Placer) Step() (IterStats, error) {
 		p.grid.SetExtra(cfg.ExtraDemand(p.grid))
 	}
 	p.grid.Accumulate(nl)
-	tGather = mark.Elapsed()
+	ph.TGather = mark.Elapsed()
 	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
 	mark = obsv.StartTimer()
 	field := density.ComputeField(p.grid, cfg.FieldMethod)
-	tField = mark.Elapsed()
+	ph.TField = mark.Elapsed()
 	check.Finite("place/step field FX", field.FX)
 	check.Finite("place/step field FY", field.FY)
 
@@ -462,7 +467,7 @@ func (p *Placer) Step() (IterStats, error) {
 	// normalization depends on its stiffness.
 	mark = obsv.StartTimer()
 	sys := p.asm.Assemble()
-	tBuild = mark.Elapsed()
+	ph.TBuild = mark.Elapsed()
 	check.Symmetric("place/step C", sys.C, 1e-8)
 	check.SPDHint("place/step C", sys.C, 1e-8)
 
@@ -482,7 +487,7 @@ func (p *Placer) Step() (IterStats, error) {
 	// to near zero as the distribution evens out.
 	mark = obsv.StartTimer()
 	p.coarse.Accumulate(nl)
-	tGather += mark.Elapsed()
+	ph.TGather += mark.Elapsed()
 	atten := math.Min(1, p.coarse.Overflow()/0.2)
 	if atten < 0.02 {
 		atten = 0.02
@@ -587,7 +592,7 @@ func (p *Placer) Step() (IterStats, error) {
 	check.CellsFinite("place/step positions", nl)
 	mark = obsv.StartTimer()
 	p.grid.Accumulate(nl) // refresh density for stats/stopping
-	tGather += mark.Elapsed()
+	ph.TGather += mark.Elapsed()
 	stats := IterStats{
 		Iter:        p.iter,
 		HPWL:        nl.HPWL(),
@@ -598,26 +603,14 @@ func (p *Placer) Step() (IterStats, error) {
 		CGIterY:     res.Y.Iterations,
 		CGResidX:    res.X.Residual,
 		CGResidY:    res.Y.Residual,
-		TWeight:     tWeight,
-		TGather:     tGather,
-		TField:      tField,
-		TBuild:      tBuild,
-		TSolveX:     res.X.Elapsed,
-		TSolveY:     res.Y.Elapsed,
-		TSolvePair:  res.PairWall,
+		Phases:      ph,
 	}
 	stats.GapProxy = stats.EmptySquare / (cfg.StopSquareFactor * p.avgArea)
+	stats.TSolvePair = res.PairWall
 	stats.TStep = stepStart.Elapsed()
 	p.iter++
 	if sp := cfg.Spans; sp != nil {
-		sp.Record("place/weight", stats.TWeight)
-		sp.Record("place/gather", stats.TGather)
-		sp.Record("place/field", stats.TField)
-		sp.Record("place/build", stats.TBuild)
-		sp.Record("place/solve-x", stats.TSolveX)
-		sp.Record("place/solve-y", stats.TSolveY)
-		sp.Record("place/solve-pair", stats.TSolvePair)
-		sp.Record("place/step", stats.TStep)
+		stats.Phases.Each(func(k string, d time.Duration) { sp.Record("place/"+k, d) })
 	}
 	p.met.steps.Inc()
 	p.met.hpwl.Set(stats.HPWL)
@@ -763,7 +756,7 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 		if !p.cfg.NoTrace {
 			res.Trace = append(res.Trace, stats)
 		}
-		res.Phases.add(stats)
+		res.Phases.add(stats.Phases)
 		res.Iterations = p.iter
 		res.HPWL = stats.HPWL
 		res.Overflow = stats.Overflow

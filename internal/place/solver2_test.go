@@ -38,9 +38,10 @@ func TestIC0CutsCGIterations(t *testing.T) {
 	}
 }
 
-// TestSolvePairPhaseAccounting: the new solve_pair phase must be populated
-// on every traced transformation and obey its documented bounds — positive,
-// at least the slower axis, and within the whole step.
+// TestSolvePairPhaseAccounting: the solve_pair phase must be populated on
+// every traced transformation and obey its documented bounds — positive
+// and within the whole step. qp's TestSolvePairWallBoundsAxes checks that
+// it covers both axis solves.
 func TestSolvePairPhaseAccounting(t *testing.T) {
 	nl := warmNetlist(57)
 	res, err := Global(nl, Config{MaxIter: 20})
@@ -54,19 +55,12 @@ func TestSolvePairPhaseAccounting(t *testing.T) {
 		if s.TSolvePair <= 0 {
 			t.Fatalf("iter %d: TSolvePair %v not positive", s.Iter, s.TSolvePair)
 		}
-		slower := s.TSolveX
-		if s.TSolveY > slower {
-			slower = s.TSolveY
-		}
-		if s.TSolvePair < slower {
-			t.Fatalf("iter %d: pair wall %v below slower axis %v", s.Iter, s.TSolvePair, slower)
-		}
 		if s.TSolvePair > s.TStep {
 			t.Fatalf("iter %d: pair wall %v exceeds step %v", s.Iter, s.TSolvePair, s.TStep)
 		}
 	}
-	if res.Phases.SolvePair <= 0 || res.Phases.SolvePair > res.Phases.Step {
-		t.Fatalf("PhaseTotals.SolvePair %v out of range (step total %v)",
-			res.Phases.SolvePair, res.Phases.Step)
+	if res.Phases.TSolvePair <= 0 || res.Phases.TSolvePair > res.Phases.TStep {
+		t.Fatalf("Result.Phases.TSolvePair %v out of range (step total %v)",
+			res.Phases.TSolvePair, res.Phases.TStep)
 	}
 }

@@ -2,6 +2,7 @@ package qp
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -106,5 +107,36 @@ func TestTwoPinNetsNeverUseStar(t *testing.T) {
 	}
 	if math.Abs(star.Dx[0]-clique.Dx[0]) > 1e-12 {
 		t.Error("2-pin star/clique d mismatch")
+	}
+}
+
+// TestNetModelParseAndText: every model round-trips through its tag,
+// through ParseNetModel and through MarshalText/UnmarshalText; "" is the
+// paper's Clique, and an unknown tag is rejected with the choices listed.
+func TestNetModelParseAndText(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want NetModel
+		ok   bool
+	}{
+		{"clique", Clique, true}, {"", Clique, true}, {"star", Star, true},
+		{"hybrid", Hybrid, true}, {"steiner", Clique, false},
+	} {
+		if m, ok := ParseNetModel(tc.in); m != tc.want || ok != tc.ok {
+			t.Errorf("ParseNetModel(%q) = %v,%v want %v,%v", tc.in, m, ok, tc.want, tc.ok)
+		}
+		var u NetModel
+		if err := u.UnmarshalText([]byte(tc.in)); (err == nil) != tc.ok || u != tc.want {
+			t.Errorf("UnmarshalText(%q) = %v,%v want %v, ok %v", tc.in, u, err, tc.want, tc.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "want clique, star, or hybrid") {
+			t.Errorf("UnmarshalText(%q) error %q does not list the choices", tc.in, err)
+		}
+	}
+	for _, m := range []NetModel{Clique, Star, Hybrid} {
+		text, err := m.MarshalText()
+		var back NetModel
+		if err != nil || string(text) != m.String() || back.UnmarshalText(text) != nil || back != m {
+			t.Errorf("%v does not round-trip through its text %q", m, text)
+		}
 	}
 }

@@ -59,6 +59,20 @@ func ParseNetModel(s string) (NetModel, bool) {
 	}
 }
 
+// MarshalText implements encoding.TextMarshaler with the String tag.
+func (m NetModel) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through
+// ParseNetModel, so flags and JSON share one parse and one error.
+func (m *NetModel) UnmarshalText(b []byte) error {
+	v, ok := ParseNetModel(string(b))
+	if !ok {
+		return fmt.Errorf("unknown net model %q (want clique, star, or hybrid)", b)
+	}
+	*m = v
+	return nil
+}
+
 // Options controls system assembly.
 type Options struct {
 	// Linearize divides each clique edge weight by the current pin-to-pin

@@ -326,3 +326,32 @@ func TestSolveResidualWithForces(t *testing.T) {
 		t.Error("force did not move the cell under residual solve")
 	}
 }
+
+// TestSolvePairWallBoundsAxes: the pair's wall time covers both
+// concurrent axis solves, so neither axis's own elapsed time exceeds it.
+// This is why the placer reports the pair, not the axes, as its solve
+// phase.
+func TestSolvePairWallBoundsAxes(t *testing.T) {
+	nl := netgen.Generate(netgen.Config{Name: "pair", Cells: 400, Nets: 520, Rows: 8, Seed: 12})
+	netgen.ScatterRandom(nl, 4)
+	forces := make([]geom.Point, len(nl.Cells))
+	for i := range forces {
+		forces[i] = geom.Point{X: float64(i%7) - 3, Y: float64(i%5) - 2}
+	}
+	s := Build(nl, Options{})
+	for _, solve := range []func() (SolveResult, error){
+		func() (SolveResult, error) { return s.Solve(nil, sparse.CGOptions{}) },
+		func() (SolveResult, error) { return s.SolveDelta(forces, sparse.CGOptions{}) },
+	} {
+		res, err := solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PairWall <= 0 || res.X.Elapsed <= 0 || res.Y.Elapsed <= 0 {
+			t.Fatalf("unmeasured solve: pair %v, x %v, y %v", res.PairWall, res.X.Elapsed, res.Y.Elapsed)
+		}
+		if res.X.Elapsed > res.PairWall || res.Y.Elapsed > res.PairWall {
+			t.Errorf("axis solve exceeds the pair wall: x %v, y %v, pair %v", res.X.Elapsed, res.Y.Elapsed, res.PairWall)
+		}
+	}
+}

@@ -10,7 +10,8 @@ import (
 // GET /jobs/{id}/events and the "samples" section of flight-recorder
 // bundles. Seq is the stream cursor: it increments by one per event for
 // the job's lifetime, so a client that reconnects with its last seen seq
-// misses nothing that is still buffered.
+// misses nothing that is still buffered. The phase times carry the run
+// trace's own t_*_ns keys (place.Phases).
 type Event struct {
 	Seq      int     `json:"seq"`
 	Iter     int     `json:"iter"`
@@ -19,12 +20,7 @@ type Event struct {
 	// GapProxy is the distance to the paper's §4.2 stopping criterion
 	// (≤1 means met); see place.IterStats.
 	GapProxy float64 `json:"gap_proxy"`
-	WeightNS int64   `json:"weight_ns"`
-	GatherNS int64   `json:"gather_ns"`
-	FieldNS  int64   `json:"field_ns"`
-	BuildNS  int64   `json:"build_ns"`
-	SolveNS  int64   `json:"solve_ns"`
-	StepNS   int64   `json:"step_ns"`
+	place.Phases
 	// Final marks the stream's last event; State carries the job's
 	// terminal state on it.
 	Final bool  `json:"final,omitempty"`
@@ -32,28 +28,13 @@ type Event struct {
 }
 
 // eventFrom projects one iteration's stats into the streaming schema.
-// Solve time is the concurrent x/y pair's measured wall time; when the
-// stats predate that phase (zero), it degrades to the larger of the two
-// per-axis times, which bounds the pair's wall contribution from below.
 func eventFrom(st place.IterStats) Event {
-	solve := st.TSolvePair
-	if solve <= 0 {
-		solve = st.TSolveX
-		if st.TSolveY > solve {
-			solve = st.TSolveY
-		}
-	}
 	return Event{
 		Iter:     st.Iter,
 		HPWL:     st.HPWL,
 		Overflow: st.Overflow,
 		GapProxy: st.GapProxy,
-		WeightNS: st.TWeight.Nanoseconds(),
-		GatherNS: st.TGather.Nanoseconds(),
-		FieldNS:  st.TField.Nanoseconds(),
-		BuildNS:  st.TBuild.Nanoseconds(),
-		SolveNS:  solve.Nanoseconds(),
-		StepNS:   st.TStep.Nanoseconds(),
+		Phases:   st.Phases,
 	}
 }
 

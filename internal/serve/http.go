@@ -5,63 +5,70 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/density"
 	"repro/internal/netlist"
 	"repro/internal/obsv"
 	"repro/internal/place"
-	"repro/internal/qp"
-	"repro/internal/sparse"
 )
 
-// SubmitRequest is the POST /jobs JSON body. The netlist travels in the
-// repo's text interchange format (netlist.Read / netlist.Write).
+// SubmitRequest is the POST /jobs JSON body: the netlist, an optional
+// deadline, and any knob of place.Knobs under its JSON key ("k",
+// "max_iter", "precond", ...), flat in one object. Omitted knobs keep
+// their zero value, the engine default. Unknown keys and bad values are
+// a 400.
 type SubmitRequest struct {
-	// Netlist is the design in text interchange format.
-	Netlist string `json:"netlist"`
-	// K is the Kraftwerk speed parameter (0 → 0.2 standard mode).
-	K float64 `json:"k,omitempty"`
-	// MaxIter caps the transformations (0 → engine default).
-	MaxIter int `json:"max_iter,omitempty"`
-	// DeadlineMS bounds the job's wall time in milliseconds; on expiry
-	// the job completes with its best placement so far and
-	// stop_reason "deadline". 0 uses the server default.
-	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// Precond selects the CG preconditioner: "jacobi", "ic0", or "auto"
-	// ("" → auto). Unknown values are a 400.
-	Precond string `json:"precond,omitempty"`
-	// Field selects the density field solver: "auto", "direct", or
-	// "rfft" ("" → auto). Unknown values are a 400.
-	Field string `json:"field,omitempty"`
-	// GridBins is the density grid resolution per axis (0 → automatic
-	// from the design size).
-	GridBins int `json:"grid_bins,omitempty"`
-	// NoLinearize disables the net-weight linearization, making the
-	// solve purely quadratic.
-	NoLinearize bool `json:"no_linearize,omitempty"`
-	// NetModel selects the net decomposition: "clique" (or "", the
-	// paper's model), "star", or "hybrid". Unknown values are a 400.
-	NetModel string `json:"net_model,omitempty"`
-	// KeepPlacement starts from the submitted netlist's positions
-	// instead of gathering cells at the region center (ECO-style).
-	KeepPlacement bool `json:"keep_placement,omitempty"`
-	// StopSquareFactor is the §4.2 stopping-criterion multiple (0 →
-	// engine default 4).
-	StopSquareFactor float64 `json:"stop_square_factor,omitempty"`
-	// EmptyFrac is the empty-bin demand threshold (0 → engine
-	// default 0.25).
-	EmptyFrac float64 `json:"empty_frac,omitempty"`
-	// ForceFloor zeroes force increments below this fraction of the
-	// field maximum (0 → off).
-	ForceFloor float64 `json:"force_floor,omitempty"`
-	// CGTol is the CG solver's relative residual tolerance (0 → engine
-	// default 1e-6).
-	CGTol float64 `json:"cg_tol,omitempty"`
-	// CGMaxIter caps CG iterations per solve (0 → engine default).
-	CGMaxIter int `json:"cg_max_iter,omitempty"`
+	// Netlist ("netlist") is the design in text interchange format.
+	Netlist string
+	// DeadlineMS ("deadline_ms") bounds the job's wall time; on expiry
+	// the job completes with its best placement so far and stop_reason
+	// "deadline". 0 uses the server default.
+	DeadlineMS int
+	// Config carries the knobs; its hooks are not settable over HTTP.
+	Config place.Config
+}
+
+// UnmarshalJSON decodes a POST /jobs body, routing every key other than
+// netlist and deadline_ms through the knob table.
+func (r *SubmitRequest) UnmarshalJSON(b []byte) error {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(b, &fields); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // report the same bad key on every decode
+	for _, k := range keys {
+		var err error
+		switch k {
+		case "netlist":
+			err = json.Unmarshal(fields[k], &r.Netlist)
+		case "deadline_ms":
+			err = json.Unmarshal(fields[k], &r.DeadlineMS)
+		default:
+			err = r.Config.SetKnob(k, fields[k])
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MarshalJSON encodes the body UnmarshalJSON reads: zero knobs and a
+// zero deadline are omitted.
+func (r SubmitRequest) MarshalJSON() ([]byte, error) {
+	m := r.Config.KnobValues()
+	m["netlist"] = r.Netlist
+	if r.DeadlineMS != 0 {
+		m["deadline_ms"] = r.DeadlineMS
+	}
+	return json.Marshal(m)
 }
 
 // SubmitResponse is the POST /jobs success body.
@@ -115,9 +122,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a trace would otherwise not see; Submit folds it into the span tree.
 	sw := obsv.StartTimer()
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields() // a typo or retired knob must not be silently ignored
-	if err := dec.Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -126,38 +131,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad netlist: " + err.Error()})
 		return
 	}
-	pc, ok := sparse.ParsePreconditioner(req.Precond)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown precond %q (want jacobi, ic0, or auto)", req.Precond)})
-		return
-	}
-	fm, ok := density.ParseMethod(req.Field)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown field %q (want auto, direct, or rfft)", req.Field)})
-		return
-	}
-	nm, ok := qp.ParseNetModel(req.NetModel)
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown net_model %q (want clique, star, or hybrid)", req.NetModel)})
-		return
-	}
 	// A malformed traceparent degrades to a fresh trace, never to a 4xx:
 	// observability must not fail requests.
 	parent, _ := obsv.ParseTraceParent(r.Header.Get("traceparent"))
 	job, err := s.Submit(JobRequest{
-		Netlist: nl,
-		Config: place.Config{
-			K: req.K, MaxIter: req.MaxIter,
-			GridBins:         req.GridBins,
-			NoLinearize:      req.NoLinearize,
-			NetModel:         nm,
-			KeepPlacement:    req.KeepPlacement,
-			StopSquareFactor: req.StopSquareFactor,
-			EmptyFrac:        req.EmptyFrac,
-			ForceFloor:       req.ForceFloor,
-			CG:               sparse.CGOptions{Tol: req.CGTol, MaxIter: req.CGMaxIter, Precond: pc},
-			FieldMethod:      fm,
-		},
+		Netlist:  nl,
+		Config:   req.Config,
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
 		Trace:    parent,
 		Accept:   sw.Elapsed(),

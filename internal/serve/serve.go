@@ -445,29 +445,18 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	s.met.jobSeconds.Observe(elapsed.Seconds())
 	s.met.runSeconds.Observe(elapsed.Seconds())
 
-	// Fold the run's phase totals into the trace as a waterfall of
-	// aggregate child spans (laid end to end from the run start; the x/y
-	// solves actually overlap, so the waterfall is a duration budget, not
-	// a timeline), then close the run and root spans.
+	// Fold the run's phase totals into the trace as aggregate child spans
+	// laid end to end from the run start. The phases are sequential and
+	// sum to at most the step time, so the waterfall ends within the run.
 	runEnd := s.now()
 	runStart := runEnd.Add(-elapsed)
 	t := runStart
-	for _, ph := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"phase/weight", res.Phases.Weight},
-		{"phase/gather", res.Phases.Gather},
-		{"phase/field", res.Phases.Field},
-		{"phase/build", res.Phases.Build},
-		{"phase/solve-x", res.Phases.SolveX},
-		{"phase/solve-y", res.Phases.SolveY},
-	} {
-		if ph.d > 0 {
-			runSpan.RecordChild(ph.name, t, t.Add(ph.d))
-			t = t.Add(ph.d)
+	res.Phases.Each(func(k string, d time.Duration) {
+		if k != "step" && d > 0 {
+			runSpan.RecordChild("phase/"+k, t, t.Add(d))
+			t = t.Add(d)
 		}
-	}
+	})
 	runSpan.SetAttr("iterations", fmt.Sprint(res.Iterations))
 	runSpan.SetAttr("stop_reason", string(res.StopReason))
 	runSpan.SetAttr("hpwl", fmt.Sprintf("%g", res.HPWL))

@@ -8,14 +8,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/density"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
+	"repro/internal/sparse"
 )
 
 func testNetlist(cells int, seed int64) *netlist.Netlist {
@@ -135,7 +138,7 @@ func TestSubmitPollResult(t *testing.T) {
 
 	code, sr := postJob(t, hs.URL, SubmitRequest{
 		Netlist: netlistText(t, testNetlist(300, 1)),
-		MaxIter: 120,
+		Config:  place.Config{MaxIter: 120},
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
@@ -212,12 +215,12 @@ func TestQueueFullBackpressure(t *testing.T) {
 	<-started // the worker is now occupied; the queue is empty
 
 	text := netlistText(t, testNetlist(60, 3))
-	code, queued := postJob(t, hs.URL, SubmitRequest{Netlist: text, MaxIter: 3})
+	code, queued := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 3}})
 	if code != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: %d", code)
 	}
 
-	body, _ := json.Marshal(SubmitRequest{Netlist: text, MaxIter: 3})
+	body, _ := json.Marshal(SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 3}})
 	resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +291,7 @@ func TestDeadlinePartial(t *testing.T) {
 
 	code, sr := postJob(t, hs.URL, SubmitRequest{
 		Netlist:    netlistText(t, testNetlist(1500, 5)),
-		MaxIter:    400,
+		Config:     place.Config{MaxIter: 400},
 		DeadlineMS: 100,
 	})
 	if code != http.StatusAccepted {
@@ -325,8 +328,8 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := netlistText(t, testNetlist(200, 7))
-	code1, n1 := postJob(t, hs.URL, SubmitRequest{Netlist: text, MaxIter: 60})
-	code2, n2 := postJob(t, hs.URL, SubmitRequest{Netlist: text, MaxIter: 60})
+	code1, n1 := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 60}})
+	code2, n2 := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 60}})
 	if code1 != http.StatusAccepted || code2 != http.StatusAccepted {
 		t.Fatalf("submits: %d, %d", code1, code2)
 	}
@@ -344,7 +347,7 @@ func TestPanicIsolation(t *testing.T) {
 		}
 	}
 	// The pool still accepts and runs work.
-	code3, n3 := postJob(t, hs.URL, SubmitRequest{Netlist: text, MaxIter: 30})
+	code3, n3 := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 30}})
 	if code3 != http.StatusAccepted {
 		t.Fatalf("post-panic submit: %d", code3)
 	}
@@ -520,9 +523,9 @@ func TestSubmitSolverKnobs(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	text := netlistText(t, testNetlist(200, 7))
 
-	code, sr := postJob(t, hs.URL, SubmitRequest{
-		Netlist: text, MaxIter: 10, Precond: "ic0", Field: "rfft",
-	})
+	code, sr := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{
+		MaxIter: 10, CG: sparse.CGOptions{Precond: sparse.IC0}, FieldMethod: density.RealFFT,
+	}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit with solver knobs: %d", code)
 	}
@@ -531,13 +534,14 @@ func TestSubmitSolverKnobs(t *testing.T) {
 	}
 	assertLegalResult(t, hs.URL, sr.ID)
 
-	for _, req := range []SubmitRequest{
-		{Netlist: text, Precond: "ilu"},
-		{Netlist: text, Field: "spectral"},
-		{Netlist: text, Field: "fft"},
+	for _, knob := range []map[string]any{
+		{"precond": "ilu"},
+		{"field": "spectral"},
+		{"field": "fft"},
+		{"net_model": "steiner"},
 	} {
-		if code, _ := postJob(t, hs.URL, req); code != http.StatusBadRequest {
-			t.Fatalf("bad knob %q/%q accepted with %d, want 400", req.Precond, req.Field, code)
+		if code, _ := postBody(t, hs.URL, text, knob); code != http.StatusBadRequest {
+			t.Fatalf("bad knob %v accepted with %d, want 400", knob, code)
 		}
 	}
 }
@@ -551,23 +555,9 @@ func TestSubmitRejectsUnknownKeys(t *testing.T) {
 		{"cold": true},
 		{"precon": "ic0"},
 	} {
-		body := map[string]any{"netlist": text, "max_iter": 3}
-		for k, v := range extra {
-			body[k] = v
-		}
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var er errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&er)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("submit with %v: %d, want 400", extra, resp.StatusCode)
+		code, er := postBody(t, hs.URL, text, extra)
+		if code != http.StatusBadRequest {
+			t.Fatalf("submit with %v: %d, want 400", extra, code)
 		}
 		for k := range extra {
 			if !strings.Contains(er.Error, k) {
@@ -575,4 +565,73 @@ func TestSubmitRejectsUnknownKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSubmitEveryKnob posts every knob of the knob table under its JSON
+// key: the job is accepted, and the body decodes to the Config that sets
+// each field directly. A SubmitRequest encodes back to the same body.
+func TestSubmitEveryKnob(t *testing.T) {
+	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	text := netlistText(t, testNetlist(60, 11))
+	var want place.Config
+	body := map[string]any{}
+	for _, k := range place.Knobs() {
+		v := reflect.ValueOf(k.Ptr(&want)).Elem()
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int:
+			v.SetInt(1) // for the enums, the first non-default choice
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		default:
+			t.Fatalf("knob %s has kind %s", k.Key, v.Kind())
+		}
+		body[k.Key] = v.Interface()
+	}
+	code, _ := postBody(t, hs.URL, text, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with every knob: %d, want 202", code)
+	}
+
+	body["netlist"] = text
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req SubmitRequest
+	if err := json.Unmarshal(raw, &req); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req.Config, want) {
+		t.Errorf("decoded config %+v, want %+v", req.Config, want)
+	}
+	again, err := json.Marshal(SubmitRequest{Netlist: text, Config: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(raw) {
+		t.Errorf("SubmitRequest encodes as %s, want %s", again, raw)
+	}
+}
+
+// postBody posts a raw POST /jobs body: the netlist plus the given keys.
+func postBody(t *testing.T, url, text string, keys map[string]any) (int, errorResponse) {
+	t.Helper()
+	body := map[string]any{"netlist": text, "max_iter": 3}
+	for k, v := range keys {
+		body[k] = v
+	}
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	return resp.StatusCode, er
 }

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obsv"
 	"repro/internal/place"
@@ -52,7 +54,7 @@ func TestTraceStitchedEndToEnd(t *testing.T) {
 	const parentHeader = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	body, err := json.Marshal(SubmitRequest{
 		Netlist: netlistText(t, testNetlist(300, 21)),
-		MaxIter: 40,
+		Config:  place.Config{MaxIter: 40},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,14 +124,29 @@ func TestTraceStitchedEndToEnd(t *testing.T) {
 	if run.Attrs["stop_reason"] == "" || run.Attrs["iterations"] == "" {
 		t.Errorf("run span attrs: %+v", run.Attrs)
 	}
-	phases := 0
+	// The waterfall has one child per sequential phase (weight is zero
+	// without a BeforeTransform hook, and step is the run span itself),
+	// and every child ends within the run span: the solve is one
+	// concurrent pair, not two solves laid end to end.
+	var phases []string
+	runEnd := run.Start.Add(time.Duration(run.DurNS))
 	for _, c := range run.Children {
-		if strings.HasPrefix(c.Name, "phase/") {
-			phases++
+		if !strings.HasPrefix(c.Name, "phase/") {
+			continue
+		}
+		phases = append(phases, strings.TrimPrefix(c.Name, "phase/"))
+		if c.Start.Before(run.Start) || c.Start.Add(time.Duration(c.DurNS)).After(runEnd) {
+			t.Errorf("%s [%v, +%dns] outside run span [%v, %v]", c.Name, c.Start, c.DurNS, run.Start, runEnd)
 		}
 	}
-	if phases < 5 {
-		t.Errorf("run span has %d phase/* children, want the full waterfall: %+v", phases, run.Children)
+	var want []string
+	for _, k := range place.PhaseKeys() {
+		if k != "weight" && k != "step" {
+			want = append(want, k)
+		}
+	}
+	if !reflect.DeepEqual(phases, want) {
+		t.Errorf("run span phase/* children %q, want %q", phases, want)
 	}
 }
 
@@ -139,7 +156,7 @@ func TestTraceStitchedEndToEnd(t *testing.T) {
 func TestTraceFreshWithoutHeader(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
-	body, _ := json.Marshal(SubmitRequest{Netlist: netlistText(t, testNetlist(80, 22)), MaxIter: 5})
+	body, _ := json.Marshal(SubmitRequest{Netlist: netlistText(t, testNetlist(80, 22)), Config: place.Config{MaxIter: 5}})
 	req, _ := http.NewRequest("POST", hs.URL+"/jobs", bytes.NewReader(body))
 	req.Header.Set("traceparent", "garbage-not-a-traceparent")
 	resp, err := http.DefaultClient.Do(req)
@@ -170,7 +187,7 @@ func TestEventStreamSSE(t *testing.T) {
 
 	code, sr := postJob(t, hs.URL, SubmitRequest{
 		Netlist: netlistText(t, testNetlist(800, 23)),
-		MaxIter: 40,
+		Config:  place.Config{MaxIter: 40},
 	})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
@@ -235,7 +252,7 @@ func TestEventStreamSSE(t *testing.T) {
 		if i > 0 && e.Iter < events[i-1].Iter {
 			t.Fatalf("iteration regressed: %d after %d", e.Iter, events[i-1].Iter)
 		}
-		if e.HPWL <= 0 || e.StepNS <= 0 || e.GapProxy < 0 {
+		if e.HPWL <= 0 || e.TStep <= 0 || e.GapProxy < 0 {
 			t.Fatalf("implausible sample %+v", e)
 		}
 	}
@@ -312,7 +329,7 @@ func TestDeadlineMissFlightRecord(t *testing.T) {
 
 	code, sr := postJob(t, hs.URL, SubmitRequest{
 		Netlist:    netlistText(t, testNetlist(1500, 25)),
-		MaxIter:    400,
+		Config:     place.Config{MaxIter: 400},
 		DeadlineMS: 100,
 	})
 	if code != http.StatusAccepted {
@@ -397,10 +414,10 @@ func TestRejectBurstFlightRecord(t *testing.T) {
 	}
 	<-started
 	text := netlistText(t, testNetlist(60, 27))
-	if code, _ := postJob(t, hs.URL, SubmitRequest{Netlist: text, MaxIter: 3}); code != http.StatusAccepted {
+	if code, _ := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 3}}); code != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: %d", code)
 	}
-	body, _ := json.Marshal(SubmitRequest{Netlist: text, MaxIter: 3})
+	body, _ := json.Marshal(SubmitRequest{Netlist: text, Config: place.Config{MaxIter: 3}})
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -476,7 +493,7 @@ func TestHealthzEnriched(t *testing.T) {
 // Prometheus encoding with quantile companions.
 func TestQueueWaitMetrics(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	code, sr := postJob(t, hs.URL, SubmitRequest{Netlist: netlistText(t, testNetlist(80, 29)), MaxIter: 5})
+	code, sr := postJob(t, hs.URL, SubmitRequest{Netlist: netlistText(t, testNetlist(80, 29)), Config: place.Config{MaxIter: 5}})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
@@ -561,7 +578,7 @@ func TestConcurrentSubmitStreamDump(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		code, sr := postJob(t, hs.URL, SubmitRequest{
 			Netlist: netlistText(t, testNetlist(150, int64(40+i))),
-			MaxIter: 20,
+			Config:  place.Config{MaxIter: 20},
 		})
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: %d", i, code)

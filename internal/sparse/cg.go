@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -55,6 +56,20 @@ func ParsePreconditioner(s string) (p Preconditioner, ok bool) {
 		return IC0, true
 	}
 	return Auto, false
+}
+
+// MarshalText implements encoding.TextMarshaler with the String tag.
+func (p Preconditioner) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler through
+// ParsePreconditioner, so flags and JSON share one parse and one error.
+func (p *Preconditioner) UnmarshalText(b []byte) error {
+	v, ok := ParsePreconditioner(string(b))
+	if !ok {
+		return fmt.Errorf("unknown preconditioner %q (want jacobi, ic0, or auto)", b)
+	}
+	*p = v
+	return nil
 }
 
 // Resolve maps Auto to the concrete preconditioner for an n-unknown

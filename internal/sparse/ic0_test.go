@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -378,6 +379,20 @@ func TestPrecondResolveAndParse(t *testing.T) {
 		p, ok := ParsePreconditioner(tc.in)
 		if p != tc.want || ok != tc.ok {
 			t.Errorf("ParsePreconditioner(%q) = %v,%v want %v,%v", tc.in, p, ok, tc.want, tc.ok)
+		}
+		// UnmarshalText shares the parse; a rejected tag names the choices.
+		var u Preconditioner
+		if err := u.UnmarshalText([]byte(tc.in)); (err == nil) != tc.ok || u != tc.want {
+			t.Errorf("UnmarshalText(%q) = %v,%v want %v, ok %v", tc.in, u, err, tc.want, tc.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "want jacobi, ic0, or auto") {
+			t.Errorf("UnmarshalText(%q) error %q does not list the choices", tc.in, err)
+		}
+	}
+	for _, p := range []Preconditioner{Auto, Jacobi, IC0} {
+		text, err := p.MarshalText()
+		var back Preconditioner
+		if err != nil || string(text) != p.String() || back.UnmarshalText(text) != nil || back != p {
+			t.Errorf("%v does not round-trip through its text %q", p, text)
 		}
 	}
 	if Auto.String() != "auto" {

@@ -135,8 +135,8 @@ type (
 	Placer = place.Placer
 	// IterStats describes one placement transformation.
 	IterStats = place.IterStats
-	// PhaseTotals accumulates per-phase time over a run.
-	PhaseTotals = place.PhaseTotals
+	// Phases holds per-phase wall times of one transformation or a run.
+	Phases = place.Phases
 	// StopReason says why a run ended (one of the Stop* constants).
 	StopReason = place.StopReason
 )
@@ -153,7 +153,8 @@ const (
 	StopDeadline   = place.StopDeadline
 )
 
-// Solver engine knobs (Config.CG and Config.FieldMethod).
+// Solver engine knobs (Config.CG and Config.FieldMethod). The enum types
+// parse their tags with UnmarshalText and print them with String.
 type (
 	// CGOptions configures the conjugate-gradient linear solver.
 	CGOptions = sparse.CGOptions
@@ -181,14 +182,6 @@ const (
 	FieldRealFFT = density.RealFFT
 )
 
-// ParsePreconditioner maps "jacobi", "ic0", "auto" (or "") to a
-// Preconditioner; ok is false for anything else.
-func ParsePreconditioner(s string) (Preconditioner, bool) { return sparse.ParsePreconditioner(s) }
-
-// ParseFieldMethod maps "auto" (or ""), "direct", "rfft" to a
-// FieldMethod; ok is false for anything else.
-func ParseFieldMethod(s string) (FieldMethod, bool) { return density.ParseMethod(s) }
-
 // NetModel selects how a multi-pin net maps onto two-pin springs
 // (Config.NetModel).
 type NetModel = qp.NetModel
@@ -200,10 +193,6 @@ const (
 	NetStar   = qp.Star
 	NetHybrid = qp.Hybrid
 )
-
-// ParseNetModel maps "clique" (or ""), "star", "hybrid" to a NetModel; ok
-// is false for anything else.
-func ParseNetModel(s string) (NetModel, bool) { return qp.ParseNetModel(s) }
 
 // Global runs force-directed global placement on nl (§4.2), mutating cell
 // positions in place.
