@@ -283,7 +283,7 @@ func runKraftwerk(nl *netlist.Netlist, cfg place.Config, timeout time.Duration, 
 
 // printRunSummary reports how and why a Kraftwerk run ended, with the
 // per-phase time breakdown of the global placement loop; "other" is the
-// step time no phase covers (force scaling, the IC0 refactor, clamping).
+// step time no phase covers (force scaling, capping, clamping).
 func printRunSummary(res place.Result) {
 	fmt.Printf("global: %d iterations, stopped on %s, overflow %.3f, %.2fs\n",
 		res.Iterations, res.StopReason, res.Overflow, res.Runtime.Seconds())

@@ -10,7 +10,6 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/qp"
 	"repro/internal/sparse"
 )
 
@@ -26,8 +25,8 @@ type AblationRow struct {
 
 // RunAblation evaluates the design choices DESIGN.md calls out, one
 // variant at a time against the default configuration on one circuit:
-// net-weight linearization, the net model, the density-field evaluation
-// method, and the density-grid resolution.
+// net-weight linearization, the density-field evaluation method, the
+// density-grid resolution and the preconditioner.
 func RunAblation(opts Options, circuit string) ([]AblationRow, error) {
 	opts.setDefaults()
 	c := netgen.SuiteCircuit(circuit)
@@ -42,8 +41,6 @@ func RunAblation(opts Options, circuit string) ([]AblationRow, error) {
 	}{
 		{"default (clique, linearized, auto grid, FFT/auto)", place.Config{}},
 		{"no linearization (pure quadratic)", place.Config{NoLinearize: true}},
-		{"star net model", place.Config{NetModel: qp.Star}},
-		{"hybrid net model (star >10 pins)", place.Config{NetModel: qp.Hybrid}},
 		{"direct field evaluation (O(B²) oracle)", place.Config{FieldMethod: density.Direct}},
 		{"coarse grid (half resolution)", place.Config{GridBins: halfAutoBins(base)}},
 		{"fine grid (double resolution)", place.Config{GridBins: 2 * autoBins(base)}},

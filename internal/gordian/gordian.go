@@ -198,7 +198,7 @@ func solveWithAnchors(nl *netlist.Netlist, regions []region, cfg Config) error {
 	// over a few fixed-point sweeps. The sweeps converge toward the
 	// center-of-gravity-constrained solution without assembling an
 	// augmented matrix.
-	diag := sys.Matrix().Diag()
+	diag := sys.CellStiffness()
 	for sweep := 0; sweep < 4; sweep++ {
 		forces := make([]geom.Point, len(nl.Cells))
 		for _, r := range regions {

@@ -214,9 +214,9 @@ func TestLegalizeDecisionsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		swaps = 1614
-		hpwl  = 17359.848468847238
-		disp  = 5463.7309954213943
+		swaps = 1557
+		hpwl  = 17203.786623364285
+		disp  = 5355.7148217045906
 	)
 	if res.Swaps != swaps {
 		t.Errorf("swaps = %d, want %d", res.Swaps, swaps)

@@ -1,7 +1,7 @@
 // Package enumswitch checks that a switch over an enum-like type — a
 // named basic type from this module with two or more package-scope typed
 // constants — either covers every constant or carries an explicit default
-// clause. Without one, adding a fourth NetModel (say) compiles everywhere
+// clause. Without one, adding a fourth Preconditioner (say) compiles everywhere
 // and silently falls through the dispatch switches that were written for
 // three; the missing-case finding surfaces every such switch the moment
 // the constant lands.

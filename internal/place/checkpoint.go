@@ -25,8 +25,9 @@ import (
 // CheckpointVersion is the current snapshot schema version. Decoding
 // rejects snapshots from other versions: the state captured here is tied
 // to the iteration's internals, so silent cross-version resumes would not
-// be bit-compatible.
-const CheckpointVersion = 1
+// be bit-compatible. Version 2 added the star centers' entries to the warm
+// vectors, so a version-1 snapshot would resume from the wrong guess.
+const CheckpointVersion = 2
 
 // ErrCheckpointVersion reports a snapshot whose version does not match
 // CheckpointVersion.
@@ -54,7 +55,8 @@ type Checkpoint struct {
 	NetWeights []float64 `json:"net_weights"`       // one per net
 
 	// WarmDX/WarmDY are the previous transformation's displacement
-	// response, the CG starting guess of the next one.
+	// response, the CG starting guess of the next one: one entry per
+	// unknown of the quadratic system, cells and then star centers.
 	WarmDX []float64 `json:"warm_dx,omitempty"`
 	WarmDY []float64 `json:"warm_dy,omitempty"`
 

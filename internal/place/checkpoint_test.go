@@ -3,6 +3,7 @@ package place
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -147,6 +148,16 @@ func TestResumeRejectsMismatchedNetlist(t *testing.T) {
 	if _, err := Resume(nl, Config{}, ck); err == nil {
 		t.Fatal("Resume accepted a checkpoint with a wrong version")
 	}
+
+	// A version-1 snapshot's warm vectors lack the star centers.
+	ck.Version = 1
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpoint(&buf); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("decoding a version-1 snapshot: %v, want ErrCheckpointVersion", err)
+	}
 }
 
 // TestDecodeCheckpointCorrupt: truncated and corrupted snapshots must
@@ -200,8 +211,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"version":1,"cells":0,"nets":0}`))
-	f.Add([]byte(`{"version":1,"cells":-1}`))
+	f.Add([]byte(`{"version":2,"cells":0,"nets":0}`))
+	f.Add([]byte(`{"version":2,"cells":-1}`))
 	f.Add([]byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -30,7 +30,6 @@ var knobs = []Knob{
 	{"grid_bins", "gridbins", "density grid resolution per axis (0 = automatic from design size)", func(c *Config) any { return &c.GridBins }},
 	{"field", "field", "density field solver: auto, direct, or rfft (real-input FFT)", func(c *Config) any { return &c.FieldMethod }},
 	{"no_linearize", "nolinearize", "disable the net-weight linearization (purely quadratic solve)", func(c *Config) any { return &c.NoLinearize }},
-	{"net_model", "netmodel", "net decomposition: clique (paper model), star, or hybrid", func(c *Config) any { return &c.NetModel }},
 	{"keep_placement", "keep", "start from the input netlist's positions instead of gathering at the region center", func(c *Config) any { return &c.KeepPlacement }},
 	{"stop_square_factor", "stopsq", "stopping-criterion multiple of average cell area (0 = default 4)", func(c *Config) any { return &c.StopSquareFactor }},
 	{"empty_frac", "emptyfrac", "empty-bin demand fraction threshold (0 = default 0.25)", func(c *Config) any { return &c.EmptyFrac }},

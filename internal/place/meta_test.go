@@ -102,7 +102,7 @@ func TestKnobFlags(t *testing.T) {
 			t.Errorf("%s: config %+v, want %+v", arg, got, want)
 		}
 	}
-	for _, arg := range []string{"-precond=ilu", "-field=fft", "-netmodel=steiner", "-cold"} {
+	for _, arg := range []string{"-precond=ilu", "-field=fft", "-netmodel=clique", "-cold"} {
 		var c Config
 		fs := flag.NewFlagSet("kplace", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

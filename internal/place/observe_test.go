@@ -131,7 +131,7 @@ func TestPhaseSchema(t *testing.T) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	var keys []string
-	for {
+	for isKey := false; ; {
 		tok, err := dec.Token()
 		if err == io.EOF {
 			break
@@ -139,21 +139,26 @@ func TestPhaseSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Every value of the zero IterStats is a number, so the string
-		// tokens are exactly the keys.
-		if k, ok := tok.(string); ok {
-			keys = append(keys, k)
+		// The record is flat, so after the opening brace the tokens
+		// alternate key, value.
+		if _, delim := tok.(json.Delim); delim {
+			isKey = true
+			continue
 		}
+		if isKey {
+			keys = append(keys, tok.(string))
+		}
+		isKey = !isKey
 	}
 	wantKeys := []string{
 		"iter", "hpwl", "overflow", "empty_square", "gap_proxy", "max_force",
-		"cg_iter_x", "cg_iter_y", "cg_resid_x", "cg_resid_y",
-		"t_weight_ns", "t_gather_ns", "t_field_ns", "t_build_ns", "t_solve_pair_ns", "t_step_ns",
+		"cg_iter_x", "cg_iter_y", "cg_resid_x", "cg_resid_y", "precond", "precond_fallback",
+		"t_weight_ns", "t_gather_ns", "t_field_ns", "t_build_ns", "t_precond_ns", "t_solve_pair_ns", "t_step_ns",
 	}
 	if !reflect.DeepEqual(keys, wantKeys) {
 		t.Errorf("trace record keys %q, want %q", keys, wantKeys)
 	}
-	wantPhases := []string{"weight", "gather", "field", "build", "solve-pair", "step"}
+	wantPhases := []string{"weight", "gather", "field", "build", "precond", "solve-pair", "step"}
 	if got := PhaseKeys(); !reflect.DeepEqual(got, wantPhases) {
 		t.Errorf("PhaseKeys() = %q, want %q", got, wantPhases)
 	}

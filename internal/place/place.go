@@ -47,9 +47,6 @@ type Config struct {
 	// NoLinearize disables the [14] net-weight linearization, making the
 	// solve purely quadratic.
 	NoLinearize bool
-	// NetModel selects the net decomposition (default qp.Clique, the
-	// paper's model; qp.Star / qp.Hybrid are ablation alternatives).
-	NetModel qp.NetModel
 	// KeepPlacement starts from the netlist's current positions instead of
 	// gathering all cells at the region center. Used by ECO.
 	KeepPlacement bool
@@ -163,6 +160,11 @@ type IterStats struct {
 	CGIterY  int     `json:"cg_iter_y"`
 	CGResidX float64 `json:"cg_resid_x"` // final relative residual, x solve
 	CGResidY float64 `json:"cg_resid_y"` // final relative residual, y solve
+	// Precond is the preconditioner the solves actually used, after Auto
+	// and any fallback; PrecondFallback is set when IC0 was chosen but its
+	// factorization broke down and Jacobi solved instead.
+	Precond         sparse.Preconditioner `json:"precond"`
+	PrecondFallback bool                  `json:"precond_fallback"`
 
 	// Phases is embedded, so its t_*_ns keys follow cg_resid_y at the
 	// top level of the trace record.
@@ -180,6 +182,7 @@ type Phases struct {
 	TGather    time.Duration `json:"t_gather_ns"`     // density accumulation (fine + coarse grids)
 	TField     time.Duration `json:"t_field_ns"`      // Poisson force-field evaluation
 	TBuild     time.Duration `json:"t_build_ns"`      // quadratic system assembly
+	TPrecond   time.Duration `json:"t_precond_ns"`    // preconditioner set-up (the IC0 refactor)
 	TSolvePair time.Duration `json:"t_solve_pair_ns"` // wall time of the concurrent x/y solve pair
 	TStep      time.Duration `json:"t_step_ns"`       // whole transformation
 }
@@ -393,7 +396,7 @@ func New(nl *netlist.Netlist, cfg Config) *Placer {
 		forces:  make([]geom.Point, len(nl.Cells)),
 		met:     newPlaceMetrics(cfg.Metrics),
 		avgArea: avg,
-		asm:     qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize, Model: cfg.NetModel}),
+		asm:     qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize}),
 	}
 	return p
 }
@@ -594,18 +597,21 @@ func (p *Placer) Step() (IterStats, error) {
 	p.grid.Accumulate(nl) // refresh density for stats/stopping
 	ph.TGather += mark.Elapsed()
 	stats := IterStats{
-		Iter:        p.iter,
-		HPWL:        nl.HPWL(),
-		Overflow:    p.grid.Overflow(),
-		EmptySquare: p.grid.LargestEmptySquare(cfg.EmptyFrac),
-		MaxForce:    targetMax,
-		CGIterX:     res.X.Iterations,
-		CGIterY:     res.Y.Iterations,
-		CGResidX:    res.X.Residual,
-		CGResidY:    res.Y.Residual,
-		Phases:      ph,
+		Iter:            p.iter,
+		HPWL:            nl.HPWL(),
+		Overflow:        p.grid.Overflow(),
+		EmptySquare:     p.grid.LargestEmptySquare(cfg.EmptyFrac),
+		MaxForce:        targetMax,
+		CGIterX:         res.X.Iterations,
+		CGIterY:         res.Y.Iterations,
+		CGResidX:        res.X.Residual,
+		CGResidY:        res.Y.Residual,
+		Precond:         res.X.Precond,
+		PrecondFallback: res.Fallback,
+		Phases:          ph,
 	}
 	stats.GapProxy = stats.EmptySquare / (cfg.StopSquareFactor * p.avgArea)
+	stats.TPrecond = res.PrecondWall
 	stats.TSolvePair = res.PairWall
 	stats.TStep = stepStart.Elapsed()
 	p.iter++
@@ -691,18 +697,21 @@ func clip(v, lim float64) float64 {
 	return v
 }
 
-// meanStiffness returns the average diagonal of C over movable cells — the
-// mean total spring constant a force increment must work against.
+// meanStiffness returns the average cell stiffness of the system — the
+// mean total spring constant a force increment must work against. It
+// averages the cell rows' diagonal with the star centers eliminated, the
+// clique model's diagonal, so the force normalization does not depend on
+// how nets are assembled.
 func meanStiffness(sys *qp.System) float64 {
-	n := sys.N()
-	if n == 0 {
+	d := sys.CellStiffness()
+	if len(d) == 0 {
 		return 1
 	}
 	var s float64
-	for _, d := range sys.Matrix().Diag() {
-		s += d
+	for _, v := range d {
+		s += v
 	}
-	return s / float64(n)
+	return s / float64(len(d))
 }
 
 // Done implements the §4.2 stopping criterion: no empty square larger than

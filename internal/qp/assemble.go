@@ -12,8 +12,8 @@ import (
 // (per iteration under linearization, on explicit re-weighting otherwise).
 // After the first full build, each Assemble is a numeric refill into the
 // cached CSR — no sorting, no merging, no allocation — and when the values
-// cannot have changed at all (clique model, no linearization, identical net
-// weights) the cached system is returned untouched.
+// cannot have changed at all (no linearization, identical net weights) the
+// cached system is returned untouched.
 type Assembler struct {
 	nl   *netlist.Netlist
 	opts Options
@@ -22,10 +22,10 @@ type Assembler struct {
 	sym *sparse.Symbolic
 	sys *System
 
-	// lastWeights backs the full-skip test: with the clique model and no
-	// linearization, C and d depend only on the net weights and the (never
-	// moving) fixed pins, so unchanged weights mean an unchanged system.
-	// Position-dependent models (linearize, star centroids) always refill.
+	// lastWeights backs the full-skip test: without linearization, C and
+	// d depend only on the net weights and the (never moving) fixed pins,
+	// so unchanged weights mean an unchanged system. A linearized system
+	// depends on positions and always refills.
 	lastWeights []float64
 
 	// Topology fingerprint guarding the cache; a changed cell or net count
@@ -53,7 +53,7 @@ func (a *Assembler) Assemble() *System {
 		a.rebuild()
 		return a.sys
 	}
-	if a.opts.Model == Clique && !a.opts.Linearize && a.weightsUnchanged() {
+	if !a.opts.Linearize && a.weightsUnchanged() {
 		return a.sys
 	}
 	// Numeric refill: replay the assembly into the reused builder and

@@ -47,14 +47,12 @@ func TestAssemblerMatchesBuildAcrossChanges(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{Linearize: true},
-		{Model: Star},
-		{Model: Hybrid, Linearize: true},
 	} {
 		nl := assemblerNetlist(31)
 		a := NewAssembler(nl, opts)
 		sameSystem(t, "initial", a.Assemble(), Build(nl, opts))
 
-		// Move every cell (changes linearized weights and star centroids).
+		// Move every cell (changes linearized weights).
 		for ci := range nl.Cells {
 			if !nl.Cells[ci].Fixed {
 				nl.Cells[ci].Pos.X += float64(ci%5) - 2
@@ -75,9 +73,9 @@ func TestAssemblerMatchesBuildAcrossChanges(t *testing.T) {
 
 func TestAssemblerFullSkipReturnsSameSystem(t *testing.T) {
 	nl := assemblerNetlist(32)
-	a := NewAssembler(nl, Options{}) // clique, no linearization: skippable
+	a := NewAssembler(nl, Options{}) // no linearization: skippable
 	s1 := a.Assemble()
-	// Moving cells cannot change a clique/non-linearized system; the
+	// Moving cells cannot change a non-linearized system; the
 	// assembler must detect that and return the cached system untouched.
 	for ci := range nl.Cells {
 		if !nl.Cells[ci].Fixed {

@@ -116,9 +116,9 @@ func TestRefilledFactorMatchesFreshAssembler(t *testing.T) {
 func TestFullSkipKeepsFactorValid(t *testing.T) {
 	cg := sparse.CGOptions{Tol: 1e-8, Precond: sparse.IC0}
 	nl := netgen.Generate(netgen.Config{Name: "fs", Cells: 200, Nets: 260, Rows: 6, Seed: 63})
-	a := NewAssembler(nl, Options{}) // clique, no linearization: skippable
+	a := NewAssembler(nl, Options{}) // no linearization: skippable
 	sys := a.Assemble()
-	if _, err := sys.SolveResidual(nil, cg); err != nil {
+	if _, err := sys.SolveDelta(nil, cg); err != nil {
 		t.Fatal(err)
 	}
 	if sys.cholDirty {
@@ -137,24 +137,33 @@ func TestFullSkipKeepsFactorValid(t *testing.T) {
 	if sys.cholDirty {
 		t.Fatal("full skip invalidated the cached factor")
 	}
-	if _, err := sys.SolveResidual(nil, cg); err != nil {
+	if _, err := sys.SolveDelta(nil, cg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestAutoResolvesBySystemSize: Auto must pick Jacobi for small systems
-// without ever building a factor.
+// without ever building a factor. It counts movable cells, not unknowns:
+// the 4000-cell design's star centers lift it past AutoIC0Threshold
+// unknowns, and it stays on Jacobi.
 func TestAutoResolvesBySystemSize(t *testing.T) {
-	nl := netgen.Generate(netgen.Config{Name: "au", Cells: 150, Nets: 200, Rows: 6, Seed: 64})
-	sys := Build(nl, Options{})
-	res, err := sys.Solve(nil, sparse.CGOptions{Precond: sparse.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X.Precond != sparse.Jacobi || res.Y.Precond != sparse.Jacobi {
-		t.Fatalf("Auto on %d unknowns resolved to %v/%v", sys.N(), res.X.Precond, res.Y.Precond)
-	}
-	if sys.chol != nil {
-		t.Fatal("Auto built an IC0 factor below the threshold")
+	for _, cfg := range []netgen.Config{
+		{Name: "au", Cells: 150, Nets: 200, Rows: 6, Seed: 64},
+		{Name: "ac", Cells: 4000, Nets: 5400, Rows: 20, Seed: 65},
+	} {
+		sys := Build(netgen.Generate(cfg), Options{})
+		if cfg.Cells == 4000 && sys.N() < sparse.AutoIC0Threshold {
+			t.Fatalf("%d cells give %d unknowns, want ≥ %d", cfg.Cells, sys.N(), sparse.AutoIC0Threshold)
+		}
+		res, err := sys.Solve(nil, sparse.CGOptions{Precond: sparse.Auto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.X.Precond != sparse.Jacobi || res.Y.Precond != sparse.Jacobi {
+			t.Fatalf("Auto on %d cells (%d unknowns) resolved to %v/%v", len(sys.CellOf), sys.N(), res.X.Precond, res.Y.Precond)
+		}
+		if sys.chol != nil {
+			t.Fatal("Auto built an IC0 factor below the threshold")
+		}
 	}
 }

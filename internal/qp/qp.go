@@ -3,6 +3,12 @@
 // and vectors d (x and y parts), and additional forces e extend the
 // equilibrium condition to C·p + d + e = 0 (eq. 3). The net-weight
 // linearization of [14] (Sigl/Doll/Johannes, DAC'91) is applied optionally.
+//
+// Nets of starMinPins or more pins enter as a star with a free center: one
+// extra variable per net, appended after the cell variables, tied to each
+// pin by a spoke. Eliminating the center (a Schur complement) gives back
+// the clique exactly, so the cell solution is the clique model's, with
+// O(k) instead of O(k²) matrix entries per net.
 package qp
 
 import (
@@ -16,68 +22,13 @@ import (
 	"repro/internal/sparse"
 )
 
-// NetModel selects how a multi-pin net maps onto two-pin springs.
-type NetModel int
-
-const (
-	// Clique is the paper's model (§2.1): k(k−1)/2 edges of weight w/k.
-	Clique NetModel = iota
-	// Star connects every pin to the net's centroid, treated as a fixed
-	// point of the current placement and refreshed on every rebuild (a
-	// quasi-static star: no extra variable enters the system). O(k) edges,
-	// useful for designs with wide nets.
-	Star
-	// Hybrid uses Clique for nets up to HybridThreshold pins and Star
-	// above, the usual practical compromise.
-	Hybrid
-)
-
-// String names the model for logs and flags.
-func (m NetModel) String() string {
-	switch m {
-	case Star:
-		return "star"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return "clique"
-	}
-}
-
-// ParseNetModel maps a flag/JSON value to a NetModel. The empty string is
-// the zero model (Clique), so an omitted field means the paper's default.
-func ParseNetModel(s string) (NetModel, bool) {
-	switch s {
-	case "clique", "":
-		return Clique, true
-	case "star":
-		return Star, true
-	case "hybrid":
-		return Hybrid, true
-	default:
-		return Clique, false
-	}
-}
-
-// MarshalText implements encoding.TextMarshaler with the String tag.
-func (m NetModel) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler through
-// ParseNetModel, so flags and JSON share one parse and one error.
-func (m *NetModel) UnmarshalText(b []byte) error {
-	v, ok := ParseNetModel(string(b))
-	if !ok {
-		return fmt.Errorf("unknown net model %q (want clique, star, or hybrid)", b)
-	}
-	*m = v
-	return nil
-}
-
 // Options controls system assembly.
 type Options struct {
-	// Linearize divides each clique edge weight by the current pin-to-pin
-	// distance (clamped below by MinDist), so successive solves approximate
-	// a linear wire-length objective [14].
+	// Linearize divides each spring weight by a current length (clamped
+	// below by MinDist), so successive solves approximate a linear
+	// wire-length objective [14]: a clique edge by its pin-to-pin
+	// distance, a star net's spokes by the mean distance of its pins to
+	// their centroid.
 	Linearize bool
 	// MinDist is the linearization distance clamp. Defaults to 1 layout
 	// unit (one row height).
@@ -86,20 +37,26 @@ type Options struct {
 	// center so components with no fixed connection still have a unique
 	// solution. Defaults to 1e-6 of the average connectivity.
 	Anchor float64
-	// Model selects the net decomposition (default Clique, the paper's).
-	Model NetModel
-	// HybridThreshold is the pin count above which Hybrid switches to the
-	// star model. Defaults to 10.
-	HybridThreshold int
 }
 
-// System is the assembled placement problem for one netlist.
+// starMinPins is the pin count from which a net is assembled as a star
+// with a free center instead of a clique. At 4 pins the star's 4 spokes
+// (plus the center's diagonal) already undercut the clique's 6 edges; 2-
+// and 3-pin nets stay cliques, which need no extra variable.
+const starMinPins = 4
+
+// System is the assembled placement problem for one netlist. Its unknowns
+// are the movable cells, in netlist order, followed by one center per star
+// net, in net order.
 type System struct {
 	nl *netlist.Netlist
 	// VarOf maps cell index → variable index, −1 for fixed cells.
 	VarOf []int
-	// CellOf maps variable index → cell index.
+	// CellOf maps cell variable index → cell index. Center variables
+	// follow the cell variables and have no entry.
 	CellOf []int
+	// centerNet maps center j (variable len(CellOf)+j) → its net.
+	centerNet []int
 
 	C      *sparse.CSR
 	Dx, Dy []float64
@@ -138,15 +95,12 @@ func normalize(opts Options) Options {
 	if opts.MinDist <= 0 {
 		opts.MinDist = 1
 	}
-	if opts.HybridThreshold <= 0 {
-		opts.HybridThreshold = 10
-	}
 	return opts
 }
 
-// newSkeleton allocates the structural half of a system: the cell/variable
-// maps and the d vectors. Valid until the netlist's cell or fixed-flag set
-// changes.
+// newSkeleton allocates the structural half of a system: the variable
+// maps and the d vectors. Valid until the netlist's cell, net or
+// fixed-flag set changes.
 func newSkeleton(nl *netlist.Netlist, opts Options) *System {
 	s := &System{nl: nl, opts: opts}
 	s.VarOf = make([]int, len(nl.Cells))
@@ -158,7 +112,12 @@ func newSkeleton(nl *netlist.Netlist, opts Options) *System {
 			s.CellOf = append(s.CellOf, i)
 		}
 	}
-	n := len(s.CellOf)
+	for ni := range nl.Nets {
+		if len(nl.Nets[ni].Pins) >= starMinPins {
+			s.centerNet = append(s.centerNet, ni)
+		}
+	}
+	n := s.N()
 	s.Dx = make([]float64, n)
 	s.Dy = make([]float64, n)
 	return s
@@ -166,19 +125,23 @@ func newSkeleton(nl *netlist.Netlist, opts Options) *System {
 
 // assembleInto zeroes d and accumulates every net plus the anchor springs
 // into b. The triplet insertion sequence is fully determined by the netlist
-// topology and the model options — never by weights or positions — which is
-// what lets Assembler replay it against a cached sparsity pattern.
+// topology — never by weights or positions — which is what lets Assembler
+// replay it against a cached sparsity pattern.
 func (s *System) assembleInto(b *sparse.Builder) {
 	nl := s.nl
 	s.cholDirty = true // values change; the cached factor must refresh
 	s.cholBroken = false
-	for vi := range s.Dx {
-		s.Dx[vi] = 0
-		s.Dy[vi] = 0
-	}
+	clear(s.Dx)
+	clear(s.Dy)
 	totalW := 0.0
+	center := len(s.CellOf)
 	for ni := range nl.Nets {
-		totalW += s.assembleNet(b, ni)
+		if len(nl.Nets[ni].Pins) >= starMinPins {
+			totalW += s.assembleStar(b, ni, center)
+			center++
+		} else {
+			totalW += s.assembleClique(b, ni)
+		}
 	}
 
 	// Anchor springs to the region center keep C strictly positive
@@ -186,7 +149,7 @@ func (s *System) assembleInto(b *sparse.Builder) {
 	// response of isolated cell islands to external forces.
 	anchor := s.opts.Anchor
 	if anchor <= 0 {
-		anchor = 1e-4 * (totalW/float64(maxInt(len(s.CellOf), 1)) + 1)
+		anchor = 1e-4 * (totalW/float64(max(len(s.CellOf), 1)) + 1)
 	}
 	c := nl.Region.Outline.Center()
 	for vi := range s.CellOf {
@@ -196,19 +159,15 @@ func (s *System) assembleInto(b *sparse.Builder) {
 	}
 }
 
-// assembleNet adds net ni under the selected model and returns the summed
-// edge weight (for anchor scaling).
-func (s *System) assembleNet(b *sparse.Builder, ni int) float64 {
+// assembleClique adds net ni as the paper's clique (§2.1): k(k−1)/2 edges
+// of weight w/k, each divided by its pin-to-pin distance when linearizing.
+// It returns the summed edge weight (for anchor scaling).
+func (s *System) assembleClique(b *sparse.Builder, ni int) float64 {
 	nl := s.nl
 	net := &nl.Nets[ni]
 	k := len(net.Pins)
 	if k < 2 {
 		return 0
-	}
-	useStar := s.opts.Model == Star && k > 2 ||
-		s.opts.Model == Hybrid && k > s.opts.HybridThreshold
-	if useStar {
-		return s.assembleStar(b, ni)
 	}
 	base := net.Weight / float64(k)
 	var total float64
@@ -231,43 +190,61 @@ func (s *System) assembleNet(b *sparse.Builder, ni int) float64 {
 	return total
 }
 
-// assembleStar connects each pin to the net's current centroid with weight
-// w·k/(k−1), the scaling under which the star and clique models produce
-// identical forces at the centroid-consistent state. The centroid is a
-// quasi-static fixed point refreshed on every rebuild, so no extra
-// variable enters the system.
-func (s *System) assembleStar(b *sparse.Builder, ni int) float64 {
+// assembleStar adds net ni as a star: every pin is tied to the free center
+// variable c by a spoke of weight w, the net weight. Minimizing over the
+// center's position leaves a clique of pair weight w/k — the paper's
+// clique exactly. When linearizing, every spoke is divided by R, the mean
+// distance of the pins to their centroid (clamped below by MinDist), which
+// leaves a clique of pair weight w/(k·R): one linearization distance per
+// net instead of one per pin pair. It returns the weight of that clique,
+// w(k−1)/(2R), so the anchor scales as it would under the clique.
+func (s *System) assembleStar(b *sparse.Builder, ni, c int) float64 {
 	nl := s.nl
 	net := &nl.Nets[ni]
-	k := len(net.Pins)
-	var centroid geom.Point
-	for _, p := range net.Pins {
-		centroid = centroid.Add(nl.PinPos(p))
+	k := float64(len(net.Pins))
+	w := net.Weight
+	if s.opts.Linearize {
+		centroid := s.centroid(ni)
+		var r float64
+		for _, p := range net.Pins {
+			r += nl.PinPos(p).Dist(centroid)
+		}
+		w /= max(r/k, s.opts.MinDist)
 	}
-	centroid = centroid.Scale(1 / float64(k))
+	// The center's diagonal sums its k spokes. A zero-weight net leaves
+	// the center decoupled; a unit diagonal keeps its row nonsingular.
+	cc := k * w
+	if cc == 0 {
+		cc = 1
+	}
+	b.Add(c, c, cc)
+	for _, p := range net.Pins {
+		// Cost w((x+o)−x_c)² per pin: the offset o shifts d; a fixed
+		// pin folds entirely into the center's d.
+		if vi := s.VarOf[p.Cell]; vi >= 0 {
+			b.Add(vi, vi, w)
+			b.AddSym(vi, c, -w)
+			s.Dx[vi] += w * p.Offset.X
+			s.Dy[vi] += w * p.Offset.Y
+			s.Dx[c] -= w * p.Offset.X
+			s.Dy[c] -= w * p.Offset.Y
+		} else {
+			pos := nl.PinPos(p)
+			s.Dx[c] -= w * pos.X
+			s.Dy[c] -= w * pos.Y
+		}
+	}
+	return w * (k - 1) / 2
+}
 
-	base := net.Weight * float64(k) / float64(k-1) / float64(k)
-	var total float64
-	for _, p := range net.Pins {
-		vi := s.VarOf[p.Cell]
-		if vi < 0 {
-			continue
-		}
-		w := base
-		if s.opts.Linearize {
-			d := nl.PinPos(p).Dist(centroid)
-			if d < s.opts.MinDist {
-				d = s.opts.MinDist
-			}
-			w /= d
-		}
-		total += w
-		// Spring from the pin to the fixed centroid point.
-		b.Add(vi, vi, w)
-		s.Dx[vi] += w * (p.Offset.X - centroid.X)
-		s.Dy[vi] += w * (p.Offset.Y - centroid.Y)
+// centroid returns the mean position of net ni's pins.
+func (s *System) centroid(ni int) geom.Point {
+	pins := s.nl.Nets[ni].Pins
+	var c geom.Point
+	for _, p := range pins {
+		c = c.Add(s.nl.PinPos(p))
 	}
-	return total
+	return c.Scale(1 / float64(len(pins)))
 }
 
 // assembleEdge adds one weighted spring between two pins. Each pin is
@@ -301,15 +278,42 @@ func (s *System) assembleEdge(b *sparse.Builder, pa, pb netlist.Pin, w float64) 
 	}
 }
 
-// N returns the number of movable variables per axis.
-func (s *System) N() int { return len(s.CellOf) }
+// N returns the number of unknowns per axis: the movable cells followed
+// by the star centers.
+func (s *System) N() int { return len(s.CellOf) + len(s.centerNet) }
 
 // Matrix exposes the assembled matrix C (shared by the x and y systems).
 func (s *System) Matrix() *sparse.CSR { return s.C }
 
+// CellStiffness returns, per cell variable, the diagonal of C reduced to
+// the cells: each cell's diagonal less C_ic²/C_cc for every star center c
+// on its row. Centers couple only to cells, so this is exactly the
+// diagonal of the Schur complement, the clique model's cell diagonal —
+// the spring constant a force on that cell works against.
+func (s *System) CellStiffness() []float64 {
+	d := s.C.Diag()
+	nc := len(s.CellOf)
+	for i := 0; i < nc; i++ {
+		cols, vals := s.C.Row(i)
+		// Columns are sorted and centers follow the cells, so they end
+		// the row.
+		for k := len(cols) - 1; k >= 0 && cols[k] >= nc; k-- {
+			d[i] -= vals[k] * vals[k] / d[cols[k]]
+		}
+	}
+	return d[:nc]
+}
+
 // SolveResult reports both axis solves.
 type SolveResult struct {
 	X, Y sparse.CGResult
+	// PrecondWall is the wall time of preparing the shared
+	// preconditioner before the pair: the IC0 refactor after a fresh
+	// assembly, nothing for Jacobi or an up-to-date factor.
+	PrecondWall time.Duration
+	// Fallback is set when the preconditioner resolved to IC0 but its
+	// factorization broke down, so both axes were solved with Jacobi.
+	Fallback bool
 	// PairWall is the wall time of the concurrent x/y solve pair —
 	// smaller than X.Elapsed + Y.Elapsed whenever the axes overlap, and
 	// the number that actually bounds the step time.
@@ -319,7 +323,8 @@ type SolveResult struct {
 // Solve computes the equilibrium C·p + d + e = 0 and writes the resulting
 // positions into the netlist. forces is the per-cell additional force
 // (indexed like nl.Cells; fixed entries ignored); nil means no additional
-// force. Current positions are used as the CG warm start.
+// force. Current positions, and for each star center its pins' centroid,
+// are the CG warm start.
 func (s *System) Solve(forces []geom.Point, opt sparse.CGOptions) (SolveResult, error) {
 	nl := s.nl
 	n := s.N()
@@ -330,17 +335,24 @@ func (s *System) Solve(forces []geom.Point, opt sparse.CGOptions) (SolveResult, 
 	by := make([]float64, n)
 	x := make([]float64, n)
 	y := make([]float64, n)
-	for vi, ci := range s.CellOf {
+	for vi := range bx {
 		// A positive force f on a cell shifts its equilibrium along f:
 		// row i of C·p = −d + f.
 		bx[vi] = -s.Dx[vi]
 		by[vi] = -s.Dy[vi]
+	}
+	for vi, ci := range s.CellOf {
 		if forces != nil {
 			bx[vi] += forces[ci].X
 			by[vi] += forces[ci].Y
 		}
 		x[vi] = nl.Cells[ci].Pos.X
 		y[vi] = nl.Cells[ci].Pos.Y
+	}
+	for j, ni := range s.centerNet {
+		c := s.centroid(ni)
+		x[len(s.CellOf)+j] = c.X
+		y[len(s.CellOf)+j] = c.Y
 	}
 	var out SolveResult
 	errX, errY := s.solveBoth(x, bx, y, by, opt, &out)
@@ -359,8 +371,10 @@ func (s *System) Solve(forces []geom.Point, opt sparse.CGOptions) (SolveResult, 
 // solveBoth runs the two independent axis solves concurrently; C and the
 // prepared preconditioner factor are shared read-only.
 func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *SolveResult) (errX, errY error) {
-	s.prepPrecond(&opt)
 	start := obsv.StartTimer()
+	out.Fallback = s.prepPrecond(&opt)
+	out.PrecondWall = start.Elapsed()
+	start = obsv.StartTimer()
 	par.Pair(
 		func() { out.X, errX = sparse.SolveCG(s.C, x, bx, opt) },
 		func() { out.Y, errY = sparse.SolveCG(s.C, y, by, opt) },
@@ -370,17 +384,21 @@ func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *So
 }
 
 // prepPrecond resolves opt's preconditioner against the cached factor:
-// Auto picks by system size, an IC0 request refactors the cached pattern
-// if the assembly changed since the last solve, and a pivot breakdown
-// downgrades this assembly's solves to Jacobi. Factoring once here keeps
-// the concurrent axis solves from each factoring, and keeps repeated
-// solves of one assembly (timing-driven re-solves) at zero extra cost.
-func (s *System) prepPrecond(opt *sparse.CGOptions) {
-	eff := opt.Precond.Resolve(s.N())
+// Auto picks by the number of movable cells, an IC0 request refactors the
+// cached pattern if the assembly changed since the last solve, and a pivot
+// breakdown downgrades this assembly's solves to Jacobi, reported as
+// fallback. Factoring once here keeps the concurrent axis solves from each
+// factoring, and keeps repeated solves of one assembly at zero extra cost.
+//
+// Auto counts cells, not unknowns: the star centers add unknowns without
+// changing which regime pays off, and counting them would move a design
+// across the threshold by its net-degree mix alone.
+func (s *System) prepPrecond(opt *sparse.CGOptions) (fallback bool) {
+	eff := opt.Precond.Resolve(len(s.CellOf))
 	opt.Precond = eff
 	opt.Factor = nil
 	if eff != sparse.IC0 {
-		return
+		return false
 	}
 	if s.chol == nil {
 		s.chol = sparse.NewIC0Pattern(s.C)
@@ -392,9 +410,10 @@ func (s *System) prepPrecond(opt *sparse.CGOptions) {
 	}
 	if s.cholBroken {
 		opt.Precond = sparse.Jacobi
-		return
+		return true
 	}
 	opt.Factor = s.chol
+	return false
 }
 
 // SolveDelta solves C·δ = f for the displacement response to the force
@@ -409,10 +428,11 @@ func (s *System) SolveDelta(forces []geom.Point, opt sparse.CGOptions) (SolveRes
 }
 
 // SolveDeltaFrom is SolveDelta with an explicit CG starting guess: dx0 and
-// dy0 (length N) carry a prediction of the displacement response on entry
-// and the solved δ on return. Placement transformations move cells slowly
-// (§4.2), so the previous transformation's response is a strong guess that
-// saves CG iterations; SolveDelta is the zero-guess special case.
+// dy0 (length N, star centers included) carry a prediction of the
+// displacement response on entry and the solved δ on return. Placement
+// transformations move cells slowly (§4.2), so the previous
+// transformation's response is a strong guess that saves CG iterations;
+// SolveDelta is the zero-guess special case. No force acts on a center.
 func (s *System) SolveDeltaFrom(forces []geom.Point, dx0, dy0 []float64, opt sparse.CGOptions) (SolveResult, error) {
 	nl := s.nl
 	n := s.N()
@@ -427,13 +447,12 @@ func (s *System) SolveDeltaFrom(forces []geom.Point, dx0, dy0 []float64, opt spa
 		s.by = make([]float64, n)
 	}
 	bx, by := s.bx, s.by
-	for vi, ci := range s.CellOf {
-		if forces != nil {
+	clear(bx)
+	clear(by)
+	if forces != nil {
+		for vi, ci := range s.CellOf {
 			bx[vi] = forces[ci].X
 			by[vi] = forces[ci].Y
-		} else {
-			bx[vi] = 0
-			by[vi] = 0
 		}
 	}
 	var out SolveResult
@@ -449,59 +468,4 @@ func (s *System) SolveDeltaFrom(forces []geom.Point, dx0, dy0 []float64, opt spa
 		return out, fmt.Errorf("qp: y delta solve: %w", errY)
 	}
 	return out, nil
-}
-
-// SolveResidual moves the placement by δ = C⁻¹·(−d + f − C·p): the full
-// correction toward the equilibrium of the *current* system under the total
-// force vector f. Unlike SolveDelta (which only responds to a force
-// increment), this also reacts to changed net weights — a re-weighted
-// critical net pulls its cells together immediately, which timing-driven
-// placement depends on. The solve is conditioned on the residual, so small
-// corrections are not lost under a large absolute system.
-func (s *System) SolveResidual(forces []geom.Point, opt sparse.CGOptions) (SolveResult, error) {
-	nl := s.nl
-	n := s.N()
-	if n == 0 {
-		return SolveResult{}, nil
-	}
-	px := make([]float64, n)
-	py := make([]float64, n)
-	for vi, ci := range s.CellOf {
-		px[vi] = nl.Cells[ci].Pos.X
-		py[vi] = nl.Cells[ci].Pos.Y
-	}
-	bx := make([]float64, n)
-	by := make([]float64, n)
-	s.C.MulVec(bx, px)
-	s.C.MulVec(by, py)
-	for vi, ci := range s.CellOf {
-		bx[vi] = -s.Dx[vi] - bx[vi]
-		by[vi] = -s.Dy[vi] - by[vi]
-		if forces != nil {
-			bx[vi] += forces[ci].X
-			by[vi] += forces[ci].Y
-		}
-	}
-	dx := make([]float64, n)
-	dy := make([]float64, n)
-	var out SolveResult
-	errX, errY := s.solveBoth(dx, bx, dy, by, opt, &out)
-	for vi, ci := range s.CellOf {
-		nl.Cells[ci].Pos.X += dx[vi]
-		nl.Cells[ci].Pos.Y += dy[vi]
-	}
-	if errX != nil {
-		return out, fmt.Errorf("qp: x residual solve: %w", errX)
-	}
-	if errY != nil {
-		return out, fmt.Errorf("qp: y residual solve: %w", errY)
-	}
-	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -538,7 +538,6 @@ func TestSubmitSolverKnobs(t *testing.T) {
 		{"precond": "ilu"},
 		{"field": "spectral"},
 		{"field": "fft"},
-		{"net_model": "steiner"},
 	} {
 		if code, _ := postBody(t, hs.URL, text, knob); code != http.StatusBadRequest {
 			t.Fatalf("bad knob %v accepted with %d, want 400", knob, code)
@@ -553,6 +552,7 @@ func TestSubmitRejectsUnknownKeys(t *testing.T) {
 	text := netlistText(t, testNetlist(60, 8))
 	for _, extra := range []map[string]any{
 		{"cold": true},
+		{"net_model": "clique"},
 		{"precon": "ic0"},
 	} {
 		code, er := postBody(t, hs.URL, text, extra)

@@ -28,7 +28,9 @@ const (
 
 // AutoIC0Threshold is the system size at which Auto switches from Jacobi
 // to IC0. Below it the Jacobi solves are already cheap and the
-// factorization overhead is not worth amortizing.
+// factorization overhead is not worth amortizing. The placement system
+// passes Resolve its movable-cell count, not its unknown count, which
+// also includes the star centers (see qp).
 const AutoIC0Threshold = 5000
 
 // String returns the preconditioner's tag ("jacobi", "ic0", or "auto").

@@ -100,6 +100,13 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
+// Row returns row i's column indices (ascending) and values. Both slices
+// alias the matrix storage and must not be modified.
+func (m *CSR) Row(i int) (cols []int, vals []float64) {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	return m.cols[lo:hi], m.vals[lo:hi]
+}
+
 // MulVec computes dst = M·x. dst and x must have length N and not alias.
 // Matrices with at least par.Threshold rows are processed on all CPUs; the
 // result is deterministic either way (each row is written by exactly one

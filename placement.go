@@ -46,7 +46,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/obsv"
 	"repro/internal/place"
-	"repro/internal/qp"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 	"repro/internal/timing"
@@ -180,18 +179,6 @@ const (
 	FieldAuto    = density.Auto
 	FieldDirect  = density.Direct
 	FieldRealFFT = density.RealFFT
-)
-
-// NetModel selects how a multi-pin net maps onto two-pin springs
-// (Config.NetModel).
-type NetModel = qp.NetModel
-
-// Net-model choices for Config.NetModel. NetClique is the paper's §2.1
-// model; NetStar and NetHybrid are ablation alternatives for wide nets.
-const (
-	NetClique = qp.Clique
-	NetStar   = qp.Star
-	NetHybrid = qp.Hybrid
 )
 
 // Global runs force-directed global placement on nl (§4.2), mutating cell
