@@ -49,7 +49,6 @@ func main() {
 		exp      = flag.String("exp", "", "experiment: fast, tradeoff, ablation, scaling, step, serve")
 		stepOut  = flag.String("step-out", "", "write the step experiment's JSON document to this file (e.g. BENCH_step.json)")
 		stepIter = flag.Int("step-iter", 60, "max placement transformations per step-experiment run")
-		stepPC   = flag.String("step-preconds", "", "comma-separated preconditioner sweep for the step experiment (default jacobi,ic0,auto; 'none' skips the sweep)")
 		stepChk  = flag.String("step-check", "", "compare the step experiment's hot run against this baseline BENCH_step.json and exit nonzero on regression")
 		stepChkN = flag.Int("step-check-cells", 10000, "cell count of the row the -step-check gate compares")
 		stepTol  = flag.Float64("step-check-tol", 0.20, "allowed fractional hot step-time regression for -step-check")
@@ -172,15 +171,7 @@ func main() {
 			}
 			ns = append(ns, n)
 		}
-		var preconds []string // nil: the bench default sweep
-		switch *stepPC {
-		case "":
-		case "none":
-			preconds = []string{}
-		default:
-			preconds = splitComma(*stepPC)
-		}
-		b := bench.RunStepBench(opts, ns, *stepIter, preconds)
+		b := bench.RunStepBench(opts, ns, *stepIter)
 		bench.PrintStepBench(os.Stdout, b)
 		fmt.Println()
 		if *stepChk != "" {

@@ -11,7 +11,7 @@
 // Endpoints:
 //
 //	POST /jobs                   submit {"netlist": "...", "deadline_ms", and any
-//	                             place.Knobs key: "k", "max_iter", "precond", ...};
+//	                             place.Knobs key: "k", "max_iter", "cg_tol", ...};
 //	                             honors/returns W3C traceparent
 //	GET  /jobs                   list job statuses
 //	GET  /jobs/{id}              one job's status

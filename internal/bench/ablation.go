@@ -5,12 +5,10 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/density"
 	"repro/internal/legalize"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/sparse"
 )
 
 // AblationRow is one design-choice variant's result.
@@ -25,8 +23,7 @@ type AblationRow struct {
 
 // RunAblation evaluates the design choices DESIGN.md calls out, one
 // variant at a time against the default configuration on one circuit:
-// net-weight linearization, the density-field evaluation method, the
-// density-grid resolution and the preconditioner.
+// net-weight linearization and the density-grid resolution.
 func RunAblation(opts Options, circuit string) ([]AblationRow, error) {
 	opts.setDefaults()
 	c := netgen.SuiteCircuit(circuit)
@@ -39,12 +36,10 @@ func RunAblation(opts Options, circuit string) ([]AblationRow, error) {
 		name string
 		cfg  place.Config
 	}{
-		{"default (clique, linearized, auto grid, FFT/auto)", place.Config{}},
+		{"default (linearized, auto grid)", place.Config{}},
 		{"no linearization (pure quadratic)", place.Config{NoLinearize: true}},
-		{"direct field evaluation (O(B²) oracle)", place.Config{FieldMethod: density.Direct}},
 		{"coarse grid (half resolution)", place.Config{GridBins: halfAutoBins(base)}},
 		{"fine grid (double resolution)", place.Config{GridBins: 2 * autoBins(base)}},
-		{"IC(0) preconditioned CG (ICCG)", place.Config{CG: sparse.CGOptions{Precond: sparse.IC0}}},
 	}
 
 	var rows []AblationRow

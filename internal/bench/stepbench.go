@@ -10,7 +10,6 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/sparse"
 )
 
 // StepRun is one full placement run of the step experiment.
@@ -24,26 +23,11 @@ type StepRun struct {
 	Phases     place.Phases `json:"phases"`
 }
 
-// StepVariant is one run under an explicit preconditioner of the sweep.
-// All variants run at the engine-default CG tolerance, like the default
-// run. Caveat for the quality columns: a fixed-iteration snapshot far from
-// convergence (the 50k row at 40 of ~300 transformations) is chaotically
-// sensitive, so switching preconditioner there shifts HPWL by a few
-// percent in either direction — trajectory divergence, not solver
-// quality. Where trajectories stay aligned (2k/10k) the deltas are
-// below 0.25%, and solver-level equivalence is pinned by unit tests.
-type StepVariant struct {
-	Precond string `json:"precond"`
-	StepRun
-}
-
-// StepRow holds one circuit size's default-engine run plus the
-// preconditioner sweep.
+// StepRow holds one circuit size's run.
 type StepRow struct {
-	Cells    int           `json:"cells"`
-	Nets     int           `json:"nets"`
-	Hot      StepRun       `json:"hot"`
-	Variants []StepVariant `json:"variants,omitempty"`
+	Cells int     `json:"cells"`
+	Nets  int     `json:"nets"`
+	Hot   StepRun `json:"hot"`
 }
 
 // StepBench is the BENCH_step.json document: the per-phase cost of
@@ -56,19 +40,14 @@ type StepBench struct {
 }
 
 // RunStepBench places a synthetic circuit per size with the default engine
-// and records the per-phase time breakdown of the run. Every preconditioner
-// in preconds then runs from an identical clone as a labeled variant; nil
-// defaults to the full jacobi/ic0/auto sweep, and an empty slice skips it.
-func RunStepBench(opts Options, sizes []int, maxIter int, preconds []string) StepBench {
+// and records the per-phase time breakdown of the run.
+func RunStepBench(opts Options, sizes []int, maxIter int) StepBench {
 	opts.setDefaults()
 	if len(sizes) == 0 {
 		sizes = []int{2000, 10000}
 	}
 	if maxIter <= 0 {
 		maxIter = 60
-	}
-	if preconds == nil {
-		preconds = []string{"jacobi", "ic0", "auto"}
 	}
 	b := StepBench{GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: opts.Seed, MaxIter: maxIter}
 	for _, n := range sizes {
@@ -81,31 +60,18 @@ func RunStepBench(opts Options, sizes []int, maxIter int, preconds []string) Ste
 			Seed:  opts.Seed,
 		})
 		row := StepRow{Cells: n, Nets: nets}
-		row.Hot = runStep(&opts, base, maxIter, "")
+		row.Hot = runStep(&opts, base, maxIter)
 		opts.logf("step %6d cells hot:  %6.2fs  %3d iters (%s)\n",
 			n, row.Hot.WallSec, row.Hot.Iterations, row.Hot.StopReason)
-		for _, pc := range preconds {
-			v := StepVariant{Precond: pc, StepRun: runStep(&opts, base, maxIter, pc)}
-			opts.logf("step %6d cells %s: %6.2fs  %3d iters  %6d cg-it (%s)\n",
-				n, pc, v.WallSec, v.Iterations, v.CGIters, v.StopReason)
-			row.Variants = append(row.Variants, v)
-		}
 		b.Rows = append(b.Rows, row)
 	}
 	return b
 }
 
-func runStep(o *Options, base *netlist.Netlist, maxIter int, precond string) StepRun {
+func runStep(o *Options, base *netlist.Netlist, maxIter int) StepRun {
 	nl := base.Clone()
 	cgIters := 0
-	pc, ok := sparse.ParsePreconditioner(precond)
-	if !ok {
-		return StepRun{StopReason: "error: unknown preconditioner " + precond}
-	}
-	cfg := o.placeCfg(place.Config{
-		MaxIter: maxIter,
-		CG:      sparse.CGOptions{Precond: pc},
-	}, nl)
+	cfg := o.placeCfg(place.Config{MaxIter: maxIter}, nl)
 	prev := cfg.OnIteration
 	cfg.OnIteration = func(s place.IterStats) {
 		cgIters += s.CGIterX + s.CGIterY
@@ -144,16 +110,10 @@ func PrintStepBench(w io.Writer, b StepBench) {
 		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "solve", "step")
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	for _, r := range b.Rows {
-		line := func(mode string, run StepRun) {
-			p := run.Phases
-			fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
-				r.Cells, mode, run.WallSec, run.Iterations, run.CGIters,
-				ms(p.TGather), ms(p.TField), ms(p.TBuild), ms(p.TSolvePair), ms(p.TStep))
-		}
-		line("hot", r.Hot)
-		for _, v := range r.Variants {
-			line(v.Precond, v.StepRun)
-		}
+		run, p := r.Hot, r.Hot.Phases
+		fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
+			r.Cells, "hot", run.WallSec, run.Iterations, run.CGIters,
+			ms(p.TGather), ms(p.TField), ms(p.TBuild), ms(p.TSolvePair), ms(p.TStep))
 	}
 }
 

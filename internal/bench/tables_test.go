@@ -156,8 +156,8 @@ func TestRunAblationSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 5 {
-		t.Fatalf("ablation rows = %d", len(rows))
+	if len(rows) != 4 { // default, no linearization, coarse and fine grid
+		t.Fatalf("ablation rows = %d, want 4", len(rows))
 	}
 	for _, r := range rows {
 		if r.WL <= 0 {

@@ -2,7 +2,6 @@ package density
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -139,6 +138,8 @@ func TestFFTMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestMethodStringAndParse: the method tags the field metrics label by.
+// Methods are not parsed from text: the grid alone picks one (Auto).
 func TestMethodStringAndParse(t *testing.T) {
 	for _, tc := range []struct {
 		m   Method
@@ -147,53 +148,24 @@ func TestMethodStringAndParse(t *testing.T) {
 		if tc.m.String() != tc.tag {
 			t.Errorf("%d.String() = %q, want %q", tc.m, tc.m.String(), tc.tag)
 		}
-		m, ok := ParseMethod(tc.tag)
-		if !ok || m != tc.m {
-			t.Errorf("ParseMethod(%q) = %v,%v", tc.tag, m, ok)
-		}
-	}
-	for _, tag := range []string{"spectral", "fft"} {
-		if _, ok := ParseMethod(tag); ok {
-			t.Errorf("ParseMethod accepted the unknown tag %q", tag)
-		}
-	}
-	if m, ok := ParseMethod(""); !ok || m != Auto {
-		t.Error("empty tag must parse as Auto")
-	}
-	// MarshalText/UnmarshalText share String and ParseMethod.
-	for _, m := range []Method{Auto, Direct, RealFFT} {
-		text, err := m.MarshalText()
-		var back Method
-		if err != nil || string(text) != m.String() || back.UnmarshalText(text) != nil || back != m {
-			t.Errorf("%v does not round-trip through its text %q", m, text)
-		}
-	}
-	back := RealFFT
-	if err := back.UnmarshalText(nil); err != nil || back != Auto {
-		t.Errorf("UnmarshalText(\"\") = %v, %v, want Auto", back, err)
-	}
-	if err := back.UnmarshalText([]byte("fft")); err == nil || !strings.Contains(err.Error(), "want auto, direct, or rfft") {
-		t.Errorf("UnmarshalText(fft) error %v, want one listing the choices", err)
 	}
 }
 
 func TestAutoSelectsByGridSize(t *testing.T) {
-	_, gSmall := gridded(t, 100, 16, 16, 4)
-	_, gBig := gridded(t, 100, 64, 64, 4)
-	// Just exercise both paths through Auto; equality with the explicit
-	// methods proves the dispatch.
-	fa := ComputeField(gSmall, Auto)
-	fd := ComputeField(gSmall, Direct)
-	for i := range fa.FX {
-		if fa.FX[i] != fd.FX[i] {
-			t.Fatal("Auto on small grid did not match Direct")
-		}
-	}
-	fb := ComputeField(gBig, Auto)
-	ffft := ComputeField(gBig, RealFFT)
-	for i := range fb.FX {
-		if fb.FX[i] != ffft.FX[i] {
-			t.Fatal("Auto on big grid did not match RealFFT")
+	// Auto's rule is NX·NY ≥ 2048 on power-of-two grids: 32×32 stays
+	// Direct, 64×32 is the smallest RealFFT grid. Bitwise equality with
+	// the explicit method proves the dispatch.
+	for _, tc := range []struct {
+		nx, ny int
+		want   Method
+	}{{16, 16, Direct}, {32, 32, Direct}, {64, 32, RealFFT}, {64, 64, RealFFT}} {
+		_, g := gridded(t, 100, tc.nx, tc.ny, 4)
+		fa := ComputeField(g, Auto)
+		fw := ComputeField(g, tc.want)
+		for i := range fa.FX {
+			if fa.FX[i] != fw.FX[i] || fa.FY[i] != fw.FY[i] {
+				t.Fatalf("Auto on %d×%d did not match %v", tc.nx, tc.ny, tc.want)
+			}
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package density
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/fft"
@@ -22,8 +21,8 @@ type Field struct {
 type Method int
 
 const (
-	// Auto picks RealFFT for grids with ≥ 64 bins per axis (the soaked
-	// production pipeline), Direct below.
+	// Auto picks RealFFT on power-of-two grids of at least 2048 bins
+	// (NX·NY, e.g. 64×32), Direct otherwise. The placer always uses it.
 	Auto Method = iota
 	// Direct evaluates eq. (9) by O(B²) superposition. It is the oracle
 	// implementation.
@@ -46,34 +45,6 @@ func (m Method) String() string {
 	default:
 		return "auto"
 	}
-}
-
-// ParseMethod maps a tag (as printed by String) back to the method; ok is
-// false for anything unrecognized.
-func ParseMethod(s string) (m Method, ok bool) {
-	switch s {
-	case "auto", "":
-		return Auto, true
-	case "direct":
-		return Direct, true
-	case "rfft":
-		return RealFFT, true
-	}
-	return Auto, false
-}
-
-// MarshalText implements encoding.TextMarshaler with the String tag.
-func (m Method) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler through ParseMethod,
-// so flags and JSON share one parse and one error.
-func (m *Method) UnmarshalText(b []byte) error {
-	v, ok := ParseMethod(string(b))
-	if !ok {
-		return fmt.Errorf("unknown field method %q (want auto, direct, or rfft)", b)
-	}
-	*m = v
-	return nil
 }
 
 // fieldSeconds times field evaluations per effective method (indexed by

@@ -1,9 +1,10 @@
 // Package par centralizes the parallel-execution policy shared by the
 // hot-path packages: one size threshold deciding when a loop is worth
-// fanning out to goroutines, and a chunked fork-join helper whose chunk
-// ordering is deterministic. sparse (MulVec), fft (the 2-D transform
-// passes) and density (the demand gather) all consult the same knob, so a
-// single tunable governs when parallelism engages across the engine.
+// fanning out to goroutines, a chunked fork-join helper whose chunk
+// ordering is deterministic, and the two-task Pair that runs the x/y axis
+// solves side by side. fft (the 2-D transform passes) and density (the
+// demand gather) both consult the same threshold, so a single tunable
+// governs when parallelism engages across the engine.
 package par
 
 import (
@@ -11,8 +12,8 @@ import (
 	"sync"
 )
 
-// Threshold is the minimum number of independent work items (matrix rows,
-// grid elements, cells) before a hot path fans out to goroutines; below it
+// Threshold is the minimum number of independent work items (grid
+// elements, cells) before a hot path fans out to goroutines; below it
 // the scheduling overhead outweighs the win. Tests lower it to force the
 // parallel paths onto small fixtures; benchmarks may raise it to pin a
 // serial baseline.

@@ -13,11 +13,10 @@ import (
 )
 
 // TestStepAllocs pins the steady-state allocation count of one placement
-// transformation in both solver regimes (Jacobi below the IC0 threshold,
-// IC0 above it). Step reuses its force increment, position snapshot and
-// sort buffers, qp reuses its right-hand sides, and the assembler, IC0
-// factor and field solver cache their storage, and matrix-vector products
-// below par.Threshold rows allocate nothing. What remains is per-solve CG
+// transformation at two design sizes. Step reuses its force increment,
+// position snapshot and sort buffers, qp reuses its right-hand sides, the
+// assembler, IC0 factor and field solver cache their storage, and
+// matrix-vector products allocate nothing. What remains is per-solve CG
 // vectors, the Field result, and the goroutine plumbing of the paired axis
 // solves and the FFT passes. The count is deterministic for a fixed design
 // and step sequence and does not depend on GOMAXPROCS, so each ceiling is
@@ -35,7 +34,7 @@ func TestStepAllocs(t *testing.T) {
 		cells, nets, rows int
 		maxAllocs         float64
 	}{
-		{"jacobi-1k", 1000, 1333, 12, 36},
+		{"ic0-1k", 1000, 1333, 12, 36},
 		{"ic0-6k", 6000, 8000, 26, 36},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package place
 
 import (
-	"encoding"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -18,8 +17,8 @@ type Knob struct {
 	field            func(*Config) any
 }
 
-// Ptr returns a pointer to the knob's field in c: a *float64, *int, *bool,
-// or a pointer to an enum implementing encoding.TextUnmarshaler.
+// Ptr returns a pointer to the knob's field in c: a *float64, *int or
+// *bool.
 func (k Knob) Ptr(c *Config) any { return k.field(c) }
 
 func (k Knob) value(c *Config) reflect.Value { return reflect.ValueOf(k.field(c)).Elem() }
@@ -28,7 +27,6 @@ var knobs = []Knob{
 	{"k", "k", "Kraftwerk speed parameter K (0 = default 0.2 standard mode; 1.0 fast)", func(c *Config) any { return &c.K }},
 	{"max_iter", "maxiter", "iteration cap (0 = default)", func(c *Config) any { return &c.MaxIter }},
 	{"grid_bins", "gridbins", "density grid resolution per axis (0 = automatic from design size)", func(c *Config) any { return &c.GridBins }},
-	{"field", "field", "density field solver: auto, direct, or rfft (real-input FFT)", func(c *Config) any { return &c.FieldMethod }},
 	{"no_linearize", "nolinearize", "disable the net-weight linearization (purely quadratic solve)", func(c *Config) any { return &c.NoLinearize }},
 	{"keep_placement", "keep", "start from the input netlist's positions instead of gathering at the region center", func(c *Config) any { return &c.KeepPlacement }},
 	{"stop_square_factor", "stopsq", "stopping-criterion multiple of average cell area (0 = default 4)", func(c *Config) any { return &c.StopSquareFactor }},
@@ -36,15 +34,13 @@ var knobs = []Knob{
 	{"force_floor", "forcefloor", "zero force increments below this fraction of the field maximum (0 = off)", func(c *Config) any { return &c.ForceFloor }},
 	{"cg_tol", "cgtol", "CG relative residual tolerance (0 = default 1e-6)", func(c *Config) any { return &c.CG.Tol }},
 	{"cg_max_iter", "cgmaxiter", "CG iteration cap per solve (0 = default)", func(c *Config) any { return &c.CG.MaxIter }},
-	{"precond", "precond", "CG preconditioner: jacobi, ic0, or auto (ic0 above a size threshold)", func(c *Config) any { return &c.CG.Precond }},
 }
 
 // Knobs returns the knob table in declaration order.
 func Knobs() []Knob { return append([]Knob(nil), knobs...) }
 
 // RegisterFlags defines one flag per knob on fs, writing into c and
-// defaulting to c's current value. Enum flags parse through their
-// UnmarshalText, so a bad tag is a flag usage error.
+// defaulting to c's current value.
 func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	for _, k := range knobs {
 		switch p := k.field(c).(type) {
@@ -54,17 +50,12 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 			fs.IntVar(p, k.Flag, *p, k.Usage)
 		case *bool:
 			fs.BoolVar(p, k.Flag, *p, k.Usage)
-		case interface {
-			encoding.TextMarshaler
-			encoding.TextUnmarshaler
-		}:
-			fs.TextVar(p, k.Flag, p, k.Usage)
 		}
 	}
 }
 
 // SetKnob sets the knob with JSON key key from its JSON value. An unknown
-// key, or a value of the wrong type or enum tag, is an error naming the key.
+// key, or a value of the wrong type, is an error naming the key.
 func (c *Config) SetKnob(key string, raw json.RawMessage) error {
 	for _, k := range knobs {
 		if k.Key != key {

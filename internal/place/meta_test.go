@@ -78,8 +78,8 @@ func TestConfigHashStability(t *testing.T) {
 }
 
 // TestKnobFlags sets every knob through its kplace flag on a fresh
-// FlagSet and gets the Config that sets the field directly; a bad enum
-// tag is a flag error.
+// FlagSet and gets the Config that sets the field directly; a retired
+// knob's flag is unknown.
 func TestKnobFlags(t *testing.T) {
 	flags, keys := map[string]bool{}, map[string]bool{}
 	for _, k := range Knobs() {
@@ -94,7 +94,7 @@ func TestKnobFlags(t *testing.T) {
 		var got Config
 		fs := flag.NewFlagSet("kplace", flag.ContinueOnError)
 		got.RegisterFlags(fs)
-		arg := fmt.Sprintf("-%s=%v", k.Flag, v) // enums print their tag
+		arg := fmt.Sprintf("-%s=%v", k.Flag, v)
 		if err := fs.Parse([]string{arg}); err != nil {
 			t.Fatalf("%s: %v", arg, err)
 		}
@@ -102,7 +102,7 @@ func TestKnobFlags(t *testing.T) {
 			t.Errorf("%s: config %+v, want %+v", arg, got, want)
 		}
 	}
-	for _, arg := range []string{"-precond=ilu", "-field=fft", "-netmodel=clique", "-cold"} {
+	for _, arg := range []string{"-precond=ic0", "-field=rfft", "-netmodel=clique", "-cold"} {
 		var c Config
 		fs := flag.NewFlagSet("kplace", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

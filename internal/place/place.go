@@ -40,10 +40,6 @@ type Config struct {
 	// GridBins is the density grid resolution per axis (power of two
 	// recommended). 0 picks automatically from the design size.
 	GridBins int
-	// FieldMethod selects how eq. (9) is evaluated. The default Auto
-	// picks the real-input FFT pipeline on power-of-two grids of at
-	// least 2048 bins and the direct sum below.
-	FieldMethod density.Method
 	// NoLinearize disables the [14] net-weight linearization, making the
 	// solve purely quadratic.
 	NoLinearize bool
@@ -160,9 +156,8 @@ type IterStats struct {
 	CGIterY  int     `json:"cg_iter_y"`
 	CGResidX float64 `json:"cg_resid_x"` // final relative residual, x solve
 	CGResidY float64 `json:"cg_resid_y"` // final relative residual, y solve
-	// Precond is the preconditioner the solves actually used, after Auto
-	// and any fallback; PrecondFallback is set when IC0 was chosen but its
-	// factorization broke down and Jacobi solved instead.
+	// Precond is the preconditioner the solves applied: IC0, or Jacobi
+	// when PrecondFallback reports that the IC0 factorization broke down.
 	Precond         sparse.Preconditioner `json:"precond"`
 	PrecondFallback bool                  `json:"precond_fallback"`
 
@@ -461,7 +456,7 @@ func (p *Placer) Step() (IterStats, error) {
 	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
 	mark = obsv.StartTimer()
-	field := density.ComputeField(p.grid, cfg.FieldMethod)
+	field := density.ComputeField(p.grid, density.Auto)
 	ph.TField = mark.Elapsed()
 	check.Finite("place/step field FX", field.FX)
 	check.Finite("place/step field FY", field.FY)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/density"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
-	"repro/internal/sparse"
 )
 
 // TestGlobalInvariantsProperty: over random circuits, a global placement
@@ -66,20 +65,30 @@ func TestGlobalInvariantsProperty(t *testing.T) {
 // TestDeterministicRuns: identical configurations produce bit-identical
 // placements. The algorithm has no hidden randomness, and the reuse
 // machinery (pattern refill, refactored IC0 factor, cached field spectra,
-// warm start) carries no hidden state between runs.
+// warm start) carries no hidden state between runs. Every run solves with
+// IC0; ic0-rfft sets a grid large enough that the field is evaluated by
+// the real-FFT pipeline, and checks that it is.
 func TestDeterministicRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		rfft bool
 	}{
-		{"default", Config{MaxIter: 40}},
-		{"ic0-rfft", Config{
-			MaxIter:     40,
-			CG:          sparse.CGOptions{Precond: sparse.IC0},
-			FieldMethod: density.RealFFT,
-		}},
+		{"default", Config{MaxIter: 40}, false},
+		{"ic0-rfft", Config{MaxIter: 40, GridBins: 64}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.rfft {
+				nl := warmNetlist(53)
+				g := New(nl, tc.cfg).Grid()
+				g.Accumulate(nl)
+				fa, fr := density.ComputeField(g, density.Auto), density.ComputeField(g, density.RealFFT)
+				for i := range fa.FX {
+					if fa.FX[i] != fr.FX[i] || fa.FY[i] != fr.FY[i] {
+						t.Fatalf("the %d×%d grid's field is not evaluated by rfft", g.NX, g.NY)
+					}
+				}
+			}
 			run := func() *netlist.Netlist {
 				nl := warmNetlist(53)
 				if _, err := Global(nl, tc.cfg); err != nil {

@@ -219,7 +219,7 @@ func TestStarModelSolves(t *testing.T) {
 		if !sys.Matrix().IsSymmetric(1e-12) {
 			t.Error("star matrix asymmetric")
 		}
-		res, err := sys.Solve(nil, sparse.CGOptions{Tol: 1e-10, Precond: sparse.IC0})
+		res, err := sys.Solve(nil, sparse.CGOptions{Tol: 1e-10})
 		if err != nil {
 			t.Fatal(err)
 		}

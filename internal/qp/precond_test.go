@@ -9,39 +9,38 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestIC0SolveMatchesJacobiSolution: both preconditioners solve the same
-// system to the same tolerance, so the placements they produce must agree
-// within the solve tolerance.
+// solvePrecondCircuit solves a 400-cell design once from its initial
+// placement and returns the cell positions. With broken, the system's
+// cached factor is marked as broken down before the solve, the one route
+// to the Jacobi fallback.
+func solvePrecondCircuit(t *testing.T, broken bool) ([]geom.Point, SolveResult) {
+	t.Helper()
+	nl := netgen.Generate(netgen.Config{Name: "pc", Cells: 400, Nets: 520, Rows: 8, Seed: 61})
+	sys := Build(nl, Options{})
+	if broken {
+		sys.chol = sparse.NewIC0Pattern(sys.C)
+		sys.cholBroken, sys.cholDirty = true, false
+	}
+	res, err := sys.Solve(nil, sparse.CGOptions{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]geom.Point, len(nl.Cells))
+	for ci := range nl.Cells {
+		pos[ci] = nl.Cells[ci].Pos
+	}
+	return pos, res
+}
+
+// TestIC0SolveMatchesJacobiSolution: the IC0 factor must cut the CG
+// iterations of the same solve against Jacobi (TestFactorBreakdownFallsBack
+// checks that both reach the same placement), and the concurrent pair's
+// wall time must be recorded.
 func TestIC0SolveMatchesJacobiSolution(t *testing.T) {
-	opt := func(p sparse.Preconditioner) sparse.CGOptions {
-		return sparse.CGOptions{Tol: 1e-10, Precond: p}
-	}
-	run := func(p sparse.Preconditioner) ([]geom.Point, SolveResult) {
-		nl := netgen.Generate(netgen.Config{Name: "pc", Cells: 400, Nets: 520, Rows: 8, Seed: 61})
-		sys := Build(nl, Options{})
-		res, err := sys.Solve(nil, opt(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pos := make([]geom.Point, len(nl.Cells))
-		for ci := range nl.Cells {
-			pos[ci] = nl.Cells[ci].Pos
-		}
-		return pos, res
-	}
-	jpos, jres := run(sparse.Jacobi)
-	cpos, cres := run(sparse.IC0)
+	_, jres := solvePrecondCircuit(t, true)
+	_, cres := solvePrecondCircuit(t, false)
 	if jres.X.Precond != sparse.Jacobi || cres.X.Precond != sparse.IC0 {
-		t.Fatalf("effective preconditioners: %v / %v", jres.X.Precond, cres.X.Precond)
-	}
-	diag := 0.0
-	for ci := range jpos {
-		diag = math.Max(diag, math.Max(math.Abs(jpos[ci].X), math.Abs(jpos[ci].Y)))
-	}
-	for ci := range jpos {
-		if d := jpos[ci].Sub(cpos[ci]).Norm(); d > 1e-5*(1+diag) {
-			t.Fatalf("cell %d: jacobi %v vs ic0 %v", ci, jpos[ci], cpos[ci])
-		}
+		t.Fatalf("applied preconditioners: %v / %v", jres.X.Precond, cres.X.Precond)
 	}
 	if cres.X.Iterations >= jres.X.Iterations {
 		t.Errorf("IC0 x solve took %d iterations, Jacobi %d — preconditioner had no effect",
@@ -54,13 +53,37 @@ func TestIC0SolveMatchesJacobiSolution(t *testing.T) {
 	}
 }
 
+// TestFactorBreakdownFallsBack: when the cached factor broke down, both
+// axes solve with Jacobi, the result says so, and the solve still
+// converges to the placement the IC0 solve reaches.
+func TestFactorBreakdownFallsBack(t *testing.T) {
+	jpos, jres := solvePrecondCircuit(t, true)
+	cpos, cres := solvePrecondCircuit(t, false)
+	if !jres.Fallback || jres.X.Precond != sparse.Jacobi || jres.Y.Precond != sparse.Jacobi {
+		t.Fatalf("broken factor: fallback %v, applied %v/%v, want jacobi on both axes",
+			jres.Fallback, jres.X.Precond, jres.Y.Precond)
+	}
+	if cres.Fallback {
+		t.Fatal("a sound factor reported a fallback")
+	}
+	if !jres.X.Converged || !jres.Y.Converged {
+		t.Fatalf("fallback solve did not converge: x %+v, y %+v", jres.X, jres.Y)
+	}
+	for ci := range jpos {
+		d := jpos[ci].Sub(cpos[ci]).Norm()
+		if d > 1e-6*math.Max(1, cpos[ci].Norm()) {
+			t.Fatalf("cell %d: jacobi %v vs ic0 %v", ci, jpos[ci], cpos[ci])
+		}
+	}
+}
+
 // TestRefilledFactorMatchesFreshAssembler: after a refill through the
 // cached pattern, the system's cached IC0 factor must make the solves
 // bit-identical to a brand-new assembler at the same netlist state —
 // the refill-vs-fresh-factor determinism contract.
 func TestRefilledFactorMatchesFreshAssembler(t *testing.T) {
 	opts := Options{Linearize: true}
-	cg := sparse.CGOptions{Tol: 1e-8, Precond: sparse.IC0}
+	cg := sparse.CGOptions{Tol: 1e-8}
 
 	nl := netgen.Generate(netgen.Config{Name: "rf", Cells: 300, Nets: 380, Rows: 8, Seed: 62})
 	a := NewAssembler(nl, opts)
@@ -114,7 +137,7 @@ func TestRefilledFactorMatchesFreshAssembler(t *testing.T) {
 // cached system untouched; its factor must stay valid (no refactor, same
 // solve) rather than being invalidated by the skipped assembly.
 func TestFullSkipKeepsFactorValid(t *testing.T) {
-	cg := sparse.CGOptions{Tol: 1e-8, Precond: sparse.IC0}
+	cg := sparse.CGOptions{Tol: 1e-8}
 	nl := netgen.Generate(netgen.Config{Name: "fs", Cells: 200, Nets: 260, Rows: 6, Seed: 63})
 	a := NewAssembler(nl, Options{}) // no linearization: skippable
 	sys := a.Assemble()
@@ -139,31 +162,5 @@ func TestFullSkipKeepsFactorValid(t *testing.T) {
 	}
 	if _, err := sys.SolveDelta(nil, cg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAutoResolvesBySystemSize: Auto must pick Jacobi for small systems
-// without ever building a factor. It counts movable cells, not unknowns:
-// the 4000-cell design's star centers lift it past AutoIC0Threshold
-// unknowns, and it stays on Jacobi.
-func TestAutoResolvesBySystemSize(t *testing.T) {
-	for _, cfg := range []netgen.Config{
-		{Name: "au", Cells: 150, Nets: 200, Rows: 6, Seed: 64},
-		{Name: "ac", Cells: 4000, Nets: 5400, Rows: 20, Seed: 65},
-	} {
-		sys := Build(netgen.Generate(cfg), Options{})
-		if cfg.Cells == 4000 && sys.N() < sparse.AutoIC0Threshold {
-			t.Fatalf("%d cells give %d unknowns, want ≥ %d", cfg.Cells, sys.N(), sparse.AutoIC0Threshold)
-		}
-		res, err := sys.Solve(nil, sparse.CGOptions{Precond: sparse.Auto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.X.Precond != sparse.Jacobi || res.Y.Precond != sparse.Jacobi {
-			t.Fatalf("Auto on %d cells (%d unknowns) resolved to %v/%v", len(sys.CellOf), sys.N(), res.X.Precond, res.Y.Precond)
-		}
-		if sys.chol != nil {
-			t.Fatal("Auto built an IC0 factor below the threshold")
-		}
 	}
 }

@@ -309,10 +309,10 @@ type SolveResult struct {
 	X, Y sparse.CGResult
 	// PrecondWall is the wall time of preparing the shared
 	// preconditioner before the pair: the IC0 refactor after a fresh
-	// assembly, nothing for Jacobi or an up-to-date factor.
+	// assembly, nothing for an up-to-date factor.
 	PrecondWall time.Duration
-	// Fallback is set when the preconditioner resolved to IC0 but its
-	// factorization broke down, so both axes were solved with Jacobi.
+	// Fallback is set when the IC0 factorization broke down, so both
+	// axes were solved with Jacobi.
 	Fallback bool
 	// PairWall is the wall time of the concurrent x/y solve pair —
 	// smaller than X.Elapsed + Y.Elapsed whenever the axes overlap, and
@@ -383,23 +383,13 @@ func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *So
 	return errX, errY
 }
 
-// prepPrecond resolves opt's preconditioner against the cached factor:
-// Auto picks by the number of movable cells, an IC0 request refactors the
-// cached pattern if the assembly changed since the last solve, and a pivot
-// breakdown downgrades this assembly's solves to Jacobi, reported as
-// fallback. Factoring once here keeps the concurrent axis solves from each
-// factoring, and keeps repeated solves of one assembly at zero extra cost.
-//
-// Auto counts cells, not unknowns: the star centers add unknowns without
-// changing which regime pays off, and counting them would move a design
-// across the threshold by its net-degree mix alone.
+// prepPrecond points opt at the cached IC0 factor, refactoring the cached
+// pattern if the assembly changed since the last solve. A pivot breakdown
+// leaves opt without a factor, so this assembly's solves run with Jacobi,
+// reported as fallback. Factoring once here keeps the concurrent axis
+// solves from each factoring, and keeps repeated solves of one assembly at
+// zero extra cost.
 func (s *System) prepPrecond(opt *sparse.CGOptions) (fallback bool) {
-	eff := opt.Precond.Resolve(len(s.CellOf))
-	opt.Precond = eff
-	opt.Factor = nil
-	if eff != sparse.IC0 {
-		return false
-	}
 	if s.chol == nil {
 		s.chol = sparse.NewIC0Pattern(s.C)
 		s.cholDirty = true
@@ -408,8 +398,8 @@ func (s *System) prepPrecond(opt *sparse.CGOptions) (fallback bool) {
 		s.cholBroken = !s.chol.Refactor(s.C)
 		s.cholDirty = false
 	}
+	opt.Factor = nil
 	if s.cholBroken {
-		opt.Precond = sparse.Jacobi
 		return true
 	}
 	opt.Factor = s.chol

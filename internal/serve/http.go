@@ -17,7 +17,7 @@ import (
 
 // SubmitRequest is the POST /jobs JSON body: the netlist, an optional
 // deadline, and any knob of place.Knobs under its JSON key ("k",
-// "max_iter", "precond", ...), flat in one object. Omitted knobs keep
+// "max_iter", "cg_tol", ...), flat in one object. Omitted knobs keep
 // their zero value, the engine default. Unknown keys and bad values are
 // a 400.
 type SubmitRequest struct {

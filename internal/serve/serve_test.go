@@ -14,11 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/density"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/sparse"
 )
 
 func testNetlist(cells int, seed int64) *netlist.Netlist {
@@ -516,16 +514,17 @@ func TestResultNotReady(t *testing.T) {
 	pollTerminal(t, hs.URL, job.ID())
 }
 
-// TestSubmitSolverKnobs: the precond/field request fields select the v2
-// solver engine per job, and unknown values are rejected up front with a
-// 400 rather than queued.
+// TestSubmitSolverKnobs: the cg_tol/cg_max_iter request fields reach the
+// per-job CG solves and the job still finishes legal, and values of the
+// wrong type are rejected up front with a 400 rather than queued.
 func TestSubmitSolverKnobs(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	text := netlistText(t, testNetlist(200, 7))
 
-	code, sr := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: place.Config{
-		MaxIter: 10, CG: sparse.CGOptions{Precond: sparse.IC0}, FieldMethod: density.RealFFT,
-	}})
+	cfg := place.Config{MaxIter: 10}
+	cfg.CG.Tol = 1e-5
+	cfg.CG.MaxIter = 50
+	code, sr := postJob(t, hs.URL, SubmitRequest{Netlist: text, Config: cfg})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit with solver knobs: %d", code)
 	}
@@ -535,9 +534,9 @@ func TestSubmitSolverKnobs(t *testing.T) {
 	assertLegalResult(t, hs.URL, sr.ID)
 
 	for _, knob := range []map[string]any{
-		{"precond": "ilu"},
-		{"field": "spectral"},
-		{"field": "fft"},
+		{"cg_tol": "tight"},
+		{"cg_max_iter": 1.5},
+		{"cg_max_iter": "many"},
 	} {
 		if code, _ := postBody(t, hs.URL, text, knob); code != http.StatusBadRequest {
 			t.Fatalf("bad knob %v accepted with %d, want 400", knob, code)
@@ -546,13 +545,19 @@ func TestSubmitSolverKnobs(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownKeys: a retired knob or a misspelled one is a 400,
-// not a silently ignored key that runs the job under other settings.
+// not a silently ignored key that runs the job under other settings. The
+// solves always use IC0 and the grid picks the field method, so precond
+// and field are retired too, whatever their value.
 func TestSubmitRejectsUnknownKeys(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	text := netlistText(t, testNetlist(60, 8))
 	for _, extra := range []map[string]any{
 		{"cold": true},
 		{"net_model": "clique"},
+		{"precond": "ic0"},
+		{"precond": "ilu"},
+		{"field": "rfft"},
+		{"field": "fft"},
 		{"precon": "ic0"},
 	} {
 		code, er := postBody(t, hs.URL, text, extra)
@@ -581,7 +586,7 @@ func TestSubmitEveryKnob(t *testing.T) {
 		case reflect.Bool:
 			v.SetBool(true)
 		case reflect.Int:
-			v.SetInt(1) // for the enums, the first non-default choice
+			v.SetInt(1)
 		case reflect.Float64:
 			v.SetFloat(0.5)
 		default:

@@ -2,38 +2,27 @@ package sparse
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/obsv"
 )
 
-// Preconditioner selects how CG preconditions the system.
+// Preconditioner names the preconditioner a CG solve applied, as
+// reported in CGResult.Precond and the metrics' precond label.
 type Preconditioner int
 
 const (
-	// Auto picks per solve: IC0 for systems of at least AutoIC0Threshold
-	// unknowns (where the iteration-count savings dominate the triangular
-	// solves), Jacobi below it. The zero value, so a zero CGOptions gets
-	// the size-adaptive choice.
-	Auto Preconditioner = iota
-	// Jacobi (diagonal) preconditioning: cheapest per iteration.
-	Jacobi
+	// Jacobi (diagonal) preconditioning: what SolveCG applies without a
+	// factor, and the fallback when an IC0 factorization breaks down.
+	Jacobi Preconditioner = iota + 1
 	// IC0 zero-fill incomplete Cholesky (the classic ICCG of GORDIAN-era
 	// placers): fewer iterations, a sequential triangular solve each.
-	// Falls back to Jacobi when the factorization breaks down.
 	IC0
 )
 
-// AutoIC0Threshold is the system size at which Auto switches from Jacobi
-// to IC0. Below it the Jacobi solves are already cheap and the
-// factorization overhead is not worth amortizing. The placement system
-// passes Resolve its movable-cell count, not its unknown count, which
-// also includes the star centers (see qp).
-const AutoIC0Threshold = 5000
-
-// String returns the preconditioner's tag ("jacobi", "ic0", or "auto").
+// String returns the preconditioner's tag: "jacobi", "ic0", or "none"
+// for the zero value (no solve ran).
 func (p Preconditioner) String() string {
 	switch p {
 	case Jacobi:
@@ -41,50 +30,12 @@ func (p Preconditioner) String() string {
 	case IC0:
 		return "ic0"
 	default:
-		return "auto"
+		return "none"
 	}
-}
-
-// ParsePreconditioner maps a tag (as printed by String) back to the
-// preconditioner; the empty tag means "unset" and maps to the Auto
-// default. ok is false for anything unrecognized.
-func ParsePreconditioner(s string) (p Preconditioner, ok bool) {
-	switch s {
-	case "auto", "":
-		return Auto, true
-	case "jacobi":
-		return Jacobi, true
-	case "ic0":
-		return IC0, true
-	}
-	return Auto, false
 }
 
 // MarshalText implements encoding.TextMarshaler with the String tag.
 func (p Preconditioner) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler through
-// ParsePreconditioner, so flags and JSON share one parse and one error.
-func (p *Preconditioner) UnmarshalText(b []byte) error {
-	v, ok := ParsePreconditioner(string(b))
-	if !ok {
-		return fmt.Errorf("unknown preconditioner %q (want jacobi, ic0, or auto)", b)
-	}
-	*p = v
-	return nil
-}
-
-// Resolve maps Auto to the concrete preconditioner for an n-unknown
-// system; Jacobi and IC0 resolve to themselves.
-func (p Preconditioner) Resolve(n int) Preconditioner {
-	if p == Auto {
-		if n >= AutoIC0Threshold {
-			return IC0
-		}
-		return Jacobi
-	}
-	return p
-}
 
 // cgMetrics holds the package's metric handles, one set per effective
 // preconditioner tag. All handles are nil until EnableMetrics, and every
@@ -98,8 +49,8 @@ type cgMetrics struct {
 	seconds      *obsv.Histogram
 }
 
-// metrics is indexed by the effective Preconditioner (always Jacobi or
-// IC0 after Resolve and fallback); the Auto slot stays unused.
+// metrics is indexed by the effective Preconditioner; slot 0 stays
+// unused.
 var metrics [3]cgMetrics
 
 // EnableMetrics registers the solver's counters and histograms in r and
@@ -111,9 +62,9 @@ var metrics [3]cgMetrics
 //	sparse_cg_residual{precond=...}            final relative residual
 //	sparse_cg_seconds{precond=...}             solve wall time
 //
-// The precond label is the *effective* preconditioner (an IC0 request
-// that falls back to Jacobi counts as jacobi). Passing nil detaches the
-// solver from any registry.
+// The precond label is the preconditioner the solve applied: ic0 with a
+// factor, jacobi without one. Passing nil detaches the solver from any
+// registry.
 func EnableMetrics(r *obsv.Registry) {
 	for _, p := range []Preconditioner{Jacobi, IC0} {
 		tag := `{precond="` + p.String() + `"}`
@@ -136,14 +87,11 @@ type CGOptions struct {
 	Tol float64
 	// MaxIter caps the iteration count. Defaults to 10·N.
 	MaxIter int
-	// Precond selects the preconditioner. The default is Auto: IC0 for
-	// systems of at least AutoIC0Threshold unknowns, Jacobi below.
-	Precond Preconditioner
-	// Factor, when non-nil and Precond resolves to IC0, is a
-	// pre-refactored IC0 factor to apply instead of factoring inside the
-	// solve. Callers that solve several right-hand sides against one
-	// matrix (the placer's x/y axis pair) share a single factor this way;
-	// Apply is read-only, so concurrent solves may share it.
+	// Factor, when non-nil, is the IC0 factor of the matrix to
+	// precondition with; nil preconditions with the diagonal (Jacobi).
+	// Callers that solve several right-hand sides against one matrix (the
+	// placer's x/y axis pair) share a single factor this way; Apply is
+	// read-only, so concurrent solves may share it.
 	Factor *IC0Factor
 }
 
@@ -153,7 +101,7 @@ type CGResult struct {
 	Residual   float64 // final relative residual
 	Converged  bool
 	Elapsed    time.Duration  // solve wall time
-	Precond    Preconditioner // effective preconditioner (after Auto/fallback)
+	Precond    Preconditioner // preconditioner applied
 }
 
 // ErrNotConverged is returned when CG hits MaxIter above tolerance. The
@@ -161,12 +109,14 @@ type CGResult struct {
 // placement solve is usable.
 var ErrNotConverged = errors.New("sparse: conjugate gradient did not converge")
 
-// SolveCG solves M·x = b for symmetric positive-definite M using conjugate
-// gradients with Jacobi (diagonal) preconditioning. x carries the initial
+// SolveCG solves M·x = b for symmetric positive-definite M using
+// preconditioned conjugate gradients: opt.Factor's IC0 triangular solves
+// when it is set, the diagonal (Jacobi) otherwise. x carries the initial
 // guess on entry (warm start) and the solution on return.
 func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 	n := m.N()
-	if len(x) != n || len(b) != n {
+	chol := opt.Factor
+	if len(x) != n || len(b) != n || (chol != nil && chol.N() != n) {
 		panic("sparse: SolveCG dimension mismatch")
 	}
 	if opt.Tol <= 0 {
@@ -179,15 +129,7 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 		}
 	}
 
-	var chol *IC0Factor
-	if opt.Precond.Resolve(n) == IC0 {
-		if opt.Factor != nil && opt.Factor.N() == n {
-			chol = opt.Factor
-		} else {
-			chol = NewIC0(m) // nil on breakdown → Jacobi fallback
-		}
-	}
-	eff := Jacobi // effective preconditioner, the metrics tag
+	eff := Jacobi // the metrics tag
 	if chol != nil {
 		eff = IC0
 	}

@@ -1,15 +1,14 @@
 // Package sparse implements the sparse linear algebra the placer needs:
-// symmetric positive-definite matrices in compressed sparse row form and a
-// Jacobi-preconditioned conjugate gradient solver, as called for by the
-// paper's §4.1 ("a conjugate gradient approach with preconditioning").
+// symmetric positive-definite matrices in compressed sparse row form, a
+// zero-fill incomplete Cholesky (IC0) factor, and the preconditioned
+// conjugate gradient solver the paper's §4.1 calls for ("a conjugate
+// gradient approach with preconditioning").
 package sparse
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // Builder accumulates matrix entries in triplet form. Duplicate (row,col)
@@ -108,26 +107,13 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 }
 
 // MulVec computes dst = M·x. dst and x must have length N and not alias.
-// Matrices with at least par.Threshold rows are processed on all CPUs; the
-// result is deterministic either way (each row is written by exactly one
-// goroutine, with the same per-row kernel as the serial path). The serial
-// path calls the kernel directly and allocates nothing; par.Run's callback
-// escapes, so routing it there would cost a closure per product.
+// It runs serially: the placer calls it from both solves of par.Pair at
+// once, so a row fan-out would only compete with the other axis.
 func (m *CSR) MulVec(dst, x []float64) {
 	if len(dst) != m.n || len(x) != m.n {
 		panic("sparse: MulVec dimension mismatch")
 	}
-	if w := par.Workers(m.n); w > 1 {
-		par.Run(w, m.n, func(_, lo, hi int) {
-			m.mulRange(dst, x, lo, hi)
-		})
-		return
-	}
-	m.mulRange(dst, x, 0, m.n)
-}
-
-func (m *CSR) mulRange(dst, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.n; i++ {
 		s := 0.0
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			s += m.vals[k] * x[m.cols[k]]

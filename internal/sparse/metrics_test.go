@@ -32,7 +32,7 @@ func TestSolveCGMetrics(t *testing.T) {
 
 	m, rhs := testSystem(50)
 	x := make([]float64, 50)
-	res, err := SolveCG(m, x, rhs, CGOptions{Tol: 1e-10})
+	res, err := SolveCG(m, x, rhs, CGOptions{Tol: 1e-10}) // nil Factor: Jacobi
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +52,11 @@ func TestSolveCGMetrics(t *testing.T) {
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("want ErrNotConverged, got %v", err)
 	}
+	// A factor routes the solve to the ic0 family.
+	x3 := make([]float64, 50)
+	if r, err := SolveCG(m, x3, rhs, CGOptions{Tol: 1e-10, Factor: NewIC0(m)}); err != nil || r.Precond != IC0 {
+		t.Fatalf("IC0 solve: %v, applied %v", err, r.Precond)
+	}
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -69,8 +74,8 @@ func TestSolveCGMetrics(t *testing.T) {
 			t.Errorf("metrics dump missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, `sparse_cg_solves_total{precond="ic0"} 0`) == false {
-		t.Errorf("ic0 family should be registered at zero:\n%s", out)
+	if !strings.Contains(out, `sparse_cg_solves_total{precond="ic0"} 1`) {
+		t.Errorf("ic0 family should count the one factored solve:\n%s", out)
 	}
 }
 

@@ -321,17 +321,23 @@ func TestIC0PreconditionerSolves(t *testing.T) {
 		}
 		b := make([]float64, n)
 		m.MulVec(b, want)
+		f := NewIC0(m)
+		if f == nil {
+			t.Fatalf("trial %d: factorization broke down", trial)
+		}
 		x := make([]float64, n)
-		res, err := SolveCG(m, x, b, CGOptions{Tol: 1e-10, Precond: IC0})
+		res, err := SolveCG(m, x, b, CGOptions{Tol: 1e-10, Factor: f})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if res.Precond != IC0 {
+			t.Fatalf("trial %d: applied %v, want ic0", trial, res.Precond)
 		}
 		for i := range want {
 			if math.Abs(x[i]-want[i]) > 1e-5*(1+math.Abs(want[i])) {
 				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, x[i], want[i])
 			}
 		}
-		_ = res
 	}
 }
 
@@ -347,14 +353,17 @@ func TestIC0ConvergesFasterThanJacobi(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		xj := make([]float64, n)
-		rj, err := SolveCG(m, xj, b, CGOptions{Tol: 1e-10})
+		rj, err := SolveCG(m, xj, b, CGOptions{Tol: 1e-10}) // nil Factor: Jacobi
 		if err != nil {
 			t.Fatal(err)
 		}
 		xc := make([]float64, n)
-		rc, err := SolveCG(m, xc, b, CGOptions{Tol: 1e-10, Precond: IC0})
+		rc, err := SolveCG(m, xc, b, CGOptions{Tol: 1e-10, Factor: NewIC0(m)})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rj.Precond != Jacobi || rc.Precond != IC0 {
+			t.Fatalf("applied %v / %v, want jacobi / ic0", rj.Precond, rc.Precond)
 		}
 		if rc.Iterations < rj.Iterations {
 			wins++
@@ -366,15 +375,23 @@ func TestIC0ConvergesFasterThanJacobi(t *testing.T) {
 }
 
 func TestIC0FallsBackOnBreakdown(t *testing.T) {
-	// An indefinite matrix breaks the Cholesky factorization; the solver
-	// must fall back to Jacobi and fail the same way plain CG does,
-	// not panic.
+	// An indefinite matrix breaks the Cholesky factorization: NewIC0
+	// returns no factor, so the solve runs with Jacobi and fails the same
+	// way plain CG does, not panic.
 	b := NewBuilder(2)
 	b.AddSym(0, 0, -1)
 	b.AddSym(1, 1, -1)
 	m := b.Build()
+	f := NewIC0(m)
+	if f != nil {
+		t.Fatal("factorization of a negative-definite matrix succeeded")
+	}
 	x := make([]float64, 2)
-	if _, err := SolveCG(m, x, []float64{1, 1}, CGOptions{Precond: IC0}); err == nil {
+	res, err := SolveCG(m, x, []float64{1, 1}, CGOptions{Factor: f})
+	if err == nil {
 		t.Error("expected failure on negative-definite matrix")
+	}
+	if res.Precond != Jacobi {
+		t.Errorf("applied %v, want jacobi", res.Precond)
 	}
 }

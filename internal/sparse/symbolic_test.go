@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/par"
 )
 
 // fillRandomSPDish adds a random symmetric diagonally-augmented pattern with
@@ -155,31 +153,6 @@ func TestBuilderResetKeepsCapacity(t *testing.T) {
 	}
 	if got := m.At(3, 2); got != 0 {
 		t.Fatalf("post-reset build kept stale entry: At(3,2) = %g", got)
-	}
-}
-
-func TestMulVecParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	n := 200
-	b := NewBuilder(n)
-	fillRandomSPDish(b, rng, n, 6*n)
-	m := b.Build()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	serial := make([]float64, n)
-	m.MulVec(serial, x)
-
-	parallel := make([]float64, n)
-	old := par.Threshold
-	par.Threshold = 1
-	defer func() { par.Threshold = old }()
-	m.MulVec(parallel, x)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("parallel MulVec differs at %d: %g vs %g", i, parallel[i], serial[i])
-		}
 	}
 }
 

@@ -152,33 +152,20 @@ const (
 	StopDeadline   = place.StopDeadline
 )
 
-// Solver engine knobs (Config.CG and Config.FieldMethod). The enum types
-// parse their tags with UnmarshalText and print them with String.
+// Solver engine types. Config.CG sets the CG tolerance and iteration
+// cap; the solves always precondition with IC0, and IterStats.Precond
+// reports PrecondJacobi only when that factorization broke down.
 type (
 	// CGOptions configures the conjugate-gradient linear solver.
 	CGOptions = sparse.CGOptions
-	// Preconditioner selects the CG preconditioner.
+	// Preconditioner names the preconditioner a solve applied.
 	Preconditioner = sparse.Preconditioner
-	// FieldMethod selects how the density force field (eq. 9) is
-	// evaluated.
-	FieldMethod = density.Method
 )
 
-// Preconditioner choices for CGOptions.Precond. PrecondAuto picks IC0 for
-// systems large enough to amortize the factorization and Jacobi otherwise.
+// Preconditioners IterStats.Precond can report.
 const (
 	PrecondJacobi = sparse.Jacobi
 	PrecondIC0    = sparse.IC0
-	PrecondAuto   = sparse.Auto
-)
-
-// Field-method choices for Config.FieldMethod. FieldDirect sums eq. (9)
-// over all bin pairs; FieldRealFFT evaluates the same superposition as a
-// convolution through real-input transforms on half spectra.
-const (
-	FieldAuto    = density.Auto
-	FieldDirect  = density.Direct
-	FieldRealFFT = density.RealFFT
 )
 
 // Global runs force-directed global placement on nl (§4.2), mutating cell
