@@ -34,10 +34,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/bench"
-	"repro/internal/density"
-	"repro/internal/fft"
 	"repro/internal/obsv"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -82,9 +79,6 @@ func main() {
 
 	if *metrics || *httpAddr != "" {
 		opts.Metrics = obsv.NewRegistry()
-		sparse.EnableMetrics(opts.Metrics)
-		density.EnableMetrics(opts.Metrics)
-		fft.EnableMetrics(opts.Metrics)
 	}
 	if *tracePath != "" {
 		trace, err := obsv.OpenTrace(*tracePath)

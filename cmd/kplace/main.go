@@ -37,15 +37,12 @@ import (
 	"time"
 
 	"repro/internal/anneal"
-	"repro/internal/density"
-	"repro/internal/fft"
 	"repro/internal/gordian"
 	"repro/internal/legalize"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/obsv"
 	"repro/internal/place"
-	"repro/internal/sparse"
 	"repro/internal/timing"
 	"repro/internal/visual"
 )
@@ -85,9 +82,6 @@ func main() {
 	var reg *obsv.Registry
 	if *metrics || *httpAddr != "" {
 		reg = obsv.NewRegistry()
-		sparse.EnableMetrics(reg)
-		density.EnableMetrics(reg)
-		fft.EnableMetrics(reg)
 	}
 	var trace *obsv.TraceWriter
 	if *tracePath != "" {

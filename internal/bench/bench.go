@@ -39,8 +39,8 @@ type Options struct {
 	// Trace, when non-nil, receives one JSONL record per Kraftwerk
 	// placement transformation, labeled with the circuit and engine.
 	Trace *obsv.TraceWriter
-	// Metrics, when non-nil, collects the stack's counters and histograms
-	// (CG solves, field evaluations, transformation timings).
+	// Metrics, when non-nil, is every Kraftwerk run's place.Config.Metrics
+	// (phase timings, CG iterations and residuals, transformations).
 	Metrics *obsv.Registry
 }
 

@@ -138,8 +138,8 @@ func TestFFTMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestMethodStringAndParse: the method tags the field metrics label by.
-// Methods are not parsed from text: the grid alone picks one (Auto).
+// TestMethodStringAndParse: the method tags diagnostics print. Methods
+// are not parsed from text: the grid alone picks one (Auto).
 func TestMethodStringAndParse(t *testing.T) {
 	for _, tc := range []struct {
 		m   Method

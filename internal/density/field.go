@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fft"
 	"repro/internal/geom"
-	"repro/internal/obsv"
 )
 
 // Field is the force field induced by a density map, sampled at bin
@@ -47,28 +46,6 @@ func (m Method) String() string {
 	}
 }
 
-// fieldSeconds times field evaluations per effective method (indexed by
-// Direct/RealFFT). Nil until EnableMetrics; a nil histogram skips even
-// the clock reads.
-var fieldSeconds [3]*obsv.Histogram
-
-// EnableMetrics registers field-evaluation timing in r:
-//
-//	density_field_seconds{method="direct"|"rfft"}
-//
-// labeled by the *effective* method (Auto resolves before recording).
-// Passing nil detaches the package from any registry.
-func EnableMetrics(r *obsv.Registry) {
-	if r == nil {
-		fieldSeconds = [3]*obsv.Histogram{}
-		return
-	}
-	for _, m := range []Method{Direct, RealFFT} {
-		fieldSeconds[m] = r.Histogram(`density_field_seconds{method="`+m.String()+`"}`,
-			"force-field evaluation wall time in seconds", obsv.SecondsBuckets)
-	}
-}
-
 // ComputeField evaluates the force field of g's current density map.
 func ComputeField(g *Grid, m Method) *Field {
 	if m == Auto {
@@ -78,18 +55,14 @@ func ComputeField(g *Grid, m Method) *Field {
 			m = Direct
 		}
 	}
-	observe := fieldSeconds[m].Time()
-	var f *Field
 	switch m {
 	case Direct:
-		f = computeDirect(g)
+		return computeDirect(g)
 	case RealFFT:
-		f = g.fieldSolver().solve(g)
+		return g.fieldSolver().solve(g)
 	default:
 		panic("density: unknown field method")
 	}
-	observe()
-	return f
 }
 
 // computeDirect evaluates f(r) = Σ_b D_b · (r − r_b) / (2π·|r − r_b|²) at

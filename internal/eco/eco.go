@@ -196,7 +196,7 @@ func Replace(nl *netlist.Netlist, preEdit netlist.Placement, cfg place.Config) (
 		pres.Overflow = stats.Overflow
 	}
 	pres.Converged = true
-	pres.StopReason = "eco-steps"
+	pres.StopReason = place.StopMaxIter // the whole step budget ran
 	res.Place = pres
 	res.HPWLAfter = nl.HPWL()
 	after := nl.Snapshot()

@@ -144,5 +144,14 @@ func TestReplaceAbsorbsLocalDensitySpike(t *testing.T) {
 	if len(distinct) < 3 {
 		t.Errorf("ECO cells still piled: %d distinct unit positions", len(distinct))
 	}
-	_ = res
+	// Like every run, an ECO run ends in a declared stop reason: max-iter,
+	// since it always runs its whole step budget.
+	switch res.Place.StopReason {
+	case place.StopCriterion, place.StopStagnation, place.StopMaxIter, place.StopCancelled, place.StopDeadline:
+	default:
+		t.Errorf("StopReason %q is not a declared place.Stop* constant", res.Place.StopReason)
+	}
+	if res.Place.StopReason != place.StopMaxIter || res.Place.Iterations != 15 {
+		t.Errorf("stop %q after %d steps, want max-iter after the 15-step budget", res.Place.StopReason, res.Place.Iterations)
+	}
 }

@@ -3,29 +3,7 @@
 // O(B log B) instead of O(B²).
 package fft
 
-import (
-	"math/bits"
-
-	"repro/internal/obsv"
-)
-
-// convolveSeconds times Plan and RealPlan convolutions; nil (free) until
-// EnableMetrics.
-var convolveSeconds *obsv.Histogram
-
-// EnableMetrics registers transform timing in r:
-//
-//	fft_convolve_seconds — wall time of each 2-D convolution
-//
-// Passing nil detaches the package from any registry.
-func EnableMetrics(r *obsv.Registry) {
-	if r == nil {
-		convolveSeconds = nil
-		return
-	}
-	convolveSeconds = r.Histogram("fft_convolve_seconds",
-		"2-D FFT convolution wall time in seconds", obsv.SecondsBuckets)
-}
+import "math/bits"
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

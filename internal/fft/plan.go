@@ -184,7 +184,6 @@ func (p *Plan) Convolve(dst, src, kernel []float64) {
 	if len(dst) != n || len(src) != n || len(kernel) != n {
 		panic("fft: Convolve dimension mismatch")
 	}
-	defer convolveSeconds.Time()()
 	a, b := p.scratch()
 	for i := range src {
 		a[i] = complex(src[i], 0)
@@ -211,7 +210,6 @@ func (p *Plan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]comple
 	if len(src) != n || len(dsts) != len(specs) {
 		panic("fft: ConvolveSpectra dimension mismatch")
 	}
-	defer convolveSeconds.Time()()
 	a, b := p.scratch()
 	for i := range src {
 		a[i] = complex(src[i], 0)

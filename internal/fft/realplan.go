@@ -202,7 +202,6 @@ func (p *RealPlan) Convolve(dst, src, kernel []float64) {
 	if len(dst) != n || len(src) != n || len(kernel) != n {
 		panic("fft: RealPlan.Convolve dimension mismatch")
 	}
-	defer convolveSeconds.Time()()
 	a, b := p.scratch()
 	p.Spectrum(a, src)
 	p.forwardRows(b, kernel)
@@ -223,7 +222,6 @@ func (p *RealPlan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]co
 	if len(src) != n || len(dsts) != len(specs) {
 		panic("fft: RealPlan.ConvolveSpectra dimension mismatch")
 	}
-	defer convolveSeconds.Time()()
 	a, b := p.scratch()
 	p.Spectrum(a, src)
 	for s := range specs {

@@ -16,15 +16,3 @@ func StartTimer() Stopwatch { return Stopwatch{t0: time.Now()} }
 // Elapsed returns the time since StartTimer. The zero Stopwatch reports
 // time since the epoch — start it before reading it.
 func (w Stopwatch) Elapsed() time.Duration { return time.Since(w.t0) }
-
-// Time reads the clock and returns a closure that records the elapsed
-// seconds into the histogram; use as `defer h.Time()()` or capture the
-// closure and call it at the measurement point. On a nil receiver it
-// returns an inert closure without reading the clock.
-func (h *Histogram) Time() func() {
-	if h == nil {
-		return func() {}
-	}
-	w := StartTimer()
-	return func() { h.Observe(w.Elapsed().Seconds()) }
-}

@@ -140,32 +140,6 @@ func TestPrometheusEncoding(t *testing.T) {
 	}
 }
 
-func TestJSONEncoding(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("n_total", "").Add(7)
-	r.Gauge("v", "").Set(1.5)
-	r.Histogram("h", "", []float64{1}).Observe(0.5)
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Counters   map[string]int64    `json:"counters"`
-		Gauges     map[string]float64  `json:"gauges"`
-		Histograms map[string]histJSON `json:"histograms"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if got.Counters["n_total"] != 7 || got.Gauges["v"] != 1.5 {
-		t.Fatalf("unexpected JSON payload: %+v", got)
-	}
-	if h := got.Histograms["h"]; h.Count != 1 || h.Buckets["1"] != 1 || h.Buckets["+Inf"] != 1 {
-		t.Fatalf("unexpected histogram payload: %+v", got.Histograms["h"])
-	}
-}
-
 func TestSpansAggregation(t *testing.T) {
 	s := NewSpans()
 	s.Record("solve", 10*time.Millisecond)

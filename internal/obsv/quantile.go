@@ -2,41 +2,13 @@ package obsv
 
 import "math"
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
-// distribution by linear interpolation inside the histogram's buckets —
-// the same estimator Prometheus's histogram_quantile applies server-side,
-// computed here so encoders can surface p50/p95/p99 without a query
-// engine. Returns NaN on a nil or empty histogram; samples beyond the
-// last finite bucket clamp to that bucket's upper bound (the estimator
-// cannot see past its ladder).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	uppers, cum, _, total := h.snapshot()
-	return bucketQuantile(q, uppers, cum, total)
-}
-
-// Quantiles evaluates several quantiles on one snapshot, so the estimates
-// are mutually consistent even under concurrent Observe traffic.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	if h == nil {
-		out := make([]float64, len(qs))
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	uppers, cum, _, total := h.snapshot()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = bucketQuantile(q, uppers, cum, total)
-	}
-	return out
-}
-
-// bucketQuantile interpolates the q-quantile from sorted upper bounds and
-// cumulative counts (cum[len(uppers)] is the +Inf total).
+// bucketQuantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram from
+// its sorted upper bounds and cumulative counts (cum[len(uppers)] is the
+// +Inf total) by linear interpolation inside the buckets — the estimator
+// Prometheus's histogram_quantile applies server-side, computed here so
+// WritePrometheus can surface p50/p95/p99 without a query engine. Returns
+// NaN on an empty histogram; samples beyond the last finite bucket clamp
+// to that bucket's upper bound (the estimator cannot see past its ladder).
 func bucketQuantile(q float64, uppers []float64, cum []int64, total int64) float64 {
 	if total == 0 || math.IsNaN(q) {
 		return math.NaN()

@@ -2,11 +2,17 @@ package obsv
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 )
+
+// quantile evaluates bucketQuantile on h's current buckets, the estimate
+// WritePrometheus encodes as the _p50/_p95/_p99 gauges.
+func quantile(h *Histogram, q float64) float64 {
+	uppers, cum, _, total := h.snapshot()
+	return bucketQuantile(q, uppers, cum, total)
+}
 
 // TestQuantileInterpolation pins the estimator on a hand-checkable
 // distribution: buckets [1 2 4], one sample per bucket edge region.
@@ -27,13 +33,9 @@ func TestQuantileInterpolation(t *testing.T) {
 		{1.5, 4},  // clamped to q=1
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
+		if got := quantile(h, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("quantile(%g) = %g, want %g", c.q, got, c.want)
 		}
-	}
-	qs := h.Quantiles(0.5, 0.75)
-	if qs[0] != 2 || qs[1] != 3 {
-		t.Errorf("Quantiles = %v, want [2 3]", qs)
 	}
 }
 
@@ -45,8 +47,8 @@ func TestQuantileFirstBucketInterpolatesFromZero(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		h.Observe(1)
 	}
-	if got := h.Quantile(0.5); got != 5 {
-		t.Errorf("Quantile(0.5) = %g, want 5 (linear within [0,10])", got)
+	if got := quantile(h, 0.5); got != 5 {
+		t.Errorf("quantile(0.5) = %g, want 5 (linear within [0,10])", got)
 	}
 }
 
@@ -58,31 +60,30 @@ func TestQuantileOverflowClampsToLastFinite(t *testing.T) {
 	h := r.Histogram("q_inf", "fixture", []float64{1, 4})
 	h.Observe(100)
 	h.Observe(200)
-	if got := h.Quantile(0.99); got != 4 {
-		t.Errorf("Quantile(0.99) = %g, want clamp to 4", got)
+	if got := quantile(h, 0.99); got != 4 {
+		t.Errorf("quantile(0.99) = %g, want clamp to 4", got)
 	}
 }
 
+// TestQuantileEmptyAndNil: an empty histogram, a NaN q and a nil bucket
+// ladder have no estimate.
 func TestQuantileEmptyAndNil(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q_empty", "fixture", []float64{1})
-	if got := h.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("empty histogram Quantile = %g, want NaN", got)
+	if got := quantile(h, 0.5); !math.IsNaN(got) {
+		t.Errorf("empty histogram quantile = %g, want NaN", got)
 	}
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); !math.IsNaN(got) {
-		t.Errorf("nil histogram Quantile = %g, want NaN", got)
+	h.Observe(0.5)
+	if got := quantile(h, math.NaN()); !math.IsNaN(got) {
+		t.Errorf("quantile(NaN) = %g, want NaN", got)
 	}
-	for _, q := range nilH.Quantiles(0.5, 0.9) {
-		if !math.IsNaN(q) {
-			t.Errorf("nil histogram Quantiles contains %g, want NaN", q)
-		}
+	if got := bucketQuantile(0.5, nil, []int64{3}, 3); !math.IsNaN(got) {
+		t.Errorf("quantile without finite buckets = %g, want NaN", got)
 	}
 }
 
-// TestEncoderQuantileGolden pins the quantile surfacing in both
-// encoders: sibling _p50/_p95/_p99 gauge families in Prometheus text,
-// p50/p95/p99 fields in JSON.
+// TestEncoderQuantileGolden pins the quantile surfacing in the Prometheus
+// text: sibling _p50/_p95/_p99 gauge families.
 func TestEncoderQuantileGolden(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "fixture latency", []float64{1, 2, 4})
@@ -106,33 +107,10 @@ func TestEncoderQuantileGolden(t *testing.T) {
 			t.Errorf("Prometheus encoding missing %q:\n%s", want, text)
 		}
 	}
-
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Histograms map[string]struct {
-			Count int64   `json:"count"`
-			P50   float64 `json:"p50"`
-			P95   float64 `json:"p95"`
-			P99   float64 `json:"p99"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(js.Bytes(), &doc); err != nil {
-		t.Fatalf("JSON encoding does not parse: %v", err)
-	}
-	hj, ok := doc.Histograms["lat_seconds"]
-	if !ok {
-		t.Fatalf("JSON encoding missing histogram: %s", js.String())
-	}
-	if hj.Count != 4 || hj.P50 != 2 || math.Abs(hj.P95-3.8) > 1e-12 || math.Abs(hj.P99-3.96) > 1e-12 {
-		t.Errorf("JSON quantiles = %+v, want count 4, p50 2, p95 3.8, p99 3.96", hj)
-	}
 }
 
 // TestEmptyHistogramEncodesWithoutQuantiles: an empty histogram must not
-// emit NaN into either encoding.
+// emit quantile lines or NaN into the encoding.
 func TestEmptyHistogramEncodesWithoutQuantiles(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("empty_seconds", "fixture", []float64{1})
@@ -144,12 +122,8 @@ func TestEmptyHistogramEncodesWithoutQuantiles(t *testing.T) {
 	if strings.Contains(prom.String(), "empty_seconds_p50") {
 		t.Errorf("empty histogram emitted quantile lines:\n%s", prom.String())
 	}
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(js.String(), "NaN") {
-		t.Errorf("JSON encoding contains NaN: %s", js.String())
+	if strings.Contains(prom.String(), "NaN") {
+		t.Errorf("Prometheus encoding contains NaN:\n%s", prom.String())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obsv is the placement stack's observability layer: nestable
 // phase/span timers with per-run aggregation, a process-wide registry of
-// counters, gauges and fixed-bucket histograms with Prometheus-text and
-// JSON encoders, and a JSONL run-trace writer.
+// counters, gauges and fixed-bucket histograms with a Prometheus-text
+// encoder, and a JSONL run-trace writer.
 //
 // The package is standard-library only and designed to cost ~zero when
 // disabled: every handle type (*Counter, *Gauge, *Histogram, *Spans,
@@ -12,7 +12,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -361,72 +360,11 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// quantilePoints are the percentiles both encoders surface per histogram.
+// quantilePoints are the percentiles WritePrometheus surfaces per histogram.
 var quantilePoints = []struct {
 	q      float64
 	suffix string
 }{{0.5, "_p50"}, {0.95, "_p95"}, {0.99, "_p99"}}
-
-// histJSON is the JSON shape of one histogram. The quantile fields are
-// bucket-interpolated estimates (0 while the histogram is empty — JSON
-// has no NaN).
-type histJSON struct {
-	Count   int64            `json:"count"`
-	Sum     float64          `json:"sum"`
-	P50     float64          `json:"p50"`
-	P95     float64          `json:"p95"`
-	P99     float64          `json:"p99"`
-	Buckets map[string]int64 `json:"buckets"` // upper bound → cumulative count
-}
-
-// WriteJSON encodes the registry as a single JSON object. Safe on nil
-// (writes {}).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		return json.NewEncoder(w).Encode(newRegistryJSON())
-	}
-	out := newRegistryJSON()
-	r.mu.Lock()
-	for name, c := range r.counters {
-		out.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		out.Gauges[name] = g.Value()
-	}
-	for name, h := range r.histograms {
-		//lint:ignore lockheld same fixed registry→histogram lock order as WritePrometheus; snapshot is a bounded copy
-		uppers, cum, sum, total := h.snapshot()
-		buckets := make(map[string]int64, len(uppers)+1)
-		for i, up := range uppers {
-			buckets[formatFloat(up)] = cum[i]
-		}
-		buckets["+Inf"] = total
-		hj := histJSON{Count: total, Sum: sum, Buckets: buckets}
-		if total > 0 {
-			hj.P50 = bucketQuantile(0.5, uppers, cum, total)
-			hj.P95 = bucketQuantile(0.95, uppers, cum, total)
-			hj.P99 = bucketQuantile(0.99, uppers, cum, total)
-		}
-		out.Histograms[name] = hj
-	}
-	r.mu.Unlock()
-	return json.NewEncoder(w).Encode(out)
-}
-
-// registryJSON is the WriteJSON document shape.
-type registryJSON struct {
-	Counters   map[string]int64    `json:"counters"`
-	Gauges     map[string]float64  `json:"gauges"`
-	Histograms map[string]histJSON `json:"histograms"`
-}
-
-func newRegistryJSON() registryJSON {
-	return registryJSON{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]histJSON{},
-	}
-}
 
 // ServeHTTP serves the Prometheus text encoding, making a *Registry
 // mountable at /metrics on any mux. Safe on nil (serves the empty

@@ -30,8 +30,6 @@ var knobs = []Knob{
 	{"no_linearize", "nolinearize", "disable the net-weight linearization (purely quadratic solve)", func(c *Config) any { return &c.NoLinearize }},
 	{"keep_placement", "keep", "start from the input netlist's positions instead of gathering at the region center", func(c *Config) any { return &c.KeepPlacement }},
 	{"stop_square_factor", "stopsq", "stopping-criterion multiple of average cell area (0 = default 4)", func(c *Config) any { return &c.StopSquareFactor }},
-	{"empty_frac", "emptyfrac", "empty-bin demand fraction threshold (0 = default 0.25)", func(c *Config) any { return &c.EmptyFrac }},
-	{"force_floor", "forcefloor", "zero force increments below this fraction of the field maximum (0 = off)", func(c *Config) any { return &c.ForceFloor }},
 	{"cg_tol", "cgtol", "CG relative residual tolerance (0 = default 1e-6)", func(c *Config) any { return &c.CG.Tol }},
 	{"cg_max_iter", "cgmaxiter", "CG iteration cap per solve (0 = default)", func(c *Config) any { return &c.CG.MaxIter }},
 }

@@ -50,9 +50,6 @@ type Config struct {
 	// when no empty square larger than this many average cell areas
 	// remains (§4.2). Defaults to 4.
 	StopSquareFactor float64
-	// EmptyFrac is the demand fraction of average supply below which a
-	// density bin counts as empty. Defaults to 0.25.
-	EmptyFrac float64
 	// CG configures the linear solver.
 	CG sparse.CGOptions
 	// BeforeTransform, when set, runs before every placement
@@ -64,10 +61,6 @@ type Config struct {
 	ExtraDemand func(g *density.Grid) []float64
 	// OnIteration, when set, observes every completed transformation.
 	OnIteration func(s IterStats)
-	// ForceFloor zeroes force increments whose magnitude is below this
-	// fraction of the field maximum. ECO uses it so only the surroundings
-	// of a netlist change move, leaving the converged remainder untouched.
-	ForceFloor float64
 	// NoTrace suppresses Result.Trace accumulation in Run, so long
 	// MaxIter runs on large designs don't retain O(iterations) stats the
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
@@ -77,9 +70,12 @@ type Config struct {
 	// PhaseKeys entry for every placement transformation. Nil costs
 	// nothing.
 	Spans *obsv.Spans
-	// Metrics, when set, receives the run's counters and gauges
-	// (place_transformations_total, place_hpwl, place_overflow,
-	// place_step_seconds). Nil costs nothing.
+	// Metrics, when set, receives the run's metrics, every family derived
+	// from the IterStats of each transformation: place_phase_seconds per
+	// PhaseKeys entry, place_cg_iterations_total by preconditioner,
+	// place_cg_residual, place_cg_nonconverged_total,
+	// place_precond_fallback_total, place_transformations_total,
+	// place_hpwl and place_overflow. Nil costs nothing.
 	Metrics *obsv.Registry
 }
 
@@ -92,9 +88,6 @@ func (c *Config) setDefaults(nl *netlist.Netlist) {
 	}
 	if c.StopSquareFactor <= 0 {
 		c.StopSquareFactor = 4
-	}
-	if c.EmptyFrac <= 0 {
-		c.EmptyFrac = 0.25
 	}
 	if c.CG.Tol <= 0 {
 		// Placement transformations tolerate a loose solve; the next
@@ -324,23 +317,54 @@ type runState struct {
 }
 
 // placeMetrics caches the registry handles resolved once in New; all are
-// nil (free no-ops) when Config.Metrics is unset.
+// nil (free no-ops) when Config.Metrics is unset. observe derives every
+// family from one transformation's IterStats.
 type placeMetrics struct {
-	steps       *obsv.Counter
-	hpwl        *obsv.Gauge
-	overflow    *obsv.Gauge
-	stepSeconds *obsv.Histogram
+	steps, nonConverged, fallbacks *obsv.Counter
+	hpwl, overflow                 *obsv.Gauge
+	residual                       *obsv.Histogram
+	phaseSeconds                   map[string]*obsv.Histogram    // by PhaseKeys entry
+	cgIters                        [sparse.IC0 + 1]*obsv.Counter // by applied sparse.Preconditioner
 }
 
 func newPlaceMetrics(r *obsv.Registry) placeMetrics {
 	if r == nil {
 		return placeMetrics{}
 	}
-	return placeMetrics{
-		steps:       r.Counter("place_transformations_total", "placement transformations executed"),
-		hpwl:        r.Gauge("place_hpwl", "current half-perimeter wire length in layout units"),
-		overflow:    r.Gauge("place_overflow", "current density overflow fraction"),
-		stepSeconds: r.Histogram("place_step_seconds", "placement transformation wall time in seconds", obsv.SecondsBuckets),
+	m := placeMetrics{
+		steps:        r.Counter("place_transformations_total", "placement transformations executed"),
+		nonConverged: r.Counter("place_cg_nonconverged_total", "axis solves that ended above the CG tolerance"),
+		fallbacks:    r.Counter("place_precond_fallback_total", "transformations solved with Jacobi after the IC0 factorization broke down"),
+		hpwl:         r.Gauge("place_hpwl", "current half-perimeter wire length in layout units"),
+		overflow:     r.Gauge("place_overflow", "current density overflow fraction"),
+		residual:     r.Histogram("place_cg_residual", "final relative CG residual per axis solve", obsv.ResidualBuckets),
+		phaseSeconds: make(map[string]*obsv.Histogram, len(phaseKeys)),
+	}
+	for _, k := range phaseKeys {
+		m.phaseSeconds[k] = r.Histogram(`place_phase_seconds{phase="`+k+`"}`, "placement transformation phase wall time in seconds", obsv.SecondsBuckets)
+	}
+	for _, pc := range []sparse.Preconditioner{sparse.Jacobi, sparse.IC0} {
+		m.cgIters[pc] = r.Counter(`place_cg_iterations_total{precond="`+pc.String()+`"}`, "CG iterations of the transformations' axis solves")
+	}
+	return m
+}
+
+// observe records one transformation's stats, except its phase times,
+// which Step records alongside the spans. An axis solve converged when it
+// ended at or below the CG tolerance tol.
+func (m *placeMetrics) observe(s IterStats, tol float64) {
+	m.steps.Inc()
+	m.hpwl.Set(s.HPWL)
+	m.overflow.Set(s.Overflow)
+	m.cgIters[s.Precond].Add(int64(s.CGIterX + s.CGIterY))
+	for _, r := range []float64{s.CGResidX, s.CGResidY} {
+		m.residual.Observe(r)
+		if r > tol {
+			m.nonConverged.Inc()
+		}
+	}
+	if s.PrecondFallback {
+		m.fallbacks.Inc()
 	}
 }
 
@@ -505,16 +529,11 @@ func (p *Placer) Step() (IterStats, error) {
 	for ci := range inc {
 		inc[ci] = geom.Point{}
 	}
-	floor := cfg.ForceFloor * maxMag
 	for ci := range nl.Cells {
 		if nl.Cells[ci].Fixed {
 			continue
 		}
-		f := field.At(nl.Cells[ci].Pos)
-		if f.Norm() < floor {
-			continue
-		}
-		inc[ci] = f.Scale(scale)
+		inc[ci] = field.At(nl.Cells[ci].Pos).Scale(scale)
 		p.forces[ci] = p.forces[ci].Add(inc[ci]) // accumulated e, for observers
 	}
 
@@ -595,7 +614,7 @@ func (p *Placer) Step() (IterStats, error) {
 		Iter:            p.iter,
 		HPWL:            nl.HPWL(),
 		Overflow:        p.grid.Overflow(),
-		EmptySquare:     p.grid.LargestEmptySquare(cfg.EmptyFrac),
+		EmptySquare:     p.grid.LargestEmptySquare(emptyFrac),
 		MaxForce:        targetMax,
 		CGIterX:         res.X.Iterations,
 		CGIterY:         res.Y.Iterations,
@@ -610,13 +629,13 @@ func (p *Placer) Step() (IterStats, error) {
 	stats.TSolvePair = res.PairWall
 	stats.TStep = stepStart.Elapsed()
 	p.iter++
-	if sp := cfg.Spans; sp != nil {
-		stats.Phases.Each(func(k string, d time.Duration) { sp.Record("place/"+k, d) })
+	if sp, ph := cfg.Spans, p.met.phaseSeconds; sp != nil || ph != nil {
+		stats.Phases.Each(func(k string, d time.Duration) {
+			sp.Record("place/"+k, d)
+			ph[k].Observe(d.Seconds())
+		})
 	}
-	p.met.steps.Inc()
-	p.met.hpwl.Set(stats.HPWL)
-	p.met.overflow.Set(stats.Overflow)
-	p.met.stepSeconds.Observe(stats.TStep.Seconds())
+	p.met.observe(stats, cfg.CG.Tol)
 	if cfg.OnIteration != nil {
 		cfg.OnIteration(stats)
 	}
@@ -811,6 +830,10 @@ func Global(nl *netlist.Netlist, cfg Config) (Result, error) {
 func GlobalContext(ctx context.Context, nl *netlist.Netlist, cfg Config) (Result, error) {
 	return New(nl, cfg).Run(ctx)
 }
+
+// emptyFrac is the demand fraction of average supply below which a density
+// bin counts as empty in the §4.2 empty-square measure.
+const emptyFrac = 0.25
 
 // kickRef calibrates the force increment: the effective per-iteration kick
 // is kickRef·√(K/0.2), so the paper's standard mode (K=0.2) sits at the

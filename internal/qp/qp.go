@@ -314,9 +314,8 @@ type SolveResult struct {
 	// Fallback is set when the IC0 factorization broke down, so both
 	// axes were solved with Jacobi.
 	Fallback bool
-	// PairWall is the wall time of the concurrent x/y solve pair —
-	// smaller than X.Elapsed + Y.Elapsed whenever the axes overlap, and
-	// the number that actually bounds the step time.
+	// PairWall is the wall time of the concurrent x/y solve pair: the
+	// axes overlap, so it is the solve time that bounds the step time.
 	PairWall time.Duration
 }
 

@@ -286,11 +286,10 @@ func TestWarmStartUsesCurrentPositions(t *testing.T) {
 	}
 }
 
-// TestSolvePairWallBoundsAxes: the pair's wall time covers both
-// concurrent axis solves, so neither axis's own elapsed time exceeds it.
-// This is why the placer reports the pair, not the axes, as its solve
-// phase.
-func TestSolvePairWallBoundsAxes(t *testing.T) {
+// TestSolvePairWallMeasured: both solve entry points time the concurrent
+// axis pair, the placer's solve phase, and the first solve of an assembly
+// also times the IC0 refactor before it.
+func TestSolvePairWallMeasured(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{Name: "pair", Cells: 400, Nets: 520, Rows: 8, Seed: 12})
 	netgen.ScatterRandom(nl, 4)
 	forces := make([]geom.Point, len(nl.Cells))
@@ -298,7 +297,7 @@ func TestSolvePairWallBoundsAxes(t *testing.T) {
 		forces[i] = geom.Point{X: float64(i%7) - 3, Y: float64(i%5) - 2}
 	}
 	s := Build(nl, Options{})
-	for _, solve := range []func() (SolveResult, error){
+	for i, solve := range []func() (SolveResult, error){
 		func() (SolveResult, error) { return s.Solve(nil, sparse.CGOptions{}) },
 		func() (SolveResult, error) { return s.SolveDelta(forces, sparse.CGOptions{}) },
 	} {
@@ -306,11 +305,8 @@ func TestSolvePairWallBoundsAxes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PairWall <= 0 || res.X.Elapsed <= 0 || res.Y.Elapsed <= 0 {
-			t.Fatalf("unmeasured solve: pair %v, x %v, y %v", res.PairWall, res.X.Elapsed, res.Y.Elapsed)
-		}
-		if res.X.Elapsed > res.PairWall || res.Y.Elapsed > res.PairWall {
-			t.Errorf("axis solve exceeds the pair wall: x %v, y %v, pair %v", res.X.Elapsed, res.Y.Elapsed, res.PairWall)
+		if res.PairWall <= 0 || (i == 0 && res.PrecondWall <= 0) {
+			t.Fatalf("solve %d unmeasured: pair %v, precond %v", i, res.PairWall, res.PrecondWall)
 		}
 	}
 }

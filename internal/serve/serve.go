@@ -58,8 +58,9 @@ type Config struct {
 	// kplace -resume) can continue them.
 	CheckpointDir string
 	// Metrics, when set, receives the serving instruments
-	// (serve_jobs_*_total, serve_queue_depth, serve_job_seconds). When
-	// nil the server creates a private registry; either way /metrics
+	// (serve_jobs_*_total, serve_queue_depth, serve_queue_wait_seconds,
+	// serve_run_seconds; a job's latency is its queue wait plus its run).
+	// When nil the server creates a private registry; either way /metrics
 	// serves it.
 	Metrics *obsv.Registry
 	// Now injects the wall clock for job timestamps; cmd/kserved passes
@@ -252,7 +253,6 @@ type serveMetrics struct {
 	deadlined  *obsv.Counter
 	flight     *obsv.Counter
 	queueDepth *obsv.Gauge
-	jobSeconds *obsv.Histogram
 	queueWait  *obsv.Histogram
 	runSeconds *obsv.Histogram
 }
@@ -289,7 +289,6 @@ func New(cfg Config) *Server {
 			deadlined:  reg.Counter("serve_jobs_deadline_total", "placement jobs that returned a deadline partial"),
 			flight:     reg.Counter("serve_flight_records_total", "anomaly bundles captured by the flight recorder"),
 			queueDepth: reg.Gauge("serve_queue_depth", "jobs waiting to start"),
-			jobSeconds: reg.Histogram("serve_job_seconds", "placement job wall time in seconds", obsv.SecondsBuckets),
 			queueWait:  reg.Histogram("serve_queue_wait_seconds", "time from submission to a worker picking the job up", obsv.SecondsBuckets),
 			runSeconds: reg.Histogram("serve_run_seconds", "placement run time excluding queue wait", obsv.SecondsBuckets),
 		},
@@ -442,7 +441,6 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	placer := place.New(j.nl, j.cfg)
 	res, err := placer.Run(ctx)
 	elapsed := sw.Elapsed()
-	s.met.jobSeconds.Observe(elapsed.Seconds())
 	s.met.runSeconds.Observe(elapsed.Seconds())
 
 	// Fold the run's phase totals into the trace as aggregate child spans

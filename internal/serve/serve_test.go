@@ -547,7 +547,8 @@ func TestSubmitSolverKnobs(t *testing.T) {
 // TestSubmitRejectsUnknownKeys: a retired knob or a misspelled one is a 400,
 // not a silently ignored key that runs the job under other settings. The
 // solves always use IC0 and the grid picks the field method, so precond
-// and field are retired too, whatever their value.
+// and field are retired too, whatever their value; so are force_floor and
+// empty_frac, now the constants 0 and 0.25.
 func TestSubmitRejectsUnknownKeys(t *testing.T) {
 	_, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	text := netlistText(t, testNetlist(60, 8))
@@ -559,6 +560,8 @@ func TestSubmitRejectsUnknownKeys(t *testing.T) {
 		{"field": "rfft"},
 		{"field": "fft"},
 		{"precon": "ic0"},
+		{"force_floor": 0.1},
+		{"empty_frac": 0.3},
 	} {
 		code, er := postBody(t, hs.URL, text, extra)
 		if code != http.StatusBadRequest {

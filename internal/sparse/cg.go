@@ -3,13 +3,10 @@ package sparse
 import (
 	"errors"
 	"math"
-	"time"
-
-	"repro/internal/obsv"
 )
 
 // Preconditioner names the preconditioner a CG solve applied, as
-// reported in CGResult.Precond and the metrics' precond label.
+// reported in CGResult.Precond.
 type Preconditioner int
 
 const (
@@ -37,50 +34,6 @@ func (p Preconditioner) String() string {
 // MarshalText implements encoding.TextMarshaler with the String tag.
 func (p Preconditioner) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
 
-// cgMetrics holds the package's metric handles, one set per effective
-// preconditioner tag. All handles are nil until EnableMetrics, and every
-// obsv operation on a nil handle is a no-op, so the disabled path costs
-// nothing.
-type cgMetrics struct {
-	solves       *obsv.Counter
-	iterations   *obsv.Counter
-	notConverged *obsv.Counter
-	residual     *obsv.Histogram
-	seconds      *obsv.Histogram
-}
-
-// metrics is indexed by the effective Preconditioner; slot 0 stays
-// unused.
-var metrics [3]cgMetrics
-
-// EnableMetrics registers the solver's counters and histograms in r and
-// routes all subsequent solves to them:
-//
-//	sparse_cg_solves_total{precond=...}        solves started
-//	sparse_cg_iterations_total{precond=...}    CG iterations executed
-//	sparse_cg_nonconverged_total{precond=...}  solves that hit ErrNotConverged
-//	sparse_cg_residual{precond=...}            final relative residual
-//	sparse_cg_seconds{precond=...}             solve wall time
-//
-// The precond label is the preconditioner the solve applied: ic0 with a
-// factor, jacobi without one. Passing nil detaches the solver from any
-// registry.
-func EnableMetrics(r *obsv.Registry) {
-	for _, p := range []Preconditioner{Jacobi, IC0} {
-		tag := `{precond="` + p.String() + `"}`
-		m := &metrics[p]
-		if r == nil {
-			*m = cgMetrics{}
-			continue
-		}
-		m.solves = r.Counter("sparse_cg_solves_total"+tag, "conjugate-gradient solves started")
-		m.iterations = r.Counter("sparse_cg_iterations_total"+tag, "conjugate-gradient iterations executed")
-		m.notConverged = r.Counter("sparse_cg_nonconverged_total"+tag, "CG solves that hit MaxIter above tolerance")
-		m.residual = r.Histogram("sparse_cg_residual"+tag, "final relative residual per solve", obsv.ResidualBuckets)
-		m.seconds = r.Histogram("sparse_cg_seconds"+tag, "CG solve wall time in seconds", obsv.SecondsBuckets)
-	}
-}
-
 // CGOptions controls the conjugate gradient solver.
 type CGOptions struct {
 	// Tol is the relative residual target ‖r‖/‖b‖. Defaults to 1e-8.
@@ -100,7 +53,6 @@ type CGResult struct {
 	Iterations int
 	Residual   float64 // final relative residual
 	Converged  bool
-	Elapsed    time.Duration  // solve wall time
 	Precond    Preconditioner // preconditioner applied
 }
 
@@ -113,7 +65,7 @@ var ErrNotConverged = errors.New("sparse: conjugate gradient did not converge")
 // preconditioned conjugate gradients: opt.Factor's IC0 triangular solves
 // when it is set, the diagonal (Jacobi) otherwise. x carries the initial
 // guess on entry (warm start) and the solution on return.
-func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
+func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 	n := m.N()
 	chol := opt.Factor
 	if len(x) != n || len(b) != n || (chol != nil && chol.N() != n) {
@@ -129,23 +81,10 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 		}
 	}
 
-	eff := Jacobi // the metrics tag
+	eff := Jacobi
 	if chol != nil {
 		eff = IC0
 	}
-	start := obsv.StartTimer()
-	defer func() {
-		res.Elapsed = start.Elapsed()
-		res.Precond = eff
-		mt := &metrics[eff]
-		mt.solves.Inc()
-		mt.iterations.Add(int64(res.Iterations))
-		mt.residual.Observe(res.Residual)
-		mt.seconds.Observe(res.Elapsed.Seconds())
-		if err != nil {
-			mt.notConverged.Inc()
-		}
-	}()
 	invDiag := make([]float64, n)
 	for i, d := range m.Diag() {
 		if d > 0 {
@@ -182,7 +121,7 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 	}
 	rel := Norm2(r) / bnorm
 	if rel <= opt.Tol {
-		return CGResult{Iterations: 0, Residual: rel, Converged: true}, nil
+		return CGResult{Iterations: 0, Residual: rel, Converged: true, Precond: eff}, nil
 	}
 
 	precond(z, r)
@@ -195,14 +134,14 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 		if pap <= 0 || math.IsNaN(pap) {
 			// Matrix is not positive definite along p (or numerics broke
 			// down); return the best iterate.
-			return CGResult{Iterations: iter, Residual: rel}, ErrNotConverged
+			return CGResult{Iterations: iter, Residual: rel, Precond: eff}, ErrNotConverged
 		}
 		alpha := rz / pap
 		Axpy(x, alpha, p)
 		Axpy(r, -alpha, ap)
 		rel = Norm2(r) / bnorm
 		if rel <= opt.Tol {
-			return CGResult{Iterations: iter, Residual: rel, Converged: true}, nil
+			return CGResult{Iterations: iter, Residual: rel, Converged: true, Precond: eff}, nil
 		}
 		precond(z, r)
 		rzNew := Dot(r, z)
@@ -212,5 +151,5 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (res CGResult, err error) {
 			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return CGResult{Iterations: opt.MaxIter, Residual: rel}, ErrNotConverged
+	return CGResult{Iterations: opt.MaxIter, Residual: rel, Precond: eff}, ErrNotConverged
 }

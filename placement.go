@@ -35,9 +35,7 @@ import (
 	"io"
 
 	"repro/internal/anneal"
-	"repro/internal/density"
 	"repro/internal/eco"
-	"repro/internal/fft"
 	"repro/internal/floorplan"
 	"repro/internal/geom"
 	"repro/internal/gordian"
@@ -254,7 +252,8 @@ type (
 	// PhaseStat is one phase's aggregate in a Spans snapshot.
 	PhaseStat = obsv.PhaseStat
 	// MetricsRegistry holds counters, gauges, and histograms and encodes
-	// them as Prometheus text or JSON; it is an http.Handler.
+	// them as Prometheus text; it is an http.Handler. Config.Metrics is
+	// the one producer of placement metrics.
 	MetricsRegistry = obsv.Registry
 	// TraceWriter streams JSONL run-trace records.
 	TraceWriter = obsv.TraceWriter
@@ -271,16 +270,6 @@ func NewTraceWriter(w io.Writer) *TraceWriter { return obsv.NewTraceWriter(w) }
 
 // OpenTrace creates (or truncates) a JSONL run-trace file.
 func OpenTrace(path string) (*TraceWriter, error) { return obsv.OpenTrace(path) }
-
-// EnableSolverMetrics registers the solver-level instruments (CG solves,
-// iterations, residuals; density-field and FFT timings) on reg. Call once
-// before placing; pass the same registry as Config.Metrics for the
-// placement-level instruments.
-func EnableSolverMetrics(reg *MetricsRegistry) {
-	sparse.EnableMetrics(reg)
-	density.EnableMetrics(reg)
-	fft.EnableMetrics(reg)
-}
 
 // Legalization / final placement (the Domino role, §6.1).
 type (
