@@ -6,8 +6,9 @@
 //	kbench -table 4            # Table 4 (exploitation; runs Table 3)
 //	kbench -exp fast           # §6.1 fast-vs-standard mode experiment
 //	kbench -exp tradeoff       # §5 timing/area tradeoff curve
+//	kbench -exp ablation       # design-choice ablation with stop reasons (E7)
+//	kbench -exp scaling        # runtime over a cell-count ladder (E8)
 //	kbench -exp step           # place.Step phase breakdown (E10)
-//	kbench -exp serve          # serving-layer throughput/latency (E12)
 //	kbench -all                # everything
 //
 // The suite is scaled by -scale (default 0.12) so a full run finishes in
@@ -43,17 +44,12 @@ func main() {
 
 	var (
 		table    = flag.Int("table", 0, "paper table to regenerate (1-4)")
-		exp      = flag.String("exp", "", "experiment: fast, tradeoff, ablation, scaling, step, serve")
+		exp      = flag.String("exp", "", "experiment: fast, tradeoff, ablation, scaling, step")
 		stepOut  = flag.String("step-out", "", "write the step experiment's JSON document to this file (e.g. BENCH_step.json)")
 		stepIter = flag.Int("step-iter", 60, "max placement transformations per step-experiment run")
 		stepChk  = flag.String("step-check", "", "compare the step experiment's hot run against this baseline BENCH_step.json and exit nonzero on regression")
 		stepChkN = flag.Int("step-check-cells", 10000, "cell count of the row the -step-check gate compares")
 		stepTol  = flag.Float64("step-check-tol", 0.20, "allowed fractional hot step-time regression for -step-check")
-		srvJobs  = flag.Int("serve-jobs", 8, "job count for the serve experiment")
-		srvCells = flag.Int("serve-cells", 2000, "cells per job for the serve experiment")
-		srvIter  = flag.Int("serve-iter", 40, "max placement transformations per serve-experiment job")
-		srvWork  = flag.Int("serve-workers", 0, "worker count for the serve experiment's concurrent pass (0 = GOMAXPROCS)")
-		srvOut   = flag.String("serve-out", "", "write the serve experiment's JSON document to this file (e.g. BENCH_serve.json)")
 		sizes    = flag.String("sizes", "", "comma-separated cell counts for the step experiment (default 2000,10000)")
 		all      = flag.Bool("all", false, "run every table and experiment")
 		scale    = flag.Float64("scale", 0.12, "suite scale factor (1.0 = published sizes)")
@@ -196,25 +192,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *stepOut)
-		}
-		ran = true
-	}
-	if *all || *exp == "serve" {
-		b := bench.RunServeBench(opts, *srvJobs, *srvCells, *srvIter, *srvWork)
-		bench.PrintServeBench(os.Stdout, b)
-		fmt.Println()
-		if *srvOut != "" {
-			f, err := os.Create(*srvOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := bench.WriteServeBench(f, b); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *srvOut)
 		}
 		ran = true
 	}

@@ -26,7 +26,7 @@ func TestIntegrationFullFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged {
+	if res.StopReason != placement.StopCriterion && res.StopReason != placement.StopStagnation {
 		t.Fatalf("global placement did not converge: %+v", res)
 	}
 	globalHPWL := nl.HPWL()

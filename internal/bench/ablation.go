@@ -18,7 +18,7 @@ type AblationRow struct {
 	GlobalWL   float64 // HPWL before legalization (m)
 	Iterations int
 	CPU        float64
-	Converged  bool
+	Stop       place.StopReason
 }
 
 // RunAblation evaluates the design choices DESIGN.md calls out, one
@@ -60,7 +60,7 @@ func RunAblation(opts Options, circuit string) ([]AblationRow, error) {
 			GlobalWL:   globalWL,
 			Iterations: res.Iterations,
 			CPU:        time.Since(start).Seconds(),
-			Converged:  res.Converged,
+			Stop:       res.StopReason,
 		})
 		opts.logf("ablation %-45s wl %.4g m (%d iters, %.2fs)\n",
 			v.name, rows[len(rows)-1].WL, res.Iterations, rows[len(rows)-1].CPU)
@@ -95,8 +95,8 @@ func halfAutoBins(nl *netlist.Netlist) int {
 // first (default) row.
 func PrintAblation(w io.Writer, circuit string, rows []AblationRow) {
 	fmt.Fprintf(w, "Ablation on %s: design-choice variants vs default\n", circuit)
-	fmt.Fprintf(w, "%-46s | %10s %8s | %5s %7s %5s\n",
-		"variant", "wl[m]", "Δwl[%]", "iters", "cpu[s]", "conv")
+	fmt.Fprintf(w, "%-46s | %10s %8s | %5s %7s %s\n",
+		"variant", "wl[m]", "Δwl[%]", "iters", "cpu[s]", "stop")
 	if len(rows) == 0 {
 		return
 	}
@@ -106,11 +106,7 @@ func PrintAblation(w io.Writer, circuit string, rows []AblationRow) {
 		if ref > 0 {
 			delta = 100 * (r.WL - ref) / ref
 		}
-		conv := "yes"
-		if !r.Converged {
-			conv = "no"
-		}
-		fmt.Fprintf(w, "%-46s | %10.4g %8.1f | %5d %7.2f %5s\n",
-			r.Variant, r.WL, delta, r.Iterations, r.CPU, conv)
+		fmt.Fprintf(w, "%-46s | %10.4g %8.1f | %5d %7.2f %s\n",
+			r.Variant, r.WL, delta, r.Iterations, r.CPU, r.Stop)
 	}
 }

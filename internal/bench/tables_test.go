@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/place"
 )
 
 func sampleT1() []Table1Row {
@@ -159,15 +161,24 @@ func TestRunAblationSmoke(t *testing.T) {
 	if len(rows) != 4 { // default, no linearization, coarse and fine grid
 		t.Fatalf("ablation rows = %d, want 4", len(rows))
 	}
-	for _, r := range rows {
+	var sb strings.Builder
+	PrintAblation(&sb, "fract", rows)
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 2+len(rows) || !strings.Contains(lines[2], "default") {
+		t.Fatalf("ablation output malformed:\n%s", sb.String())
+	}
+	for i, r := range rows {
 		if r.WL <= 0 {
 			t.Errorf("variant %q produced no wire length", r.Variant)
 		}
-	}
-	var sb strings.Builder
-	PrintAblation(&sb, "fract", rows)
-	if !strings.Contains(sb.String(), "default") {
-		t.Error("ablation output missing default row")
+		switch r.Stop {
+		case place.StopCriterion, place.StopStagnation, place.StopMaxIter, place.StopCancelled, place.StopDeadline:
+		default:
+			t.Errorf("variant %q: stop %q is not a declared place.Stop* constant", r.Variant, r.Stop)
+		}
+		if !strings.HasSuffix(lines[2+i], " "+string(r.Stop)) {
+			t.Errorf("variant %q: row %q does not end in its stop column %q", r.Variant, lines[2+i], r.Stop)
+		}
 	}
 	if _, err := RunAblation(Options{Scale: 0.05}, "ghost"); err == nil {
 		t.Error("unknown circuit accepted")

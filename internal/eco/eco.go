@@ -195,7 +195,6 @@ func Replace(nl *netlist.Netlist, preEdit netlist.Placement, cfg place.Config) (
 		pres.HPWL = stats.HPWL
 		pres.Overflow = stats.Overflow
 	}
-	pres.Converged = true
 	pres.StopReason = place.StopMaxIter // the whole step budget ran
 	res.Place = pres
 	res.HPWLAfter = nl.HPWL()

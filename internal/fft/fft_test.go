@@ -157,7 +157,7 @@ func TestConvolveDimensionPanic(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewPlan(4, 2).Convolve(make([]float64, 4), make([]float64, 8), make([]float64, 8))
+	NewRealPlan(4, 2).Convolve(make([]float64, 4), make([]float64, 8), make([]float64, 8))
 }
 
 func TestParsevalProperty(t *testing.T) {

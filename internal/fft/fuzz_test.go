@@ -109,9 +109,10 @@ func FuzzRealPlanRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSpectrumConvolve cross-checks the cached-spectrum convolution against
-// the direct Convolve path on the same plan: both evaluate the same cyclic
-// convolution, so their outputs must agree to roundoff for any kernel.
+// FuzzSpectrumConvolve cross-checks RealPlan's cached-spectrum convolution
+// against its direct Convolve path on the same plan: both evaluate the same
+// cyclic convolution, so their outputs must agree to roundoff for any
+// kernel.
 func FuzzSpectrumConvolve(f *testing.F) {
 	f.Add(uint8(2), uint8(3), int64(5))
 	f.Add(uint8(0), uint8(5), int64(11))
@@ -126,18 +127,18 @@ func FuzzSpectrumConvolve(f *testing.F) {
 			kernel[i] = 2*rng.Float64() - 1
 		}
 
-		p := NewPlan(w, h)
+		p := NewRealPlan(w, h)
 		direct := make([]float64, w*h)
 		p.Convolve(direct, src, kernel)
 
-		spec := make([]complex128, w*h)
+		spec := make([]complex128, p.SpecLen())
 		p.Spectrum(spec, kernel)
 		cached := make([]float64, w*h)
 		p.ConvolveSpectra([][]float64{cached}, src, [][]complex128{spec})
 
 		for i := range direct {
 			if d := math.Abs(direct[i] - cached[i]); d > 1e-9 {
-				t.Fatalf("plan %dx%d: convolution paths disagree at %d by %g", w, h, i, d)
+				t.Fatalf("real plan %dx%d: convolution paths disagree at %d by %g", w, h, i, d)
 			}
 		}
 	})

@@ -3,8 +3,6 @@ package fft
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/par"
 )
 
 func randField(rng *rand.Rand, n int) []float64 {
@@ -13,40 +11,6 @@ func randField(rng *rand.Rand, n int) []float64 {
 		f[i] = rng.NormFloat64()
 	}
 	return f
-}
-
-// withThreshold runs f with the parallel cutover lowered so small test grids
-// exercise the multi-goroutine paths.
-func withThreshold(t *testing.T, n int, f func()) {
-	t.Helper()
-	old := par.Threshold
-	par.Threshold = n
-	defer func() { par.Threshold = old }()
-	f()
-}
-
-func TestPlanTransformMatchesSerialForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, dim := range [][2]int{{8, 8}, {16, 4}, {4, 32}} {
-		w, h := dim[0], dim[1]
-		data := make([]complex128, w*h)
-		for i := range data {
-			data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		serial := append([]complex128(nil), data...)
-		NewPlan(w, h).Forward2D(serial)
-
-		parallel := append([]complex128(nil), data...)
-		withThreshold(t, 1, func() {
-			NewPlan(w, h).Forward2D(parallel)
-		})
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("%dx%d: parallel Forward2D differs at %d: %v vs %v",
-					w, h, i, parallel[i], serial[i])
-			}
-		}
-	}
 }
 
 func TestPlanRoundTrip(t *testing.T) {
@@ -99,55 +63,15 @@ func TestConvolveSpectraMatchesConvolve(t *testing.T) {
 	}
 }
 
-func TestPlanConvolveParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	w, h := 32, 16
-	src := randField(rng, w*h)
-	kernel := randField(rng, w*h)
-
-	serial := make([]float64, w*h)
-	NewPlan(w, h).Convolve(serial, src, kernel)
-
-	parallel := make([]float64, w*h)
-	withThreshold(t, 1, func() {
-		NewPlan(w, h).Convolve(parallel, src, kernel)
-	})
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("parallel Plan.Convolve differs at %d: %g vs %g", i, parallel[i], serial[i])
-		}
-	}
-}
-
-func TestPlanDimensionPanics(t *testing.T) {
-	assertPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	assertPanic("NewPlan", func() { NewPlan(6, 8) })
-	p := NewPlan(8, 8)
-	assertPanic("Forward2D", func() { p.Forward2D(make([]complex128, 7)) })
-	assertPanic("Spectrum", func() { p.Spectrum(make([]complex128, 64), make([]float64, 10)) })
-	assertPanic("Convolve", func() { p.Convolve(make([]float64, 64), make([]float64, 64), nil) })
-	assertPanic("ConvolveSpectra", func() {
-		p.ConvolveSpectra([][]float64{make([]float64, 64)}, make([]float64, 64),
-			[][]complex128{make([]complex128, 3)})
-	})
-}
-
 func benchmarkGrids(n int) (src, kernel, dst []float64) {
 	rng := rand.New(rand.NewSource(42))
 	return randField(rng, n), randField(rng, n), make([]float64, n)
 }
 
-func BenchmarkPlanConvolve(b *testing.B) {
+func BenchmarkRealPlanConvolve(b *testing.B) {
 	const w, h = 128, 128
 	src, kernel, dst := benchmarkGrids(w * h)
-	p := NewPlan(w, h)
+	p := NewRealPlan(w, h)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,11 +79,11 @@ func BenchmarkPlanConvolve(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanConvolveSpectra(b *testing.B) {
+func BenchmarkRealPlanConvolveSpectra(b *testing.B) {
 	const w, h = 128, 128
 	src, kernel, dst := benchmarkGrids(w * h)
-	p := NewPlan(w, h)
-	spec := make([]complex128, w*h)
+	p := NewRealPlan(w, h)
+	spec := make([]complex128, p.SpecLen())
 	p.Spectrum(spec, kernel)
 	dsts, specs := [][]float64{dst}, [][]complex128{spec}
 	b.ReportAllocs()

@@ -6,11 +6,11 @@ import (
 	"repro/internal/par"
 )
 
-// RealPlan is the real-input counterpart of Plan: a W×H pipeline that
-// exploits the Hermitian symmetry of real signals, F[k,v] =
-// conj(F[(W−k)%W, (H−v)%H]), to transform and store only the non-redundant
-// half-spectrum of (W/2+1)×H complex values — half the transform flops and
-// half the spectrum memory of the complex pipeline.
+// RealPlan is a W×H 2-D transform pipeline for real input. It exploits the
+// Hermitian symmetry of real signals, F[k,v] = conj(F[(W−k)%W, (H−v)%H]),
+// to transform and store only the non-redundant half-spectrum of
+// (W/2+1)×H complex values — half the transform flops and half the
+// spectrum memory of a complex 2-D FFT.
 //
 // The row pass packs two adjacent real rows into one complex signal
 // (c = row_y + i·row_{y+1}), runs a single length-W complex FFT on the
@@ -31,7 +31,7 @@ type RealPlan struct {
 }
 
 // NewRealPlan prepares a real-input plan for W×H grids (both powers of
-// two). Tables are shared globally with complex plans of the same lengths.
+// two). Tables are shared globally between plans of the same lengths.
 func NewRealPlan(w, h int) *RealPlan {
 	if !IsPow2(w) || !IsPow2(h) {
 		panic(fmt.Sprintf("fft: real plan %dx%d not power-of-two", w, h))
@@ -215,8 +215,8 @@ func (p *RealPlan) Convolve(dst, src, kernel []float64) {
 // ConvolveSpectra transforms src once and convolves it against each cached
 // half-spectrum: dsts[i] receives IRFFT(RFFT(src)·specs[i]). Pointwise
 // products of Hermitian half-spectra are exactly the half-spectra of the
-// full-spectrum products, so this matches Plan.ConvolveSpectra to roundoff
-// at half the transform cost.
+// full-spectrum products, so this matches a complex full-spectrum
+// convolution to roundoff at half the transform cost.
 func (p *RealPlan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]complex128) {
 	n := p.W * p.H
 	if len(src) != n || len(dsts) != len(specs) {

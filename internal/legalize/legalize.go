@@ -7,9 +7,9 @@
 // ordering); finally a sliding-window detailed pass reorders neighbors
 // whenever that shortens the wire length.
 //
-// The improvement passes (GlobalSwapPass, MatchingPass, DetailedPlace)
-// price candidate moves through netBoxes (netbox.go), a cache of every
-// net's bounding box with the number of pins on each of its four
+// The improvement passes (GlobalSwapPass, MatchingPass and the window
+// reorder) price candidate moves through netBoxes (netbox.go), a cache of
+// every net's bounding box with the number of pins on each of its four
 // extremes. A move is evaluated by folding only the moved pins into the
 // cached box; a net is rescanned only when every pin on one of its
 // extremes moves. Min and max are exact and nets are summed in ascending
@@ -514,13 +514,9 @@ func (st *passState) clump() {
 	}
 }
 
-// DetailedPlace runs Domino-like local improvement: sliding windows of up
-// to three adjacent cells per segment are permuted whenever that reduces
-// the half-perimeter wire length. Returns the number of improving changes.
-func DetailedPlace(nl *netlist.Netlist, segs []*Segment, passes int) int {
-	return newPassState(nl, segs).detailed(passes)
-}
-
+// detailed runs Domino-like local improvement: sliding windows of up to
+// three adjacent cells per segment are permuted whenever that reduces the
+// half-perimeter wire length. Returns the number of improving changes.
 func (st *passState) detailed(passes int) int {
 	improved := 0
 	for pass := 0; pass < passes; pass++ {

@@ -22,7 +22,7 @@ func TestFixedOnlyNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Converged && res.Iterations > 5 {
+	if !settled(res.StopReason) && res.Iterations > 5 {
 		t.Errorf("fixed-only run misbehaved: %+v", res)
 	}
 }

@@ -222,8 +222,8 @@ type StopReason string
 const (
 	// StopCriterion is the paper's §4.2 empty-square rule.
 	StopCriterion StopReason = "criterion"
-	// StopStagnation means no coarse-overflow progress for a window; the
-	// best placement seen is restored.
+	// StopStagnation means no fine-grid overflow progress for a window;
+	// the best placement seen is restored.
 	StopStagnation StopReason = "stagnation"
 	// StopMaxIter means Config.MaxIter transformations ran.
 	StopMaxIter StopReason = "max-iter"
@@ -249,10 +249,9 @@ type Result struct {
 	// placer has performed, including any performed before a checkpoint
 	// when the placer was reconstructed by Resume.
 	Iterations int
-	Converged  bool
 	// StopReason is one of the Stop* constants: "criterion" (the paper's
-	// empty-square rule), "stagnation" (no coarse-overflow progress for a
-	// window), "max-iter", or the externally imposed "cancelled" /
+	// empty-square rule), "stagnation" (no fine-grid overflow progress for
+	// a window), "max-iter", or the externally imposed "cancelled" /
 	// "deadline".
 	StopReason StopReason
 	HPWL       float64
@@ -269,7 +268,7 @@ type Placer struct {
 	nl      *netlist.Netlist
 	cfg     Config
 	grid    *density.Grid
-	coarse  *density.Grid // ~6 cells per bin; drives damping and metrics
+	coarse  *density.Grid // ~6 cells per bin; drives the damping
 	forces  []geom.Point  // accumulated additional forces e (one per cell)
 	pending []geom.Point  // externally queued forces for the next Step
 	iter    int
@@ -793,7 +792,6 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 		if p.Done(stats) {
 			p.rs.doneStreak++
 			if p.rs.doneStreak >= 2 {
-				res.Converged = true
 				res.StopReason = StopCriterion
 				break
 			}
@@ -804,7 +802,6 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 		// placement seen instead of whatever the last slosh produced.
 		if it-p.rs.bestIter >= stagnationWindow {
 			p.nl.Restore(p.rs.bestSnap)
-			res.Converged = true
 			res.StopReason = StopStagnation
 			res.HPWL = p.nl.HPWL()
 			res.Overflow = p.rs.bestOvf
