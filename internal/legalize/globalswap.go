@@ -2,6 +2,7 @@ package legalize
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/assign"
@@ -9,23 +10,22 @@ import (
 	"repro/internal/netlist"
 )
 
-// GlobalSwapPass performs Domino-style cross-row improvement: every cell is
+// globalSwap performs Domino-style cross-row improvement: every cell is
 // driven toward its optimal region (the median position of its nets'
 // bounding boxes), swapping with a similar-width cell near that spot or
 // sliding into place when that shortens the incident wire length. Segments
 // are re-clumped after each pass to restore exact legality. Returns the
 // number of accepted moves.
-func GlobalSwapPass(nl *netlist.Netlist, segs []*Segment, passes int) int {
-	if passes <= 0 {
-		return 0
-	}
-	return newPassState(nl, segs).globalSwap(passes)
-}
-
 func (st *passState) globalSwap(passes int) int {
 	st.bindSegOf()
 	accepted := 0
 	for pass := 0; pass < passes; pass++ {
+		for _, s := range st.segs {
+			s.xs = slices.Grow(s.xs[:0], len(s.cells))
+			for _, ci := range s.cells {
+				s.xs = append(s.xs, st.boxes.pos[ci].X)
+			}
+		}
 		moved := 0
 		for _, s := range st.segs {
 			// Iterate over a copy: swaps mutate segment membership.
@@ -49,27 +49,21 @@ func (st *passState) globalSwap(passes int) int {
 }
 
 // optimalPoint returns the median-of-bounding-box position that minimizes
-// the cell's HPWL contribution, the classic "optimal region" center.
-func optimalPoint(nl *netlist.Netlist, idx [][]int, sc *scratch, ci int) geom.Point {
+// the HPWL contribution of the one cell staged in s, the classic "optimal
+// region" center: the staged boxes are its nets' boxes without it. A cell
+// whose nets have no other pin stays at pos.
+func optimalPoint(s *staging, sc *scratch, pos geom.Point) geom.Point {
 	xs, ys := sc.xs[:0], sc.ys[:0]
-	for _, ni := range idx[ci] {
-		var bb geom.BBox
-		for _, p := range nl.Nets[ni].Pins {
-			if p.Cell == ci {
-				continue
-			}
-			bb.Add(nl.PinPos(p))
-		}
-		if bb.Count() == 0 {
+	for _, sn := range s.net {
+		if sn.empty() {
 			continue
 		}
-		r := bb.Rect()
-		xs = append(xs, r.Lo.X, r.Hi.X)
-		ys = append(ys, r.Lo.Y, r.Hi.Y)
+		xs = append(xs, sn.box.Lo.X, sn.box.Hi.X)
+		ys = append(ys, sn.box.Lo.Y, sn.box.Hi.Y)
 	}
 	sc.xs, sc.ys = xs, ys
 	if len(xs) == 0 {
-		return nl.Cells[ci].Pos
+		return pos
 	}
 	sort.Float64s(xs)
 	sort.Float64s(ys)
@@ -77,13 +71,16 @@ func optimalPoint(nl *netlist.Netlist, idx [][]int, sc *scratch, ci int) geom.Po
 }
 
 // tryGlobalMove relocates ci toward its optimal point via the best swap
-// with a width-compatible cell there.
+// with a width-compatible cell there. ci is staged once: the stage gives
+// the optimal point and is shared by every candidate's pricing.
 func (st *passState) tryGlobalMove(ci int) bool {
-	nl := st.nl
-	opt := optimalPoint(nl, st.idx, &st.sc, ci)
+	nl, sc := st.nl, &st.sc
+	st.boxes.stage(&sc.base, []int{ci})
+	opt := optimalPoint(&sc.base, sc, nl.Cells[ci].Pos)
 	// Candidate segments: the optimal row and its neighbors.
 	row := nl.Region.RowAt(opt.Y)
-	var best int = -1
+	reach := 4*nl.Cells[ci].W + 2
+	best, bestSlot := -1, 0
 	bestDelta := -1e-12
 	for r := row - 1; r <= row+1; r++ {
 		if r < 0 || r >= len(st.byRow) {
@@ -94,19 +91,17 @@ func (st *passState) tryGlobalMove(ci int) bool {
 				continue
 			}
 			// Nearest width-compatible cell in this segment.
-			for _, cj := range s.cells {
-				if cj == ci {
+			for k, x := range s.xs {
+				if math.Abs(x-opt.X) > reach {
 					continue
 				}
-				if math.Abs(nl.Cells[cj].Pos.X-opt.X) > 4*nl.Cells[ci].W+2 {
-					continue
-				}
-				if !widthCompatible(nl, ci, cj) {
+				cj := s.cells[k]
+				if cj == ci || !widthCompatible(nl, ci, cj) {
 					continue
 				}
 				if d := st.swapDelta(ci, cj); d < bestDelta {
 					bestDelta = d
-					best = cj
+					best, bestSlot = cj, k
 				}
 			}
 		}
@@ -126,9 +121,14 @@ func (st *passState) tryGlobalMove(ci int) bool {
 		}
 		si.used += wj - wi
 		sj.used += wi - wj
+		// Each cell takes the other's slot and center: xs is unchanged.
 		replaceInSeg(si, ci, cj)
 		replaceInSeg(sj, cj, ci)
 		st.segOf[ci], st.segOf[cj] = sj, si
+	} else {
+		// The cells keep their slots and exchange centers.
+		i := slices.Index(si.cells, ci)
+		si.xs[i], si.xs[bestSlot] = si.xs[bestSlot], si.xs[i]
 	}
 	st.boxes.commit(st.swapMoves(ci, cj))
 	return true
@@ -148,13 +148,15 @@ func (st *passState) swapMoves(a, b int) []move {
 	return st.sc.moves
 }
 
-// swapDelta returns the exact HPWL change of exchanging the centers of a
-// and b (negative = improvement). Nets are accumulated in ascending id
-// order: summing in map order would let the last-ulp rounding of the
-// delta — and therefore the swap decision — vary between runs.
-func (st *passState) swapDelta(a, b int) float64 {
-	nets := st.sc.incidentNets(st.idx, a, b)
-	before, after := st.boxes.eval(nets, st.swapMoves(a, b))
+// swapDelta returns the exact HPWL change of exchanging the centers of
+// ci, the cell staged in sc.base, and cj (negative = improvement). Only
+// cj's nets are priced here. Nets are accumulated in ascending id order:
+// summing in map order would let the last-ulp rounding of the delta — and
+// therefore the swap decision — vary between runs.
+func (st *passState) swapDelta(ci, cj int) float64 {
+	pos := st.boxes.pos
+	to := [1]geom.Point{pos[cj]}
+	before, after := st.boxes.pricePlus(&st.sc.base, to[:], cj, pos[ci])
 	return after - before
 }
 
@@ -162,10 +164,11 @@ func (st *passState) swapDelta(a, b int) float64 {
 // cost evaluations, so evaluating a move allocates nothing. Each passState
 // owns one, which keeps concurrent legalizations independent.
 type scratch struct {
-	nets     []int
-	merge    []int // incidentNets' merge input
 	xs, ys   []float64
 	moves    []move
+	base     staging      // the move set being priced
+	to       []geom.Point // eval's new centers
+	eval     []int        // eval's moved cells
 	cells    []int        // a segment's cells, or the cells by width class
 	clusters []cluster    // clumpSegment's cluster stack
 	pos      []geom.Point // matchGroup's positions
@@ -173,36 +176,6 @@ type scratch struct {
 	delta    []segDelta   // matchGroup's per-segment width change
 	targets  []*Segment   // matchGroup's segment per cell after the move
 	match    assign.Solver
-}
-
-// incidentNets returns the deduplicated ids of all nets incident to the
-// given cells, in ascending order, so float accumulation over them is
-// bit-reproducible across runs. The result aliases sc and is valid until
-// the next call.
-func (sc *scratch) incidentNets(idx [][]int, cells ...int) []int {
-	nets := sc.nets[:0]
-	for k, ci := range cells {
-		if k == 0 {
-			nets = append(nets, idx[ci]...)
-			continue
-		}
-		// Merge two ascending, duplicate-free lists.
-		sc.merge = append(sc.merge[:0], nets...)
-		a, b := sc.merge, idx[ci]
-		nets = nets[:0]
-		for len(a) > 0 || len(b) > 0 {
-			switch {
-			case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
-				nets, a = append(nets, a[0]), a[1:]
-			case len(a) == 0 || b[0] < a[0]:
-				nets, b = append(nets, b[0]), b[1:]
-			default:
-				nets, a, b = append(nets, a[0]), a[1:], b[1:]
-			}
-		}
-	}
-	sc.nets = nets
-	return nets
 }
 
 func replaceInSeg(s *Segment, old, new int) {

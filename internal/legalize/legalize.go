@@ -7,16 +7,17 @@
 // ordering); finally a sliding-window detailed pass reorders neighbors
 // whenever that shortens the wire length.
 //
-// The improvement passes (GlobalSwapPass, MatchingPass and the window
+// The improvement passes (global swaps, MatchingPass and the window
 // reorder) price candidate moves through netBoxes (netbox.go), a cache of
 // every net's bounding box with the number of pins on each of its four
-// extremes. A move is evaluated by folding only the moved pins into the
-// cached box; a net is rescanned only when every pin on one of its
-// extremes moves. Min and max are exact and nets are summed in ascending
-// order, so the sums equal full netlist.NetHPWL rescans bit for bit and
-// every decision is the one a rescan would make. Evaluation writes no
-// cell position: only committed moves and re-clumping do, and they mark
-// the moved cells' nets stale.
+// extremes. A move set is staged once — each incident net's box without
+// the moving cells, rescanned only when every pin on one of its extremes
+// moves — and every placement of the set is priced by folding the moved
+// pins into the staged boxes. Min and max are exact and nets are summed in
+// ascending order, so the sums equal full netlist.NetHPWL rescans bit for
+// bit and every decision is the one a rescan would make. Pricing writes no
+// cell position: only committed moves and re-clumping do, and they update
+// the moved cells' net boxes in place.
 package legalize
 
 import (
@@ -38,14 +39,16 @@ type Options struct {
 	// each cell (default 6; widened automatically when space runs out).
 	RowSearch int
 	// DetailedPasses is the number of improvement sweeps after
-	// legalization (default 3; 0 disables).
+	// legalization (default 3 when 0; a negative value disables them).
 	DetailedPasses int
 	// BlockRowFactor: movable cells taller than this many row heights are
 	// treated as macro blocks (default 1.5).
 	BlockRowFactor float64
 	// Spans, when set, receives pass-level span recordings
 	// ("legalize/blocks", "legalize/assign", "legalize/clump",
-	// "legalize/detailed"). Nil costs nothing.
+	// "legalize/detailed", and inside the last one a span per improvement
+	// pass: "legalize/globalswap", "legalize/matching", "legalize/window").
+	// Nil costs nothing.
 	Spans *obsv.Spans
 }
 
@@ -134,11 +137,17 @@ func legalize(nl *netlist.Netlist, opts Options, afterPass func(pass string, seg
 		sp = opts.Spans.Start("legalize/detailed")
 		prev := nl.HPWL()
 		for round := 0; round < 10; round++ {
+			pass := opts.Spans.Start("legalize/globalswap")
 			sw := st.globalSwap(opts.DetailedPasses)
+			pass.End()
 			check("globalswap")
+			pass = opts.Spans.Start("legalize/matching")
 			sw += st.matching(0)
+			pass.End()
 			check("matching")
+			pass = opts.Spans.Start("legalize/window")
 			sw += st.detailed(opts.DetailedPasses)
+			pass.End()
 			check("detailed")
 			res.Swaps += sw
 			cur := nl.HPWL()
@@ -269,6 +278,9 @@ type Segment struct {
 	X0, X1 float64
 	cells  []int
 	used   float64
+	// xs[k] is the center x of cells[k] during a global-swap pass, so
+	// the candidate filter reads one dense row; stale outside the pass.
+	xs []float64
 }
 
 func (s *Segment) capacity() float64 { return s.X1 - s.X0 }
@@ -469,11 +481,10 @@ func clampF(v, lo, hi float64) float64 {
 
 // passState is what one legalization threads through its improvement
 // passes: the cost engine, the segment lookups and the buffers every
-// evaluation reuses, so a pass allocates O(1). Legalize builds one; the
-// exported passes build their own when called directly.
+// evaluation reuses, so a pass allocates O(1). Legalize builds one;
+// MatchingPass builds its own when called directly.
 type passState struct {
 	nl    *netlist.Netlist
-	idx   [][]int
 	segs  []*Segment
 	boxes *netBoxes
 	segOf []*Segment   // per cell; nil for cells in no segment
@@ -484,7 +495,6 @@ type passState struct {
 func newPassState(nl *netlist.Netlist, segs []*Segment) *passState {
 	st := &passState{
 		nl:    nl,
-		idx:   nl.CellNets(),
 		segs:  segs,
 		boxes: newNetBoxes(nl),
 		segOf: make([]*Segment, len(nl.Cells)),
@@ -560,13 +570,12 @@ var (
 )
 
 // tryReorder permutes the k cells starting at window position i and keeps
-// the best ordering (cells repacked over the same span).
+// the best ordering (cells repacked over the same span). The window is
+// staged once for all of its orderings.
 func (st *passState) tryReorder(s *Segment, i, k int) bool {
-	nl := st.nl
+	nl, sc := st.nl, &st.sc
 	window := s.cells[i : i+k]
-	// Incident nets in ascending id order: the cost sums must accumulate
-	// identically across runs or the kept ordering could differ.
-	nets := st.sc.incidentNets(st.idx, window...)
+	st.boxes.stage(&sc.base, window)
 	span0 := nl.Cells[window[0]].Pos.X - nl.Cells[window[0]].W/2
 	orders := orders2
 	if k == 3 {
@@ -575,11 +584,16 @@ func (st *passState) tryReorder(s *Segment, i, k int) bool {
 	var orig [3]int
 	copy(orig[:], window)
 	best := orders[0]
-	bestCost := st.boxes.sum(nets)
+	bestCost := sc.base.before
 	improvedAny := false
 	for _, o := range orders {
-		_, c := st.boxes.eval(nets, st.packed(orig[:k], o, span0))
-		if c < bestCost-1e-12 {
+		// packed lists the cells in order o; fold takes them in window
+		// order, the order they were staged in.
+		var to [3]geom.Point
+		for j, m := range st.packed(orig[:k], o, span0) {
+			to[o[j]] = m.to
+		}
+		if c := st.boxes.fold(&sc.base, to[:k]); c < bestCost-1e-12 {
 			bestCost = c
 			best = o
 			improvedAny = true
@@ -605,4 +619,19 @@ func (st *passState) packed(cells []int, o [3]int, x float64) []move {
 	}
 	st.sc.moves = ms
 	return ms
+}
+
+// eval returns Σ w·HPWL over the moved cells' nets before and after
+// moving each moves[k].cell to moves[k].to, both accumulated in ascending
+// net order, so the sums are bit-reproducible across runs. No position is
+// written.
+func (st *passState) eval(moves []move) (before, after float64) {
+	sc := &st.sc
+	sc.eval, sc.to = sc.eval[:0], sc.to[:0]
+	for _, m := range moves {
+		sc.eval = append(sc.eval, m.cell)
+		sc.to = append(sc.to, m.to)
+	}
+	st.boxes.stage(&sc.base, sc.eval)
+	return sc.base.before, st.boxes.fold(&sc.base, sc.to)
 }

@@ -247,3 +247,29 @@ func BenchmarkLegalize(b *testing.B) {
 		}
 	}
 }
+
+// TestLegalizeAllocs caps the allocations of one legalization of a fixed
+// circuit. The ceiling is what Legalize allocated before move sets were
+// staged; staging buffers live in the pass state's scratch, so pricing a
+// move never allocates and the count does not grow with the number of
+// moves priced.
+func TestLegalizeAllocs(t *testing.T) {
+	const ceiling = 1453
+	nl := globalPlaced(t, 300, 78, 0)
+	const runs = 3
+	copies := make([]*netlist.Netlist, runs+1)
+	for i := range copies {
+		copies[i] = nl.Clone()
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := Legalize(copies[k], Options{}); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	t.Logf("%.0f allocs per legalization", allocs)
+	if allocs > ceiling {
+		t.Errorf("Legalize allocates %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}

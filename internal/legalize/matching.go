@@ -126,12 +126,12 @@ func (st *passState) matchGroup(group []int) bool {
 		sc.cost = append(sc.cost, nil)
 	}
 	cost := sc.cost[:n]
-	for i, ci := range group {
+	// Each cell is staged once for all of the group's positions.
+	for i := range group {
+		st.boxes.stage(&sc.base, group[i:i+1])
 		cost[i] = cost[i][:0]
 		for j := range positions {
-			sc.moves = append(sc.moves[:0], move{ci, positions[j]})
-			_, s := st.boxes.eval(st.idx[ci], sc.moves)
-			cost[i] = append(cost[i], s)
+			cost[i] = append(cost[i], st.boxes.fold(&sc.base, positions[j:j+1]))
 		}
 	}
 	sol := sc.match.Solve(cost)
@@ -157,15 +157,14 @@ func (st *passState) matchGroup(group []int) bool {
 			return false
 		}
 	}
-	// Verify exactly: the incident-net HPWL of the whole group, accumulated
-	// in ascending net order so accept/revert decisions reproduce across
-	// runs. Interactions can make the independent approximation wrong.
+	// Verify exactly: the incident-net HPWL of the whole group.
+	// Interactions can make the independent approximation wrong.
 	moves := sc.moves[:0]
 	for i, ci := range group {
 		moves = append(moves, move{ci, positions[sol[i]]})
 	}
 	sc.moves = moves
-	before, after := st.boxes.eval(sc.incidentNets(st.idx, group...), moves)
+	before, after := st.eval(moves)
 	if !(after < before-1e-9) {
 		return false
 	}

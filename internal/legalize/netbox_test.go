@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -46,10 +47,14 @@ func gridPoint(next func(int) int) geom.Point {
 // boxScript builds a pass state over nl, with one segment per row holding
 // that row's movable cells, and runs steps operations drawn from next:
 // evaluations of random move sets (1–3 cells to grid points, two-cell
-// swaps, or every cell of one net), committed moves, and re-clumps. Every
-// evaluation must equal Σ w·NetHPWL over the same nets with the cells
-// actually moved, bit for bit, and after every step each valid cached box
-// and extreme count must equal a fresh scan.
+// swaps, or every cell of one net), committed moves, re-clumps, one move
+// set staged once and priced at several placements, and one cell staged
+// once and priced with several partners, swapped and at random points.
+// Every price must equal
+// Σ w·NetHPWL over the same nets with the cells actually moved, bit for
+// bit, every staged box must equal a scan of the pins outside the set,
+// and after every step each valid cached box and extreme count must equal
+// a fresh scan.
 func boxScript(t *testing.T, nl *netlist.Netlist, steps int, next func(int) int) {
 	t.Helper()
 	segs := []*Segment{{Row: 0, Y: 0.5, X0: 0, X1: 8}, {Row: 1, Y: 1.5, X0: 0, X1: 8}}
@@ -62,9 +67,14 @@ func boxScript(t *testing.T, nl *netlist.Netlist, steps int, next func(int) int)
 	}
 	st := newPassState(nl, segs)
 	for step := 0; step < steps; step++ {
-		if next(4) == 3 {
+		switch next(6) {
+		case 3:
 			st.clump()
-		} else {
+		case 4:
+			checkPlacements(t, st, boxMoves(nl, next), next)
+		case 5:
+			checkSwaps(t, st, next)
+		default:
 			moves := boxMoves(nl, next)
 			if len(moves) > 0 {
 				checkEval(t, st, moves)
@@ -124,70 +134,180 @@ func boxMoves(nl *netlist.Netlist, next func(int) int) []move {
 	}
 }
 
-// checkEval compares the engine against a full rescan on the incident nets
-// of the moved cells, which incidentNets must list ascending and once each.
-func checkEval(t *testing.T, st *passState, moves []move) {
-	t.Helper()
-	nl := st.nl
-	cells := make([]int, len(moves))
-	want := map[int]bool{}
-	for k, m := range moves {
-		cells[k] = m.cell
-		for _, ni := range st.idx[m.cell] {
-			want[ni] = true
-		}
-	}
-	nets := st.sc.incidentNets(st.idx, cells...)
-	for k, ni := range nets {
-		if !want[ni] || k > 0 && ni <= nets[k-1] {
-			t.Fatalf("incidentNets(%v) = %v, not the ascending union of the cells' nets", cells, nets)
-		}
-	}
-	if len(nets) != len(want) {
-		t.Fatalf("incidentNets(%v) = %v, missing nets", cells, nets)
-	}
-	before, after := st.boxes.eval(nets, moves)
-
-	var rb, ra float64
-	for _, ni := range nets {
-		rb += nl.Nets[ni].Weight * nl.NetHPWL(ni)
-	}
+// rescanned returns Σ w·NetHPWL over nets, summed in their order, with
+// each moves[k].cell at moves[k].to; the positions are restored after.
+func rescanned(nl *netlist.Netlist, nets []int, moves []move) float64 {
 	saved := nl.Snapshot()
 	for _, m := range moves {
 		nl.Cells[m.cell].Pos = m.to
 	}
+	var s float64
 	for _, ni := range nets {
-		ra += nl.Nets[ni].Weight * nl.NetHPWL(ni)
+		s += nl.Nets[ni].Weight * nl.NetHPWL(ni)
 	}
 	for ci := range nl.Cells {
 		nl.Cells[ci].Pos = saved[ci]
 	}
-	if math.Float64bits(before) != math.Float64bits(rb) || math.Float64bits(after) != math.Float64bits(ra) {
+	return s
+}
+
+// incident returns the ascending union of the nets of the moved cells.
+func incident(nl *netlist.Netlist, moves []move) []int {
+	on := map[int]bool{}
+	for _, m := range moves {
+		for _, ni := range nl.CellNets()[m.cell] {
+			on[ni] = true
+		}
+	}
+	var nets []int
+	for ni := range nl.Nets {
+		if on[ni] {
+			nets = append(nets, ni)
+		}
+	}
+	return nets
+}
+
+// same reports whether a and b have the same bits.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkEval compares eval against a full rescan on the incident nets of
+// the moved cells, which the stage must list ascending and once each.
+func checkEval(t *testing.T, st *passState, moves []move) {
+	t.Helper()
+	nets := incident(st.nl, moves)
+	before, after := st.eval(moves)
+	if !slices.Equal(st.sc.base.nets, nets) {
+		t.Fatalf("moves %v: staged nets %v, want %v", moves, st.sc.base.nets, nets)
+	}
+	checkStaged(t, st.boxes, &st.sc.base)
+	rb, ra := rescanned(st.nl, nets, nil), rescanned(st.nl, nets, moves)
+	if !same(before, rb) || !same(after, ra) {
 		t.Errorf("moves %v: eval = (%v, %v), rescan = (%v, %v)", moves, before, after, rb, ra)
 	}
 }
 
-// checkCache requires every valid cached net box and extreme count to
-// equal a fresh scan of the net.
+// checkPlacements stages the cells of moves once and folds up to three
+// placements of them: the moves' own targets and random grid points.
+func checkPlacements(t *testing.T, st *passState, moves []move, next func(int) int) {
+	t.Helper()
+	if len(moves) == 0 {
+		return
+	}
+	var cells []int
+	for _, m := range moves {
+		cells = append(cells, m.cell)
+	}
+	s := &st.sc.base
+	st.boxes.stage(s, cells)
+	checkStaged(t, st.boxes, s)
+	nets := incident(st.nl, moves)
+	if rb := rescanned(st.nl, nets, nil); !same(s.before, rb) {
+		t.Errorf("cells %v: staged before = %v, rescan = %v", cells, s.before, rb)
+	}
+	to := make([]geom.Point, len(moves))
+	for r, n := 0, 1+next(3); r < n; r++ {
+		for k := range moves {
+			if r > 0 {
+				moves[k].to = gridPoint(next)
+			}
+			to[k] = moves[k].to
+		}
+		if got, ra := st.boxes.fold(s, to), rescanned(st.nl, nets, moves); !same(got, ra) {
+			t.Errorf("moves %v: fold = %v, rescan = %v", moves, got, ra)
+		}
+	}
+}
+
+// checkSwaps stages one movable cell and prices, against that one stage,
+// its swap with up to three other movable cells, as tryGlobalMove does,
+// and each such pair moved to random grid points.
+func checkSwaps(t *testing.T, st *passState, next func(int) int) {
+	t.Helper()
+	nl := st.nl
+	ci := next(len(nl.Cells))
+	if nl.Cells[ci].Fixed {
+		return
+	}
+	s := &st.sc.base
+	st.boxes.stage(s, []int{ci})
+	checkStaged(t, st.boxes, s)
+	for r := 1 + next(3); r > 0; r-- {
+		cj := next(len(nl.Cells))
+		if cj == ci || nl.Cells[cj].Fixed {
+			continue
+		}
+		swap := []move{{ci, nl.Cells[cj].Pos}, {cj, nl.Cells[ci].Pos}}
+		for _, moves := range [][]move{swap, {{ci, gridPoint(next)}, {cj, gridPoint(next)}}} {
+			before, after := st.boxes.pricePlus(s, []geom.Point{moves[0].to}, cj, moves[1].to)
+			nets := incident(nl, moves)
+			if rb, ra := rescanned(nl, nets, nil), rescanned(nl, nets, moves); !same(before, rb) || !same(after, ra) {
+				t.Errorf("moves %v: pricePlus = (%v, %v), rescan = (%v, %v)", moves, before, after, rb, ra)
+			}
+		}
+	}
+}
+
+// checkStaged requires every staged net's box, extreme counts and empty
+// flag to equal a scan of the net's pins outside the staged cells.
+func checkStaged(t *testing.T, e *netBoxes, s *staging) {
+	t.Helper()
+	for i, ni := range s.nets {
+		var bb geom.BBox
+		for _, p := range e.nl.Nets[ni].Pins {
+			if !slices.Contains(s.cells, p.Cell) {
+				bb.Add(e.nl.PinPos(p))
+			}
+		}
+		sn := s.net[i]
+		if bb.Count() == 0 {
+			if !sn.empty() {
+				t.Errorf("cells %v, net %d: staged box %v, but no pin lies outside", s.cells, ni, sn.box)
+			}
+			continue
+		}
+		if sn.empty() || sn.box != bb.Rect() || sn.ext != extremes(e.nl, ni, bb.Rect(), s.cells) {
+			t.Errorf("cells %v, net %d: staged %v %v empty=%v, scan gives %v %v", s.cells, ni, sn.box, sn.ext, sn.empty(),
+				bb.Rect(), extremes(e.nl, ni, bb.Rect(), s.cells))
+		}
+	}
+}
+
+// extremes counts net ni's pins outside skip on each extreme of r.
+func extremes(nl *netlist.Netlist, ni int, r geom.Rect, skip []int) [4]int32 {
+	var ext [4]int32
+	for _, p := range nl.Nets[ni].Pins {
+		if slices.Contains(skip, p.Cell) {
+			continue
+		}
+		q := nl.PinPos(p)
+		for k, on := range [4]bool{same(q.X, r.Lo.X), same(q.X, r.Hi.X), same(q.Y, r.Lo.Y), same(q.Y, r.Hi.Y)} {
+			if on {
+				ext[k]++
+			}
+		}
+	}
+	return ext
+}
+
+// checkCache requires the position mirror to equal the netlist's cells,
+// and every valid cached net box and extreme count to equal a fresh scan
+// of the net.
 func checkCache(t *testing.T, e *netBoxes) {
 	t.Helper()
-	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for ci := range e.nl.Cells {
+		if e.pos[ci] != e.nl.Cells[ci].Pos {
+			t.Errorf("cell %d: mirrored at %v, placed at %v", ci, e.pos[ci], e.nl.Cells[ci].Pos)
+		}
+	}
 	for ni := range e.nl.Nets {
-		if !e.valid[ni] {
+		ns := e.net[ni]
+		if !ns.valid {
 			continue
 		}
 		r := e.nl.NetBBox(ni)
-		var ext [4]int32
-		for _, p := range e.nl.Nets[ni].Pins {
-			q := e.nl.PinPos(p)
-			for k, on := range [4]bool{same(q.X, r.Lo.X), same(q.X, r.Hi.X), same(q.Y, r.Lo.Y), same(q.Y, r.Hi.Y)} {
-				if on {
-					ext[k]++
-				}
-			}
-		}
-		if e.box[ni] != r || e.ext[ni] != ext {
-			t.Errorf("net %d: cached box %v counts %v, scan gives %v %v", ni, e.box[ni], e.ext[ni], r, ext)
+		if ext := extremes(e.nl, ni, r, nil); ns.box != r || ns.ext != ext {
+			t.Errorf("net %d: cached box %v counts %v, scan gives %v %v", ni, ns.box, ns.ext, r, ext)
 		}
 	}
 }
@@ -202,9 +322,11 @@ func TestNetBoxesMatchRescan(t *testing.T) {
 	}
 }
 
-// TestNetBoxesCommitKeepsUnmovedNets: committing a move leaves the cached
-// boxes of nets the moved cells are not on valid, and a position write
-// that changes nothing invalidates nothing.
+// TestNetBoxesCommitKeepsUnmovedNets: committing a move updates the
+// cached boxes of the moved cell's nets in place, so they stay valid and
+// equal a fresh scan, and leaves the other nets alone; a position write
+// that changes nothing changes nothing, and a net goes stale only when
+// one of its extremes loses every pin.
 func TestNetBoxesCommitKeepsUnmovedNets(t *testing.T) {
 	nl := &netlist.Netlist{Cells: []netlist.Cell{{Pos: geom.Point{X: 1}}, {Pos: geom.Point{X: 2}}, {Pos: geom.Point{X: 5}}}}
 	nl.Nets = []netlist.Net{
@@ -212,16 +334,26 @@ func TestNetBoxesCommitKeepsUnmovedNets(t *testing.T) {
 		{Weight: 1, Pins: []netlist.Pin{{Cell: 1}, {Cell: 2}}},
 	}
 	e := newNetBoxes(nl)
-	if got := e.sum([]int{0, 1}); got != 4 {
-		t.Fatalf("sum = %v, want 4", got)
+	b0, _ := e.cached(0)
+	b1, _ := e.cached(1)
+	if got := halfPerimeter(b0) + halfPerimeter(b1); got != 4 {
+		t.Fatalf("HPWL = %v, want 4", got)
 	}
 	e.moveCell(0, nl.Cells[0].Pos)
-	if !e.valid[0] || !e.valid[1] {
-		t.Error("an unchanged position invalidated a net")
+	if !e.net[0].valid || !e.net[1].valid || e.net[0].box != b0 || e.net[1].box != b1 {
+		t.Error("an unchanged position changed a cached box")
 	}
 	e.moveCell(0, geom.Point{X: 0})
-	if e.valid[0] || !e.valid[1] {
-		t.Errorf("after moving cell 0: valid = %v, want [false true]", e.valid)
+	if !e.net[0].valid || !e.net[1].valid {
+		t.Error("moving cell 0 outward made a net stale")
+	}
+	checkCache(t, e)
+	if e.net[0].box != (geom.Rect{Hi: geom.Point{X: 2}}) || e.net[1].box != b1 {
+		t.Errorf("boxes %v %v, want net 0 [0,2] and net 1 unchanged", e.net[0].box, e.net[1].box)
+	}
+	e.moveCell(0, geom.Point{X: 3})
+	if e.net[0].valid || !e.net[1].valid {
+		t.Error("after moving cell 0 off net 0's left edge: want net 0 stale and net 1 valid")
 	}
 }
 
