@@ -5,24 +5,21 @@
 // in-flight jobs for later resumption.
 //
 //	kserved [-addr :8437] [-workers N] [-queue 16] [-deadline 0]
-//	        [-checkpoint-dir DIR] [-slo 0] [-flight-cap 32]
-//	        [-profile-on-breach 0]
+//	        [-checkpoint-dir DIR] [-grace 30s]
 //
 // Endpoints:
 //
-//	POST /jobs                   submit {"netlist": "...", "deadline_ms", and any
-//	                             place.Knobs key: "k", "max_iter", "cg_tol", ...};
-//	                             honors/returns W3C traceparent
-//	GET  /jobs                   list job statuses
-//	GET  /jobs/{id}              one job's status
-//	GET  /jobs/{id}/result       placed netlist (text interchange format)
-//	GET  /jobs/{id}/events       live per-iteration convergence (SSE; ?poll=1 long-poll)
-//	GET  /jobs/{id}/trace        the job's span tree (accept → queue → run → phases)
-//	POST /jobs/{id}/cancel       cancel a job
-//	GET  /healthz                service health (queue depth, active workers, drain state)
-//	GET  /metrics                Prometheus text metrics (with p50/p95/p99 gauges)
-//	GET  /debug/flightrecorder   recent anomaly bundles (panic, deadline miss,
-//	                             rejection burst, SLO breach)
+//	POST /jobs                submit {"netlist": "...", "deadline_ms", and any
+//	                          place.Knobs key: "k", "max_iter", "cg_tol", ...}
+//	GET  /jobs                list job statuses
+//	GET  /jobs/{id}           one job's status (state, submitted/started/finished
+//	                          timestamps, iterations, hpwl, stop reason, error)
+//	GET  /jobs/{id}/result    placed netlist (text interchange format)
+//	GET  /jobs/{id}/events    live per-iteration convergence with phase times
+//	                          (SSE; ?poll=1 long-poll)
+//	POST /jobs/{id}/cancel    cancel a job
+//	GET  /healthz             service health (queue depth, active workers, drain state)
+//	GET  /metrics             Prometheus text metrics (with p50/p95/p99 gauges)
 package main
 
 import (
@@ -52,9 +49,6 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "default per-job deadline (0 = none); expiry returns the best placement so far")
 		ckptDir  = flag.String("checkpoint-dir", "", "write <job>.ckpt snapshots for jobs drained by shutdown")
 		grace    = flag.Duration("grace", 30*time.Second, "shutdown drain budget")
-		slo      = flag.Duration("slo", 0, "per-job run-time objective; breaches record a flight-recorder bundle (0 = off)")
-		flightN  = flag.Int("flight-cap", 32, "flight-recorder ring capacity (negative disables)")
-		profDur  = flag.Duration("profile-on-breach", 0, "CPU profile duration captured into the flight bundle on SLO breach (0 = off)")
 	)
 	flag.Parse()
 
@@ -65,15 +59,12 @@ func main() {
 	}
 	reg := obsv.NewRegistry()
 	s := serve.New(serve.Config{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		DefaultDeadline:   *deadline,
-		CheckpointDir:     *ckptDir,
-		Metrics:           reg,
-		Now:               time.Now,
-		SLO:               *slo,
-		FlightRecorderCap: *flightN,
-		ProfileOnBreach:   *profDur,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		DefaultDeadline: *deadline,
+		CheckpointDir:   *ckptDir,
+		Metrics:         reg,
+		Now:             time.Now,
 	})
 
 	hs := &http.Server{Addr: *addr, Handler: s.Handler()}

@@ -1,8 +1,7 @@
-// Command ktracecheck validates the repo's observability artifacts so CI
-// can assert they are well-formed, not merely present.
+// Command ktracecheck validates JSONL run traces so CI can assert they
+// are well-formed, not merely present.
 //
-//	ktracecheck run.jsonl ...                 validate JSONL run traces
-//	ktracecheck -flight [-reason R] dump.json validate a flight-recorder dump
+//	ktracecheck run.jsonl ...
 //
 // A run trace must open with a self-describing meta record (non-empty
 // config hash, positive cell count) and every iteration record must carry
@@ -12,10 +11,6 @@
 // fresh group outright. Phase timing keys (t_<phase>_ns) must come from
 // the known phase schema, and when the meta record declares its phase
 // list, every declared phase must appear on every iteration record.
-//
-// A flight dump must decode into the {capacity, dropped, entries} schema;
-// with -reason, at least one entry must carry that reason and a span
-// tree.
 //
 // Exit status: 0 valid, 1 validation failure, 2 usage or read error.
 package main
@@ -34,24 +29,14 @@ import (
 )
 
 func main() {
-	var (
-		flight = flag.Bool("flight", false, "validate a flight-recorder dump instead of JSONL run traces")
-		reason = flag.String("reason", "", "with -flight: require at least one entry with this reason (and a span tree)")
-	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: ktracecheck [-flight [-reason R]] file...")
+		fmt.Fprintln(os.Stderr, "usage: ktracecheck file...")
 		os.Exit(2)
 	}
 	bad := false
 	for _, path := range flag.Args() {
-		var err error
-		if *flight {
-			err = checkFlight(path, *reason)
-		} else {
-			err = checkTrace(path)
-		}
-		if err != nil {
+		if err := checkTrace(path); err != nil {
 			fmt.Fprintf(os.Stderr, "ktracecheck: %s: %v\n", path, err)
 			bad = true
 			continue
@@ -193,56 +178,6 @@ func checkTrace(path string) error {
 	}
 	if iters == 0 {
 		return fmt.Errorf("no iteration records")
-	}
-	return nil
-}
-
-// flightDump mirrors obsv.FlightRecorder's WriteJSON schema.
-type flightDump struct {
-	Capacity int `json:"capacity"`
-	Dropped  int `json:"dropped"`
-	Entries  []struct {
-		Reason string          `json:"reason"`
-		JobID  string          `json:"job_id"`
-		Trace  json.RawMessage `json:"trace"`
-	} `json:"entries"`
-}
-
-func checkFlight(path, reason string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ktracecheck: %v\n", err)
-		os.Exit(2)
-	}
-	var d flightDump
-	if err := json.Unmarshal(raw, &d); err != nil {
-		return fmt.Errorf("not a flight dump: %v", err)
-	}
-	if d.Entries == nil {
-		return fmt.Errorf("missing entries array")
-	}
-	if d.Capacity <= 0 {
-		return fmt.Errorf("capacity %d", d.Capacity)
-	}
-	for i, e := range d.Entries {
-		if e.Reason == "" {
-			return fmt.Errorf("entry %d: empty reason", i)
-		}
-	}
-	if reason != "" {
-		found := false
-		for i, e := range d.Entries {
-			if e.Reason != reason {
-				continue
-			}
-			if len(e.Trace) == 0 || string(e.Trace) == "null" {
-				return fmt.Errorf("entry %d: reason %q without a span tree", i, reason)
-			}
-			found = true
-		}
-		if !found {
-			return fmt.Errorf("no entry with reason %q (have %d entries)", reason, len(d.Entries))
-		}
 	}
 	return nil
 }

@@ -26,10 +26,6 @@
 //	-diff             preview suggested fixes as a diff without writing
 //	-json             print findings as a JSON array
 //	-sarif file       also write findings as SARIF 2.1.0 to file
-//	-baseline file    drop findings grandfathered by the baseline
-//	-write-baseline f snapshot current findings into f and exit
-//	-stale-baseline   with -baseline, fail when the baseline grandfathers
-//	                  findings that no longer exist
 //
 // Exit status: 0 no findings, 1 findings, 2 operational error.
 package main
@@ -54,9 +50,6 @@ func main() {
 	diff := flag.Bool("diff", false, "print suggested fixes as a diff without applying them")
 	jsonOut := flag.Bool("json", false, "print findings as JSON")
 	sarifPath := flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-	baselinePath := flag.String("baseline", "", "suppress findings grandfathered by this baseline file")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit")
-	staleBaseline := flag.Bool("stale-baseline", false, "with -baseline, fail when the baseline grandfathers findings that no longer exist")
 	flag.Parse()
 
 	rules := lint.Rules()
@@ -84,34 +77,6 @@ func main() {
 	if *debugTiming {
 		for _, tm := range res.Timings {
 			fmt.Fprintf(os.Stderr, "kvet: timing %-12s %s\n", tm.Analyzer, tm.Wall.Round(time.Microsecond))
-		}
-	}
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, root, findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kvet: wrote baseline with %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		bl, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		if *staleBaseline {
-			if stale := lint.StaleBaseline(bl, root, findings); len(stale) > 0 {
-				for _, e := range stale {
-					fmt.Fprintf(os.Stderr, "kvet: stale baseline entry (%d unmatched): %s %s: %s\n", e.Count, e.Analyzer, e.File, e.Message)
-				}
-				fmt.Fprintf(os.Stderr, "kvet: %s grandfathers %d finding class(es) that no longer exist; regenerate it with -write-baseline\n", *baselinePath, len(stale))
-				os.Exit(1)
-			}
-		}
-		var grandfathered int
-		findings, grandfathered = lint.ApplyBaseline(bl, root, findings)
-		if grandfathered > 0 {
-			fmt.Fprintf(os.Stderr, "kvet: %d finding(s) grandfathered by %s\n", grandfathered, *baselinePath)
 		}
 	}
 

@@ -143,70 +143,3 @@ func TestWriteListGolden(t *testing.T) {
 		t.Errorf("kvet -list output differs from testdata/list.golden:\n%s", lint.Diff("list.golden", want, buf.Bytes()))
 	}
 }
-
-// TestStaleBaseline checks that entries whose findings were since fixed
-// are reported with the unmatched count, and a fully consumed baseline
-// reports nothing.
-func TestStaleBaseline(t *testing.T) {
-	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{CheckStale: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Findings) == 0 {
-		t.Fatal("fixture yields no findings to baseline")
-	}
-	path := t.TempDir() + "/baseline.json"
-	if err := lint.WriteBaseline(path, "testdata/stale", res.Findings); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := lint.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale := lint.StaleBaseline(bl, "testdata/stale", res.Findings); len(stale) != 0 {
-		t.Errorf("fresh baseline reported stale entries: %+v", stale)
-	}
-	// Drop the first finding, as if it were fixed: exactly its entry must
-	// come back, with one unmatched occurrence.
-	fixed := res.Findings[1:]
-	stale := lint.StaleBaseline(bl, "testdata/stale", fixed)
-	if len(stale) != 1 {
-		t.Fatalf("want 1 stale entry after fixing one finding, got %+v", stale)
-	}
-	if stale[0].Count != 1 {
-		t.Errorf("stale entry count = %d, want 1", stale[0].Count)
-	}
-	if want := res.Findings[0].Message; stale[0].Message != want {
-		t.Errorf("stale entry message = %q, want %q", stale[0].Message, want)
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline from current findings and
-// checks it grandfathers exactly those findings and nothing else.
-func TestBaselineRoundTrip(t *testing.T) {
-	res, err := lint.RunSuite(loadStale(t), []lint.Rule{{Analyzer: floatcmp.Analyzer}}, lint.Options{CheckStale: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Findings) == 0 {
-		t.Fatal("fixture yields no findings to baseline")
-	}
-	path := t.TempDir() + "/baseline.json"
-	if err := lint.WriteBaseline(path, "testdata/stale", res.Findings); err != nil {
-		t.Fatal(err)
-	}
-	bl, err := lint.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, grandfathered := lint.ApplyBaseline(bl, "testdata/stale", res.Findings)
-	if len(kept) != 0 || grandfathered != len(res.Findings) {
-		t.Errorf("round trip: kept=%d grandfathered=%d, want 0/%d", len(kept), grandfathered, len(res.Findings))
-	}
-	// A finding class beyond its grandfathered count must surface.
-	doubled := append(append([]lint.Finding(nil), res.Findings...), res.Findings...)
-	kept, _ = lint.ApplyBaseline(bl, "testdata/stale", doubled)
-	if len(kept) != len(res.Findings) {
-		t.Errorf("excess occurrences: kept=%d, want %d", len(kept), len(res.Findings))
-	}
-}

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // SARIF renders findings as a SARIF 2.1.0 log — the interchange format CI
@@ -87,4 +89,14 @@ func SARIF(root string, rules []Rule, findings []Finding) ([]byte, error) {
 		}},
 	}
 	return json.MarshalIndent(&log, "", "  ")
+}
+
+// relTo renders file relative to root with forward slashes, falling back
+// to the input when it is not under root.
+func relTo(root, file string) string {
+	rel, err := filepath.Rel(root, file)
+	if err != nil || rel == ".." || filepath.IsAbs(rel) || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return filepath.ToSlash(file)
+	}
+	return filepath.ToSlash(rel)
 }

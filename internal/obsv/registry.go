@@ -1,7 +1,8 @@
 // Package obsv is the placement stack's observability layer: nestable
-// phase/span timers with per-run aggregation, a process-wide registry of
-// counters, gauges and fixed-bucket histograms with a Prometheus-text
-// encoder, and a JSONL run-trace writer.
+// phase/span timers with per-run aggregation, registries of counters,
+// gauges and fixed-bucket histograms with a Prometheus-text encoder (each
+// owner creates its own; there is no process-wide one), and a JSONL
+// run-trace writer.
 //
 // The package is standard-library only and designed to cost ~zero when
 // disabled: every handle type (*Counter, *Gauge, *Histogram, *Spans,

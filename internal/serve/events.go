@@ -7,11 +7,13 @@ import (
 )
 
 // Event is one per-iteration progress sample of a job — the payload of
-// GET /jobs/{id}/events and the "samples" section of flight-recorder
-// bundles. Seq is the stream cursor: it increments by one per event for
-// the job's lifetime, so a client that reconnects with its last seen seq
-// misses nothing that is still buffered. The phase times carry the run
-// trace's own t_*_ns keys (place.Phases).
+// GET /jobs/{id}/events. Seq is the stream cursor: it increments by one
+// per event for the job's lifetime, so a client that reconnects with its
+// last seen seq misses nothing that is still buffered. The phase times
+// carry the run trace's own t_*_ns keys (place.Phases), so the events
+// are the job's phase waterfall in kplace's trace schema. The stream ends
+// with a Final event whose State is the job's terminal state; the ring
+// stays readable after the job ends.
 type Event struct {
 	Seq      int     `json:"seq"`
 	Iter     int     `json:"iter"`
@@ -118,20 +120,4 @@ func (p *progress) since(from int) (events []Event, wake <-chan struct{}, closed
 		}
 	}
 	return events, p.wake, p.closed
-}
-
-// recent returns up to n of the newest buffered events, oldest first —
-// the sample set a flight-recorder bundle freezes.
-func (p *progress) recent(n int) []Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := len(p.buf)
-	if n > total {
-		n = total
-	}
-	out := make([]Event, 0, n)
-	for i := total - n; i < total; i++ {
-		out = append(out, p.buf[(p.start+i)%total])
-	}
-	return out
 }

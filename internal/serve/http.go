@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/netlist"
-	"repro/internal/obsv"
 	"repro/internal/place"
 )
 
@@ -82,20 +81,19 @@ type errorResponse struct {
 
 // Handler returns the service's HTTP API:
 //
-//	POST /jobs                   submit (202, 400, 429 queue full, 503 draining);
-//	                             honors an incoming W3C traceparent header and
-//	                             returns this job's traceparent on the response
-//	GET  /jobs                   all job statuses, submission order
-//	GET  /jobs/{id}              one job's status
-//	GET  /jobs/{id}/result       placed netlist, text format (409 until terminal)
-//	GET  /jobs/{id}/events       per-iteration convergence stream (SSE; ?poll=1
-//	                             for long-poll JSON batches; resume with
-//	                             Last-Event-ID or ?from=N)
-//	GET  /jobs/{id}/trace        the job's span tree as JSON
-//	POST /jobs/{id}/cancel       cancel a queued or running job
-//	GET  /healthz                service health (503 while draining)
-//	GET  /metrics                Prometheus text encoding
-//	GET  /debug/flightrecorder   recent anomaly bundles (404 when disabled)
+//	POST /jobs                submit (202, 400, 429 queue full, 503 draining)
+//	GET  /jobs                all job statuses, submission order
+//	GET  /jobs/{id}           one job's status: state, timestamps, progress,
+//	                          stop reason, error
+//	GET  /jobs/{id}/result    placed netlist, text format (409 until terminal,
+//	                          410 if the job failed or was cancelled before it
+//	                          started)
+//	GET  /jobs/{id}/events    per-iteration convergence stream with phase
+//	                          times (SSE; ?poll=1 for long-poll JSON batches;
+//	                          resume with Last-Event-ID or ?from=N)
+//	POST /jobs/{id}/cancel    cancel a queued or running job
+//	GET  /healthz             service health (503 while draining)
+//	GET  /metrics             Prometheus text encoding
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -103,11 +101,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.reg)
-	mux.Handle("GET /debug/flightrecorder", s.rec)
 	return mux
 }
 
@@ -118,9 +114,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// The accept timer covers decode + netlist parse — the transport work
-	// a trace would otherwise not see; Submit folds it into the span tree.
-	sw := obsv.StartTimer()
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
@@ -131,19 +124,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad netlist: " + err.Error()})
 		return
 	}
-	// A malformed traceparent degrades to a fresh trace, never to a 4xx:
-	// observability must not fail requests.
-	parent, _ := obsv.ParseTraceParent(r.Header.Get("traceparent"))
 	job, err := s.Submit(JobRequest{
 		Netlist:  nl,
 		Config:   req.Config,
 		Deadline: time.Duration(req.DeadlineMS) * time.Millisecond,
-		Trace:    parent,
-		Accept:   sw.Elapsed(),
 	})
 	switch {
 	case err == nil:
-		w.Header().Set("traceparent", job.TraceParent().String())
 		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID()})
 	case err == ErrQueueFull:
 		w.Header().Set("Retry-After", "1")
@@ -189,21 +176,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusGone, errorResponse{Error: "job failed: " + st.Error})
 		return
 	}
-	// Done and cancelled jobs both hold a legal (possibly partial)
-	// placement — that is the point of the serving layer.
+	if st.StartedAt.IsZero() {
+		// Cancelled while queued: the netlist is the untouched input.
+		writeJSON(w, http.StatusGone, errorResponse{Error: "job cancelled before it started; no placement"})
+		return
+	}
+	// Done jobs and jobs cancelled mid-run both hold a legal (possibly
+	// partial) placement — that is the point of the serving layer.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if err := netlist.Write(w, j.Netlist()); err != nil {
 		// Headers are gone; nothing better to do than log-by-status.
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, j.TraceTree())
 }
 
 // EventBatch is the long-poll (?poll=1) response of /jobs/{id}/events.

@@ -66,22 +66,6 @@ type Config struct {
 	// Now injects the wall clock for job timestamps; cmd/kserved passes
 	// time.Now. Nil falls back to the real clock.
 	Now func() time.Time
-	// SLO, when positive, is the per-job run-time objective: a job whose
-	// placement run (queue wait excluded) takes longer records a
-	// flight-recorder bundle with reason "slo_breach".
-	SLO time.Duration
-	// FlightRecorderCap bounds the in-memory anomaly ring. Defaults to
-	// 32; negative disables the recorder entirely.
-	FlightRecorderCap int
-	// RejectBurst is the number of backpressure rejections within one
-	// second that counts as an anomaly (reason "reject_burst"). Defaults
-	// to 8; negative disables the trigger.
-	RejectBurst int
-	// ProfileOnBreach, when positive, captures a CPU profile of that
-	// duration into the flight bundle on an SLO breach. The capture runs
-	// synchronously on the breaching job's worker — the time is already
-	// lost to the breach — and at most one capture runs at a time.
-	ProfileOnBreach time.Duration
 }
 
 // State is a job's lifecycle position.
@@ -113,18 +97,12 @@ type JobRequest struct {
 	// Deadline bounds the job's run time; the job returns its best
 	// placement when it expires. Zero uses Config.DefaultDeadline.
 	Deadline time.Duration
-	// Trace is the upstream trace context (parsed W3C traceparent). The
-	// zero value starts a fresh trace; a valid one stitches this job's
-	// span tree under the caller's span.
-	Trace obsv.TraceParent
-	// Accept is how long the transport spent accepting the request
-	// (decode + netlist parse) before Submit; it becomes the root span's
-	// leading "accept" child so the trace covers the full request.
-	Accept time.Duration
 }
 
 // Status is a point-in-time snapshot of a job, also the /jobs/{id} JSON
-// schema.
+// schema. It is the job's one record: its queue wait is StartedAt −
+// SubmittedAt and its run time FinishedAt − StartedAt, and the
+// per-iteration detail (phase times included) is the job's event stream.
 type Status struct {
 	ID          string    `json:"id"`
 	State       State     `json:"state"`
@@ -143,9 +121,6 @@ type Status struct {
 	// by Shutdown.
 	Checkpoint string `json:"checkpoint,omitempty"`
 	Error      string `json:"error,omitempty"`
-	// TraceID identifies the job's span tree (GET /jobs/{id}/trace);
-	// propagated from the submitter's traceparent when one was sent.
-	TraceID string `json:"trace_id,omitempty"`
 }
 
 // Job is one submitted placement. All accessors are safe for concurrent
@@ -157,13 +132,8 @@ type Job struct {
 	cfg    place.Config
 	cancel context.CancelFunc
 	ctx    context.Context
-
-	// trace is the job's span tree; queueSpan is the open "queue" child
-	// ended when a worker picks the job up. prog is the bounded event
-	// ring behind GET /jobs/{id}/events.
-	trace     *obsv.JobTrace
-	queueSpan *obsv.SpanRec
-	prog      *progress
+	// prog is the bounded event ring behind GET /jobs/{id}/events.
+	prog *progress
 
 	mu     sync.Mutex
 	status Status
@@ -183,13 +153,6 @@ func (j *Job) Status() Status {
 // Netlist returns the job's netlist. Only read it once the job is
 // terminal: the worker mutates positions while running.
 func (j *Job) Netlist() *netlist.Netlist { return j.nl }
-
-// TraceTree snapshots the job's span tree (the /jobs/{id}/trace schema).
-func (j *Job) TraceTree() obsv.SpanTree { return j.trace.Snapshot() }
-
-// TraceParent returns the trace context to propagate to work downstream
-// of this job — the traceparent header value for a follow-up call.
-func (j *Job) TraceParent() obsv.TraceParent { return j.trace.Child() }
 
 // Events returns buffered progress events with Seq >= from (oldest
 // first), a channel that closes when the next event arrives, and whether
@@ -213,8 +176,6 @@ func (j *Job) Cancel() {
 	j.mu.Unlock()
 	if wasQueued {
 		j.s.met.cancelled.Inc()
-		j.queueSpan.End()
-		j.trace.Root().End()
 		j.prog.closeWith(Event{State: StateCancelled})
 	}
 	j.cancel()
@@ -230,7 +191,6 @@ type Server struct {
 	pool    *par.Pool
 	reg     *obsv.Registry
 	met     serveMetrics
-	rec     *obsv.FlightRecorder // nil when disabled
 	started time.Time
 
 	mu       sync.Mutex
@@ -238,10 +198,6 @@ type Server struct {
 	order    []string // submission order, for listing
 	nextID   int
 	draining bool
-	// Rejection-burst tracking: rejCount rejections since rejWindow; a
-	// window is one second, and the flight trigger fires once per window.
-	rejWindow time.Time
-	rejCount  int
 }
 
 type serveMetrics struct {
@@ -251,7 +207,6 @@ type serveMetrics struct {
 	cancelled  *obsv.Counter
 	failed     *obsv.Counter
 	deadlined  *obsv.Counter
-	flight     *obsv.Counter
 	queueDepth *obsv.Gauge
 	queueWait  *obsv.Histogram
 	runSeconds *obsv.Histogram
@@ -265,12 +220,6 @@ func New(cfg Config) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
 	}
-	if cfg.FlightRecorderCap == 0 {
-		cfg.FlightRecorderCap = 32
-	}
-	if cfg.RejectBurst == 0 {
-		cfg.RejectBurst = 8
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obsv.NewRegistry()
@@ -282,19 +231,15 @@ func New(cfg Config) *Server {
 		jobs: make(map[string]*Job),
 		met: serveMetrics{
 			submitted:  reg.Counter("serve_jobs_submitted_total", "placement jobs accepted"),
-			rejected:   reg.Counter("serve_jobs_rejected_total", "placement jobs rejected by backpressure"),
+			rejected:   reg.Counter("serve_jobs_rejected_total", "placement jobs rejected because the queue was full or the server was draining"),
 			done:       reg.Counter("serve_jobs_done_total", "placement jobs completed (including deadline partials)"),
 			cancelled:  reg.Counter("serve_jobs_cancelled_total", "placement jobs cancelled"),
 			failed:     reg.Counter("serve_jobs_failed_total", "placement jobs failed (panic or structural error)"),
 			deadlined:  reg.Counter("serve_jobs_deadline_total", "placement jobs that returned a deadline partial"),
-			flight:     reg.Counter("serve_flight_records_total", "anomaly bundles captured by the flight recorder"),
 			queueDepth: reg.Gauge("serve_queue_depth", "jobs waiting to start"),
 			queueWait:  reg.Histogram("serve_queue_wait_seconds", "time from submission to a worker picking the job up", obsv.SecondsBuckets),
 			runSeconds: reg.Histogram("serve_run_seconds", "placement run time excluding queue wait", obsv.SecondsBuckets),
 		},
-	}
-	if cfg.FlightRecorderCap > 0 {
-		s.rec = obsv.NewFlightRecorder(cfg.FlightRecorderCap)
 	}
 	s.started = s.now()
 	// The pool's own recovery is a backstop; runJob recovers per job
@@ -321,7 +266,7 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.noteRejection()
+		s.met.rejected.Inc()
 		return nil, ErrDraining
 	}
 	s.nextID++
@@ -332,34 +277,21 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	if deadline <= 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
-	now := s.now()
-	tr := obsv.NewJobTraceAt("serve/job", req.Trace, s.cfg.Now)
-	root := tr.Root()
-	root.SetAttr("job_id", id)
-	root.SetAttr("design", req.Netlist.Name)
-	if req.Accept > 0 {
-		// The transport's accept work (decode + parse) happened just
-		// before Submit; fold it into the tree as the root's first child.
-		root.RecordChild("accept", now.Add(-req.Accept), now)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id:        id,
-		s:         s,
-		nl:        req.Netlist,
-		cfg:       req.Config,
-		ctx:       ctx,
-		cancel:    cancel,
-		trace:     tr,
-		queueSpan: root.Start("queue"),
-		prog:      newProgress(),
+		id:     id,
+		s:      s,
+		nl:     req.Netlist,
+		cfg:    req.Config,
+		ctx:    ctx,
+		cancel: cancel,
+		prog:   newProgress(),
 		status: Status{
 			ID:          id,
 			State:       StateQueued,
 			Design:      req.Netlist.Name,
 			Cells:       len(req.Netlist.Cells),
-			SubmittedAt: now,
-			TraceID:     tr.ID(),
+			SubmittedAt: s.now(),
 		},
 	}
 	j.cfg.NoTrace = true
@@ -381,7 +313,7 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	run := func() { s.runJob(j, deadline) }
 	if err := s.pool.Submit(run); err != nil {
 		cancel()
-		s.noteRejection()
+		s.met.rejected.Inc()
 		if errors.Is(err, par.ErrPoolClosed) {
 			return nil, ErrDraining
 		}
@@ -410,9 +342,7 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	j.status.StartedAt = started
 	submitted := j.status.SubmittedAt
 	j.mu.Unlock()
-	j.queueSpan.End()
 	s.met.queueWait.Observe(started.Sub(submitted).Seconds())
-	runSpan := j.trace.Root().Start("run")
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -422,10 +352,6 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 			j.status.FinishedAt = s.now()
 			j.mu.Unlock()
 			s.met.failed.Inc()
-			runSpan.SetAttr("panic", fmt.Sprint(r))
-			runSpan.End()
-			j.trace.Root().End()
-			s.flightDump(j, "panic", map[string]any{"panic": fmt.Sprint(r)}, nil)
 			j.prog.closeWith(Event{State: StateFailed})
 		}
 	}()
@@ -440,29 +366,11 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	sw := obsv.StartTimer()
 	placer := place.New(j.nl, j.cfg)
 	res, err := placer.Run(ctx)
-	elapsed := sw.Elapsed()
-	s.met.runSeconds.Observe(elapsed.Seconds())
-
-	// Fold the run's phase totals into the trace as aggregate child spans
-	// laid end to end from the run start. The phases are sequential and
-	// sum to at most the step time, so the waterfall ends within the run.
-	runEnd := s.now()
-	runStart := runEnd.Add(-elapsed)
-	t := runStart
-	res.Phases.Each(func(k string, d time.Duration) {
-		if k != "step" && d > 0 {
-			runSpan.RecordChild("phase/"+k, t, t.Add(d))
-			t = t.Add(d)
-		}
-	})
-	runSpan.SetAttr("iterations", fmt.Sprint(res.Iterations))
-	runSpan.SetAttr("stop_reason", string(res.StopReason))
-	runSpan.SetAttr("hpwl", fmt.Sprintf("%g", res.HPWL))
-	runSpan.End()
-	j.trace.Root().End()
+	s.met.runSeconds.Observe(sw.Elapsed().Seconds())
+	finished := s.now()
 
 	j.mu.Lock()
-	j.status.FinishedAt = runEnd
+	j.status.FinishedAt = finished
 	j.status.Iterations = res.Iterations
 	j.status.HPWL = res.HPWL
 	j.status.Overflow = res.Overflow
@@ -489,26 +397,6 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	}
 	final.State = j.status.State
 	j.mu.Unlock()
-
-	// Anomaly capture. A deadline miss means the job shipped a partial;
-	// an SLO breach means even a completed run was too slow. Both freeze
-	// the span tree and the recent convergence samples for postmortem.
-	if res.StopReason == place.StopDeadline {
-		s.flightDump(j, "deadline_miss", map[string]any{
-			"deadline_ms": deadline.Milliseconds(),
-			"iterations":  res.Iterations,
-			"stop_reason": res.StopReason,
-		}, nil)
-	} else if s.cfg.SLO > 0 && elapsed > s.cfg.SLO {
-		var profile []byte
-		if s.cfg.ProfileOnBreach > 0 {
-			profile = s.rec.CaptureCPUProfile(s.cfg.ProfileOnBreach)
-		}
-		s.flightDump(j, "slo_breach", map[string]any{
-			"slo_ms": s.cfg.SLO.Milliseconds(),
-			"run_ms": elapsed.Milliseconds(),
-		}, profile)
-	}
 	j.prog.closeWith(final)
 
 	// The checkpoint write happens outside the status lock: the placer is
@@ -526,64 +414,6 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 		j.mu.Unlock()
 	}
 }
-
-// flightDump freezes one job's observability state — span tree plus the
-// most recent convergence samples — into the flight recorder. No-op when
-// the recorder is disabled.
-func (s *Server) flightDump(j *Job, reason string, detail map[string]any, profile []byte) {
-	if s.rec == nil {
-		return
-	}
-	tree := j.trace.Snapshot()
-	s.rec.Record(obsv.FlightEntry{
-		Time:       s.now(),
-		Reason:     reason,
-		JobID:      j.id,
-		Detail:     detail,
-		Trace:      &tree,
-		Samples:    j.prog.recent(64),
-		CPUProfile: profile,
-	})
-	s.met.flight.Inc()
-}
-
-// noteRejection counts one backpressure rejection and, when rejections
-// burst (RejectBurst within a one-second window), records a flight
-// bundle — a rejection storm is an anomaly about the service, not about
-// any single job. Fires once per window.
-func (s *Server) noteRejection() {
-	s.met.rejected.Inc()
-	if s.rec == nil || s.cfg.RejectBurst <= 0 {
-		return
-	}
-	now := s.now()
-	s.mu.Lock()
-	if now.Sub(s.rejWindow) > time.Second {
-		s.rejWindow = now
-		s.rejCount = 0
-	}
-	s.rejCount++
-	fire := s.rejCount == s.cfg.RejectBurst
-	count := s.rejCount
-	queued := s.pool.Queued()
-	s.mu.Unlock()
-	if fire {
-		s.rec.Record(obsv.FlightEntry{
-			Time:   now,
-			Reason: "reject_burst",
-			Detail: map[string]any{
-				"rejections_in_window": count,
-				"window_ms":            1000,
-				"queued":               queued,
-				"queue_cap":            s.cfg.QueueDepth,
-			},
-		})
-		s.met.flight.Inc()
-	}
-}
-
-// FlightRecorder exposes the anomaly ring (nil when disabled).
-func (s *Server) FlightRecorder() *obsv.FlightRecorder { return s.rec }
 
 // writeCheckpoint serializes a drained job's placer state.
 func (s *Server) writeCheckpoint(id string, p *place.Placer) (string, error) {
@@ -643,8 +473,6 @@ type Health struct {
 	QueueCap int `json:"queue_cap"`
 	// UptimeSec is seconds since the server started, by its own clock.
 	UptimeSec float64 `json:"uptime_sec"`
-	// FlightRecords is the number of anomaly bundles currently held.
-	FlightRecords int `json:"flight_records"`
 }
 
 // Health returns the current service health.
@@ -678,7 +506,6 @@ func (s *Server) Health() Health {
 		ActiveWorkers: s.pool.Running(),
 		QueueCap:      s.cfg.QueueDepth,
 		UptimeSec:     s.now().Sub(s.started).Seconds(),
-		FlightRecords: s.rec.Len(),
 	}
 	if draining {
 		h.Status = "draining"

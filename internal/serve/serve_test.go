@@ -281,6 +281,83 @@ func TestCancelMidRun(t *testing.T) {
 	assertLegalResult(t, hs.URL, job.ID())
 }
 
+// TestResultGoneWhenCancelledQueued: a job cancelled before a worker
+// picked it up, by POST /cancel or by the Shutdown drain, never placed
+// anything, so its result is a 410 rather than the untouched input.
+func TestResultGoneWhenCancelledQueued(t *testing.T) {
+	for _, how := range []string{"cancel", "drain"} {
+		t.Run(how, func(t *testing.T) {
+			s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+
+			gate := make(chan struct{})
+			started := make(chan struct{})
+			var once sync.Once
+			blocker, err := s.Submit(JobRequest{
+				Netlist: testNetlist(60, 12),
+				Config: place.Config{MaxIter: 3, BeforeTransform: func(iter int, _ *place.Placer) {
+					once.Do(func() { close(started) })
+					if iter == 0 {
+						<-gate
+					}
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			queued, err := s.Submit(JobRequest{Netlist: testNetlist(60, 13), Config: place.Config{MaxIter: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if how == "cancel" {
+				resp, err := http.Post(hs.URL+"/jobs/"+queued.ID()+"/cancel", "application/json", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				close(gate)
+			} else {
+				// Shutdown cancels the queued job, which seals its event
+				// stream, before it waits on the gated blocker; open the
+				// gate once the stream is sealed.
+				drained := make(chan error, 1)
+				go func() { drained <- s.Shutdown(context.Background()) }()
+				for {
+					_, wake, done := queued.Events(0)
+					if done {
+						break
+					}
+					<-wake
+				}
+				close(gate)
+				if err := <-drained; err != nil {
+					t.Fatalf("Shutdown: %v", err)
+				}
+			}
+			pollTerminal(t, hs.URL, blocker.ID())
+
+			st := pollTerminal(t, hs.URL, queued.ID())
+			if st.State != StateCancelled || !st.StartedAt.IsZero() {
+				t.Fatalf("queued job: state %q started %v, want cancelled and never started", st.State, st.StartedAt)
+			}
+			resp, err := http.Get(hs.URL + "/jobs/" + queued.ID() + "/result")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			_ = json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGone {
+				t.Fatalf("result of a job cancelled while queued: %d, want 410", resp.StatusCode)
+			}
+			if er.Error != "job cancelled before it started; no placement" {
+				t.Errorf("410 body %q", er.Error)
+			}
+		})
+	}
+}
+
 // TestDeadlinePartial submits a job whose deadline cannot possibly cover
 // full convergence and checks graceful degradation: the job *succeeds*
 // with stop_reason "deadline" and a legal partial placement.
