@@ -151,30 +151,68 @@ func TestRealPlanParallelIsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	src := randomReal(rng, w*h)
 
-	run := func() ([]complex128, []float64) {
-		rp := NewRealPlan(w, h)
+	runOn := func(rp *RealPlan) ([]complex128, []float64) {
 		spec := make([]complex128, rp.SpecLen())
 		rp.Spectrum(spec, src)
 		out := make([]float64, w*h)
 		rp.Inverse(out, spec)
 		return spec, out
 	}
+	run := func() ([]complex128, []float64) { return runOn(NewRealPlan(w, h)) }
 
+	// shared carries its line buffers from a serial pass into a parallel
+	// one and back, so reused scratch must not leak between passes.
+	shared := NewRealPlan(w, h)
 	old := par.Threshold
 	par.Threshold = w * h * 2 // force serial
 	serialSpec, serialOut := run()
+	runOn(shared)
 	par.Threshold = 1 // force the fan-out
 	parSpec, parOut := run()
+	sharedParSpec, sharedParOut := runOn(shared)
+	par.Threshold = w * h * 2
+	sharedSpec, sharedOut := runOn(shared)
 	par.Threshold = old
 
-	for i := range serialSpec {
-		if serialSpec[i] != parSpec[i] {
-			t.Fatalf("spectrum entry %d differs between serial and parallel runs", i)
+	for name, got := range map[string][]complex128{"parallel": parSpec, "shared parallel": sharedParSpec, "shared serial": sharedSpec} {
+		for i := range serialSpec {
+			if serialSpec[i] != got[i] {
+				t.Fatalf("spectrum entry %d differs between serial and %s runs", i, name)
+			}
 		}
 	}
-	for i := range serialOut {
-		if math.Float64bits(serialOut[i]) != math.Float64bits(parOut[i]) {
-			t.Fatalf("inverse entry %d differs between serial and parallel runs", i)
+	for name, got := range map[string][]float64{"parallel": parOut, "shared parallel": sharedParOut, "shared serial": sharedOut} {
+		for i := range serialOut {
+			if math.Float64bits(serialOut[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("inverse entry %d differs between serial and %s runs", i, name)
+			}
+		}
+	}
+}
+
+// TestConvolveSpectraAllocFree: below par.Threshold every pass runs its
+// kernel inline through the plan's own scratch, so a warmed
+// ConvolveSpectra allocates nothing, on packed-pair grids and on the
+// single-row path.
+func TestConvolveSpectraAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for _, sz := range [][2]int{{32, 16}, {64, 1}} {
+		w, h := sz[0], sz[1]
+		if w*h >= par.Threshold {
+			t.Fatalf("%dx%d grid is not below par.Threshold %d", w, h, par.Threshold)
+		}
+		p := NewRealPlan(w, h)
+		spec1 := make([]complex128, p.SpecLen())
+		spec2 := make([]complex128, p.SpecLen())
+		p.Spectrum(spec1, randomReal(rng, w*h))
+		p.Spectrum(spec2, randomReal(rng, w*h))
+		src := randomReal(rng, w*h)
+		dsts := [][]float64{make([]float64, w*h), make([]float64, w*h)}
+		specs := [][]complex128{spec1, spec2}
+		p.ConvolveSpectra(dsts, src, specs)
+		allocs := testing.AllocsPerRun(10, func() { p.ConvolveSpectra(dsts, src, specs) })
+		if allocs != 0 {
+			t.Errorf("%dx%d: warmed ConvolveSpectra allocates %.1f objects, want 0", w, h, allocs)
 		}
 	}
 }

@@ -61,9 +61,12 @@ type System struct {
 	C      *sparse.CSR
 	Dx, Dy []float64
 
-	// bx/by are SolveDeltaFrom's right-hand-side scratch, reused across
-	// transformations so the steady-state solve allocates nothing.
-	bx, by []float64
+	// bx/by are SolveDeltaFrom's right-hand-side scratch and cgx/cgy the
+	// per-axis CG work vectors, reused across transformations so the
+	// steady-state solve allocates nothing. The concurrent axis solves
+	// each own one workspace and share only the read-only factor.
+	bx, by   []float64
+	cgx, cgy sparse.CGWork
 
 	// chol caches the IC0 preconditioner across the solves of one
 	// assembly: the pattern is built once per System (it is fixed by C's
@@ -367,16 +370,17 @@ func (s *System) Solve(forces []geom.Point, opt sparse.CGOptions) (SolveResult, 
 	return out, nil
 }
 
-// solveBoth runs the two independent axis solves concurrently; C and the
-// prepared preconditioner factor are shared read-only.
+// solveBoth runs the two independent axis solves concurrently, each in
+// its own CG workspace; C and the prepared preconditioner factor are
+// shared read-only.
 func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *SolveResult) (errX, errY error) {
 	start := obsv.StartTimer()
 	out.Fallback = s.prepPrecond(&opt)
 	out.PrecondWall = start.Elapsed()
 	start = obsv.StartTimer()
 	par.Pair(
-		func() { out.X, errX = sparse.SolveCG(s.C, x, bx, opt) },
-		func() { out.Y, errY = sparse.SolveCG(s.C, y, by, opt) },
+		func() { out.X, errX = s.cgx.Solve(s.C, x, bx, opt) },
+		func() { out.Y, errY = s.cgy.Solve(s.C, y, by, opt) },
 	)
 	out.PairWall = start.Elapsed()
 	return errX, errY

@@ -38,7 +38,8 @@ func (p Preconditioner) MarshalText() ([]byte, error) { return []byte(p.String()
 type CGOptions struct {
 	// Tol is the relative residual target ‖r‖/‖b‖. Defaults to 1e-8.
 	Tol float64
-	// MaxIter caps the iteration count. Defaults to 10·N.
+	// MaxIter caps the iteration count. Defaults to 10·N, and to 100 when
+	// 10·N is smaller.
 	MaxIter int
 	// Factor, when non-nil, is the IC0 factor of the matrix to
 	// precondition with; nil preconditions with the diagonal (Jacobi).
@@ -64,8 +65,29 @@ var ErrNotConverged = errors.New("sparse: conjugate gradient did not converge")
 // SolveCG solves M·x = b for symmetric positive-definite M using
 // preconditioned conjugate gradients: opt.Factor's IC0 triangular solves
 // when it is set, the diagonal (Jacobi) otherwise. x carries the initial
-// guess on entry (warm start) and the solution on return.
+// guess on entry (warm start) and the solution on return. It solves with
+// a fresh CGWork; callers that solve repeatedly hold a CGWork of their own
+// and call its Solve, which allocates nothing once grown.
 func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
+	var w CGWork
+	return w.Solve(m, x, b, opt)
+}
+
+// CGWork holds the work vectors of a conjugate gradient solve: the
+// residual r, the preconditioned residual z, the search direction p, the
+// product M·p, and Jacobi's inverse diagonal. They grow on demand, so
+// repeated solves of one size allocate nothing. The zero value is ready
+// to use. A CGWork serves one solve at a time; concurrent solves need one
+// each.
+type CGWork struct {
+	r, z, p, ap []float64
+	invDiag     []float64
+}
+
+// Solve is SolveCG with w's work vectors. Every vector is written before
+// it is read, so a reused CGWork gives the same result, bit for bit, as a
+// fresh one.
+func (w *CGWork) Solve(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 	n := m.N()
 	chol := opt.Factor
 	if len(x) != n || len(b) != n || (chol != nil && chol.N() != n) {
@@ -81,16 +103,21 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 		}
 	}
 
-	eff := Jacobi
-	if chol != nil {
-		eff = IC0
-	}
-	invDiag := make([]float64, n)
-	for i, d := range m.Diag() {
-		if d > 0 {
-			invDiag[i] = 1 / d
-		} else {
-			invDiag[i] = 1 // row with no anchor yet; plain CG behaviour
+	r, z, p, ap := grow(w.r, n), grow(w.z, n), grow(w.p, n), grow(w.ap, n)
+	w.r, w.z, w.p, w.ap = r, z, p, ap
+	eff := IC0
+	var invDiag []float64
+	if chol == nil {
+		eff = Jacobi
+		invDiag = grow(w.invDiag, n)
+		w.invDiag = invDiag
+		m.diagInto(invDiag)
+		for i, d := range invDiag {
+			if d > 0 {
+				invDiag[i] = 1 / d
+			} else {
+				invDiag[i] = 1 // row with no anchor yet; plain CG behaviour
+			}
 		}
 	}
 	precond := func(z, r []float64) {
@@ -102,14 +129,6 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 			z[i] = invDiag[i] * r[i]
 		}
 	}
-
-	// The four CG work vectors are per-solve by design: SolveCG is a
-	// stateless package function (warm starts ride in through x), and
-	// caller-owned scratch would leak solver internals through the API.
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
 
 	m.MulVec(r, x)
 	for i := range r {
@@ -138,8 +157,15 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 		}
 		alpha := rz / pap
 		Axpy(x, alpha, p)
-		Axpy(r, -alpha, ap)
-		rel = Norm2(r) / bnorm
+		// r += (−α)·Ap, summing ‖r‖² in the same pass and order as Norm2.
+		na := -alpha
+		rr := 0.0
+		for i, v := range ap {
+			ri := r[i] + na*v
+			r[i] = ri
+			rr += ri * ri
+		}
+		rel = math.Sqrt(rr) / bnorm
 		if rel <= opt.Tol {
 			return CGResult{Iterations: iter, Residual: rel, Converged: true, Precond: eff}, nil
 		}
@@ -152,4 +178,13 @@ func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 		}
 	}
 	return CGResult{Iterations: opt.MaxIter, Residual: rel, Precond: eff}, ErrNotConverged
+}
+
+// grow returns v resized to length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func grow(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
 }

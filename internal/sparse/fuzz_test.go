@@ -67,6 +67,8 @@ func sameCSR(a, b *CSR) bool {
 //     fresh factorization of the refilled matrix (the hot-path contract
 //     qp's preconditioner cache relies on) and to the two-pointer merge
 //     kernel, on an SPD symmetrization of the fuzzed triplets.
+//  6. MulVec and Apply on that matrix and factor are bit-identical to
+//     their reference kernels, mulVecRef and applyRef.
 func FuzzSymbolicRefill(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 8, 1, 0, 8, 2, 2, 16})           // small symmetric-ish
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 252})                   // duplicate that cancels to zero
@@ -198,6 +200,18 @@ func FuzzSymbolicRefill(f *testing.F) {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("round %d: Apply produced non-finite z[%d]=%v", round, i, v)
 				}
+			}
+
+			// (6) The kernels match their references bit for bit.
+			want := make([]float64, n)
+			applyRef(pat, want, r)
+			if !sameBits(z, want) {
+				t.Fatalf("round %d: Apply differs from applyRef", round)
+			}
+			sm.MulVec(z, r)
+			mulVecRef(sm, want, r)
+			if !sameBits(z, want) {
+				t.Fatalf("round %d: MulVec differs from mulVecRef", round)
 			}
 		}
 	})

@@ -145,21 +145,40 @@ func (f *IC0Factor) N() int { return f.n }
 
 // Apply solves L·Lᵀ·z = r (the preconditioner application). It only reads
 // the factor, so concurrent solves (the x/y axis pair) may share one.
+// The slice headers are hoisted and each row is cut once as a prefix of
+// the factor's storage, so the inner loops keep only the bounds check of
+// the indirect z[j]. The forward solve subtracts row i's products in
+// ascending column order and divides by the pivot; the backward solve
+// divides z[i] by the pivot first and then scatters it into the earlier
+// entries, in ascending column order.
 func (f *IC0Factor) Apply(z, r []float64) {
-	rp, cols, vals, diag := f.rowPtr, f.cols, f.vals, f.diag
-	// Forward: L·y = r.
-	for i := 0; i < f.n; i++ {
+	n := f.n
+	rp, cols, vals, diag := f.rowPtr[:n+1], f.cols, f.vals, f.diag[:n]
+	z, r = z[:n], r[:n]
+	// Forward: L·y = r. Rows are stored back to back, so k runs on from
+	// the end of row i−1 into row i.
+	k := 0
+	for i := 0; i < n; i++ {
+		c := cols[:rp[i+1]]
+		v := vals[:len(c)]
 		s := r[i]
-		for k := rp[i]; k < rp[i+1]; k++ {
-			s -= vals[k] * z[cols[k]]
+		for ; k < len(c); k++ {
+			s -= v[k] * z[c[k]]
 		}
 		z[i] = s / diag[i]
 	}
-	// Backward: Lᵀ·z = y.
-	for i := f.n - 1; i >= 0; i-- {
-		z[i] /= diag[i]
-		for k := rp[i]; k < rp[i+1]; k++ {
-			z[cols[k]] -= vals[k] * z[i]
+	// Backward: Lᵀ·z = y. Row i holds only columns below i, so z[i] is
+	// final before its scatter.
+	hi := rp[n]
+	for i := n - 1; i >= 0; i-- {
+		zi := z[i] / diag[i]
+		z[i] = zi
+		lo := rp[i]
+		c := cols[:hi]
+		v := vals[:len(c)]
+		for k := int(lo); k < len(c); k++ {
+			z[c[k]] -= v[k] * zi
 		}
+		hi = lo
 	}
 }

@@ -107,28 +107,47 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 }
 
 // MulVec computes dst = M·x. dst and x must have length N and not alias.
-// It runs serially: the placer calls it from both solves of par.Pair at
-// once, so a row fan-out would only compete with the other axis.
+// The row bounds and slice headers are hoisted and each row's column and
+// value slices are cut once, so the inner loop keeps only the bounds
+// check of the gathered x[j]; a row's products are summed in ascending
+// column order. It runs serially: the placer calls it from both solves of
+// par.Pair at once, so a row fan-out would only compete with the other
+// axis.
 func (m *CSR) MulVec(dst, x []float64) {
-	if len(dst) != m.n || len(x) != m.n {
+	n := m.n
+	if len(dst) != n || len(x) != n {
 		panic("sparse: MulVec dimension mismatch")
 	}
-	for i := 0; i < m.n; i++ {
+	rp, cols, vals := m.rowPtr[:n+1], m.cols, m.vals
+	lo := rp[0]
+	for i := range dst {
+		hi := rp[i+1]
+		c := cols[lo:hi]
+		v := vals[lo:hi]
+		v = v[:len(c)] // lets the compiler drop v's bounds check
 		s := 0.0
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			s += m.vals[k] * x[m.cols[k]]
+		for k, j := range c {
+			s += v[k] * x[j]
 		}
 		dst[i] = s
+		lo = hi
 	}
 }
 
-// Diag extracts the diagonal into a new slice in one pass over the row
-// structure (columns are sorted within each row, so the scan stops at the
-// first entry at or past the diagonal). CG reads the diagonal on every
-// solve for Jacobi preconditioning.
+// Diag extracts the diagonal into a new slice.
 func (m *CSR) Diag() []float64 {
 	d := make([]float64, m.n)
+	m.diagInto(d)
+	return d
+}
+
+// diagInto writes the diagonal into d (length N) in one pass over the row
+// structure: columns are sorted within each row, so the scan stops at the
+// first entry at or past the diagonal. A row with no stored diagonal
+// gets 0.
+func (m *CSR) diagInto(d []float64) {
 	for i := 0; i < m.n; i++ {
+		d[i] = 0
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
 			if c := m.cols[k]; c >= i {
 				if c == i {
@@ -138,7 +157,6 @@ func (m *CSR) Diag() []float64 {
 			}
 		}
 	}
-	return d
 }
 
 // IsSymmetric reports whether the matrix equals its transpose to within tol.
