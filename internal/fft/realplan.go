@@ -18,9 +18,9 @@ import (
 // symmetric/antisymmetric parts; the column pass then transforms only the
 // W/2+1 retained columns. Both passes fan out across GOMAXPROCS goroutines
 // above par.Threshold with the same per-row/per-column serial kernels, so
-// results are bit-identical to the serial path. Below it a pass runs its
-// kernel inline, and once the plan's scratch has grown a transform
-// allocates nothing.
+// results are bit-identical to the serial path. Each worker gathers its
+// rows or columns through a line buffer the plan keeps, so a warmed
+// transform allocates no scratch.
 //
 // A RealPlan's scratch is not safe for concurrent use; share tables, not
 // plans.
@@ -95,43 +95,34 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64) {
 	}
 	workers := par.Workers(w * h)
 	lines := p.lines(workers)
-	if workers == 1 {
-		p.forwardPairs(lines[0], spec, src, 0, h/2)
-		return
-	}
-	par.Run(workers, h/2, func(k, lo, hi int) { p.forwardPairs(lines[k], spec, src, lo, hi) })
-}
-
-// forwardPairs transforms the row pairs [lo, hi) of src into spec through
-// the line buffer c.
-func (p *RealPlan) forwardPairs(c, spec []complex128, src []float64, lo, hi int) {
-	w, hw := p.W, p.hw
-	c = c[:w]
-	for pr := lo; pr < hi; pr++ {
-		y := 2 * pr
-		r0 := src[y*w : (y+1)*w]
-		r1 := src[(y+1)*w : (y+2)*w]
-		for x := range c {
-			c[x] = complex(r0[x], r1[x])
+	par.Run(workers, h/2, func(k, lo, hi int) {
+		c := lines[k][:w]
+		for pr := lo; pr < hi; pr++ {
+			y := 2 * pr
+			r0 := src[y*w : (y+1)*w]
+			r1 := src[(y+1)*w : (y+2)*w]
+			for x := range c {
+				c[x] = complex(r0[x], r1[x])
+			}
+			p.row.transform(c, false)
+			// Unpack: with C = FFT(r0 + i·r1),
+			//   F0[k] = (C[k] + conj(C[W−k]))/2
+			//   F1[k] = −i·(C[k] − conj(C[W−k]))/2
+			// (k=0 and k=W/2 are self-mirrored, covered by the same code).
+			s0 := spec[y*hw : (y+1)*hw]
+			s1 := spec[(y+1)*hw : (y+2)*hw]
+			s0[0] = complex(real(c[0]), 0)
+			s1[0] = complex(imag(c[0]), 0)
+			for k := 1; k < hw; k++ {
+				u := c[k]
+				v := c[w-k]
+				sr, si := real(u)+real(v), imag(u)-imag(v)
+				dr, di := real(u)-real(v), imag(u)+imag(v)
+				s0[k] = complex(sr/2, si/2)
+				s1[k] = complex(di/2, -dr/2)
+			}
 		}
-		p.row.transform(c, false)
-		// Unpack: with C = FFT(r0 + i·r1),
-		//   F0[k] = (C[k] + conj(C[W−k]))/2
-		//   F1[k] = −i·(C[k] − conj(C[W−k]))/2
-		// (k=0 and k=W/2 are self-mirrored, covered by the same code).
-		s0 := spec[y*hw : (y+1)*hw]
-		s1 := spec[(y+1)*hw : (y+2)*hw]
-		s0[0] = complex(real(c[0]), 0)
-		s1[0] = complex(imag(c[0]), 0)
-		for k := 1; k < hw; k++ {
-			u := c[k]
-			v := c[w-k]
-			sr, si := real(u)+real(v), imag(u)-imag(v)
-			dr, di := real(u)-real(v), imag(u)+imag(v)
-			s0[k] = complex(sr/2, si/2)
-			s1[k] = complex(di/2, -dr/2)
-		}
-	}
+	})
 }
 
 // inverseRows reconstructs pairs of real rows from the (already
@@ -139,8 +130,8 @@ func (p *RealPlan) forwardPairs(c, spec []complex128, src []float64, lo, hi int)
 // scaling.
 func (p *RealPlan) inverseRows(dst []float64, spec []complex128) {
 	w, h, hw := p.W, p.H, p.hw
+	scale := 1 / float64(w*h)
 	if h == 1 {
-		scale := 1 / float64(w*h)
 		c := p.lines(1)[0][:w]
 		copy(c, spec[:hw])
 		for k := hw; k < w; k++ {
@@ -155,41 +146,31 @@ func (p *RealPlan) inverseRows(dst []float64, spec []complex128) {
 	}
 	workers := par.Workers(w * h)
 	lines := p.lines(workers)
-	if workers == 1 {
-		p.inversePairs(lines[0], dst, spec, 0, h/2)
-		return
-	}
-	par.Run(workers, h/2, func(k, lo, hi int) { p.inversePairs(lines[k], dst, spec, lo, hi) })
-}
-
-// inversePairs reconstructs the real row pairs [lo, hi) of dst from spec
-// through the line buffer c.
-func (p *RealPlan) inversePairs(c []complex128, dst []float64, spec []complex128, lo, hi int) {
-	w, hw := p.W, p.hw
-	scale := 1 / float64(w*p.H)
-	c = c[:w]
-	for pr := lo; pr < hi; pr++ {
-		y := 2 * pr
-		g0 := spec[y*hw : (y+1)*hw]
-		g1 := spec[(y+1)*hw : (y+2)*hw]
-		// Pack the Hermitian extensions of both rows into one complex
-		// inverse: C[k] = G0[k] + i·G1[k], with the mirrored tail
-		// C[W−m] = conj(G0[m]) + i·conj(G1[m]).
-		for k := 0; k < hw; k++ {
-			c[k] = complex(real(g0[k])-imag(g1[k]), imag(g0[k])+real(g1[k]))
+	par.Run(workers, h/2, func(k, lo, hi int) {
+		c := lines[k][:w]
+		for pr := lo; pr < hi; pr++ {
+			y := 2 * pr
+			g0 := spec[y*hw : (y+1)*hw]
+			g1 := spec[(y+1)*hw : (y+2)*hw]
+			// Pack the Hermitian extensions of both rows into one complex
+			// inverse: C[k] = G0[k] + i·G1[k], with the mirrored tail
+			// C[W−m] = conj(G0[m]) + i·conj(G1[m]).
+			for k := 0; k < hw; k++ {
+				c[k] = complex(real(g0[k])-imag(g1[k]), imag(g0[k])+real(g1[k]))
+			}
+			for k := hw; k < w; k++ {
+				m0, m1 := g0[w-k], g1[w-k]
+				c[k] = complex(real(m0)+imag(m1), real(m1)-imag(m0))
+			}
+			p.row.transform(c, true)
+			d0 := dst[y*w : (y+1)*w]
+			d1 := dst[(y+1)*w : (y+2)*w]
+			for x, v := range c {
+				d0[x] = real(v) * scale
+				d1[x] = imag(v) * scale
+			}
 		}
-		for k := hw; k < w; k++ {
-			m0, m1 := g0[w-k], g1[w-k]
-			c[k] = complex(real(m0)+imag(m1), real(m1)-imag(m0))
-		}
-		p.row.transform(c, true)
-		d0 := dst[y*w : (y+1)*w]
-		d1 := dst[(y+1)*w : (y+2)*w]
-		for x, v := range c {
-			d0[x] = real(v) * scale
-			d1[x] = imag(v) * scale
-		}
-	}
+	})
 }
 
 // transformCols runs length-H transforms down each of the hw retained
@@ -201,27 +182,18 @@ func (p *RealPlan) transformCols(spec []complex128, inverse bool) {
 	}
 	workers := par.Workers(p.W * h)
 	lines := p.lines(workers)
-	if workers == 1 {
-		p.transformColRange(lines[0], spec, inverse, 0, hw)
-		return
-	}
-	par.Run(workers, hw, func(k, lo, hi int) { p.transformColRange(lines[k], spec, inverse, lo, hi) })
-}
-
-// transformColRange transforms the spectrum columns [lo, hi) in place,
-// gathering each through the line buffer col.
-func (p *RealPlan) transformColRange(col, spec []complex128, inverse bool, lo, hi int) {
-	h, hw := p.H, p.hw
-	col = col[:h]
-	for x := lo; x < hi; x++ {
-		for y := 0; y < h; y++ {
-			col[y] = spec[y*hw+x]
+	par.Run(workers, hw, func(k, lo, hi int) {
+		col := lines[k][:h]
+		for x := lo; x < hi; x++ {
+			for y := 0; y < h; y++ {
+				col[y] = spec[y*hw+x]
+			}
+			p.col.transform(col, inverse)
+			for y := 0; y < h; y++ {
+				spec[y*hw+x] = col[y]
+			}
 		}
-		p.col.transform(col, inverse)
-		for y := 0; y < h; y++ {
-			spec[y*hw+x] = col[y]
-		}
-	}
+	})
 }
 
 // lines returns the plan's per-worker line buffers, grown to at least
