@@ -18,10 +18,9 @@
 //
 //	-trace run.jsonl     stream one JSON line per Kraftwerk transformation,
 //	                     labeled with the circuit and engine
-//	-metrics             dump the metrics registry (Prometheus text) on exit
 //	-cpuprofile cpu.pb   write a runtime/pprof CPU profile
 //	-memprofile mem.pb   write a heap profile on exit
-//	-http :6060          debug server with /metrics and /debug/pprof/
+//	-http :6060          debug server with /debug/pprof/
 package main
 
 import (
@@ -58,10 +57,9 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress per-engine progress lines")
 
 		tracePath = flag.String("trace", "", "write a JSONL run trace (one record per transformation)")
-		metrics   = flag.Bool("metrics", false, "dump the metrics registry as Prometheus text on exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		httpAddr  = flag.String("http", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
+		httpAddr  = flag.String("http", "", "serve /debug/pprof/ on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
@@ -73,9 +71,6 @@ func main() {
 		opts.Progress = os.Stderr
 	}
 
-	if *metrics || *httpAddr != "" {
-		opts.Metrics = obsv.NewRegistry()
-	}
 	if *tracePath != "" {
 		trace, err := obsv.OpenTrace(*tracePath)
 		if err != nil {
@@ -84,14 +79,13 @@ func main() {
 		opts.Trace = trace
 	}
 	if *httpAddr != "" {
-		http.Handle("/metrics", opts.Metrics)
 		//lint:ignore parpolicy background debug server: deliberately fire-and-forget, it lives for the whole process
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				log.Printf("debug server: %v", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "debug server on %s (/metrics, /debug/pprof/)\n", *httpAddr)
+		fmt.Fprintf(os.Stderr, "debug server on %s (/debug/pprof/)\n", *httpAddr)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -218,12 +212,6 @@ func main() {
 	}
 	if *tracePath != "" {
 		fmt.Fprintf(os.Stderr, "wrote trace %s\n", *tracePath)
-	}
-	if *metrics {
-		fmt.Println("\nmetrics:")
-		if err := opts.Metrics.WritePrometheus(os.Stdout); err != nil {
-			log.Fatalf("metrics: %v", err)
-		}
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)

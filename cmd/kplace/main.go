@@ -14,10 +14,9 @@
 // Observability:
 //
 //	-trace run.jsonl     stream one JSON line per placement transformation
-//	-metrics             dump the metrics registry (Prometheus text) on exit
 //	-cpuprofile cpu.pb   write a runtime/pprof CPU profile
 //	-memprofile mem.pb   write a heap profile on exit
-//	-http :6060          debug server with /metrics and /debug/pprof/
+//	-http :6060          debug server with /debug/pprof/
 package main
 
 import (
@@ -69,20 +68,15 @@ func main() {
 		resume  = flag.String("resume", "", "resume a kraftwerk run from a -checkpoint snapshot instead of starting fresh")
 
 		tracePath = flag.String("trace", "", "write a JSONL run trace (one record per transformation)")
-		metrics   = flag.Bool("metrics", false, "dump the metrics registry as Prometheus text on exit")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		httpAddr  = flag.String("http", "", "serve /metrics and /debug/pprof/ on this address (e.g. :6060)")
+		httpAddr  = flag.String("http", "", "serve /debug/pprof/ on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
-	// Observability sinks. Spans are always on (the cost is a handful of
-	// clock reads per pass); the registry only when something consumes it.
+	// Legalization's pass spans are always on (the cost is a handful of
+	// clock reads per pass); the placement loop reports through IterStats.
 	spans := obsv.NewSpans()
-	var reg *obsv.Registry
-	if *metrics || *httpAddr != "" {
-		reg = obsv.NewRegistry()
-	}
 	var trace *obsv.TraceWriter
 	if *tracePath != "" {
 		var err error
@@ -92,14 +86,13 @@ func main() {
 		}
 	}
 	if *httpAddr != "" {
-		http.Handle("/metrics", reg)
 		//lint:ignore parpolicy background debug server: deliberately fire-and-forget, it lives for the whole process
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				log.Printf("debug server: %v", err)
 			}
 		}()
-		fmt.Printf("debug server on %s (/metrics, /debug/pprof/)\n", *httpAddr)
+		fmt.Printf("debug server on %s (/debug/pprof/)\n", *httpAddr)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -122,7 +115,6 @@ func main() {
 	start := time.Now()
 	switch *engine {
 	case "kraftwerk":
-		cfg.Spans, cfg.Metrics = spans, reg
 		if trace != nil {
 			// The trace file opens with a self-describing meta record:
 			// design size, seed, config hash — the context a bare stream
@@ -200,12 +192,6 @@ func main() {
 	}
 	if *tracePath != "" {
 		fmt.Printf("wrote trace %s\n", *tracePath)
-	}
-	if *metrics {
-		fmt.Println("\nmetrics:")
-		if err := reg.WritePrometheus(os.Stdout); err != nil {
-			log.Fatalf("metrics: %v", err)
-		}
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)

@@ -15,8 +15,8 @@
 //	GET  /jobs/{id}           one job's status (state, submitted/started/finished
 //	                          timestamps, iterations, hpwl, stop reason, error)
 //	GET  /jobs/{id}/result    placed netlist (text interchange format)
-//	GET  /jobs/{id}/events    live per-iteration convergence with phase times
-//	                          (SSE; ?poll=1 long-poll)
+//	GET  /jobs/{id}/events    each transformation's place.IterStats, the
+//	                          kplace -trace record (SSE; ?poll=1 long-poll)
 //	POST /jobs/{id}/cancel    cancel a job
 //	GET  /healthz             service health (queue depth, active workers, drain state)
 //	GET  /metrics             Prometheus text metrics (with p50/p95/p99 gauges)

@@ -39,9 +39,6 @@ type Options struct {
 	// Trace, when non-nil, receives one JSONL record per Kraftwerk
 	// placement transformation, labeled with the circuit and engine.
 	Trace *obsv.TraceWriter
-	// Metrics, when non-nil, is every Kraftwerk run's place.Config.Metrics
-	// (phase timings, CG iterations and residuals, transformations).
-	Metrics *obsv.Registry
 }
 
 func (o *Options) setDefaults() {
@@ -95,7 +92,6 @@ type traceMetaRec struct {
 // circuits are pure ballast.
 func (o *Options) placeCfg(cfg place.Config, nl *netlist.Netlist) place.Config {
 	cfg.NoTrace = true
-	cfg.Metrics = o.Metrics
 	if o.Trace != nil {
 		trace := o.Trace
 		_ = trace.Write(traceMetaRec{

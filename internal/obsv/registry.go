@@ -1,8 +1,10 @@
 // Package obsv is the placement stack's observability layer: nestable
-// phase/span timers with per-run aggregation, registries of counters,
-// gauges and fixed-bucket histograms with a Prometheus-text encoder (each
-// owner creates its own; there is no process-wide one), and a JSONL
-// run-trace writer.
+// phase/span timers with per-run aggregation (legalization's passes),
+// registries of counters, gauges and fixed-bucket histograms with a
+// Prometheus-text encoder (kserved's serve_* metrics; each owner creates
+// its own, there is no process-wide one), and a JSONL run-trace writer
+// for place.IterStats records. The placement loop itself reports only
+// through IterStats; this package holds no schema of its own.
 //
 // The package is standard-library only and designed to cost ~zero when
 // disabled: every handle type (*Counter, *Gauge, *Histogram, *Spans,
@@ -162,9 +164,6 @@ func (h *Histogram) snapshot() ([]float64, []int64, float64, int64) {
 // SecondsBuckets is the default bucket ladder for durations in seconds,
 // spanning microsecond kernels to multi-second solves.
 var SecondsBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1, 5, 10, 60}
-
-// ResidualBuckets is the default ladder for CG relative residuals.
-var ResidualBuckets = []float64{1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1}
 
 // Registry holds named metrics. The zero value is not usable; construct
 // with NewRegistry. A nil *Registry is a valid "disabled" registry: its

@@ -26,7 +26,7 @@ func (p PhaseStat) Mean() time.Duration {
 
 // Spans aggregates named phase timings for one run. Spans nest freely —
 // a span is just a Start/End pair, and hierarchical names
-// ("place/step/field") are the convention for nesting. All methods are
+// ("legalize/detailed") are the convention for nesting. All methods are
 // safe for concurrent use and on a nil receiver: a nil *Spans records
 // nothing and Start performs no time.Now call.
 type Spans struct {

@@ -37,19 +37,16 @@ func benchmarkStep(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkStep is the instrumentation-off baseline: no spans, metrics,
-// trace, or observer attached.
+// BenchmarkStep is the instrumentation-off baseline: no observer attached.
 func BenchmarkStep(b *testing.B) {
 	benchmarkStep(b, Config{})
 }
 
-// BenchmarkStepObserved attaches every sink the layer offers.
+// BenchmarkStepObserved attaches the one sink the placer offers: an
+// OnIteration observer writing each transformation's trace record.
 func BenchmarkStepObserved(b *testing.B) {
-	reg := obsv.NewRegistry()
 	tw := obsv.NewTraceWriter(discard{})
 	benchmarkStep(b, Config{
-		Spans:       obsv.NewSpans(),
-		Metrics:     reg,
 		OnIteration: func(s IterStats) { _ = tw.Write(s) },
 	})
 }

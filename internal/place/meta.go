@@ -14,7 +14,7 @@ import (
 
 // Hash digests the algorithmic configuration — every knob of the knob
 // table and whether BeforeTransform and ExtraDemand are set, and none of
-// the observability hooks (Spans, Metrics, OnIteration, NoTrace). Two runs
+// the observability hooks (OnIteration, NoTrace). Two runs
 // with equal hashes on equal inputs walk the same iterations. The digest
 // is FNV-1a over a canonical text rendering, so it is stable across
 // processes and platforms but NOT across releases that add knobs; it

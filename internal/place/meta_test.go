@@ -30,8 +30,6 @@ func TestConfigHashStability(t *testing.T) {
 	unhashed := map[string]bool{
 		"NoTrace":     true,
 		"OnIteration": true,
-		"Spans":       true,
-		"Metrics":     true,
 		// The placer's assembler replaces the factor on every solve.
 		"CG.Factor": true,
 	}

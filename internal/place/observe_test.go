@@ -3,16 +3,10 @@ package place
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obsv"
-	"repro/internal/sparse"
 )
 
 // TestObserverConsistency checks the observability contract: the stats
@@ -96,90 +90,6 @@ func TestNoTraceSuppressesTrace(t *testing.T) {
 	}
 	if res.HPWL <= 0 {
 		t.Fatal("Result.HPWL must be filled with NoTrace set")
-	}
-}
-
-// TestSpansAndMetricsSinks: the spans and every metric family derive from
-// the same per-transformation stats as the trace.
-func TestSpansAndMetricsSinks(t *testing.T) {
-	nl := testCircuit(t, 150, 6)
-	spans := obsv.NewSpans()
-	reg := obsv.NewRegistry()
-	res, err := Global(nl, Config{MaxIter: 20, Spans: spans, Metrics: reg})
-	if err != nil {
-		t.Fatalf("Global: %v", err)
-	}
-	for _, k := range PhaseKeys() {
-		phase := "place/" + k
-		st := spans.Get(phase)
-		if st.Count != int64(res.Iterations) {
-			t.Errorf("span %q recorded %d times, want %d", phase, st.Count, res.Iterations)
-		}
-		if st.Total <= 0 && k != "weight" { // no BeforeTransform hook
-			t.Errorf("span %q total = %v, want > 0", phase, st.Total)
-		}
-	}
-	if got := reg.Counter("place_transformations_total", "").Value(); got != int64(res.Iterations) {
-		t.Errorf("place_transformations_total = %d, want %d", got, res.Iterations)
-	}
-	if got := reg.Gauge("place_hpwl", "").Value(); got != res.HPWL {
-		t.Errorf("place_hpwl gauge = %g, want %g", got, res.HPWL)
-	}
-
-	// Every other family agrees with the trace and the phase totals: one
-	// place_phase_seconds observation per transformation and phase,
-	// summing to Result.Phases, and the CG and fallback families summing
-	// the trace's per-axis fields.
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-
-	totals := map[string]time.Duration{}
-	res.Phases.Each(func(k string, d time.Duration) { totals[k] = d })
-	for _, k := range PhaseKeys() {
-		line := fmt.Sprintf("place_phase_seconds_count{phase=%q} %d\n", k, res.Iterations)
-		if !strings.Contains(text, line) {
-			t.Errorf("metrics missing %q", line)
-		}
-		h := reg.Histogram(`place_phase_seconds{phase="`+k+`"}`, "", nil)
-		want := totals[k].Seconds()
-		if got := h.Sum(); math.Abs(got-want) > 1e-9*want {
-			t.Errorf("place_phase_seconds_sum{phase=%q} = %g, want Result.Phases %g", k, got, want)
-		}
-	}
-
-	iters := map[sparse.Preconditioner]int64{}
-	var nonConverged, fallbacks int64
-	for _, s := range res.Trace {
-		iters[s.Precond] += int64(s.CGIterX + s.CGIterY)
-		for _, r := range []float64{s.CGResidX, s.CGResidY} {
-			if r > 1e-6 { // the default CG tolerance
-				nonConverged++
-			}
-		}
-		if s.PrecondFallback {
-			fallbacks++
-		}
-	}
-	if iters[sparse.IC0] == 0 {
-		t.Fatal("no IC0 iterations in the trace")
-	}
-	for _, pc := range []sparse.Preconditioner{sparse.Jacobi, sparse.IC0} {
-		name := `place_cg_iterations_total{precond="` + pc.String() + `"}`
-		if got := reg.Counter(name, "").Value(); got != iters[pc] {
-			t.Errorf("%s = %d, want Σ(cg_iter_x+cg_iter_y) %d", name, got, iters[pc])
-		}
-	}
-	if got := reg.Histogram("place_cg_residual", "", nil).Count(); got != int64(2*res.Iterations) {
-		t.Errorf("place_cg_residual_count = %d, want one per axis: %d", got, 2*res.Iterations)
-	}
-	if got := reg.Counter("place_cg_nonconverged_total", "").Value(); got != nonConverged {
-		t.Errorf("place_cg_nonconverged_total = %d, want %d", got, nonConverged)
-	}
-	if got := reg.Counter("place_precond_fallback_total", "").Value(); got != fallbacks {
-		t.Errorf("place_precond_fallback_total = %d, want %d", got, fallbacks)
 	}
 }
 

@@ -66,17 +66,6 @@ type Config struct {
 	// caller never reads. Per-run aggregates (Result.Phases, HPWL,
 	// Overflow, Iterations) are still filled, and OnIteration still fires.
 	NoTrace bool
-	// Spans, when set, receives one "place/<key>" span recording per
-	// PhaseKeys entry for every placement transformation. Nil costs
-	// nothing.
-	Spans *obsv.Spans
-	// Metrics, when set, receives the run's metrics, every family derived
-	// from the IterStats of each transformation: place_phase_seconds per
-	// PhaseKeys entry, place_cg_iterations_total by preconditioner,
-	// place_cg_residual, place_cg_nonconverged_total,
-	// place_precond_fallback_total, place_transformations_total,
-	// place_hpwl and place_overflow. Nil costs nothing.
-	Metrics *obsv.Registry
 }
 
 func (c *Config) setDefaults(nl *netlist.Netlist) {
@@ -161,8 +150,8 @@ type IterStats struct {
 
 // Phases holds the per-phase wall times of one transformation (IterStats)
 // or their sums over a run (Result.Phases). It declares the phase schema
-// once: its JSON tags are the trace keys, and PhaseKeys, the span names and
-// every per-phase breakdown derive from its fields. The x/y solves are one
+// once: its JSON tags are the trace keys, and PhaseKeys and every
+// per-phase breakdown derive from its fields. The x/y solves are one
 // concurrent phase, so the phases before TStep are sequential and sum to
 // at most TStep.
 type Phases struct {
@@ -272,7 +261,6 @@ type Placer struct {
 	forces  []geom.Point  // accumulated additional forces e (one per cell)
 	pending []geom.Point  // externally queued forces for the next Step
 	iter    int
-	met     placeMetrics
 	avgArea float64 // cached AvgCellArea (>0); denominator of GapProxy
 
 	// asm caches the quadratic system's sparsity pattern and storage
@@ -313,58 +301,6 @@ type runState struct {
 	bestOvf  float64
 	bestIter int
 	bestSnap netlist.Placement
-}
-
-// placeMetrics caches the registry handles resolved once in New; all are
-// nil (free no-ops) when Config.Metrics is unset. observe derives every
-// family from one transformation's IterStats.
-type placeMetrics struct {
-	steps, nonConverged, fallbacks *obsv.Counter
-	hpwl, overflow                 *obsv.Gauge
-	residual                       *obsv.Histogram
-	phaseSeconds                   map[string]*obsv.Histogram    // by PhaseKeys entry
-	cgIters                        [sparse.IC0 + 1]*obsv.Counter // by applied sparse.Preconditioner
-}
-
-func newPlaceMetrics(r *obsv.Registry) placeMetrics {
-	if r == nil {
-		return placeMetrics{}
-	}
-	m := placeMetrics{
-		steps:        r.Counter("place_transformations_total", "placement transformations executed"),
-		nonConverged: r.Counter("place_cg_nonconverged_total", "axis solves that ended above the CG tolerance"),
-		fallbacks:    r.Counter("place_precond_fallback_total", "transformations solved with Jacobi after the IC0 factorization broke down"),
-		hpwl:         r.Gauge("place_hpwl", "current half-perimeter wire length in layout units"),
-		overflow:     r.Gauge("place_overflow", "current density overflow fraction"),
-		residual:     r.Histogram("place_cg_residual", "final relative CG residual per axis solve", obsv.ResidualBuckets),
-		phaseSeconds: make(map[string]*obsv.Histogram, len(phaseKeys)),
-	}
-	for _, k := range phaseKeys {
-		m.phaseSeconds[k] = r.Histogram(`place_phase_seconds{phase="`+k+`"}`, "placement transformation phase wall time in seconds", obsv.SecondsBuckets)
-	}
-	for _, pc := range []sparse.Preconditioner{sparse.Jacobi, sparse.IC0} {
-		m.cgIters[pc] = r.Counter(`place_cg_iterations_total{precond="`+pc.String()+`"}`, "CG iterations of the transformations' axis solves")
-	}
-	return m
-}
-
-// observe records one transformation's stats, except its phase times,
-// which Step records alongside the spans. An axis solve converged when it
-// ended at or below the CG tolerance tol.
-func (m *placeMetrics) observe(s IterStats, tol float64) {
-	m.steps.Inc()
-	m.hpwl.Set(s.HPWL)
-	m.overflow.Set(s.Overflow)
-	m.cgIters[s.Precond].Add(int64(s.CGIterX + s.CGIterY))
-	for _, r := range []float64{s.CGResidX, s.CGResidY} {
-		m.residual.Observe(r)
-		if r > tol {
-			m.nonConverged.Inc()
-		}
-	}
-	if s.PrecondFallback {
-		m.fallbacks.Inc()
-	}
 }
 
 // Pull queues additional per-cell forces (indexed like the netlist's cells)
@@ -412,7 +348,6 @@ func New(nl *netlist.Netlist, cfg Config) *Placer {
 		grid:    density.NewGrid(nl.Region.Outline, nx, ny),
 		coarse:  density.NewGrid(nl.Region.Outline, cnx, cny),
 		forces:  make([]geom.Point, len(nl.Cells)),
-		met:     newPlaceMetrics(cfg.Metrics),
 		avgArea: avg,
 		asm:     qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize}),
 	}
@@ -628,13 +563,6 @@ func (p *Placer) Step() (IterStats, error) {
 	stats.TSolvePair = res.PairWall
 	stats.TStep = stepStart.Elapsed()
 	p.iter++
-	if sp, ph := cfg.Spans, p.met.phaseSeconds; sp != nil || ph != nil {
-		stats.Phases.Each(func(k string, d time.Duration) {
-			sp.Record("place/"+k, d)
-			ph[k].Observe(d.Seconds())
-		})
-	}
-	p.met.observe(stats, cfg.CG.Tol)
 	if cfg.OnIteration != nil {
 		cfg.OnIteration(stats)
 	}

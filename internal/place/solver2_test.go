@@ -38,7 +38,7 @@ func TestIC0CutsCGIterations(t *testing.T) {
 	}
 	solve := func(f *sparse.IC0Factor) int {
 		x := make([]float64, sys.N())
-		r, err := sparse.SolveCG(sys.Matrix(), x, b, sparse.CGOptions{Tol: 1e-6, Factor: f})
+		r, err := (&sparse.CGWork{}).Solve(sys.Matrix(), x, b, sparse.CGOptions{Tol: 1e-6, Factor: f})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,7 +167,7 @@ func TestFreeStarMatchesClique(t *testing.T) {
 		solveRef := func(bx, by []float64) []geom.Point {
 			x, y := make([]float64, n), make([]float64, n)
 			for _, ax := range []struct{ v, b []float64 }{{x, bx}, {y, by}} {
-				if _, err := sparse.SolveCG(ref, ax.v, ax.b, cg); err != nil {
+				if _, err := (&sparse.CGWork{}).Solve(ref, ax.v, ax.b, cg); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -9,35 +9,19 @@ import (
 // Event is one per-iteration progress sample of a job — the payload of
 // GET /jobs/{id}/events. Seq is the stream cursor: it increments by one
 // per event for the job's lifetime, so a client that reconnects with its
-// last seen seq misses nothing that is still buffered. The phase times
-// carry the run trace's own t_*_ns keys (place.Phases), so the events
-// are the job's phase waterfall in kplace's trace schema. The stream ends
-// with a Final event whose State is the job's terminal state; the ring
-// stays readable after the job ends.
+// last seen seq misses nothing that is still buffered. The embedded
+// place.IterStats is the record kplace writes to its -trace file, so each
+// event carries the run trace's keys, convergence and t_*_ns phases
+// included. The stream ends with a Final event whose State is the job's
+// terminal state and whose record holds only the run's final iter, hpwl
+// and overflow; the ring stays readable after the job ends.
 type Event struct {
-	Seq      int     `json:"seq"`
-	Iter     int     `json:"iter"`
-	HPWL     float64 `json:"hpwl"`
-	Overflow float64 `json:"overflow"`
-	// GapProxy is the distance to the paper's §4.2 stopping criterion
-	// (≤1 means met); see place.IterStats.
-	GapProxy float64 `json:"gap_proxy"`
-	place.Phases
+	Seq int `json:"seq"`
+	place.IterStats
 	// Final marks the stream's last event; State carries the job's
 	// terminal state on it.
 	Final bool  `json:"final,omitempty"`
 	State State `json:"state,omitempty"`
-}
-
-// eventFrom projects one iteration's stats into the streaming schema.
-func eventFrom(st place.IterStats) Event {
-	return Event{
-		Iter:     st.Iter,
-		HPWL:     st.HPWL,
-		Overflow: st.Overflow,
-		GapProxy: st.GapProxy,
-		Phases:   st.Phases,
-	}
 }
 
 // progressCap bounds the per-job event ring. 256 iterations of history

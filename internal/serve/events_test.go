@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -112,6 +113,63 @@ func TestEventStreamSSE(t *testing.T) {
 	}
 	if batch.Next != lastID+1 {
 		t.Errorf("batch next %d, want %d", batch.Next, lastID+1)
+	}
+}
+
+// TestEventsCarryIterStats: every non-final event of a job is, key for
+// key, the trace record a user OnIteration chained on the same job
+// received, so /jobs/{id}/events speaks kplace's trace schema,
+// convergence fields included.
+func TestEventsCarryIterStats(t *testing.T) {
+	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+
+	var (
+		mu   sync.Mutex
+		seen []place.IterStats
+	)
+	job, err := s.Submit(JobRequest{
+		Netlist: testNetlist(400, 26),
+		Config: place.Config{MaxIter: 12, OnIteration: func(st place.IterStats) {
+			mu.Lock()
+			seen = append(seen, st)
+			mu.Unlock()
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pollTerminal(t, hs.URL, job.ID())
+
+	resp, err := http.Get(hs.URL + "/jobs/" + job.ID() + "/events?poll=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch struct {
+		Events []map[string]any `json:"events"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&batch)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) == 0 || len(batch.Events) != len(seen)+1 {
+		t.Fatalf("%d events for %d observed iterations, want one each plus the final", len(batch.Events), len(seen))
+	}
+	for i, st := range seen {
+		raw, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want map[string]any
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		want["seq"] = float64(i)
+		if got := batch.Events[i]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("event %d:\n got %v\nwant %v", i, got, want)
+		}
 	}
 }
 

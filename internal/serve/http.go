@@ -88,8 +88,8 @@ type errorResponse struct {
 //	GET  /jobs/{id}/result    placed netlist, text format (409 until terminal,
 //	                          410 if the job failed or was cancelled before it
 //	                          started)
-//	GET  /jobs/{id}/events    per-iteration convergence stream with phase
-//	                          times (SSE; ?poll=1 for long-poll JSON batches;
+//	GET  /jobs/{id}/events    one place.IterStats record per transformation
+//	                          (SSE; ?poll=1 for long-poll JSON batches;
 //	                          resume with Last-Event-ID or ?from=N)
 //	POST /jobs/{id}/cancel    cancel a queued or running job
 //	GET  /healthz             service health (503 while draining)

@@ -305,7 +305,7 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 		j.status.HPWL = st.HPWL
 		j.status.Overflow = st.Overflow
 		j.mu.Unlock()
-		j.prog.append(eventFrom(st))
+		j.prog.append(Event{IterStats: st})
 		if user != nil {
 			user(st)
 		}
@@ -376,7 +376,7 @@ func (s *Server) runJob(j *Job, deadline time.Duration) {
 	j.status.Overflow = res.Overflow
 	j.status.StopReason = res.StopReason
 	needCkpt := false
-	final := Event{HPWL: res.HPWL, Overflow: res.Overflow, Iter: res.Iterations - 1}
+	final := Event{IterStats: place.IterStats{Iter: res.Iterations - 1, HPWL: res.HPWL, Overflow: res.Overflow}}
 	switch {
 	case err != nil:
 		j.status.State = StateFailed

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -10,8 +11,8 @@ import (
 type Preconditioner int
 
 const (
-	// Jacobi (diagonal) preconditioning: what SolveCG applies without a
-	// factor, and the fallback when an IC0 factorization breaks down.
+	// Jacobi (diagonal) preconditioning: what a CG solve applies without
+	// a factor, and the fallback when an IC0 factorization breaks down.
 	Jacobi Preconditioner = iota + 1
 	// IC0 zero-fill incomplete Cholesky (the classic ICCG of GORDIAN-era
 	// placers): fewer iterations, a sequential triangular solve each.
@@ -33,6 +34,18 @@ func (p Preconditioner) String() string {
 
 // MarshalText implements encoding.TextMarshaler with the String tag.
 func (p Preconditioner) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses a String tag, so a decoded trace record or serve
+// event carries the preconditioner it was encoded with.
+func (p *Preconditioner) UnmarshalText(text []byte) error {
+	for _, q := range []Preconditioner{0, Jacobi, IC0} {
+		if q.String() == string(text) {
+			*p = q
+			return nil
+		}
+	}
+	return fmt.Errorf("sparse: unknown preconditioner %q", text)
+}
 
 // CGOptions controls the conjugate gradient solver.
 type CGOptions struct {
@@ -62,36 +75,28 @@ type CGResult struct {
 // placement solve is usable.
 var ErrNotConverged = errors.New("sparse: conjugate gradient did not converge")
 
-// SolveCG solves M·x = b for symmetric positive-definite M using
-// preconditioned conjugate gradients: opt.Factor's IC0 triangular solves
-// when it is set, the diagonal (Jacobi) otherwise. x carries the initial
-// guess on entry (warm start) and the solution on return. It solves with
-// a fresh CGWork; callers that solve repeatedly hold a CGWork of their own
-// and call its Solve, which allocates nothing once grown.
-func SolveCG(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
-	var w CGWork
-	return w.Solve(m, x, b, opt)
-}
-
 // CGWork holds the work vectors of a conjugate gradient solve: the
 // residual r, the preconditioned residual z, the search direction p, the
 // product M·p, and Jacobi's inverse diagonal. They grow on demand, so
 // repeated solves of one size allocate nothing. The zero value is ready
 // to use. A CGWork serves one solve at a time; concurrent solves need one
-// each.
+// each. A one-off solve uses a fresh one: (&CGWork{}).Solve.
 type CGWork struct {
 	r, z, p, ap []float64
 	invDiag     []float64
 }
 
-// Solve is SolveCG with w's work vectors. Every vector is written before
-// it is read, so a reused CGWork gives the same result, bit for bit, as a
-// fresh one.
+// Solve solves M·x = b for symmetric positive-definite M using
+// preconditioned conjugate gradients: opt.Factor's IC0 triangular solves
+// when it is set, the diagonal (Jacobi) otherwise. x carries the initial
+// guess on entry (warm start) and the solution on return. Every work
+// vector is written before it is read, so a reused CGWork gives the same
+// result, bit for bit, as a fresh one, and allocates nothing once grown.
 func (w *CGWork) Solve(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) {
 	n := m.N()
 	chol := opt.Factor
 	if len(x) != n || len(b) != n || (chol != nil && chol.N() != n) {
-		panic("sparse: SolveCG dimension mismatch")
+		panic("sparse: CGWork.Solve dimension mismatch")
 	}
 	if opt.Tol <= 0 {
 		opt.Tol = 1e-8

@@ -24,7 +24,7 @@ func testSystem(n int) (*CSR, []float64) {
 	return b.Build(), rhs
 }
 
-// TestSolveCGReportsPrecond: every way out of SolveCG — a guess that
+// TestSolveCGReportsPrecond: every way out of a CG solve — a guess that
 // already solves the system, convergence, and an exhausted MaxIter —
 // reports the preconditioner it applied: ic0 with a factor, jacobi
 // without one.
@@ -36,19 +36,19 @@ func TestSolveCGReportsPrecond(t *testing.T) {
 			want = IC0
 		}
 		x := make([]float64, 50)
-		res, err := SolveCG(m, x, rhs, CGOptions{Tol: 1e-10, Factor: f})
+		res, err := (&CGWork{}).Solve(m, x, rhs, CGOptions{Tol: 1e-10, Factor: f})
 		if err != nil || !res.Converged || res.Iterations == 0 || res.Precond != want {
 			t.Fatalf("%v: solve %+v, %v", want, res, err)
 		}
 		if res.Residual <= 0 || res.Residual > 1e-10 {
 			t.Fatalf("%v: Residual = %g, want in (0, 1e-10]", want, res.Residual)
 		}
-		res, err = SolveCG(m, x, rhs, CGOptions{Tol: 1e-8, Factor: f})
+		res, err = (&CGWork{}).Solve(m, x, rhs, CGOptions{Tol: 1e-8, Factor: f})
 		if err != nil || res.Iterations != 0 || res.Precond != want {
 			t.Errorf("%v: solved guess %+v, %v", want, res, err)
 		}
 		x = make([]float64, 50)
-		res, err = SolveCG(m, x, rhs, CGOptions{Tol: 1e-14, MaxIter: 2, Factor: f})
+		res, err = (&CGWork{}).Solve(m, x, rhs, CGOptions{Tol: 1e-14, MaxIter: 2, Factor: f})
 		if !errors.Is(err, ErrNotConverged) || res.Converged || res.Precond != want {
 			t.Errorf("%v: starved solve %+v, %v", want, res, err)
 		}

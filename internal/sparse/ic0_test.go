@@ -265,7 +265,7 @@ func TestIC0SharedFactorMatchesPerSolve(t *testing.T) {
 
 	solve := func(b []float64, f *IC0Factor) ([]float64, CGResult) {
 		x := make([]float64, n)
-		res, err := SolveCG(m, x, b, CGOptions{Tol: 1e-10, Factor: f})
+		res, err := (&CGWork{}).Solve(m, x, b, CGOptions{Tol: 1e-10, Factor: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,13 +361,21 @@ func TestIC0MissingDiagonalIsBreakdown(t *testing.T) {
 }
 
 // TestPrecondResolveAndParse pins the tag a result reports: the factor
-// passed to SolveCG decides the preconditioner, so there is nothing to
-// resolve or parse, only String, MarshalText and the numeric values.
+// passed to CGWork.Solve decides the preconditioner, so there is nothing to
+// resolve, only String, the text round trip and the numeric values.
 func TestPrecondResolveAndParse(t *testing.T) {
-	for p, want := range map[Preconditioner]string{Jacobi: "jacobi", IC0: "ic0"} {
+	for p, want := range map[Preconditioner]string{0: "none", Jacobi: "jacobi", IC0: "ic0"} {
 		if text, err := p.MarshalText(); err != nil || string(text) != want || p.String() != want {
 			t.Errorf("%d: MarshalText %q, %v and String %q, want %q", p, text, err, p.String(), want)
 		}
+		back := Preconditioner(-1)
+		if err := back.UnmarshalText([]byte(want)); err != nil || back != p {
+			t.Errorf("UnmarshalText(%q) = %d, %v, want %d", want, back, err, p)
+		}
+	}
+	var bad Preconditioner
+	if err := bad.UnmarshalText([]byte("ilu")); err == nil {
+		t.Error("UnmarshalText accepted an unknown tag")
 	}
 	if Jacobi != 1 || IC0 != 2 || Preconditioner(0).String() != "none" {
 		t.Errorf("Jacobi = %d, IC0 = %d, zero %q; span attributes record 1 and 2, and no solve is none", Jacobi, IC0, Preconditioner(0))

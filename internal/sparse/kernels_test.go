@@ -39,7 +39,7 @@ func applyRef(f *IC0Factor, z, r []float64) {
 	}
 }
 
-// solveCGRef is SolveCG before it gained a reusable workspace: six fresh
+// solveCGRef is the CG solve before it gained a reusable workspace: six fresh
 // n-vectors per solve, the Jacobi diagonal even under IC0, the reference
 // kernels, and separate Axpy and Norm2 passes. CGWork.Solve must
 // reproduce its iterates, counts and residuals bit for bit.
@@ -322,7 +322,7 @@ func TestCGWorkReuse(t *testing.T) {
 		xr := make([]float64, tc.m.N())
 		xf := make([]float64, tc.m.N())
 		gr, gErr := w.Solve(tc.m, xr, tc.rhs, tc.opt)
-		wr, wErr := SolveCG(tc.m, xf, tc.rhs, tc.opt)
+		wr, wErr := (&CGWork{}).Solve(tc.m, xf, tc.rhs, tc.opt)
 		if !sameSolve(gr, gErr, wr, wErr) || !sameBits(xr, xf) {
 			t.Fatalf("%s: reused %+v, %v; fresh %+v, %v; iterates equal %v",
 				tc.name, gr, gErr, wr, wErr, sameBits(xr, xf))

@@ -168,7 +168,7 @@ func TestCGSolvesRandomSPDSystems(t *testing.T) {
 		bvec := make([]float64, n)
 		m.MulVec(bvec, want)
 		x := make([]float64, n)
-		res, err := SolveCG(m, x, bvec, CGOptions{Tol: 1e-10})
+		res, err := (&CGWork{}).Solve(m, x, bvec, CGOptions{Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("trial %d: %v (res %.3g after %d iters)", trial, err, res.Residual, res.Iterations)
 		}
@@ -192,7 +192,7 @@ func TestCGWarmStartConvergesFaster(t *testing.T) {
 	m.MulVec(b, want)
 
 	cold := make([]float64, n)
-	resCold, err := SolveCG(m, cold, b, CGOptions{})
+	resCold, err := (&CGWork{}).Solve(m, cold, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCGWarmStartConvergesFaster(t *testing.T) {
 	for i := range warm {
 		warm[i] = want[i] + 1e-6*rng.NormFloat64()
 	}
-	resWarm, err := SolveCG(m, warm, b, CGOptions{})
+	resWarm, err := (&CGWork{}).Solve(m, warm, b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCGWarmStartConvergesFaster(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	m := randomSPD(rand.New(rand.NewSource(1)), 10)
 	x := make([]float64, 10)
-	res, err := SolveCG(m, x, make([]float64, 10), CGOptions{})
+	res, err := (&CGWork{}).Solve(m, x, make([]float64, 10), CGOptions{})
 	if err != nil || !res.Converged {
 		t.Fatalf("zero RHS: %v %+v", err, res)
 	}
@@ -232,7 +232,7 @@ func TestCGMaxIterReturnsError(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, 100)
-	res, err := SolveCG(m, x, b, CGOptions{Tol: 1e-14, MaxIter: 2})
+	res, err := (&CGWork{}).Solve(m, x, b, CGOptions{Tol: 1e-14, MaxIter: 2})
 	if err == nil {
 		t.Error("expected ErrNotConverged")
 	}
@@ -250,7 +250,7 @@ func TestCGIndefiniteMatrixFailsGracefully(t *testing.T) {
 	b.AddSym(1, 1, -1)
 	m := b.Build()
 	x := make([]float64, 2)
-	_, err := SolveCG(m, x, []float64{1, 1}, CGOptions{})
+	_, err := (&CGWork{}).Solve(m, x, []float64{1, 1}, CGOptions{})
 	if err == nil {
 		t.Error("expected failure on negative-definite matrix")
 	}
@@ -326,7 +326,7 @@ func TestIC0PreconditionerSolves(t *testing.T) {
 			t.Fatalf("trial %d: factorization broke down", trial)
 		}
 		x := make([]float64, n)
-		res, err := SolveCG(m, x, b, CGOptions{Tol: 1e-10, Factor: f})
+		res, err := (&CGWork{}).Solve(m, x, b, CGOptions{Tol: 1e-10, Factor: f})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -353,12 +353,12 @@ func TestIC0ConvergesFasterThanJacobi(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		xj := make([]float64, n)
-		rj, err := SolveCG(m, xj, b, CGOptions{Tol: 1e-10}) // nil Factor: Jacobi
+		rj, err := (&CGWork{}).Solve(m, xj, b, CGOptions{Tol: 1e-10}) // nil Factor: Jacobi
 		if err != nil {
 			t.Fatal(err)
 		}
 		xc := make([]float64, n)
-		rc, err := SolveCG(m, xc, b, CGOptions{Tol: 1e-10, Factor: NewIC0(m)})
+		rc, err := (&CGWork{}).Solve(m, xc, b, CGOptions{Tol: 1e-10, Factor: NewIC0(m)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestIC0FallsBackOnBreakdown(t *testing.T) {
 		t.Fatal("factorization of a negative-definite matrix succeeded")
 	}
 	x := make([]float64, 2)
-	res, err := SolveCG(m, x, []float64{1, 1}, CGOptions{Factor: f})
+	res, err := (&CGWork{}).Solve(m, x, []float64{1, 1}, CGOptions{Factor: f})
 	if err == nil {
 		t.Error("expected failure on negative-definite matrix")
 	}

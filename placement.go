@@ -243,17 +243,19 @@ var (
 // Server.Handler exposes the HTTP API kserved serves.
 func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 
-// Observability (spans, metrics, run traces). Set Config.Spans /
-// Config.Metrics / Config.OnIteration to observe a run; all sinks are
-// nil-safe and cost nothing when absent.
+// Observability. A placement run reports through one record per
+// transformation, IterStats, delivered to Config.OnIteration and kept in
+// Result.Trace and Result.Phases; a TraceWriter streams those records as
+// JSONL. LegalizeOptions.Spans takes legalization's pass spans and
+// ServeConfig.Metrics the server's metrics. All sinks are nil-safe and
+// cost nothing when absent.
 type (
 	// Spans aggregates named phase timings (count, total, min, max).
 	Spans = obsv.Spans
 	// PhaseStat is one phase's aggregate in a Spans snapshot.
 	PhaseStat = obsv.PhaseStat
 	// MetricsRegistry holds counters, gauges, and histograms and encodes
-	// them as Prometheus text; it is an http.Handler. Config.Metrics is
-	// the one producer of placement metrics.
+	// them as Prometheus text; it is an http.Handler.
 	MetricsRegistry = obsv.Registry
 	// TraceWriter streams JSONL run-trace records.
 	TraceWriter = obsv.TraceWriter
