@@ -5,8 +5,9 @@
 //
 // A run trace must open with a self-describing meta record (non-empty
 // config hash, positive cell count) and every iteration record must carry
-// a finite positive HPWL, a positive step time, and a monotonically
-// increasing iteration number — resets to 0 mark a new run within the
+// a finite positive HPWL, a positive step time, a step-control damping in
+// (0, 1] when it carries one, and a monotonically increasing iteration
+// number — resets to 0 mark a new run within the
 // file (timing-driven placement restarts), and a new meta record starts a
 // fresh group outright. Phase timing keys (t_<phase>_ns) must come from
 // the known phase schema, and when the meta record declares its phase
@@ -59,6 +60,7 @@ type traceRec struct {
 	HPWL       *float64 `json:"hpwl"`
 	StepNS     *int64   `json:"t_step_ns"`
 	PairNS     *int64   `json:"t_solve_pair_ns"`
+	Damping    *float64 `json:"damping"`
 }
 
 // knownPhaseKeys is the trace-key allowlist: the t_<phase>_ns keys an
@@ -168,6 +170,12 @@ func checkTrace(path string) error {
 		// time must fit inside the whole transformation.
 		if r.PairNS != nil && (*r.PairNS < 0 || *r.PairNS > *r.StepNS) {
 			return fmt.Errorf("line %d: t_solve_pair_ns %d outside [0, t_step_ns=%d]", line, *r.PairNS, *r.StepNS)
+		}
+		// damping, likewise newer, is the fraction of the K-sized step the
+		// transformation took: a zero or negative one would have frozen the
+		// placement, and above 1 the step control overrode K.
+		if r.Damping != nil && !(*r.Damping > 0 && *r.Damping <= 1) {
+			return fmt.Errorf("line %d: damping %v outside (0, 1]", line, *r.Damping)
 		}
 	}
 	if err := sc.Err(); err != nil {

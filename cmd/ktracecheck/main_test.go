@@ -70,6 +70,25 @@ func TestCheckTrace(t *testing.T) {
 			wantErr: "bad hpwl",
 		},
 		{
+			name:  "damping inside (0, 1]",
+			lines: []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":0.25,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`},
+		},
+		{
+			name:    "zero damping",
+			lines:   []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":0,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`},
+			wantErr: "damping 0 outside (0, 1]",
+		},
+		{
+			name:    "damping above 1",
+			lines:   []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":1.5,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`},
+			wantErr: "damping 1.5 outside (0, 1]",
+		},
+		{
+			name:    "non-finite damping",
+			lines:   []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":1e999,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`},
+			wantErr: "not JSON",
+		},
+		{
 			name:    "pair time exceeds step time",
 			lines:   []string{`{"type":"meta","design":"d","cells":10,"config_hash":"abc"}`, `{"iter":0,"hpwl":12.5,"t_step_ns":10,"t_solve_pair_ns":20}`},
 			wantErr: "t_solve_pair_ns 20 outside",

@@ -215,9 +215,9 @@ func TestLegalizeDecisionsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		swaps = 1831
-		hpwl  = 16934.334834313122
-		disp  = 6032.1807549402738
+		swaps = 2030
+		hpwl  = 17071.014263920635
+		disp  = 6825.3116929665402
 	)
 	if res.Swaps != swaps {
 		t.Errorf("swaps = %d, want %d", res.Swaps, swaps)

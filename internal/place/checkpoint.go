@@ -1,10 +1,11 @@
 // Checkpointing: the full mutable state of the iterative algorithm —
 // positions, iteration counter, accumulated forces, net weights, CG warm
-// vectors, and the Run loop's progress — serialized to a versioned JSON
-// snapshot. Because encoding/json emits float64 in the shortest form that
-// round-trips exactly, a Resume from a snapshot continues bit-compatibly:
-// Run-to-completion and Run→Checkpoint→Resume→Run produce identical final
-// placements (the golden test in checkpoint_test.go enforces this).
+// vectors, the step control, and the Run loop's progress — serialized to
+// a versioned JSON snapshot. Because encoding/json emits float64 in the
+// shortest form that round-trips exactly, a Resume from a snapshot
+// continues bit-compatibly: Run-to-completion and
+// Run→Checkpoint→Resume→Run produce identical final placements (the
+// golden test in checkpoint_test.go enforces this).
 //
 // The serving layer uses checkpoints to drain in-flight jobs on shutdown;
 // kplace -checkpoint/-resume exposes the same mechanism on the CLI.
@@ -27,7 +28,9 @@ import (
 // to the iteration's internals, so silent cross-version resumes would not
 // be bit-compatible. Version 2 added the star centers' entries to the warm
 // vectors, so a version-1 snapshot would resume from the wrong guess.
-const CheckpointVersion = 2
+// Version 3 added the step-control state (Gain, LastOverflow,
+// LastDOverflow); a version-2 snapshot has none to resume from.
+const CheckpointVersion = 3
 
 // ErrCheckpointVersion reports a snapshot whose version does not match
 // CheckpointVersion.
@@ -66,6 +69,13 @@ type Checkpoint struct {
 	BestValid  bool      `json:"best_valid"` // BestOvf is meaningful (it starts at +Inf, which JSON cannot carry)
 	BestOvf    float64   `json:"best_ovf"`
 	BestSnap   []float64 `json:"best_snap,omitempty"` // best placement seen, 2·Cells
+
+	// Step control (see runState.react): the gain the next transformation
+	// applies, in (0, 1], and the overflow and overflow change of the
+	// last completed transformation.
+	Gain          float64 `json:"gain"`
+	LastOverflow  float64 `json:"last_overflow"`
+	LastDOverflow float64 `json:"last_d_overflow"`
 }
 
 func pointsToFloats(ps []geom.Point) []float64 {
@@ -107,6 +117,10 @@ func (p *Placer) Checkpoint() *Checkpoint {
 		DoneStreak: p.rs.doneStreak,
 		BestIter:   p.rs.bestIter,
 		BestSnap:   pointsToFloats(p.rs.bestSnap),
+
+		Gain:          p.rs.gain,
+		LastOverflow:  p.rs.lastOvf,
+		LastDOverflow: p.rs.lastDOvf,
 	}
 	for i := range nl.Nets {
 		ck.NetWeights[i] = nl.Nets[i].Weight
@@ -159,6 +173,14 @@ func (c *Checkpoint) Validate() error {
 	}
 	if c.BestValid && (math.IsNaN(c.BestOvf) || math.IsInf(c.BestOvf, 0)) {
 		return fmt.Errorf("place: checkpoint best overflow non-finite")
+	}
+	if !(c.Gain > 0 && c.Gain <= 1) {
+		return fmt.Errorf("place: checkpoint step-control gain %v outside (0, 1]", c.Gain)
+	}
+	for _, v := range []float64{c.LastOverflow, c.LastDOverflow} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("place: checkpoint step-control state non-finite")
+		}
 	}
 	return nil
 }
@@ -219,6 +241,9 @@ func Resume(nl *netlist.Netlist, cfg Config, c *Checkpoint) (*Placer, error) {
 		bestOvf:    math.Inf(1),
 		bestIter:   c.BestIter,
 		bestSnap:   floatsToPoints(c.BestSnap),
+		gain:       c.Gain,
+		lastOvf:    c.LastOverflow,
+		lastDOvf:   c.LastDOverflow,
 	}
 	if len(c.BestSnap) == 0 {
 		p.rs.bestSnap = nil

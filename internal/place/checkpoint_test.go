@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/netgen"
@@ -23,8 +24,10 @@ func checkpointCircuit() *netlist.Netlist {
 // to completion and running to iteration k, checkpointing through an
 // encode/decode round trip, resuming on a fresh copy of the netlist, and
 // finishing must produce bit-identical final positions and HPWL. This
-// leans on the engine's insertion-order-stable refill guarantees (PR 2):
-// every source of nondeterminism in the loop would show up here.
+// leans on the engine's insertion-order-stable refill guarantees: every
+// source of nondeterminism in the loop would show up here. The checkpoint
+// falls right after the step control first backs off, so the resumed run
+// must restore a cut gain and the overflow response it reacts to.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	cfg := Config{MaxIter: 60}
 
@@ -35,8 +38,18 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 
+	k := 0
+	for _, s := range refRes.Trace {
+		if s.Backoff {
+			k = s.Iter + 1
+			break
+		}
+	}
+	if k == 0 || k >= refRes.Iterations {
+		t.Fatalf("reference run (%d transformations) never backs off before its last one", refRes.Iterations)
+	}
+
 	// Interrupted: cancel after k transformations, checkpoint, resume.
-	const k = 17
 	interrupted := checkpointCircuit()
 	ctx, cancel := context.WithCancel(context.Background())
 	cfgStop := cfg
@@ -65,6 +78,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	if ck.Gain >= 1 {
+		t.Fatalf("checkpoint after transformation %d has gain %v; want the step control backing off", k, ck.Gain)
+	}
+	t.Logf("checkpoint after %d of %d transformations, gain %v", k, refRes.Iterations, ck.Gain)
 
 	resumedNl := checkpointCircuit()
 	resumed, err := Resume(resumedNl, cfg, ck)
@@ -84,6 +101,12 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	if resRes.HPWL != refRes.HPWL {
 		t.Errorf("HPWL: resumed %v vs reference %v (diff %g)", resRes.HPWL, refRes.HPWL, resRes.HPWL-refRes.HPWL)
+	}
+	for i, s := range resRes.Trace {
+		if r := refRes.Trace[k+i]; s.Damping != r.Damping || s.Backoff != r.Backoff {
+			t.Fatalf("transformation %d: resumed damping %v backoff %v vs reference %v %v",
+				s.Iter, s.Damping, s.Backoff, r.Damping, r.Backoff)
+		}
 	}
 	for i := range ref.Cells {
 		a, b := ref.Cells[i].Pos, resumedNl.Cells[i].Pos
@@ -149,14 +172,17 @@ func TestResumeRejectsMismatchedNetlist(t *testing.T) {
 		t.Fatal("Resume accepted a checkpoint with a wrong version")
 	}
 
-	// A version-1 snapshot's warm vectors lack the star centers.
-	ck.Version = 1
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCheckpoint(&buf); !errors.Is(err, ErrCheckpointVersion) {
-		t.Fatalf("decoding a version-1 snapshot: %v, want ErrCheckpointVersion", err)
+	// A version-1 snapshot's warm vectors lack the star centers, and a
+	// version-2 snapshot lacks the step-control state.
+	for _, v := range []int{1, 2} {
+		ck.Version = v
+		var buf bytes.Buffer
+		if err := ck.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpoint(&buf); !errors.Is(err, ErrCheckpointVersion) {
+			t.Fatalf("decoding a version-%d snapshot: %v, want ErrCheckpointVersion", v, err)
+		}
 	}
 }
 
@@ -193,6 +219,12 @@ func TestDecodeCheckpointCorrupt(t *testing.T) {
 	if _, err := DecodeCheckpoint(bytes.NewReader(short)); err == nil {
 		t.Error("snapshot with inconsistent vector lengths decoded without error")
 	}
+	for _, gain := range []string{"0", "-0.5", "1.5"} {
+		bad := regexp.MustCompile(`"gain":[^,}]*`).ReplaceAll(valid, []byte(`"gain":`+gain))
+		if _, err := DecodeCheckpoint(bytes.NewReader(bad)); err == nil {
+			t.Errorf("snapshot with step-control gain %s decoded without error", gain)
+		}
+	}
 }
 
 // FuzzCheckpointDecode hammers the decode path: arbitrary bytes must
@@ -211,8 +243,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"version":2,"cells":0,"nets":0}`))
-	f.Add([]byte(`{"version":2,"cells":-1}`))
+	f.Add([]byte(`{"version":3,"cells":0,"nets":0,"gain":1}`))
+	f.Add([]byte(`{"version":3,"cells":-1}`))
 	f.Add([]byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

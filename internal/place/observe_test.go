@@ -125,6 +125,7 @@ func TestPhaseSchema(t *testing.T) {
 	wantKeys := []string{
 		"iter", "hpwl", "overflow", "empty_square", "gap_proxy", "max_force",
 		"cg_iter_x", "cg_iter_y", "cg_resid_x", "cg_resid_y", "precond", "precond_fallback",
+		"damping", "backoff",
 		"t_weight_ns", "t_gather_ns", "t_field_ns", "t_build_ns", "t_precond_ns", "t_solve_pair_ns", "t_step_ns",
 	}
 	if !reflect.DeepEqual(keys, wantKeys) {

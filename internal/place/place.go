@@ -31,8 +31,9 @@ import (
 // standard mode.
 type Config struct {
 	// K is the user parameter of §4.1: each transformation's maximum force
-	// increment equals the force of a net with length K·(W+H). 0.2 is the
-	// paper's standard mode, 1.0 the fast mode. Defaults to 0.2.
+	// increment equals the force of a net with length K·(W+H), scaled by
+	// the step-control gain (IterStats.Damping). 0.2 is the paper's
+	// standard mode, 1.0 the fast mode. Defaults to 0.2.
 	K float64
 	// MaxIter caps the number of placement transformations. Defaults
 	// to 300.
@@ -142,6 +143,13 @@ type IterStats struct {
 	// when PrecondFallback reports that the IC0 factorization broke down.
 	Precond         sparse.Preconditioner `json:"precond"`
 	PrecondFallback bool                  `json:"precond_fallback"`
+	// Damping is the step-control gain this transformation applied, in
+	// (0, 1]: the fraction of the K-sized force increment and trust
+	// region it took. Backoff reports that the transformation's overflow
+	// change reversed the previous one's sign, so the next transformation
+	// takes a smaller step (see stepBackoff).
+	Damping float64 `json:"damping"`
+	Backoff bool    `json:"backoff"`
 
 	// Phases is embedded, so its t_*_ns keys follow cg_resid_y at the
 	// top level of the trace record.
@@ -156,7 +164,7 @@ type IterStats struct {
 // at most TStep.
 type Phases struct {
 	TWeight    time.Duration `json:"t_weight_ns"`     // BeforeTransform (net-weight update)
-	TGather    time.Duration `json:"t_gather_ns"`     // density accumulation (fine + coarse grids)
+	TGather    time.Duration `json:"t_gather_ns"`     // density accumulation
 	TField     time.Duration `json:"t_field_ns"`      // Poisson force-field evaluation
 	TBuild     time.Duration `json:"t_build_ns"`      // quadratic system assembly
 	TPrecond   time.Duration `json:"t_precond_ns"`    // preconditioner set-up (the IC0 refactor)
@@ -257,9 +265,8 @@ type Placer struct {
 	nl      *netlist.Netlist
 	cfg     Config
 	grid    *density.Grid
-	coarse  *density.Grid // ~6 cells per bin; drives the damping
-	forces  []geom.Point  // accumulated additional forces e (one per cell)
-	pending []geom.Point  // externally queued forces for the next Step
+	forces  []geom.Point // accumulated additional forces e (one per cell)
+	pending []geom.Point // externally queued forces for the next Step
 	iter    int
 	avgArea float64 // cached AvgCellArea (>0); denominator of GapProxy
 
@@ -293,14 +300,41 @@ type runState struct {
 	// Run continues instead of re-gathering all cells at the center.
 	started bool
 	// doneStreak counts consecutive iterations meeting the §4.2 criterion
-	// (two are required, because the empty-square measure dips transiently
-	// while the placement sloshes).
+	// (two are required: stopping on the first dip of the empty-square
+	// measure costs wire length and timing exploitation, EXPERIMENTS E25).
 	doneStreak int
 	// bestOvf/bestIter/bestSnap track the best (lowest-overflow) placement
 	// seen, restored when the run stops on stagnation.
 	bestOvf  float64
 	bestIter int
 	bestSnap netlist.Placement
+	// gain is the step-control gain the next transformation applies;
+	// lastOvf and lastDOvf are the overflow the previous transformation
+	// reached and the change it made, the response the gain reacts to.
+	gain, lastOvf, lastDOvf float64
+}
+
+// react sets the next transformation's gain from the overflow ovf that
+// transformation iter just reached, and reports whether it backed off.
+// The loop normalizes every force increment to the same K-sized step, so
+// on its own it cannot settle: once the density has flattened, each step
+// overshoots and the next pushes back, and the overflow change flips sign
+// every transformation. A flip is the sign of an overshoot, so it cuts
+// the gain by stepBackoff(k); a transformation that keeps the previous
+// direction grows the gain by stepGrowth, up to the full step.
+func (rs *runState) react(iter int, ovf, k float64) bool {
+	backoff := false
+	if iter > 0 {
+		d := ovf - rs.lastOvf
+		if backoff = d*rs.lastDOvf < 0; backoff {
+			rs.gain *= stepBackoff(k)
+		} else {
+			rs.gain = math.Min(1, rs.gain*stepGrowth)
+		}
+		rs.lastDOvf = d
+	}
+	rs.lastOvf = ovf
+	return backoff
 }
 
 // Pull queues additional per-cell forces (indexed like the netlist's cells)
@@ -333,25 +367,15 @@ func New(nl *netlist.Netlist, cfg Config) *Placer {
 	if avg <= 0 {
 		avg = 1
 	}
-	binSide := math.Sqrt(6 * avg / math.Max(nl.Utilization(), 0.1))
-	cnx := int(nl.Region.W()/binSide) + 1
-	cny := int(nl.Region.H()/binSide) + 1
-	if cnx < 2 {
-		cnx = 2
-	}
-	if cny < 2 {
-		cny = 2
-	}
-	p := &Placer{
+	return &Placer{
 		nl:      nl,
 		cfg:     cfg,
 		grid:    density.NewGrid(nl.Region.Outline, nx, ny),
-		coarse:  density.NewGrid(nl.Region.Outline, cnx, cny),
 		forces:  make([]geom.Point, len(nl.Cells)),
 		avgArea: avg,
 		asm:     qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize}),
+		rs:      runState{gain: 1},
 	}
-	return p
 }
 
 // Netlist returns the netlist being placed.
@@ -374,7 +398,7 @@ func (p *Placer) Initialize() error {
 		p.forces[i] = geom.Point{}
 	}
 	p.warmDX, p.warmDY = nil, nil
-	p.rs = runState{started: true, bestOvf: math.Inf(1)}
+	p.rs = runState{started: true, bestOvf: math.Inf(1), gain: 1}
 	if p.cfg.KeepPlacement {
 		p.rs.bestSnap = p.nl.Snapshot()
 		return nil
@@ -435,26 +459,15 @@ func (p *Placer) Step() (IterStats, error) {
 	// translation instead of spreading the blob), and the "net" strength
 	// is the current mean spring stiffness, so a force increment displaces
 	// an average cell by about K·(W+H) regardless of how the linearization
-	// has re-weighted the springs.
-	// Damping: the per-transformation renormalization alone makes the
-	// iteration a driven oscillator (full-strength kicks continue after
-	// the density has flattened). Attenuate by the coarse-grid overflow —
-	// the fraction of cell area still genuinely clumped — so kicks decay
-	// to near zero as the distribution evens out.
-	mark = obsv.StartTimer()
-	p.coarse.Accumulate(nl)
-	ph.TGather += mark.Elapsed()
-	atten := math.Min(1, p.coarse.Overflow()/0.2)
-	if atten < 0.02 {
-		atten = 0.02
-	}
-
+	// has re-weighted the springs. The step-control gain (runState.react)
+	// then scales the increment down after overshoots.
+	damping := p.rs.gain
 	maxMag := field.MaxMagnitude()
 	kick := kickRef * math.Sqrt(cfg.K/0.2)
 	targetMax := kick * (nl.Region.W() + nl.Region.H()) * meanStiffness(sys)
 	scale := 0.0
 	if maxMag > 0 {
-		scale = atten * targetMax / maxMag
+		scale = damping * targetMax / maxMag
 	}
 	if len(p.inc) != len(nl.Cells) {
 		p.inc = make([]geom.Point, len(nl.Cells))
@@ -521,7 +534,11 @@ func (p *Placer) Step() (IterStats, error) {
 	// interpolation residue of a single-bin blob at startup) would
 	// otherwise throw the whole design across the chip in one step; on
 	// strongly non-square regions the short axis needs its own bound.
-	kCap := math.Min(cfg.K, 0.45)
+	// The region shrinks with the damping: a weakly anchored cell's
+	// response to even a small increment can reach the cap, so a
+	// full-size cap would let such cells keep jumping after the damping
+	// has settled the rest.
+	kCap := math.Min(cfg.K, 0.45) * damping
 	p.dxs, p.dys = capDelta(nl, before, kCap*nl.Region.W(), kCap*nl.Region.H(), p.dxs, p.dys)
 	if err != nil {
 		// An unconverged CG still yields a usable iterate; report but
@@ -556,11 +573,13 @@ func (p *Placer) Step() (IterStats, error) {
 		CGResidY:        res.Y.Residual,
 		Precond:         res.X.Precond,
 		PrecondFallback: res.Fallback,
+		Damping:         damping,
 		Phases:          ph,
 	}
 	stats.GapProxy = stats.EmptySquare / (cfg.StopSquareFactor * p.avgArea)
 	stats.TPrecond = res.PrecondWall
 	stats.TSolvePair = res.PairWall
+	stats.Backoff = p.rs.react(p.iter, stats.Overflow, cfg.K)
 	stats.TStep = stepStart.Elapsed()
 	p.iter++
 	if cfg.OnIteration != nil {
@@ -715,8 +734,7 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 			p.rs.bestIter = it
 			p.rs.bestSnap = p.nl.Snapshot()
 		}
-		// The empty-square measure can dip transiently while the placement
-		// still sloshes; require the criterion on consecutive iterations.
+		// Require the criterion on consecutive iterations (see doneStreak).
 		if p.Done(stats) {
 			p.rs.doneStreak++
 			if p.rs.doneStreak >= 2 {
@@ -727,7 +745,7 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 			p.rs.doneStreak = 0
 		}
 		// Secondary stop: the distribution stopped improving; keep the best
-		// placement seen instead of whatever the last slosh produced.
+		// placement seen instead of wherever the last step left it.
 		if it-p.rs.bestIter >= stagnationWindow {
 			p.nl.Restore(p.rs.bestSnap)
 			res.StopReason = StopStagnation
@@ -768,3 +786,16 @@ const emptyFrac = 0.25
 // suite (kicks ≥ ~0.03 slosh indefinitely; kicks ≤ ~0.002 converge slowly
 // with no further quality gain).
 const kickRef = 0.003
+
+// stepGrowth is the factor by which the step-control gain recovers after
+// each transformation that did not overshoot (runState.react).
+const stepGrowth = 1.2
+
+// stepBackoff is the factor by which an overshoot cuts the step-control
+// gain: one half in the standard mode (K=0.2), with the exponent √(0.2/K)
+// mirroring the kick's √(K/0.2), so the fast mode (K=1, ×0.73) trades
+// more residual overshoot for fewer transformations and a gentle ECO
+// run (K=0.1, ×0.38) settles sooner. The constants were picked on the
+// netgen 2k and 5k designs and the fast-mode comparison (EXPERIMENTS
+// E25).
+func stepBackoff(k float64) float64 { return math.Pow(0.5, math.Sqrt(0.2/k)) }

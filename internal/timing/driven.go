@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/netlist"
@@ -55,24 +56,22 @@ func PlaceDriven(nl *netlist.Netlist, cfg place.Config, params Params, before fl
 		weighter.Update(nl, rep)
 		p.Pull(weighter.PullForces(nl))
 	}
-	res, err := place.Global(nl, cfg)
+	placer := place.New(nl, cfg)
+	res, err := placer.Run(context.Background())
 	if err != nil {
 		return DrivenResult{}, err
 	}
 
 	// Polish phase: the spreading run has converged; keep adapting weights
 	// and stepping while the longest path still falls ("even in late
-	// stages the placement has the ability to change globally", §5).
-	// polish keeps the wrapped hook, so each polish step updates the
-	// weights twice: in the loop body and again in the hook. Running only
-	// the caller's hook there measured lower exploitation (kbench -table 4
-	// average 46.2 % → 43.8 %, EXPERIMENTS E24).
-	polish := cfg
-	polish.KeepPlacement = true
-	placer := place.New(nl, polish)
-	if err := placer.Initialize(); err != nil {
-		return DrivenResult{}, err
-	}
+	// stages the placement has the ability to change globally", §5). The
+	// polish continues the converged placer, so its steps start from the
+	// step-control gain the run settled at; a fresh placer would restart
+	// at the full step and shake the spread placement (kbench -table 4
+	// average 45.9 % → 52.0 %, EXPERIMENTS E25). The placer keeps the
+	// wrapped hook, so each polish step updates the weights twice: in the
+	// loop body and again in the hook. Running only the caller's hook
+	// there measured lower exploitation (average 46.2 % → 43.8 %, E24).
 	best := nl.Snapshot()
 	bestDelay := analyzer.Analyze().MaxDelay
 	sinceBest := 0

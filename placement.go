@@ -183,7 +183,8 @@ func GlobalContext(ctx context.Context, nl *Netlist, cfg Config) (Result, error)
 func NewPlacer(nl *Netlist, cfg Config) *Placer { return place.New(nl, cfg) }
 
 // Checkpoint / resume: a Placer's full iteration state (positions,
-// iteration counter, accumulated forces, net weights, solver warm state)
+// iteration counter, accumulated forces, net weights, solver warm state,
+// step control)
 // serializes to a versioned JSON snapshot; resuming continues
 // bit-compatibly with a run that was never interrupted.
 type Checkpoint = place.Checkpoint
