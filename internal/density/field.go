@@ -46,8 +46,23 @@ func (m Method) String() string {
 	}
 }
 
-// ComputeField evaluates the force field of g's current density map.
-func ComputeField(g *Grid, m Method) *Field {
+// ComputeField evaluates the force field of g's current density map into
+// a fresh Field.
+func ComputeField(g *Grid, m Method) *Field { return ComputeFieldInto(nil, g, m) }
+
+// ComputeFieldInto is ComputeField writing into dst, which it returns.
+// dst's storage is reused when it matches g's bin count; a nil dst is
+// allocated. An iterative caller keeps one Field and recomputes it every
+// transformation without allocating.
+func ComputeFieldInto(dst *Field, g *Grid, m Method) *Field {
+	if dst == nil {
+		dst = &Field{}
+	}
+	dst.grid = g
+	if len(dst.FX) != len(g.D) {
+		dst.FX = make([]float64, len(g.D))
+		dst.FY = make([]float64, len(g.D))
+	}
 	if m == Auto {
 		if g.NX*g.NY >= 2048 && fft.IsPow2(g.NX) && fft.IsPow2(g.NY) {
 			m = RealFFT
@@ -57,18 +72,18 @@ func ComputeField(g *Grid, m Method) *Field {
 	}
 	switch m {
 	case Direct:
-		return computeDirect(g)
+		computeDirect(dst, g)
 	case RealFFT:
-		return g.fieldSolver().solve(g)
+		g.fieldSolver().solve(dst, g)
 	default:
 		panic("density: unknown field method")
 	}
+	return dst
 }
 
 // computeDirect evaluates f(r) = Σ_b D_b · (r − r_b) / (2π·|r − r_b|²) at
 // every bin center.
-func computeDirect(g *Grid) *Field {
-	f := &Field{grid: g, FX: make([]float64, len(g.D)), FY: make([]float64, len(g.D))}
+func computeDirect(f *Field, g *Grid) {
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {
 			i := g.Idx(ix, iy)
@@ -92,7 +107,6 @@ func computeDirect(g *Grid) *Field {
 			f.FY[i] = fy
 		}
 	}
-	return f
 }
 
 // fieldKernels evaluates the Green's-function kernels Kx(d) = dx/(2π|d|²),
@@ -157,8 +171,8 @@ func (g *Grid) fieldSolver() *fieldCache {
 }
 
 // solve scatters the density map into the padded source and runs the
-// cached-spectrum convolutions for both kernels.
-func (fc *fieldCache) solve(g *Grid) *Field {
+// cached-spectrum convolutions for both kernels, writing the field into f.
+func (fc *fieldCache) solve(f *Field, g *Grid) {
 	pw := fc.pw
 	for i := range fc.src {
 		fc.src[i] = 0
@@ -169,14 +183,12 @@ func (fc *fieldCache) solve(g *Grid) *Field {
 		}
 	}
 	fc.plan.ConvolveSpectra(fc.out[:], fc.src, fc.specs[:])
-	f := &Field{grid: g, FX: make([]float64, len(g.D)), FY: make([]float64, len(g.D))}
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {
 			f.FX[g.Idx(ix, iy)] = fc.out[0][iy*pw+ix]
 			f.FY[g.Idx(ix, iy)] = fc.out[1][iy*pw+ix]
 		}
 	}
-	return f
 }
 
 // At returns the field vector at an arbitrary point by bilinear

@@ -150,7 +150,7 @@ func Replace(nl *netlist.Netlist, preEdit netlist.Placement, cfg place.Config) (
 	// pre-edit demand map is subtracted, so the converged placement's
 	// residual unevenness produces no force and only the edit's
 	// neighborhood moves.
-	var preDemand []float64
+	var preDemand, sum []float64
 	userExtra := cfg.ExtraDemand
 	cfg.ExtraDemand = func(g *density.Grid) []float64 {
 		if preDemand == nil {
@@ -167,13 +167,19 @@ func Replace(nl *netlist.Netlist, preEdit netlist.Placement, cfg place.Config) (
 				preDemand[i] = -tmp.Demand[i]
 			}
 		}
-		out := append([]float64(nil), preDemand...)
-		if userExtra != nil {
-			for i, v := range userExtra(g) {
-				out[i] += v
-			}
+		// The grid copies the map it is handed, so preDemand and sum are
+		// lent, not given away.
+		if userExtra == nil {
+			return preDemand
 		}
-		return out
+		if sum == nil {
+			sum = make([]float64, len(preDemand))
+		}
+		copy(sum, preDemand)
+		for i, v := range userExtra(g) {
+			sum[i] += v
+		}
+		return sum
 	}
 	res := Result{HPWLBefore: nl.HPWL()}
 	// Drive a fixed number of placement transformations directly: the

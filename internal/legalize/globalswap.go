@@ -12,10 +12,10 @@ import (
 
 // globalSwap performs Domino-style cross-row improvement: every cell is
 // driven toward its optimal region (the median position of its nets'
-// bounding boxes), swapping with a similar-width cell near that spot or
-// sliding into place when that shortens the incident wire length. Segments
-// are re-clumped after each pass to restore exact legality. Returns the
-// number of accepted moves.
+// bounding boxes) by swapping it with a similar-width cell near that spot
+// when the swap shortens the incident wire length. Segments are re-clumped
+// after each pass to restore exact legality. Returns the number of accepted
+// swaps.
 func (st *passState) globalSwap(passes int) int {
 	st.bindSegOf()
 	accepted := 0
@@ -170,6 +170,7 @@ type scratch struct {
 	to       []geom.Point // eval's new centers
 	eval     []int        // eval's moved cells
 	cells    []int        // a segment's cells, or the cells by width class
+	rebind   []int        // rebindSegments' tracked cells
 	clusters []cluster    // clumpSegment's cluster stack
 	pos      []geom.Point // matchGroup's positions
 	cost     [][]float64  // matchGroup's cost matrix

@@ -249,12 +249,13 @@ func BenchmarkLegalize(b *testing.B) {
 }
 
 // TestLegalizeAllocs caps the allocations of one legalization of a fixed
-// circuit. The ceiling is what Legalize allocated before move sets were
-// staged; staging buffers live in the pass state's scratch, so pricing a
-// move never allocates and the count does not grow with the number of
-// moves priced.
+// circuit at its measured count. Staging buffers live in the pass state's
+// scratch, so pricing a move never allocates, and rebindSegments gathers
+// into scratch too, so the count does not grow with the number of moves
+// priced or matching rounds committed. The plain build measures 251; the
+// ceiling is the race detector's 261, which adds allocations of its own.
 func TestLegalizeAllocs(t *testing.T) {
-	const ceiling = 1453
+	const ceiling = 261
 	nl := globalPlaced(t, 300, 78, 0)
 	const runs = 3
 	copies := make([]*netlist.Netlist, runs+1)

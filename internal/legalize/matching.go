@@ -65,16 +65,17 @@ func (st *passState) matching(groupSize int) int {
 	if committed > 0 {
 		// Cells exchanged positions, possibly across segments: rebuild the
 		// membership from the geometry, then restore exact legality.
-		rebindSegments(nl, st.segs)
+		st.sc.rebind = rebindSegments(nl, st.segs, st.sc.rebind)
 		st.clump()
 	}
 	return committed
 }
 
 // rebindSegments reassigns every tracked cell to the segment containing
-// its current center.
-func rebindSegments(nl *netlist.Netlist, segs []*Segment) {
-	var all []int
+// its current center. It gathers the cells in buf, which it returns for
+// the next call to reuse.
+func rebindSegments(nl *netlist.Netlist, segs []*Segment, buf []int) []int {
+	all := buf[:0]
 	for _, s := range segs {
 		all = append(all, s.cells...)
 		s.cells = s.cells[:0]
@@ -95,6 +96,7 @@ func rebindSegments(nl *netlist.Netlist, segs []*Segment) {
 		best.cells = append(best.cells, ci)
 		best.used += c.W
 	}
+	return all
 }
 
 func widthClass(w float64) int { return int(w * 4) }

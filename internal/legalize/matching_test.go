@@ -86,7 +86,7 @@ func TestRebindSegments(t *testing.T) {
 	nl, segs := crossedPairs(t)
 	// Manually swap and rebind.
 	nl.Cells[2].Pos, nl.Cells[3].Pos = nl.Cells[3].Pos, nl.Cells[2].Pos
-	rebindSegments(nl, segs)
+	rebindSegments(nl, segs, nil)
 	if len(segs[0].cells) != 2 {
 		t.Errorf("segment lost cells: %v", segs[0].cells)
 	}

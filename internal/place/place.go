@@ -281,8 +281,10 @@ type Placer struct {
 	// start does not change where the iteration ends up.
 	zeroGuess bool
 	// Step scratch, reused across transformations so the steady-state
-	// iteration allocates nothing: the force increment, the pre-solve
-	// position snapshot, and capDelta's displacement sort buffers.
+	// iteration allocates nothing: the density force field, the force
+	// increment, the pre-solve position snapshot, and capDelta's
+	// displacement sort buffers.
+	field    *density.Field
 	inc      []geom.Point
 	before   netlist.Placement
 	dxs, dys []float64
@@ -398,9 +400,9 @@ func (p *Placer) Initialize() error {
 		p.forces[i] = geom.Point{}
 	}
 	p.warmDX, p.warmDY = nil, nil
-	p.rs = runState{started: true, bestOvf: math.Inf(1), gain: 1}
+	p.rs = runState{started: true, bestOvf: math.Inf(1), gain: 1, bestSnap: p.rs.bestSnap}
 	if p.cfg.KeepPlacement {
-		p.rs.bestSnap = p.nl.Snapshot()
+		p.rs.bestSnap = p.nl.SnapshotInto(p.rs.bestSnap)
 		return nil
 	}
 	c := p.nl.Region.Outline.Center()
@@ -411,7 +413,7 @@ func (p *Placer) Initialize() error {
 	}
 	sys := p.asm.Assemble()
 	_, err := sys.Solve(nil, p.cfg.CG)
-	p.rs.bestSnap = p.nl.Snapshot()
+	p.rs.bestSnap = p.nl.SnapshotInto(p.rs.bestSnap)
 	return err
 }
 
@@ -429,16 +431,19 @@ func (p *Placer) Step() (IterStats, error) {
 	}
 
 	// Density of the current placement (with any injected extra demand).
+	// The previous transformation ended by accumulating it; Refresh reuses
+	// that unless a cell moved or changed size since.
 	mark := obsv.StartTimer()
 	if cfg.ExtraDemand != nil {
 		p.grid.SetExtra(cfg.ExtraDemand(p.grid))
 	}
-	p.grid.Accumulate(nl)
+	p.grid.Refresh(nl)
 	ph.TGather = mark.Elapsed()
 	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
 	mark = obsv.StartTimer()
-	field := density.ComputeField(p.grid, density.Auto)
+	p.field = density.ComputeFieldInto(p.field, p.grid, density.Auto)
+	field := p.field
 	ph.TField = mark.Elapsed()
 	check.Finite("place/step field FX", field.FX)
 	check.Finite("place/step field FY", field.FY)
@@ -732,7 +737,7 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 		if stats.Overflow < p.rs.bestOvf*0.99 {
 			p.rs.bestOvf = stats.Overflow
 			p.rs.bestIter = it
-			p.rs.bestSnap = p.nl.Snapshot()
+			p.rs.bestSnap = p.nl.SnapshotInto(p.rs.bestSnap)
 		}
 		// Require the criterion on consecutive iterations (see doneStreak).
 		if p.Done(stats) {

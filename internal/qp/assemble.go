@@ -72,7 +72,7 @@ func (a *Assembler) Assemble() *System {
 
 func (a *Assembler) rebuild() {
 	s := newSkeleton(a.nl, a.opts)
-	a.b = sparse.NewBuilder(s.N())
+	a.b = sparse.NewBuilderSized(s.rowCounts())
 	s.assembleInto(a.b)
 	s.C, a.sym = a.b.BuildSymbolic()
 	a.sys = s

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
 	"repro/internal/sparse"
@@ -134,5 +135,47 @@ func TestAssemblerSolvesLikeBuild(t *testing.T) {
 				t.Fatalf("round %d: cell %d diverged: %v vs %v", round, ci, pa, pb)
 			}
 		}
+	}
+}
+
+// TestRowCountsMatchAssembly: the first assembly reserves each builder row
+// at rowCounts' size, so the counts must equal what assembleInto adds to
+// every row. The fixture has pads on cliques and stars, and a two-pin net
+// tying one cell to itself, whose AddSym adds a single diagonal.
+func TestRowCountsMatchAssembly(t *testing.T) {
+	nl := assemblerNetlist(33)
+	var self int
+	for nl.Cells[self].Fixed {
+		self++
+	}
+	nl.Nets = append(nl.Nets, netlist.Net{Name: "self", Weight: 1, Pins: []netlist.Pin{
+		{Cell: self}, {Cell: self, Offset: geom.Point{X: 0.5}},
+	}})
+	s := newSkeleton(nl, normalize(Options{Linearize: true}))
+	counts := s.rowCounts()
+
+	// grown counts the row reallocations of one assembly into a builder
+	// reserved at the given sizes: its allocations beyond the builder's.
+	grown := func(sizes []int) float64 {
+		var b *sparse.Builder
+		base := testing.AllocsPerRun(3, func() { b = sparse.NewBuilderSized(sizes) })
+		full := testing.AllocsPerRun(3, func() {
+			b = sparse.NewBuilderSized(sizes)
+			s.assembleInto(b)
+		})
+		return full - base
+	}
+	// At the counted sizes no row grows; one entry short, every row grows
+	// exactly once. Together they pin every count. (Every row counts at
+	// least its diagonal: an anchor spring or a star center's.)
+	if g := grown(counts); g != 0 {
+		t.Errorf("%.0f rows outgrew their counted size", g)
+	}
+	short := make([]int, len(counts))
+	for i, c := range counts {
+		short[i] = c - 1
+	}
+	if g := grown(short); g != float64(len(counts)) {
+		t.Errorf("one entry short per row, %.0f of %d rows grew: some count is too large", g, len(counts))
 	}
 }

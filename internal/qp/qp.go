@@ -67,6 +67,8 @@ type System struct {
 	// each own one workspace and share only the read-only factor.
 	bx, by   []float64
 	cgx, cgy sparse.CGWork
+	// stiff backs CellStiffness's result.
+	stiff []float64
 
 	// chol caches the IC0 preconditioner across the solves of one
 	// assembly: the pattern is built once per System (it is fixed by C's
@@ -87,7 +89,7 @@ type System struct {
 // which caches the sparsity pattern and storage between assemblies.
 func Build(nl *netlist.Netlist, opts Options) *System {
 	s := newSkeleton(nl, normalize(opts))
-	b := sparse.NewBuilder(s.N())
+	b := sparse.NewBuilderSized(s.rowCounts())
 	s.assembleInto(b)
 	s.C = b.Build()
 	return s
@@ -124,6 +126,49 @@ func newSkeleton(nl *netlist.Netlist, opts Options) *System {
 	s.Dx = make([]float64, n)
 	s.Dy = make([]float64, n)
 	return s
+}
+
+// rowCounts returns how many entries assembleInto adds to each row of the
+// builder: the insertion sequence depends on the topology alone, so the
+// first assembly can reserve every row at its final length.
+func (s *System) rowCounts() []int {
+	nl := s.nl
+	counts := make([]int, s.N())
+	center := len(s.CellOf)
+	for ni := range nl.Nets {
+		pins := nl.Nets[ni].Pins
+		if len(pins) >= starMinPins {
+			counts[center]++ // the center's diagonal
+			for _, p := range pins {
+				if vi := s.VarOf[p.Cell]; vi >= 0 {
+					counts[vi] += 2 // diagonal and spoke
+					counts[center]++
+				}
+			}
+			center++
+			continue
+		}
+		for i := range pins {
+			for j := i + 1; j < len(pins); j++ {
+				va, vb := s.VarOf[pins[i].Cell], s.VarOf[pins[j].Cell]
+				switch {
+				case va >= 0 && va == vb:
+					counts[va] += 3 // two diagonals, and AddSym adds once
+				case va >= 0 && vb >= 0:
+					counts[va] += 2
+					counts[vb] += 2
+				case va >= 0:
+					counts[va]++
+				case vb >= 0:
+					counts[vb]++
+				}
+			}
+		}
+	}
+	for vi := range s.CellOf {
+		counts[vi]++ // the anchor spring
+	}
+	return counts
 }
 
 // assembleInto zeroes d and accumulates every net plus the anchor springs
@@ -293,8 +338,14 @@ func (s *System) Matrix() *sparse.CSR { return s.C }
 // on its row. Centers couple only to cells, so this is exactly the
 // diagonal of the Schur complement, the clique model's cell diagonal —
 // the spring constant a force on that cell works against.
+//
+// The slice is owned by the system and overwritten by the next call.
 func (s *System) CellStiffness() []float64 {
-	d := s.C.Diag()
+	if len(s.stiff) != s.N() {
+		s.stiff = make([]float64, s.N())
+	}
+	d := s.stiff
+	s.C.DiagInto(d)
 	nc := len(s.CellOf)
 	for i := 0; i < nc; i++ {
 		cols, vals := s.C.Row(i)

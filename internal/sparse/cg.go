@@ -116,7 +116,7 @@ func (w *CGWork) Solve(m *CSR, x, b []float64, opt CGOptions) (CGResult, error) 
 		eff = Jacobi
 		invDiag = grow(w.invDiag, n)
 		w.invDiag = invDiag
-		m.diagInto(invDiag)
+		m.DiagInto(invDiag)
 		for i, d := range invDiag {
 			if d > 0 {
 				invDiag[i] = 1 / d

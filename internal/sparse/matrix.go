@@ -28,6 +28,25 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n, rows: make([][]entry, n)}
 }
 
+// NewBuilderSized creates a builder for a len(counts)×len(counts) matrix
+// whose row i will receive counts[i] entries. The rows are carved from one
+// backing array, so an assembly of that many entries per row never grows
+// a row; a row that receives more still grows, on its own.
+func NewBuilderSized(counts []int) *Builder {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	slab := make([]entry, total)
+	b := &Builder{n: len(counts), rows: make([][]entry, len(counts))}
+	off := 0
+	for i, c := range counts {
+		b.rows[i] = slab[off : off : off+c]
+		off += c
+	}
+	return b
+}
+
 // N returns the matrix dimension.
 func (b *Builder) N() int { return b.n }
 
@@ -137,15 +156,15 @@ func (m *CSR) MulVec(dst, x []float64) {
 // Diag extracts the diagonal into a new slice.
 func (m *CSR) Diag() []float64 {
 	d := make([]float64, m.n)
-	m.diagInto(d)
+	m.DiagInto(d)
 	return d
 }
 
-// diagInto writes the diagonal into d (length N) in one pass over the row
+// DiagInto writes the diagonal into d (length N) in one pass over the row
 // structure: columns are sorted within each row, so the scan stops at the
 // first entry at or past the diagonal. A row with no stored diagonal
 // gets 0.
-func (m *CSR) diagInto(d []float64) {
+func (m *CSR) DiagInto(d []float64) {
 	for i := 0; i < m.n; i++ {
 		d[i] = 0
 		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
