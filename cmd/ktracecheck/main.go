@@ -11,7 +11,10 @@
 // file (timing-driven placement restarts), and a new meta record starts a
 // fresh group outright. Phase timing keys (t_<phase>_ns) must come from
 // the known phase schema, and when the meta record declares its phase
-// list, every declared phase must appear on every iteration record.
+// list, every declared phase must appear on every iteration record, and
+// the phases must account for the steps: over all records of such
+// groups, the step time no phase covers (Σ t_step − Σ phases) may be at
+// most 5 % of Σ t_step.
 //
 // Exit status: 0 valid, 1 validation failure, 2 usage or read error.
 package main
@@ -94,6 +97,9 @@ func checkTrace(path string) error {
 	metas := 0
 	lastIter := -1
 	var metaPhases []string // current group's declared phases (nil: legacy meta)
+	// stepNS and unaccountedNS sum t_step and the part of it no phase
+	// covers over the records of phase-declaring groups.
+	var stepNS, unaccountedNS int64
 	for sc.Scan() {
 		raw := sc.Bytes()
 		if len(raw) == 0 {
@@ -149,6 +155,20 @@ func checkTrace(path string) error {
 				return fmt.Errorf("line %d: missing phase %q declared in meta", line, p)
 			}
 		}
+		if metaPhases != nil && r.StepNS != nil {
+			stepNS += *r.StepNS
+			unaccountedNS += *r.StepNS
+			for k, raw := range keys {
+				if k == "t_step_ns" || !knownPhaseKeys[k] {
+					continue
+				}
+				var ns int64
+				if err := json.Unmarshal(raw, &ns); err != nil {
+					return fmt.Errorf("line %d: phase %s is not an integer: %v", line, k, err)
+				}
+				unaccountedNS -= ns
+			}
+		}
 		switch {
 		case *r.Iter > lastIter:
 			lastIter = *r.Iter
@@ -187,5 +207,14 @@ func checkTrace(path string) error {
 	if iters == 0 {
 		return fmt.Errorf("no iteration records")
 	}
+	if stepNS > 0 && float64(unaccountedNS) > maxUnaccounted*float64(stepNS) {
+		return fmt.Errorf("phases leave %.1f%% of the summed step time unaccounted, more than %.0f%%",
+			100*float64(unaccountedNS)/float64(stepNS), 100*maxUnaccounted)
+	}
 	return nil
 }
+
+// maxUnaccounted is the share of the summed step time that the declared
+// phases may leave uncovered: timer reads and the few statements between
+// phases, not a piece of work.
+const maxUnaccounted = 0.05

@@ -19,8 +19,9 @@ func writeTrace(t *testing.T, lines ...string) string {
 
 const metaLine = `{"type":"meta","design":"d","cells":10,"config_hash":"abc","phases":["weight","gather","step"]}`
 
-// iterLine is one well-formed iteration record matching metaLine's phases.
-const iterLine = `{"iter":0,"hpwl":12.5,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`
+// iterLine is one well-formed iteration record matching metaLine's phases,
+// which account for its whole step.
+const iterLine = `{"iter":0,"hpwl":12.5,"t_weight_ns":1,"t_gather_ns":9,"t_step_ns":10}`
 
 func TestCheckTrace(t *testing.T) {
 	cases := []struct {
@@ -30,7 +31,7 @@ func TestCheckTrace(t *testing.T) {
 	}{
 		{
 			name:  "valid",
-			lines: []string{metaLine, iterLine, `{"iter":1,"hpwl":11.0,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":9}`},
+			lines: []string{metaLine, iterLine, `{"iter":1,"hpwl":11.0,"t_weight_ns":1,"t_gather_ns":8,"t_step_ns":9}`},
 		},
 		{
 			name:    "unknown phase key",
@@ -71,7 +72,7 @@ func TestCheckTrace(t *testing.T) {
 		},
 		{
 			name:  "damping inside (0, 1]",
-			lines: []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":0.25,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`},
+			lines: []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":0.25,"t_weight_ns":1,"t_gather_ns":9,"t_step_ns":10}`},
 		},
 		{
 			name:    "zero damping",
@@ -87,6 +88,17 @@ func TestCheckTrace(t *testing.T) {
 			name:    "non-finite damping",
 			lines:   []string{metaLine, `{"iter":0,"hpwl":12.5,"damping":1e999,"t_weight_ns":1,"t_gather_ns":2,"t_step_ns":10}`},
 			wantErr: "not JSON",
+		},
+		{
+			name: "unaccounted step time at 5%",
+			lines: []string{metaLine, `{"iter":0,"hpwl":12.5,"t_weight_ns":0,"t_gather_ns":90,"t_step_ns":100}`,
+				`{"iter":1,"hpwl":12.0,"t_weight_ns":0,"t_gather_ns":100,"t_step_ns":100}`},
+		},
+		{
+			name: "unaccounted step time over 5%",
+			lines: []string{metaLine, `{"iter":0,"hpwl":12.5,"t_weight_ns":0,"t_gather_ns":80,"t_step_ns":100}`,
+				`{"iter":1,"hpwl":12.0,"t_weight_ns":0,"t_gather_ns":99,"t_step_ns":100}`},
+			wantErr: "10.5% of the summed step time unaccounted",
 		},
 		{
 			name:    "pair time exceeds step time",

@@ -2,6 +2,7 @@ package density
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -286,5 +287,37 @@ func TestBinGeometry(t *testing.T) {
 	}
 	if r := g.BinRect(3, 1); r != geom.NewRect(6, 2, 8, 4) {
 		t.Errorf("BinRect(3,1) = %v", r)
+	}
+}
+
+// TestDepositOverlapsMatchBinRect: appendDeposits computes each bin's
+// overlap from its row height and column width; every deposit must equal
+// BinRect(ix, iy).Overlap(r), the rectangle arithmetic it replaces, bit
+// for bit, for rectangles inside, across and beyond the region's edges.
+func TestDepositOverlapsMatchBinRect(t *testing.T) {
+	g := NewGrid(geom.RectWH(-3.5, 1.25, 40, 12), 32, 8)
+	rng := rand.New(rand.NewSource(58))
+	for i := 0; i < 2000; i++ {
+		c := geom.Point{X: -6 + 46*rng.Float64(), Y: -1 + 16*rng.Float64()}
+		r := geom.RectCenteredAt(c, 0.1+4*rng.Float64(), 0.1+3*rng.Float64())
+		got := g.appendDeposits(nil, r, 1)
+		w, h := r.W(), r.H()
+		cc := g.Region.ClampCenter(r.Center(), math.Min(w, g.Region.W()), math.Min(h, g.Region.H()))
+		r = geom.RectCenteredAt(cc, w, h)
+		ix0, ix1 := binRange(r.Lo.X, r.Hi.X, g.Region.Lo.X, g.BinW, g.NX)
+		iy0, iy1 := binRange(r.Lo.Y, r.Hi.Y, g.Region.Lo.Y, g.BinH, g.NY)
+		k := 0
+		for iy := iy0; iy <= iy1; iy++ {
+			for ix := ix0; ix <= ix1; ix++ {
+				ov := g.BinRect(ix, iy).Overlap(r)
+				if ov <= 0 {
+					continue
+				}
+				if k >= len(got) || got[k].idx != g.Idx(ix, iy) || math.Float64bits(got[k].val) != math.Float64bits(ov) {
+					t.Fatalf("rect %v: deposit %d = %+v, want bin %d overlap %v", r, k, got[min(k, len(got)-1)], g.Idx(ix, iy), ov)
+				}
+				k++
+			}
+		}
 	}
 }

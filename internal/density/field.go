@@ -2,6 +2,7 @@ package density
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/geom"
@@ -143,7 +144,8 @@ func fieldKernels(g *Grid, pw, ph int) (kx, ky []float64) {
 // transform plan for the grid zero-padded to 2NX×2NY (so the cyclic
 // convolution equals the linear one on the region), the half-spectra of the
 // two kernels (they depend only on the grid geometry, fixed at
-// construction), and the padded scratch fields. With it, each field solve
+// construction, and are read-only, see kernelSpectra), and the padded
+// scratch fields. With it, each field solve
 // costs one forward and two inverse transforms.
 type fieldCache struct {
 	pw    int
@@ -160,14 +162,49 @@ func (g *Grid) fieldSolver() *fieldCache {
 	pw, ph := fft.NextPow2(2*g.NX), fft.NextPow2(2*g.NY)
 	n := pw * ph
 	fc := &fieldCache{pw: pw, plan: fft.NewRealPlan(pw, ph), src: make([]float64, n)}
-	kx, ky := fieldKernels(g, pw, ph)
-	for i, k := range [2][]float64{kx, ky} {
-		fc.specs[i] = make([]complex128, fc.plan.SpecLen())
-		fc.plan.Spectrum(fc.specs[i], k)
+	fc.specs = kernelSpectra(g, fc.plan)
+	for i := range fc.out {
 		fc.out[i] = make([]float64, n)
 	}
 	g.fcache = fc
 	return fc
+}
+
+// kernelKey is what the kernel spectra depend on: the padded plan size and
+// the bin size.
+type kernelKey struct {
+	pw, ph     int
+	binW, binH uint64 // math.Float64bits
+}
+
+// lastKernels holds the kernel spectra of the most recently built field
+// solver. Nothing writes them once they are computed, so every grid of the
+// same geometry can read the same ones: an ECO re-placement, for one,
+// builds a fresh grid over the same region on every run. One slot bounds
+// what a process placing many geometries keeps.
+var lastKernels struct {
+	sync.Mutex
+	key   kernelKey
+	specs [2][]complex128
+}
+
+// kernelSpectra returns the half-spectra of g's two field kernels on plan,
+// shared with the previous grid of the same geometry when there was one.
+func kernelSpectra(g *Grid, plan *fft.RealPlan) [2][]complex128 {
+	key := kernelKey{plan.W, plan.H, math.Float64bits(g.BinW), math.Float64bits(g.BinH)}
+	lastKernels.Lock()
+	defer lastKernels.Unlock()
+	if lastKernels.key == key && lastKernels.specs[0] != nil {
+		return lastKernels.specs
+	}
+	var specs [2][]complex128
+	kx, ky := fieldKernels(g, plan.W, plan.H)
+	for i, k := range [2][]float64{kx, ky} {
+		specs[i] = make([]complex128, plan.SpecLen())
+		plan.Spectrum(specs[i], k)
+	}
+	lastKernels.key, lastKernels.specs = key, specs
+	return specs
 }
 
 // solve scatters the density map into the padded source and runs the
@@ -182,7 +219,9 @@ func (fc *fieldCache) solve(f *Field, g *Grid) {
 			fc.src[iy*pw+ix] = g.D[g.Idx(ix, iy)]
 		}
 	}
-	fc.plan.ConvolveSpectra(fc.out[:], fc.src, fc.specs[:])
+	// The source is zero past row NY and only rows below NY are read
+	// back, so the padding rows' row transforms are skipped.
+	fc.plan.ConvolveSpectraRows(fc.out[:], fc.src, fc.specs[:], g.NY)
 	for iy := 0; iy < g.NY; iy++ {
 		for ix := 0; ix < g.NX; ix++ {
 			f.FX[g.Idx(ix, iy)] = fc.out[0][iy*pw+ix]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netgen"
+	"repro/internal/netlist"
 	"repro/internal/par"
 )
 
@@ -93,9 +94,10 @@ func TestCachedFieldMatchesCold(t *testing.T) {
 }
 
 func TestFieldCacheInvalidatedByNothing(t *testing.T) {
-	// The cache keys on the padded dimensions only; a second grid of the
-	// same geometry must not share state with the first (each grid owns its
-	// fcache), and re-solving after a density change must track the change.
+	// A second grid of the same geometry must not share mutable state with
+	// the first (each grid owns its fcache and scratch; only the read-only
+	// kernel spectra are shared), and re-solving after a density change
+	// must track the change.
 	nl := netgen.Generate(netgen.Config{Name: "i", Cells: 200, Nets: 260, Rows: 8, Seed: 43})
 	netgen.ScatterRandom(nl, 43)
 	g := NewGrid(nl.Region.Outline, 64, 64)
@@ -119,4 +121,48 @@ func TestFieldCacheInvalidatedByNothing(t *testing.T) {
 	if diff == 0 {
 		t.Fatal("cached field solver returned a stale field after the density changed")
 	}
+}
+
+// TestKernelSpectraShared: a grid of the same geometry as the last one
+// reads the same kernel spectra, a grid of another geometry computes its
+// own, and either way the field equals the one from spectra computed
+// afresh, bit for bit.
+func TestKernelSpectraShared(t *testing.T) {
+	nl := netgen.Generate(netgen.Config{Name: "k", Cells: 300, Nets: 390, Rows: 8, Seed: 44})
+	netgen.ScatterRandom(nl, 44)
+	fresh := func(g *Grid) *Field {
+		fc := g.fieldSolver()
+		kx, ky := fieldKernels(g, fc.plan.W, fc.plan.H)
+		for i, k := range [2][]float64{kx, ky} {
+			fc.specs[i] = make([]complex128, fc.plan.SpecLen())
+			fc.plan.Spectrum(fc.specs[i], k)
+		}
+		return ComputeField(g, RealFFT)
+	}
+	first := NewGrid(nl.Region.Outline, 64, 32)
+	first.Accumulate(nl)
+	ComputeField(first, RealFFT)
+	for _, dims := range [][2]int{{64, 32}, {32, 64}, {32, 64}} {
+		g := NewGrid(nl.Region.Outline, dims[0], dims[1])
+		g.Accumulate(nl)
+		shared := ComputeField(g, RealFFT)
+		same := dims == [2]int{64, 32}
+		if got := &g.fieldSolver().specs[0][0] == &first.fieldSolver().specs[0][0]; got != same {
+			t.Errorf("%dx%d grid shares the 64x32 grid's spectra: %v, want %v", dims[0], dims[1], got, same)
+		}
+		want := fresh(gridLike(g, nl))
+		for i := range want.FX {
+			if math.Float64bits(shared.FX[i]) != math.Float64bits(want.FX[i]) ||
+				math.Float64bits(shared.FY[i]) != math.Float64bits(want.FY[i]) {
+				t.Fatalf("%dx%d: field at bin %d differs from fresh spectra's", dims[0], dims[1], i)
+			}
+		}
+	}
+}
+
+// gridLike returns a fresh grid of g's geometry holding nl's density.
+func gridLike(g *Grid, nl *netlist.Netlist) *Grid {
+	h := NewGrid(g.Region, g.NX, g.NY)
+	h.Accumulate(nl)
+	return h
 }

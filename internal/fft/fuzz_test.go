@@ -112,10 +112,13 @@ func FuzzRealPlanRoundTrip(f *testing.F) {
 // FuzzSpectrumConvolve cross-checks RealPlan's cached-spectrum convolution
 // against its direct Convolve path on the same plan: both evaluate the same
 // cyclic convolution, so their outputs must agree to roundoff for any
-// kernel.
+// kernel. It also zero-pads the source past a seed-drawn row count and
+// requires the row-pruned convolution to match the full one bit for bit
+// on the rows it keeps.
 func FuzzSpectrumConvolve(f *testing.F) {
 	f.Add(uint8(2), uint8(3), int64(5))
 	f.Add(uint8(0), uint8(5), int64(11))
+	f.Add(uint8(5), uint8(4), int64(8)) // 32×16 plan, 9 kept rows: pruned pairs on both sides
 	f.Fuzz(func(t *testing.T, wExp, hExp uint8, seed int64) {
 		w := 1 << (wExp % 6)
 		h := 1 << (hExp % 6)
@@ -139,6 +142,19 @@ func FuzzSpectrumConvolve(f *testing.F) {
 		for i := range direct {
 			if d := math.Abs(direct[i] - cached[i]); d > 1e-9 {
 				t.Fatalf("real plan %dx%d: convolution paths disagree at %d by %g", w, h, i, d)
+			}
+		}
+
+		rows := 1 + int(uint64(seed)%uint64(h))
+		padded := append([]float64(nil), src[:rows*w]...)
+		padded = append(padded, make([]float64, (h-rows)*w)...)
+		full := make([]float64, w*h)
+		p.ConvolveSpectra([][]float64{full}, padded, [][]complex128{spec})
+		pruned := make([]float64, w*h)
+		p.ConvolveSpectraRows([][]float64{pruned}, padded, [][]complex128{spec}, rows)
+		for i := range pruned[:rows*w] {
+			if math.Float64bits(pruned[i]) != math.Float64bits(full[i]) {
+				t.Fatalf("real plan %dx%d, %d rows: pruned convolution differs at %d: %v vs %v", w, h, rows, i, pruned[i], full[i])
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package fft
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/par"
 )
@@ -56,7 +57,7 @@ func (p *RealPlan) Spectrum(dst []complex128, src []float64) {
 	if len(dst) != p.SpecLen() || len(src) != p.W*p.H {
 		panic("fft: RealPlan.Spectrum dimension mismatch")
 	}
-	p.forwardRows(dst, src)
+	p.forwardRows(dst, src, p.H)
 	p.transformCols(dst, false)
 }
 
@@ -69,18 +70,23 @@ func (p *RealPlan) Inverse(dst []float64, spec []complex128) {
 	}
 	_, b := p.scratch()
 	copy(b, spec)
-	p.inverse(dst, b)
+	p.inverse(dst, b, p.H)
 }
 
-// inverse is the destructive core of Inverse: spec is consumed as scratch.
-func (p *RealPlan) inverse(dst []float64, spec []complex128) {
+// inverse is the destructive core of Inverse: spec is consumed as scratch,
+// and only the first rows rows of dst are written.
+func (p *RealPlan) inverse(dst []float64, spec []complex128, rows int) {
 	p.transformCols(spec, true)
-	p.inverseRows(dst, spec)
+	p.inverseRows(dst, spec, rows)
 }
 
 // forwardRows runs the packed-pair row transforms of src into the
-// half-spectrum layout of spec (stride hw, one row per grid row).
-func (p *RealPlan) forwardRows(spec []complex128, src []float64) {
+// half-spectrum layout of spec (stride hw, one row per grid row). Rows of
+// src at or beyond rows must be +0; a pair of such rows is not
+// transformed, and its spectrum is written as the transform would leave
+// it: +0 throughout, except −0 in the imaginary part of the odd row's
+// k ≥ 1 entries, which the unpacking negates.
+func (p *RealPlan) forwardRows(spec []complex128, src []float64, rows int) {
 	w, h, hw := p.W, p.H, p.hw
 	if h == 1 {
 		// A single row has no partner to pack with: transform it as a
@@ -93,9 +99,20 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64) {
 		copy(spec, c[:hw])
 		return
 	}
+	pairs := (rows + 1) / 2
+	zero := complex(0, math.Copysign(0, -1))
+	for y := 2 * pairs; y < h; y += 2 {
+		s0 := spec[y*hw : (y+1)*hw]
+		s1 := spec[(y+1)*hw : (y+2)*hw]
+		clear(s0)
+		s1[0] = 0
+		for k := 1; k < hw; k++ {
+			s1[k] = zero
+		}
+	}
 	workers := par.Workers(w * h)
 	lines := p.lines(workers)
-	par.Run(workers, h/2, func(k, lo, hi int) {
+	par.Run(workers, pairs, func(k, lo, hi int) {
 		c := lines[k][:w]
 		for pr := lo; pr < hi; pr++ {
 			y := 2 * pr
@@ -127,8 +144,9 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64) {
 
 // inverseRows reconstructs pairs of real rows from the (already
 // column-inverted) half-spectrum rows of spec, applying the final 1/(W·H)
-// scaling.
-func (p *RealPlan) inverseRows(dst []float64, spec []complex128) {
+// scaling. Only the pairs holding the first rows rows are reconstructed;
+// the rest of dst is left as it was.
+func (p *RealPlan) inverseRows(dst []float64, spec []complex128, rows int) {
 	w, h, hw := p.W, p.H, p.hw
 	scale := 1 / float64(w*h)
 	if h == 1 {
@@ -146,7 +164,7 @@ func (p *RealPlan) inverseRows(dst []float64, spec []complex128) {
 	}
 	workers := par.Workers(w * h)
 	lines := p.lines(workers)
-	par.Run(workers, h/2, func(k, lo, hi int) {
+	par.Run(workers, (rows+1)/2, func(k, lo, hi int) {
 		c := lines[k][:w]
 		for pr := lo; pr < hi; pr++ {
 			y := 2 * pr
@@ -224,12 +242,12 @@ func (p *RealPlan) Convolve(dst, src, kernel []float64) {
 	}
 	a, b := p.scratch()
 	p.Spectrum(a, src)
-	p.forwardRows(b, kernel)
+	p.forwardRows(b, kernel, p.H)
 	p.transformCols(b, false)
 	for i := range a {
 		b[i] *= a[i]
 	}
-	p.inverse(dst, b)
+	p.inverse(dst, b, p.H)
 }
 
 // ConvolveSpectra transforms src once and convolves it against each cached
@@ -238,12 +256,25 @@ func (p *RealPlan) Convolve(dst, src, kernel []float64) {
 // full-spectrum products, so this matches a complex full-spectrum
 // convolution to roundoff at half the transform cost.
 func (p *RealPlan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]complex128) {
+	p.ConvolveSpectraRows(dsts, src, specs, p.H)
+}
+
+// ConvolveSpectraRows is ConvolveSpectra for a zero-padded convolution:
+// every row of src at or beyond rows is +0, and only the first rows rows
+// of each destination are wanted. It skips the forward row transforms of
+// the all-zero row pairs and the inverse row transforms of the pairs past
+// rows, leaving those destination rows unspecified. The rows it does
+// write are bit-identical to ConvolveSpectra's: the skipped forward pairs
+// get exactly the spectrum their transform would produce, and the column
+// passes run in full.
+func (p *RealPlan) ConvolveSpectraRows(dsts [][]float64, src []float64, specs [][]complex128, rows int) {
 	n := p.W * p.H
-	if len(src) != n || len(dsts) != len(specs) {
+	if len(src) != n || len(dsts) != len(specs) || rows < 1 || rows > p.H {
 		panic("fft: RealPlan.ConvolveSpectra dimension mismatch")
 	}
 	a, b := p.scratch()
-	p.Spectrum(a, src)
+	p.forwardRows(a, src, rows)
+	p.transformCols(a, false)
 	for s := range specs {
 		spec, dst := specs[s], dsts[s]
 		if len(spec) != p.SpecLen() || len(dst) != n {
@@ -252,6 +283,6 @@ func (p *RealPlan) ConvolveSpectra(dsts [][]float64, src []float64, specs [][]co
 		for i := range a {
 			b[i] = a[i] * spec[i]
 		}
-		p.inverse(dst, b)
+		p.inverse(dst, b, rows)
 	}
 }

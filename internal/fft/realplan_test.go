@@ -220,3 +220,50 @@ func TestConvolveSpectraNoLineAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestConvolveSpectraRowsBitIdentical: on a source zero past row r, the
+// row-pruned convolution writes rows [0, r) bit-identical to the full
+// ConvolveSpectra, for every r, serially and with the passes fanned out.
+// The skipped forward pairs are written as the transform of two +0 rows
+// would leave them, which the full path checks here too.
+func TestConvolveSpectraRowsBitIdentical(t *testing.T) {
+	const w, h = 32, 16
+	rng := rand.New(rand.NewSource(57))
+	p := NewRealPlan(w, h)
+	specs := [][]complex128{make([]complex128, p.SpecLen()), make([]complex128, p.SpecLen())}
+	p.Spectrum(specs[0], randomReal(rng, w*h))
+	p.Spectrum(specs[1], randomReal(rng, w*h))
+
+	zeroSpec := make([]complex128, p.SpecLen())
+	pruned := make([]complex128, p.SpecLen())
+	p.forwardRows(pruned, make([]float64, w*h), 1)
+	p.forwardRows(zeroSpec, make([]float64, w*h), h)
+	for i := range zeroSpec {
+		if math.Float64bits(real(pruned[i])) != math.Float64bits(real(zeroSpec[i])) ||
+			math.Float64bits(imag(pruned[i])) != math.Float64bits(imag(zeroSpec[i])) {
+			t.Fatalf("skipped zero rows: spectrum entry %d = %v, the transform gives %v", i, pruned[i], zeroSpec[i])
+		}
+	}
+
+	old := par.Threshold
+	defer func() { par.Threshold = old }()
+	for _, threshold := range []int{w * h * 2, 1} {
+		par.Threshold = threshold
+		for rows := 1; rows <= h; rows++ {
+			src := randomReal(rng, w*h)
+			clear(src[rows*w:])
+			full := [][]float64{make([]float64, w*h), make([]float64, w*h)}
+			p.ConvolveSpectra(full, src, specs)
+			got := [][]float64{make([]float64, w*h), make([]float64, w*h)}
+			p.ConvolveSpectraRows(got, src, specs, rows)
+			for s := range got {
+				for i := range got[s][:rows*w] {
+					if math.Float64bits(got[s][i]) != math.Float64bits(full[s][i]) {
+						t.Fatalf("threshold %d, %d rows: kernel %d entry %d = %v, full path %v",
+							threshold, rows, s, i, got[s][i], full[s][i])
+					}
+				}
+			}
+		}
+	}
+}

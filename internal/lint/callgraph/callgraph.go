@@ -20,7 +20,11 @@
 // enclosing function even though they block a different goroutine.
 // Function literals are inlined into their enclosing declaration, which
 // recovers the repo's dominant callback idiom (par.Run(w, n, func(...){...})
-// attributes the closure's ops to the caller, where they belong).
+// attributes the closure's ops to the caller, where they belong). The
+// other callbacks a bounded fork-join runs are followed too (see
+// LaneCallbacks): a function or method value handed to it, and the Run
+// method of a pre-bound par.Task handed to par.Fork, become edges of the
+// function that forks.
 package callgraph
 
 import (
@@ -90,10 +94,11 @@ func (*FuncFact) AFact() {}
 // DefaultBounded lists the repo's sanctioned bounded fork-join primitives:
 // they contain waits and channel ops, but return as soon as their own
 // CPU-bound work finishes, so a call to one is CPU-bound work, not a
-// blocking wait.
+// blocking wait. What the work itself may do is followed through
+// LaneCallbacks.
 var DefaultBounded = []string{
 	"repro/internal/par.Run",
-	"repro/internal/par.Pair",
+	"repro/internal/par.Fork",
 }
 
 // stdlibBlocking classifies standard-library calls by canonical key. The
@@ -169,6 +174,51 @@ func ClassifyCall(info *types.Info, call *ast.CallExpr, bounded map[string]bool)
 	return 0, "", key
 }
 
+// LaneCallbacks returns the canonical keys of the functions a call to a
+// bounded fork-join will run on its lanes: every argument that is a
+// function or method value names one, and every argument of a concrete
+// type with a Run method (a pre-bound par.Task, such as &s.task) names
+// that method. Function literals are left out: their bodies are already
+// inlined into the enclosing declaration. Calls to anything not bounded
+// return nil.
+func LaneCallbacks(info *types.Info, call *ast.CallExpr, bounded map[string]bool) []string {
+	fn := calleeFunc(info, call)
+	if fn == nil || !bounded[fn.FullName()] {
+		return nil
+	}
+	var keys []string
+	for _, arg := range call.Args {
+		var ref *ast.Ident
+		switch e := ast.Unparen(arg).(type) {
+		case *ast.Ident:
+			ref = e
+		case *ast.SelectorExpr:
+			ref = e.Sel
+		}
+		if ref != nil {
+			if f, ok := info.Uses[ref].(*types.Func); ok {
+				keys = append(keys, f.FullName())
+				continue
+			}
+		}
+		tv, ok := info.Types[arg]
+		if !ok || types.IsInterface(tv.Type) {
+			continue
+		}
+		if run, ok := lookupRun(tv.Type); ok {
+			keys = append(keys, run.FullName())
+		}
+	}
+	return keys
+}
+
+// lookupRun returns t's Run method, if it has one.
+func lookupRun(t types.Type) (*types.Func, bool) {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Run")
+	f, ok := obj.(*types.Func)
+	return f, ok
+}
+
 // calleeFunc resolves the *types.Func a call statically dispatches to, or
 // nil for dynamic calls (function values, interface methods resolve to the
 // abstract method — kept, it still yields a stable key even if no fact
@@ -201,6 +251,9 @@ func summarize(pkg *load.Package, decl *ast.FuncDecl, key string, bounded map[st
 			f.Blocks |= cls
 			if callee != "" {
 				callees[callee] = true
+			}
+			for _, cb := range LaneCallbacks(pkg.Info, n, bounded) {
+				callees[cb] = true
 			}
 		case *ast.SendStmt:
 			f.Blocks |= Chan

@@ -106,6 +106,38 @@ func TestBoundedSuppressesEdge(t *testing.T) {
 	}
 }
 
+// TestLaneCallbacksFollowed: a bounded fork-join's own channel ops do not
+// count against its caller, but what it runs does: the Run method of a
+// task handed to it, and a function value handed to it.
+func TestLaneCallbacksFollowed(t *testing.T) {
+	_, g := analyzeMulti(t, []string{fixtureBase + "/a.Fork", fixtureBase + "/a.Both"})
+	lanes := g.Func(fixtureBase + "/b.Lanes")
+	if lanes == nil || lanes.MayBlock != Sleep {
+		t.Fatalf("b.Lanes should reach the sleep of the forked task and nothing else, got %+v", lanes)
+	}
+	wantCallee := "(*" + fixtureBase + "/a.SleepTask).Run"
+	found := false
+	for _, c := range lanes.Callees {
+		found = found || c == wantCallee
+	}
+	if !found {
+		t.Errorf("b.Lanes callees = %v, want %s", lanes.Callees, wantCallee)
+	}
+	if calm := g.Func(fixtureBase + "/b.CalmLanes"); calm == nil || calm.MayBlock != 0 {
+		t.Errorf("b.CalmLanes forks calm tasks through a bounded fork-join, got %+v", calm)
+	}
+	if funcs := g.Func(fixtureBase + "/b.LaneFuncs"); funcs == nil || funcs.MayBlock != Sleep {
+		t.Errorf("b.LaneFuncs should reach a.Sleepy through the function value, got %+v", funcs)
+	}
+
+	// Unbounded, the fork-join is an ordinary callee: its own channel
+	// ops count, and its arguments are not followed.
+	_, g = analyzeMulti(t, nil)
+	if calm := g.Func(fixtureBase + "/b.CalmLanes"); calm == nil || calm.MayBlock&Chan == 0 {
+		t.Errorf("unbounded a.Fork should block b.CalmLanes on its channel, got %+v", calm)
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	store, _ := analyzeMulti(t, nil)
 	var f FuncFact

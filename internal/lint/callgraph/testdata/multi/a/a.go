@@ -20,6 +20,9 @@ func CtxOK(ctx context.Context) {
 // Calm neither blocks nor calls anything that does.
 func Calm() int { return 1 }
 
+// Calm2 is Calm's shape for a func() parameter.
+func Calm2() {}
+
 // Chain reaches Sleepy through one local hop.
 func Chain() {
 	Sleepy()
@@ -30,3 +33,36 @@ type Counter struct{ n int }
 
 // Bump is a method with a pointer receiver.
 func (c *Counter) Bump() { c.n++ }
+
+// Task is a pre-bound unit of lane work, shaped like par.Task.
+type Task interface{ Run() }
+
+// Fork stands in for par.Fork: a fork-join whose own channel operations
+// are not its caller's blocking once it is bounded.
+func Fork(x, y Task) {
+	done := make(chan struct{})
+	go func() {
+		y.Run()
+		close(done)
+	}()
+	x.Run()
+	<-done
+}
+
+// Both stands in for a bounded fork-join taking function values.
+func Both(f, g func()) {
+	f()
+	g()
+}
+
+// SleepTask is a task whose Run sleeps.
+type SleepTask struct{}
+
+// Run sleeps through Sleepy.
+func (*SleepTask) Run() { Sleepy() }
+
+// CalmTask is a task whose Run does not block.
+type CalmTask struct{ n int }
+
+// Run only counts.
+func (t *CalmTask) Run() { t.n++ }

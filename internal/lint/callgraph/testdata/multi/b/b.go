@@ -30,3 +30,19 @@ func Fanout(run func(func())) {
 func UsesMethod(c *a.Counter) {
 	c.Bump()
 }
+
+// Lanes forks a sleeping task: the sleep reaches Lanes through the task's
+// Run method once a.Fork is bounded.
+func Lanes() {
+	a.Fork(&a.SleepTask{}, &a.CalmTask{})
+}
+
+// CalmLanes forks two tasks that never block.
+func CalmLanes() {
+	a.Fork(&a.CalmTask{}, &a.CalmTask{})
+}
+
+// LaneFuncs hands function values to a bounded fork-join.
+func LaneFuncs() {
+	a.Both(a.Calm2, a.Sleepy)
+}

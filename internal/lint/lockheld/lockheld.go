@@ -276,6 +276,15 @@ func (c *checker) checkExpr(e ast.Expr, held []heldLock) {
 					c.flag(n.Pos(), "call to "+callee+" [may "+fact.MayBlock.String()+"]", held)
 				}
 			}
+			if c.pass.Facts == nil {
+				return true
+			}
+			for _, cb := range callgraph.LaneCallbacks(c.pass.TypesInfo, n, c.bounded) {
+				var fact callgraph.FuncFact
+				if c.pass.Facts.ObjectFact(cb, &fact) && fact.MayBlock != 0 {
+					c.flag(n.Pos(), "fork-join running "+cb+" [may "+fact.MayBlock.String()+"]", held)
+				}
+			}
 		}
 		return true
 	})

@@ -2,13 +2,16 @@
 // drain path: a job mutex held (by defer) across a checkpoint write, a
 // registry lock nested over a job lock, and the sanctioned non-blocking
 // idioms — try-send under lock (par.Pool.Submit's shape), close under
-// lock, unlock-before-wait (Shutdown's shape).
+// lock, unlock-before-wait (Shutdown's shape) — and a par.Fork under a
+// lock, flagged only when a task it runs on a lane may block.
 package fixture
 
 import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/par"
 )
 
 type job struct {
@@ -105,4 +108,29 @@ func (j *job) shutdown() {
 	j.state = "closed"
 	j.mu.Unlock()
 	<-j.done
+}
+
+// sleepTask is a pre-bound lane task whose Run sleeps.
+type sleepTask struct{}
+
+func (*sleepTask) Run() { time.Sleep(time.Millisecond) }
+
+// calmTask is a lane task that never blocks.
+type calmTask struct{ n int }
+
+func (t *calmTask) Run() { t.n++ }
+
+// forkUnderLock forks a sleeping task while holding the lock: the
+// fork-join itself is bounded, the task it runs on a lane is not.
+func (j *job) forkUnderLock(s *sleepTask, c *calmTask) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	par.Fork(c, s) // want `fork-join running .*sleepTask\)\.Run \[may sleep\] while j\.mu is held`
+}
+
+// forkCalmUnderLock forks tasks that never block: allowed.
+func (j *job) forkCalmUnderLock(a, b *calmTask) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	par.Fork(a, b)
 }

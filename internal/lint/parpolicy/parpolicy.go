@@ -1,8 +1,9 @@
 // Package parpolicy flags raw `go` statements and hand-rolled
 // sync.WaitGroup fan-out outside internal/par. All data parallelism in the
-// engine runs through par.Run (and par.Pair for two-task joins) so that a
-// single policy decides worker counts, chunking stays deterministic, and
-// the parallel-vs-serial equivalence tests cover every concurrent path.
+// engine runs through par.Run (and par.Fork, the two-lane fork-join of
+// pre-bound tasks) so that a single policy decides worker counts, chunking
+// stays deterministic, and the parallel-vs-serial equivalence tests cover
+// every concurrent path.
 // A goroutine spawned anywhere else either duplicates that policy or
 // silently escapes it.
 package parpolicy
@@ -26,11 +27,11 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				pass.Reportf(n.Go, "raw go statement: route fan-out through internal/par (par.Run / par.Pair) so worker policy and determinism stay centralized")
+				pass.Reportf(n.Go, "raw go statement: route fan-out through internal/par (par.Run / par.Fork) so worker policy and determinism stay centralized")
 			case *ast.Ident:
 				obj, ok := pass.TypesInfo.Uses[n].(*types.TypeName)
 				if ok && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup" {
-					pass.Reportf(n.Pos(), "hand-rolled sync.WaitGroup fan-out: use par.Run / par.Pair instead")
+					pass.Reportf(n.Pos(), "hand-rolled sync.WaitGroup fan-out: use par.Run / par.Fork instead")
 				}
 			}
 			return true

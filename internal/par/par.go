@@ -1,10 +1,13 @@
 // Package par centralizes the parallel-execution policy shared by the
 // hot-path packages: one size threshold deciding when a loop is worth
-// fanning out to goroutines, a chunked fork-join helper whose chunk
-// ordering is deterministic, and the two-task Pair that runs the x/y axis
-// solves side by side. fft (the 2-D transform passes) and density (the
-// demand gather) both consult the same threshold, so a single tunable
-// governs when parallelism engages across the engine.
+// fanning out to goroutines, a chunked fork-join helper (Run) whose chunk
+// ordering is deterministic, and the two-lane fork-join (Fork) that runs
+// two pre-bound tasks side by side on the caller and one persistent
+// helper goroutine without allocating: the placement step's x/y axis
+// solves, the halves of its system assembly, and its end-of-step
+// bookkeeping. fft (the 2-D transform passes) and density (the demand
+// gather) both consult the same threshold, so a single tunable governs
+// when chunked parallelism engages across the engine.
 package par
 
 import (
@@ -35,24 +38,13 @@ func Workers(n int) int {
 	return w
 }
 
-// Pair runs f and g concurrently and waits for both: the two-task
-// fork-join used when exactly two independent jobs of similar cost exist
-// (the x/y axis solves). Keeping it here, next to Run, means kvet's
-// parpolicy check can forbid raw go statements everywhere else.
-func Pair(f, g func()) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g()
-	}()
-	f()
-	<-done
-}
-
 // Run partitions [0, n) into at most workers contiguous chunks — worker k
 // always receives chunk k, so callers that gather per-worker output can
 // merge it in a deterministic order — runs fn on each concurrently, and
-// waits for all of them. workers <= 1 calls fn(0, 0, n) inline.
+// waits for all of them. workers <= 1 calls fn(0, 0, n) inline. With two
+// workers, chunk 1 runs on the helper lane when it is free (see Fork), so
+// the fan-out starts no goroutine; otherwise every chunk but the first
+// gets a goroutine of its own.
 func Run(workers, n int, fn func(worker, lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -62,6 +54,13 @@ func Run(workers, n int, fn func(worker, lo, hi int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
+	if workers == 2 && acquire() {
+		lane.chunk = chunkTask{fn: fn, worker: 1, lo: chunk, hi: n}
+		lane.task <- &lane.chunk
+		defer join()
+		fn(0, 0, chunk)
+		return
+	}
 	var wg sync.WaitGroup
 	worker := 0
 	for lo := 0; lo < n; lo += chunk {

@@ -1,8 +1,10 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersBelowThreshold(t *testing.T) {
@@ -69,5 +71,128 @@ func TestRunEmptyRange(t *testing.T) {
 	})
 	if called != 1 {
 		t.Errorf("fn called %d times, want 1", called)
+	}
+}
+
+// countTask counts its runs; each test task gets its own counter, so the
+// two sides of a fork never write the same memory.
+type countTask struct{ n int }
+
+func (t *countTask) Run() { t.n++ }
+
+func TestForkRunsBothOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var a, b countTask
+		for i := 0; i < 100; i++ {
+			Fork(&a, &b)
+		}
+		runtime.GOMAXPROCS(prev)
+		if a.n != 100 || b.n != 100 {
+			t.Fatalf("GOMAXPROCS %d: 100 forks ran a %d and b %d times", procs, a.n, b.n)
+		}
+	}
+}
+
+// nestTask forks again from inside a lane task.
+type nestTask struct{ inner [2]countTask }
+
+func (t *nestTask) Run() { Fork(&t.inner[0], &t.inner[1]) }
+
+// TestForkNestedRunsInline: a task already on a lane that forks again
+// finds the helper lane taken and runs its pair inline, on either side of
+// the outer fork, instead of waiting on the lane it occupies.
+func TestForkNestedRunsInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var a, b nestTask
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			Fork(&a, &b)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested Fork deadlocked")
+	}
+	for _, n := range []*nestTask{&a, &b} {
+		if n.inner[0].n != 50 || n.inner[1].n != 50 {
+			t.Fatalf("nested tasks ran %d and %d times, want 50", n.inner[0].n, n.inner[1].n)
+		}
+	}
+}
+
+// TestForkWarmAllocatesNothing measures a warmed fork-join at GOMAXPROCS 2,
+// where the second task really runs on the helper lane.
+// testing.AllocsPerRun cannot measure it: it pins GOMAXPROCS to 1, where
+// Fork runs inline.
+func TestForkWarmAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var a, b countTask
+	Fork(&a, &b) // start the helper lane
+	const forks = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < forks; i++ {
+		Fork(&a, &b)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d warmed forks allocated %d objects, want 0", forks, n)
+	}
+}
+
+// TestRunOnLaneCoversRangeExactlyOnce: a two-worker Run hands its second
+// chunk to the helper lane when it is free, and falls back to a goroutine
+// when it is not (here: a Run made from inside a lane task).
+func TestRunOnLaneCoversRangeExactlyOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 101
+	var outer, inner [n]int32
+	cover := func(hits *[n]int32) {
+		Run(2, n, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		})
+	}
+	cover(&outer)
+	Fork(&coverTask{func() { cover(&inner) }}, &countTask{})
+	for i := 0; i < n; i++ {
+		if outer[i] != 1 || inner[i] != 1 {
+			t.Fatalf("index %d visited %d times by a free-lane Run, %d by a nested one", i, outer[i], inner[i])
+		}
+	}
+}
+
+type coverTask struct{ fn func() }
+
+func (t *coverTask) Run() { t.fn() }
+
+// TestForkConcurrentCallers: independent goroutines forking at once share
+// the one helper lane; whoever finds it taken runs inline, and every task
+// still runs exactly once.
+func TestForkConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const callers, forks = 8, 200
+	tasks := make([][2]countTask, callers)
+	done := make(chan struct{})
+	for c := range tasks {
+		go func(pair *[2]countTask) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < forks; i++ {
+				Fork(&pair[0], &pair[1])
+			}
+		}(&tasks[c])
+	}
+	for range tasks {
+		<-done
+	}
+	for c, pair := range tasks {
+		if pair[0].n != forks || pair[1].n != forks {
+			t.Fatalf("caller %d: tasks ran %d and %d times, want %d", c, pair[0].n, pair[1].n, forks)
+		}
 	}
 }

@@ -126,12 +126,12 @@ func TestPhaseSchema(t *testing.T) {
 		"iter", "hpwl", "overflow", "empty_square", "gap_proxy", "max_force",
 		"cg_iter_x", "cg_iter_y", "cg_resid_x", "cg_resid_y", "precond", "precond_fallback",
 		"damping", "backoff",
-		"t_weight_ns", "t_gather_ns", "t_field_ns", "t_build_ns", "t_precond_ns", "t_solve_pair_ns", "t_step_ns",
+		"t_weight_ns", "t_gather_ns", "t_field_ns", "t_build_ns", "t_precond_ns", "t_solve_pair_ns", "t_finish_ns", "t_step_ns",
 	}
 	if !reflect.DeepEqual(keys, wantKeys) {
 		t.Errorf("trace record keys %q, want %q", keys, wantKeys)
 	}
-	wantPhases := []string{"weight", "gather", "field", "build", "precond", "solve-pair", "step"}
+	wantPhases := []string{"weight", "gather", "field", "build", "precond", "solve-pair", "finish", "step"}
 	if got := PhaseKeys(); !reflect.DeepEqual(got, wantPhases) {
 		t.Errorf("PhaseKeys() = %q, want %q", got, wantPhases)
 	}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/obsv"
+	"repro/internal/par"
 	"repro/internal/qp"
 	"repro/internal/sparse"
 )
@@ -159,16 +160,19 @@ type IterStats struct {
 // Phases holds the per-phase wall times of one transformation (IterStats)
 // or their sums over a run (Result.Phases). It declares the phase schema
 // once: its JSON tags are the trace keys, and PhaseKeys and every
-// per-phase breakdown derive from its fields. The x/y solves are one
-// concurrent phase, so the phases before TStep are sequential and sum to
-// at most TStep.
+// per-phase breakdown derive from its fields. The phases before TStep are
+// sequential wall-clock segments of the step, so they sum to at most
+// TStep; work that runs on both lanes at once (the x/y solve pair, the
+// halves of the assembly, the end-of-step accumulation beside the wire
+// length) counts once, as wall time.
 type Phases struct {
 	TWeight    time.Duration `json:"t_weight_ns"`     // BeforeTransform (net-weight update)
-	TGather    time.Duration `json:"t_gather_ns"`     // density accumulation
-	TField     time.Duration `json:"t_field_ns"`      // Poisson force-field evaluation
+	TGather    time.Duration `json:"t_gather_ns"`     // density of the current placement
+	TField     time.Duration `json:"t_field_ns"`      // Poisson force field and the force increments
 	TBuild     time.Duration `json:"t_build_ns"`      // quadratic system assembly
 	TPrecond   time.Duration `json:"t_precond_ns"`    // preconditioner set-up (the IC0 refactor)
 	TSolvePair time.Duration `json:"t_solve_pair_ns"` // wall time of the concurrent x/y solve pair
+	TFinish    time.Duration `json:"t_finish_ns"`     // displacement cap, clamp, end-of-step density and stats
 	TStep      time.Duration `json:"t_step_ns"`       // whole transformation
 }
 
@@ -282,12 +286,15 @@ type Placer struct {
 	zeroGuess bool
 	// Step scratch, reused across transformations so the steady-state
 	// iteration allocates nothing: the density force field, the force
-	// increment, the pre-solve position snapshot, and capDelta's
-	// displacement sort buffers.
-	field    *density.Field
-	inc      []geom.Point
-	before   netlist.Placement
-	dxs, dys []float64
+	// increment, the pre-solve position snapshot, and the lane tasks of
+	// the finish phase: capDelta's two displacement sorts, and the
+	// end-of-step accumulation beside the per-net wire lengths.
+	field        *density.Field
+	inc          []geom.Point
+	before       netlist.Placement
+	sortX, sortY sortTask
+	accumulate   accumulateTask
+	netLengths   netLengthsTask
 
 	// rs is the Run loop's progress state. It lives on the Placer (rather
 	// than in Run's frame) so Checkpoint can capture it and Resume can
@@ -441,13 +448,6 @@ func (p *Placer) Step() (IterStats, error) {
 	ph.TGather = mark.Elapsed()
 	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
-	mark = obsv.StartTimer()
-	p.field = density.ComputeFieldInto(p.field, p.grid, density.Auto)
-	field := p.field
-	ph.TField = mark.Elapsed()
-	check.Finite("place/step field FX", field.FX)
-	check.Finite("place/step field FY", field.FY)
-
 	// Assemble the (possibly re-linearized) quadratic system; the force
 	// normalization depends on its stiffness.
 	mark = obsv.StartTimer()
@@ -455,6 +455,12 @@ func (p *Placer) Step() (IterStats, error) {
 	ph.TBuild = mark.Elapsed()
 	check.Symmetric("place/step C", sys.C, 1e-8)
 	check.SPDHint("place/step C", sys.C, 1e-8)
+
+	mark = obsv.StartTimer()
+	p.field = density.ComputeFieldInto(p.field, p.grid, density.Auto)
+	field := p.field
+	check.Finite("place/step field FX", field.FX)
+	check.Finite("place/step field FY", field.FY)
 
 	// Force increment normalization (§4.1): the strongest field force is
 	// scaled to the pull of a net of length K·(W+H). Two refinements over
@@ -510,6 +516,8 @@ func (p *Placer) Step() (IterStats, error) {
 		}
 		p.pending = nil
 	}
+	p.before = nl.SnapshotInto(p.before)
+	ph.TField = mark.Elapsed()
 
 	// Apply the transformation: starting from the previous equilibrium,
 	// growing e by the increment moves the solution of C·p + d + e = 0 by
@@ -517,8 +525,6 @@ func (p *Placer) Step() (IterStats, error) {
 	// between transformations, so the previous transformation's displacement
 	// response is a good CG starting guess for this one; SolveDeltaFrom
 	// overwrites the guess with the new response, priming the next iteration.
-	p.before = nl.SnapshotInto(p.before)
-	before := p.before
 	var res qp.SolveResult
 	var err error
 	if p.zeroGuess {
@@ -530,7 +536,15 @@ func (p *Placer) Step() (IterStats, error) {
 		}
 		res, err = sys.SolveDeltaFrom(inc, p.warmDX, p.warmDY, cfg.CG)
 	}
+	ph.TPrecond = res.PrecondWall
+	ph.TSolvePair = res.PairWall
+	if err != nil {
+		// An unconverged CG still yields a usable iterate; report but
+		// continue (placement quality, not solver perfection, is the goal).
+		err = fmt.Errorf("place: iteration %d: %w", p.iter, err)
+	}
 
+	mark = obsv.StartTimer()
 	// Per-axis trust region: K also bounds how far one transformation may
 	// move any cell (K·W horizontally, K·H vertically, saturating at 45 %
 	// of the axis so even K=1 cannot slam the design wall-to-wall). The
@@ -544,12 +558,7 @@ func (p *Placer) Step() (IterStats, error) {
 	// full-size cap would let such cells keep jumping after the damping
 	// has settled the rest.
 	kCap := math.Min(cfg.K, 0.45) * damping
-	p.dxs, p.dys = capDelta(nl, before, kCap*nl.Region.W(), kCap*nl.Region.H(), p.dxs, p.dys)
-	if err != nil {
-		// An unconverged CG still yields a usable iterate; report but
-		// continue (placement quality, not solver perfection, is the goal).
-		err = fmt.Errorf("place: iteration %d: %w", p.iter, err)
-	}
+	capDelta(nl, p.before, kCap*nl.Region.W(), kCap*nl.Region.H(), &p.sortX, &p.sortY)
 
 	// Keep cells inside the placement area; the supply model pushes them
 	// back anyway, clamping merely speeds that up and keeps metrics sane.
@@ -561,14 +570,21 @@ func (p *Placer) Step() (IterStats, error) {
 		}
 		c.Pos = out.ClampCenter(c.Pos, math.Min(c.W, out.W()), math.Min(c.H, out.H()))
 	}
-
 	check.CellsFinite("place/step positions", nl)
-	mark = obsv.StartTimer()
-	p.grid.Accumulate(nl) // refresh density for stats/stopping
-	ph.TGather += mark.Elapsed()
+
+	// Refresh the density for the stats and the stopping rule on one lane
+	// while the other measures every net; the lengths are summed in net
+	// order, as Netlist.HPWL sums them.
+	p.accumulate = accumulateTask{grid: p.grid, nl: nl}
+	p.netLengths.nl = nl
+	par.Fork(&p.accumulate, &p.netLengths)
+	hpwl := 0.0
+	for _, l := range p.netLengths.lens {
+		hpwl += l
+	}
 	stats := IterStats{
 		Iter:            p.iter,
-		HPWL:            nl.HPWL(),
+		HPWL:            hpwl,
 		Overflow:        p.grid.Overflow(),
 		EmptySquare:     p.grid.LargestEmptySquare(emptyFrac),
 		MaxForce:        targetMax,
@@ -579,18 +595,46 @@ func (p *Placer) Step() (IterStats, error) {
 		Precond:         res.X.Precond,
 		PrecondFallback: res.Fallback,
 		Damping:         damping,
-		Phases:          ph,
 	}
 	stats.GapProxy = stats.EmptySquare / (cfg.StopSquareFactor * p.avgArea)
-	stats.TPrecond = res.PrecondWall
-	stats.TSolvePair = res.PairWall
 	stats.Backoff = p.rs.react(p.iter, stats.Overflow, cfg.K)
+	ph.TFinish = mark.Elapsed()
+	stats.Phases = ph
 	stats.TStep = stepStart.Elapsed()
 	p.iter++
 	if cfg.OnIteration != nil {
 		cfg.OnIteration(stats)
 	}
 	return stats, err
+}
+
+// sortTask sorts its slice in place, as a par.Task.
+type sortTask struct{ v []float64 }
+
+func (t *sortTask) Run() { sort.Float64s(t.v) }
+
+// accumulateTask recomputes the grid's density from nl, as a par.Task.
+type accumulateTask struct {
+	grid *density.Grid
+	nl   *netlist.Netlist
+}
+
+func (t *accumulateTask) Run() { t.grid.Accumulate(t.nl) }
+
+// netLengthsTask writes every net's half-perimeter wire length into lens,
+// as a par.Task.
+type netLengthsTask struct {
+	nl   *netlist.Netlist
+	lens []float64
+}
+
+func (t *netLengthsTask) Run() {
+	if len(t.lens) != len(t.nl.Nets) {
+		t.lens = make([]float64, len(t.nl.Nets))
+	}
+	for ni := range t.lens {
+		t.lens[ni] = t.nl.NetHPWL(ni)
+	}
 }
 
 // capDelta bounds this iteration's displacements to ~maxDX/maxDY per axis.
@@ -602,20 +646,21 @@ func (p *Placer) Step() (IterStats, error) {
 // differential components are clipped per cell, so an outlier cannot crush
 // everyone else's movement and a saturated translation cannot erase the
 // spreading.
-// The caller passes (and re-receives) the two sort buffers so the
-// steady-state iteration reuses them instead of allocating per call.
-func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float64, dxs, dys []float64) ([]float64, []float64) {
+// The two sort tasks carry the displacement buffers, reused across calls,
+// and sort them side by side on the par.Fork lanes.
+func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float64, sx, sy *sortTask) {
 	movable := 0
 	for ci := range nl.Cells {
 		if !nl.Cells[ci].Fixed {
 			movable++
 		}
 	}
-	if cap(dxs) < movable {
-		dxs = make([]float64, movable)
-		dys = make([]float64, movable)
+	if cap(sx.v) < movable {
+		sx.v = make([]float64, movable)
+		sy.v = make([]float64, movable)
 	}
-	dxs, dys = dxs[:movable], dys[:movable]
+	dxs, dys := sx.v[:movable], sy.v[:movable]
+	sx.v, sy.v = dxs, dys
 	k := 0
 	for ci := range nl.Cells {
 		if nl.Cells[ci].Fixed {
@@ -627,14 +672,13 @@ func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float6
 		k++
 	}
 	if len(dxs) == 0 {
-		return dxs, dys
+		return
 	}
 	// The translation estimate must be robust: a single near-floating cell
 	// (tiny anchor stiffness) can have a displacement many orders of
 	// magnitude above everyone else, and a polluted mean would cancel the
 	// whole iteration after clipping. The median ignores such outliers.
-	sort.Float64s(dxs)
-	sort.Float64s(dys)
+	par.Fork(sx, sy)
 	med := geom.Point{X: dxs[len(dxs)/2], Y: dys[len(dys)/2]}
 
 	shift := geom.Point{X: clip(med.X, maxDX), Y: clip(med.Y, maxDY)}
@@ -648,7 +692,6 @@ func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float6
 			Y: before[ci].Y + shift.Y + clip(d.Y, maxDY),
 		}
 	}
-	return dxs, dys
 }
 
 // clip bounds v to [-lim, lim].

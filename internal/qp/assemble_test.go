@@ -2,11 +2,13 @@ package qp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/netgen"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/sparse"
 )
 
@@ -177,5 +179,153 @@ func TestRowCountsMatchAssembly(t *testing.T) {
 	}
 	if g := grown(short); g != float64(len(counts)) {
 		t.Errorf("one entry short per row, %.0f of %d rows grew: some count is too large", g, len(counts))
+	}
+}
+
+// symbolicOracle assembles nl the way the assembler did before it kept a
+// contribution map: replay assembleInto into a sparse.Builder and compact
+// it with BuildSymbolic, which sums each entry in insertion order.
+func symbolicOracle(nl *netlist.Netlist, opts Options) *System {
+	s := newSkeleton(nl, normalize(opts))
+	b := sparse.NewBuilderSized(s.rowCounts())
+	s.assembleInto(b)
+	s.C, _ = b.BuildSymbolic()
+	return s
+}
+
+// bitIdentical fails unless got and want have the same pattern and the
+// same C, Dx and Dy bit for bit.
+func bitIdentical(t *testing.T, tag string, got, want *System) {
+	t.Helper()
+	if got.N() != want.N() || got.C.NNZ() != want.C.NNZ() {
+		t.Fatalf("%s: N %d nnz %d, want N %d nnz %d", tag, got.N(), got.C.NNZ(), want.N(), want.C.NNZ())
+	}
+	for i := 0; i < got.N(); i++ {
+		gc, gv := got.C.Row(i)
+		wc, wv := want.C.Row(i)
+		if len(gc) != len(wc) {
+			t.Fatalf("%s: row %d has %d entries, want %d", tag, i, len(gc), len(wc))
+		}
+		for k := range gc {
+			if gc[k] != wc[k] || math.Float64bits(gv[k]) != math.Float64bits(wv[k]) {
+				t.Fatalf("%s: C[%d] entry %d = (%d, %v), want (%d, %v)", tag, i, k, gc[k], gv[k], wc[k], wv[k])
+			}
+		}
+		if math.Float64bits(got.Dx[i]) != math.Float64bits(want.Dx[i]) ||
+			math.Float64bits(got.Dy[i]) != math.Float64bits(want.Dy[i]) {
+			t.Fatalf("%s: d[%d] = (%v, %v), want (%v, %v)", tag, i, got.Dx[i], got.Dy[i], want.Dx[i], want.Dy[i])
+		}
+	}
+}
+
+// TestTwoPassRefillBitIdentical: the contribution map's two passes give
+// the system that replaying assembleInto into a Builder and BuildSymbolic
+// give, bit for bit, on the first assembly and on every refill. The
+// fixture mixes star nets (4+ pins) and clique nets (2–3 pins), pads on
+// both, a two-pin net tying one cell to itself, a single-pin net and nets
+// of zero weight, whose star centers take the unit diagonal.
+func TestTwoPassRefillBitIdentical(t *testing.T) {
+	for _, opts := range []Options{{}, {Linearize: true}} {
+		nl := assemblerNetlist(35)
+		var self int
+		for nl.Cells[self].Fixed {
+			self++
+		}
+		nl.Nets = append(nl.Nets,
+			netlist.Net{Name: "self", Weight: 1, Pins: []netlist.Pin{
+				{Cell: self}, {Cell: self, Offset: geom.Point{X: 0.5, Y: -0.25}},
+			}},
+			netlist.Net{Name: "lone", Weight: 1, Pins: []netlist.Pin{{Cell: self}}},
+		)
+		var stars, cliques, padNets int
+		for ni := range nl.Nets {
+			pins := nl.Nets[ni].Pins
+			if len(pins) >= starMinPins {
+				stars++
+			} else if len(pins) >= 2 {
+				cliques++
+			}
+			for _, p := range pins {
+				if nl.Cells[p.Cell].Fixed {
+					padNets++
+					break
+				}
+			}
+			if ni%9 == 0 {
+				nl.Nets[ni].Weight = 0
+			}
+		}
+		if stars == 0 || cliques == 0 || padNets == 0 {
+			t.Fatalf("fixture lacks a net kind: %d stars, %d cliques, %d with pads", stars, cliques, padNets)
+		}
+		a := NewAssembler(nl, opts)
+		tag := "linearize=" + map[bool]string{false: "false", true: "true"}[opts.Linearize]
+		bitIdentical(t, tag+" first", a.Assemble(), symbolicOracle(nl, opts))
+		for round := 0; round < 3; round++ {
+			for ci := range nl.Cells {
+				if !nl.Cells[ci].Fixed {
+					nl.Cells[ci].Pos.X += float64((ci+round)%5) - 2
+					nl.Cells[ci].Pos.Y += float64((ci*round)%3) - 1
+				}
+			}
+			for ni := range nl.Nets {
+				if ni%4 == round%4 {
+					nl.Nets[ni].Weight = nl.Nets[ni].Weight*1.5 + 0.25
+				}
+			}
+			bitIdentical(t, tag+" refill", a.Assemble(), symbolicOracle(nl, opts))
+		}
+	}
+}
+
+// TestTwoPassRefillSplitsAcrossLanes: with the lane threshold lowered so
+// both passes fork, the refill is still bit-identical to the oracle, at
+// every GOMAXPROCS.
+func TestTwoPassRefillSplitsAcrossLanes(t *testing.T) {
+	old := par.Threshold
+	par.Threshold = 1
+	defer func() { par.Threshold = old }()
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		nl := assemblerNetlist(36)
+		a := NewAssembler(nl, Options{Linearize: true})
+		if !a.Assemble().C.IsSymmetric(0) || !a.cm.fork {
+			t.Fatal("the lowered threshold did not make the passes fork")
+		}
+		for ci := range nl.Cells {
+			nl.Cells[ci].Pos.X += float64(ci % 7)
+		}
+		bitIdentical(t, "forked refill", a.Assemble(), symbolicOracle(nl, Options{Linearize: true}))
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestRefillRebuildsOnPinCountChange: a net that gains a pin at constant
+// cell and net counts no longer fits the recorded map; the assembler must
+// notice and rebuild instead of writing into another net's slots.
+func TestRefillRebuildsOnPinCountChange(t *testing.T) {
+	nl := assemblerNetlist(37)
+	a := NewAssembler(nl, Options{Linearize: true})
+	a.Assemble()
+	for ni := range nl.Nets {
+		if len(nl.Nets[ni].Pins) == 2 {
+			nl.Nets[ni].Pins = append(nl.Nets[ni].Pins, netlist.Pin{Cell: nl.Nets[ni].Pins[0].Cell ^ 1})
+			break
+		}
+	}
+	bitIdentical(t, "grown net", a.Assemble(), symbolicOracle(nl, Options{Linearize: true}))
+}
+
+// BenchmarkAssemble times one steady-state assembly of the netgen 2k
+// design under linearization: the two contribution-map passes.
+func BenchmarkAssemble(b *testing.B) {
+	nl := netgen.Generate(netgen.Config{Name: "asm-2k", Cells: 2000, Nets: 2666, Rows: 16, Seed: 1})
+	netgen.ScatterRandom(nl, 1)
+	a := NewAssembler(nl, Options{Linearize: true})
+	a.Assemble()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Assemble()
 	}
 }

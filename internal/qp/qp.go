@@ -61,12 +61,13 @@ type System struct {
 	C      *sparse.CSR
 	Dx, Dy []float64
 
-	// bx/by are SolveDeltaFrom's right-hand-side scratch and cgx/cgy the
-	// per-axis CG work vectors, reused across transformations so the
-	// steady-state solve allocates nothing. The concurrent axis solves
-	// each own one workspace and share only the read-only factor.
-	bx, by   []float64
-	cgx, cgy sparse.CGWork
+	// bx/by are SolveDeltaFrom's right-hand-side scratch and ax/ay the
+	// per-axis solve tasks with their CG work vectors, reused across
+	// transformations so the steady-state solve allocates nothing. The
+	// concurrent axis solves each own one workspace and share only C and
+	// the read-only factor.
+	bx, by []float64
+	ax, ay axisSolve
 	// stiff backs CellStiffness's result.
 	stiff []float64
 
@@ -132,42 +133,8 @@ func newSkeleton(nl *netlist.Netlist, opts Options) *System {
 // builder: the insertion sequence depends on the topology alone, so the
 // first assembly can reserve every row at its final length.
 func (s *System) rowCounts() []int {
-	nl := s.nl
 	counts := make([]int, s.N())
-	center := len(s.CellOf)
-	for ni := range nl.Nets {
-		pins := nl.Nets[ni].Pins
-		if len(pins) >= starMinPins {
-			counts[center]++ // the center's diagonal
-			for _, p := range pins {
-				if vi := s.VarOf[p.Cell]; vi >= 0 {
-					counts[vi] += 2 // diagonal and spoke
-					counts[center]++
-				}
-			}
-			center++
-			continue
-		}
-		for i := range pins {
-			for j := i + 1; j < len(pins); j++ {
-				va, vb := s.VarOf[pins[i].Cell], s.VarOf[pins[j].Cell]
-				switch {
-				case va >= 0 && va == vb:
-					counts[va] += 3 // two diagonals, and AddSym adds once
-				case va >= 0 && vb >= 0:
-					counts[va] += 2
-					counts[vb] += 2
-				case va >= 0:
-					counts[va]++
-				case vb >= 0:
-					counts[vb]++
-				}
-			}
-		}
-	}
-	for vi := range s.CellOf {
-		counts[vi]++ // the anchor spring
-	}
+	s.walk(func(i, _ int, _ int32) { counts[i]++ }, func(int, int32) {})
 	return counts
 }
 
@@ -421,20 +388,33 @@ func (s *System) Solve(forces []geom.Point, opt sparse.CGOptions) (SolveResult, 
 	return out, nil
 }
 
-// solveBoth runs the two independent axis solves concurrently, each in
-// its own CG workspace; C and the prepared preconditioner factor are
-// shared read-only.
+// axisSolve is one axis's CG solve as a par.Task: the system is bound
+// when it is forked, the result read back after the join.
+type axisSolve struct {
+	c    *sparse.CSR
+	x, b []float64
+	opt  sparse.CGOptions
+	work sparse.CGWork
+	res  sparse.CGResult
+	err  error
+}
+
+func (t *axisSolve) Run() { t.res, t.err = t.work.Solve(t.c, t.x, t.b, t.opt) }
+
+// solveBoth runs the two independent axis solves concurrently, one on each
+// par.Fork lane, each in its own CG workspace; C and the prepared
+// preconditioner factor are shared read-only.
 func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *SolveResult) (errX, errY error) {
 	start := obsv.StartTimer()
 	out.Fallback = s.prepPrecond(&opt)
 	out.PrecondWall = start.Elapsed()
+	s.ax.c, s.ax.x, s.ax.b, s.ax.opt = s.C, x, bx, opt
+	s.ay.c, s.ay.x, s.ay.b, s.ay.opt = s.C, y, by, opt
 	start = obsv.StartTimer()
-	par.Pair(
-		func() { out.X, errX = s.cgx.Solve(s.C, x, bx, opt) },
-		func() { out.Y, errY = s.cgy.Solve(s.C, y, by, opt) },
-	)
+	par.Fork(&s.ax, &s.ay)
 	out.PairWall = start.Elapsed()
-	return errX, errY
+	out.X, out.Y = s.ax.res, s.ay.res
+	return s.ax.err, s.ay.err
 }
 
 // prepPrecond points opt at the cached IC0 factor, refactoring the cached

@@ -102,6 +102,17 @@ type CSR struct {
 	vals   []float64
 }
 
+// NewCSR wraps a pattern assembled elsewhere: row i holds the columns
+// cols[rowPtr[i]:rowPtr[i+1]], ascending, with their values at the same
+// positions of vals. The matrix keeps all three slices, so an assembler
+// that owns the pattern may rewrite vals in place between solves.
+func NewCSR(rowPtr, cols []int, vals []float64) *CSR {
+	if len(rowPtr) == 0 || len(cols) != len(vals) || rowPtr[len(rowPtr)-1] != len(cols) {
+		panic("sparse: NewCSR pattern mismatch")
+	}
+	return &CSR{n: len(rowPtr) - 1, rowPtr: rowPtr, cols: cols, vals: vals}
+}
+
 // N returns the matrix dimension.
 func (m *CSR) N() int { return m.n }
 
@@ -129,9 +140,9 @@ func (m *CSR) Row(i int) (cols []int, vals []float64) {
 // The row bounds and slice headers are hoisted and each row's column and
 // value slices are cut once, so the inner loop keeps only the bounds
 // check of the gathered x[j]; a row's products are summed in ascending
-// column order. It runs serially: the placer calls it from both solves of
-// par.Pair at once, so a row fan-out would only compete with the other
-// axis.
+// column order. It runs serially: the placer calls it from both axis
+// solves at once, one on each par.Fork lane, so a row fan-out would only
+// compete with the other axis.
 func (m *CSR) MulVec(dst, x []float64) {
 	n := m.n
 	if len(dst) != n || len(x) != n {
