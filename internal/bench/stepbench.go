@@ -106,14 +106,14 @@ func WriteStepBench(w io.Writer, b StepBench) error {
 func PrintStepBench(w io.Writer, b StepBench) {
 	fmt.Fprintf(w, "E10: place.Step phase breakdown (gomaxprocs %d, max %d iters, seed %d)\n",
 		b.GOMAXPROCS, b.MaxIter, b.Seed)
-	fmt.Fprintf(w, "%8s %-12s | %8s %6s %7s | %9s %9s %9s %9s | %9s\n",
-		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "solve", "step")
+	fmt.Fprintf(w, "%8s %-12s | %8s %6s %7s | %9s %9s %9s %9s %9s | %9s\n",
+		"#cells", "mode", "wall[s]", "iters", "cg-it", "gather", "field", "build", "solve", "finish", "step")
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	for _, r := range b.Rows {
 		run, p := r.Hot, r.Hot.Phases
-		fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
+		fmt.Fprintf(w, "%8d %-12s | %8.2f %6d %7d | %8.1fm %8.1fm %8.1fm %8.1fm %8.1fm | %8.1fm\n",
 			r.Cells, "hot", run.WallSec, run.Iterations, run.CGIters,
-			ms(p.TGather), ms(p.TField), ms(p.TBuild), ms(p.TSolvePair), ms(p.TStep))
+			ms(p.TGather), ms(p.TField), ms(p.TBuild), ms(p.TSolvePair), ms(p.TFinish), ms(p.TStep))
 	}
 }
 

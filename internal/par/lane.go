@@ -27,13 +27,13 @@ var lane struct {
 	chunk chunkTask
 }
 
-// chunkTask runs one worker's chunk of a Run.
+// chunkTask runs worker 1's chunk of a two-worker Run.
 type chunkTask struct {
-	fn             func(worker, lo, hi int)
-	worker, lo, hi int
+	fn     func(worker, lo, hi int)
+	lo, hi int
 }
 
-func (t *chunkTask) Run() { t.fn(t.worker, t.lo, t.hi) }
+func (t *chunkTask) Run() { t.fn(1, t.lo, t.hi) }
 
 // Fork runs a and b side by side and returns when both have finished: a
 // on the calling goroutine, b on the helper lane. The two tasks must not

@@ -55,7 +55,7 @@ func Run(workers, n int, fn func(worker, lo, hi int)) {
 	}
 	chunk := (n + workers - 1) / workers
 	if workers == 2 && acquire() {
-		lane.chunk = chunkTask{fn: fn, worker: 1, lo: chunk, hi: n}
+		lane.chunk = chunkTask{fn: fn, lo: chunk, hi: n}
 		lane.task <- &lane.chunk
 		defer join()
 		fn(0, 0, chunk)

@@ -20,7 +20,7 @@ var (
 // Pool is a fixed-size worker pool with a bounded task queue, the
 // long-lived counterpart of Run's fork-join: Run fans a known amount of
 // work out and joins immediately, while a Pool serves an open-ended task
-// stream (the placement job queue). Keeping it here, with Run and Pair,
+// stream (the placement job queue). Keeping it here, with Run and Fork,
 // preserves the repo's parallelism policy — kvet's parpolicy analyzer
 // forbids raw go statements elsewhere, so every goroutine in the serving
 // layer is accounted for by this one type.
