@@ -141,7 +141,10 @@ func (s *System) rowCounts() []int {
 // assembleInto zeroes d and accumulates every net plus the anchor springs
 // into b. The triplet insertion sequence is fully determined by the netlist
 // topology — never by weights or positions — which is what lets Assembler
-// replay it against a cached sparsity pattern.
+// record it once (contribMap). Each d term is rounded before it is added:
+// the float64 conversions keep a compiler from fusing the multiply into
+// the add, so this assembly and the contribution map, which stores every
+// term, agree bit for bit on every platform.
 func (s *System) assembleInto(b *sparse.Builder) {
 	nl := s.nl
 	s.cholDirty = true // values change; the cached factor must refresh
@@ -169,8 +172,8 @@ func (s *System) assembleInto(b *sparse.Builder) {
 	c := nl.Region.Outline.Center()
 	for vi := range s.CellOf {
 		b.Add(vi, vi, anchor)
-		s.Dx[vi] -= anchor * c.X
-		s.Dy[vi] -= anchor * c.Y
+		s.Dx[vi] -= float64(anchor * c.X)
+		s.Dy[vi] -= float64(anchor * c.Y)
 	}
 }
 
@@ -239,14 +242,14 @@ func (s *System) assembleStar(b *sparse.Builder, ni, c int) float64 {
 		if vi := s.VarOf[p.Cell]; vi >= 0 {
 			b.Add(vi, vi, w)
 			b.AddSym(vi, c, -w)
-			s.Dx[vi] += w * p.Offset.X
-			s.Dy[vi] += w * p.Offset.Y
-			s.Dx[c] -= w * p.Offset.X
-			s.Dy[c] -= w * p.Offset.Y
+			s.Dx[vi] += float64(w * p.Offset.X)
+			s.Dy[vi] += float64(w * p.Offset.Y)
+			s.Dx[c] -= float64(w * p.Offset.X)
+			s.Dy[c] -= float64(w * p.Offset.Y)
 		} else {
 			pos := nl.PinPos(p)
-			s.Dx[c] -= w * pos.X
-			s.Dy[c] -= w * pos.Y
+			s.Dx[c] -= float64(w * pos.X)
+			s.Dy[c] -= float64(w * pos.Y)
 		}
 	}
 	return w * (k - 1) / 2
@@ -276,20 +279,20 @@ func (s *System) assembleEdge(b *sparse.Builder, pa, pb netlist.Pin, w float64) 
 		// Cost w((xa+oa)−(xb+ob))²; the offset difference shifts d.
 		ox := pa.Offset.X - pb.Offset.X
 		oy := pa.Offset.Y - pb.Offset.Y
-		s.Dx[va] += w * ox
-		s.Dx[vb] -= w * ox
-		s.Dy[va] += w * oy
-		s.Dy[vb] -= w * oy
+		s.Dx[va] += float64(w * ox)
+		s.Dx[vb] -= float64(w * ox)
+		s.Dy[va] += float64(w * oy)
+		s.Dy[vb] -= float64(w * oy)
 	case va >= 0:
 		p := nl.PinPos(pb) // absolute fixed pin position
 		b.Add(va, va, w)
-		s.Dx[va] += w * (pa.Offset.X - p.X)
-		s.Dy[va] += w * (pa.Offset.Y - p.Y)
+		s.Dx[va] += float64(w * (pa.Offset.X - p.X))
+		s.Dy[va] += float64(w * (pa.Offset.Y - p.Y))
 	case vb >= 0:
 		p := nl.PinPos(pa)
 		b.Add(vb, vb, w)
-		s.Dx[vb] += w * (pb.Offset.X - p.X)
-		s.Dy[vb] += w * (pb.Offset.Y - p.Y)
+		s.Dx[vb] += float64(w * (pb.Offset.X - p.X))
+		s.Dy[vb] += float64(w * (pb.Offset.Y - p.Y))
 	}
 }
 
