@@ -127,7 +127,7 @@ func newState(nl *netlist.Netlist, cfg Config) *state {
 			wSum += nl.Cells[i].W
 		}
 	}
-	avgW := wSum / float64(maxInt(nMov, 1))
+	avgW := wSum / float64(max(nMov, 1))
 	s.cols = int(nl.Region.W()/avgW) + 1
 	for s.rows*s.cols < nMov {
 		s.cols++
@@ -225,7 +225,7 @@ func (s *state) run() Result {
 	tStop := s.cfg.TStopFactor * t
 
 	// Range limiter: window spans the whole chip hot, one slot cold.
-	maxWin := maxInt(s.cols, s.rows)
+	maxWin := max(s.cols, s.rows)
 
 	var res Result
 	for stage := 0; t > tStop; stage++ {
@@ -376,13 +376,6 @@ func (s *state) recost() {
 		s.netCost[ni] = s.netHPWL(ni)
 		s.cost += s.netCost[ni]
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func clampInt(v, lo, hi int) int {

@@ -356,7 +356,7 @@ func (g *Grid) LargestEmptySquare(emptyFrac float64) float64 {
 			if ix == 0 || iy == 0 {
 				cur[ix] = 1
 			} else {
-				cur[ix] = 1 + min3(cur[ix-1], prev[ix], prev[ix-1])
+				cur[ix] = 1 + min(cur[ix-1], prev[ix], prev[ix-1])
 			}
 			if cur[ix] > best {
 				best = cur[ix]
@@ -366,16 +366,6 @@ func (g *Grid) LargestEmptySquare(emptyFrac float64) float64 {
 	}
 	side := float64(best)
 	return side * g.BinW * side * g.BinH
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }
 
 func clampInt(v, lo, hi int) int {

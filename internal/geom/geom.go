@@ -73,10 +73,10 @@ func RectCenteredAt(c Point, w, h float64) Rect {
 }
 
 // W returns the rectangle width (0 when empty).
-func (r Rect) W() float64 { return math.Max(0, r.Hi.X-r.Lo.X) }
+func (r Rect) W() float64 { return max(0, r.Hi.X-r.Lo.X) }
 
 // H returns the rectangle height (0 when empty).
-func (r Rect) H() float64 { return math.Max(0, r.Hi.Y-r.Lo.Y) }
+func (r Rect) H() float64 { return max(0, r.Hi.Y-r.Lo.Y) }
 
 // Area returns the rectangle area (0 when empty).
 func (r Rect) Area() float64 { return r.W() * r.H() }
@@ -106,8 +106,8 @@ func (r Rect) ContainsRect(s Rect) bool {
 // Intersect returns the intersection of r and s (possibly empty).
 func (r Rect) Intersect(s Rect) Rect {
 	return Rect{
-		Point{math.Max(r.Lo.X, s.Lo.X), math.Max(r.Lo.Y, s.Lo.Y)},
-		Point{math.Min(r.Hi.X, s.Hi.X), math.Min(r.Hi.Y, s.Hi.Y)},
+		Point{max(r.Lo.X, s.Lo.X), max(r.Lo.Y, s.Lo.Y)},
+		Point{min(r.Hi.X, s.Hi.X), min(r.Hi.Y, s.Hi.Y)},
 	}
 }
 
@@ -124,8 +124,8 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		Point{math.Min(r.Lo.X, s.Lo.X), math.Min(r.Lo.Y, s.Lo.Y)},
-		Point{math.Max(r.Hi.X, s.Hi.X), math.Max(r.Hi.Y, s.Hi.Y)},
+		Point{min(r.Lo.X, s.Lo.X), min(r.Lo.Y, s.Lo.Y)},
+		Point{max(r.Hi.X, s.Hi.X), max(r.Hi.Y, s.Hi.Y)},
 	}
 }
 
@@ -259,7 +259,7 @@ func (g Region) RowAt(y float64) int {
 		if y >= r.Y && y < r.Y+r.Height {
 			return i
 		}
-		d := math.Min(math.Abs(y-r.Y), math.Abs(y-(r.Y+r.Height)))
+		d := min(math.Abs(y-r.Y), math.Abs(y-(r.Y+r.Height)))
 		if d < bestD {
 			best, bestD = i, d
 		}

@@ -227,10 +227,3 @@ func clampToRegions(nl *netlist.Netlist, regions []region) {
 		}
 	}
 }
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -73,10 +73,3 @@ func sqrtScale(s float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -6,11 +6,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// Assembler caches the symbolic (pattern) half of Build across repeated
-// assemblies of the same netlist. The iterative algorithm rebuilds
-// C·p + d + e = 0 on every placement transformation, but the sparsity
-// pattern is fixed by the netlist topology; only the spring weights change
-// (per iteration under linearization, on explicit re-weighting otherwise).
+// Assembler keeps the sparsity pattern and storage of one netlist's system
+// across repeated assemblies; Build is the first assembly of a fresh one.
+// The iterative algorithm rebuilds C·p + d + e = 0 on every placement
+// transformation, but the sparsity pattern is fixed by the netlist
+// topology; only the spring weights change (per iteration under
+// linearization, on explicit re-weighting otherwise).
 //
 // The first assembly records a contribution map (see contribMap); each
 // later one refills the cached CSR and d vectors through it in two passes,
@@ -31,7 +32,7 @@ type Assembler struct {
 	lastWeights []float64
 
 	// Topology fingerprint guarding the cache; a changed cell or net count
-	// forces a fresh symbolic build.
+	// forces a fresh contribution map.
 	cells, nets int
 }
 
@@ -41,7 +42,7 @@ type Assembler struct {
 // new Assembler. Changed cell, net or per-net pin counts are detected and
 // rebuilt automatically; same-count structural swaps are not.
 func NewAssembler(nl *netlist.Netlist, opts Options) *Assembler {
-	return &Assembler{nl: nl, opts: normalize(opts)}
+	return &Assembler{nl: nl, opts: opts}
 }
 
 // Assemble returns the system for the netlist's current state. The returned
@@ -109,16 +110,16 @@ func (a *Assembler) weightsUnchanged() bool {
 //     into pull, and its weight total into netW, at offsets fixed by the
 //     net's pin count (mOff, dOff);
 //  2. sums: each matrix entry, and each entry of Dx and Dy, sums its
-//     contributions in the order assembleInto adds them (eRef, dRef).
+//     contributions in insertion order (eRef, dRef): nets in net order,
+//     then the anchor springs (see walk).
 //
 // Between the passes totalW is summed in net order and the anchor written
-// to slot 0. Every sum starts from zero and adds the same values in the
-// same order as assembleInto followed by sparse.Symbolic.Refill, so the
-// system is bit-identical to that path, and the pattern keeps entries
-// whose value sums to zero just as BuildSymbolic does. Each pass is split
-// in two halves of about equal work, one per par.Fork lane; the halves
-// write disjoint slots, so the result does not depend on whether they run
-// side by side.
+// to slot 0. Every sum starts from +0 and adds its contributions in the
+// same order on every assembly, so a refill is bit-identical to a fresh
+// map's first assembly, and the pattern depends on the topology alone: it
+// keeps entries whose value sums to zero. Each pass is split in two halves
+// of about equal work, one per par.Fork lane; the halves write disjoint
+// slots, so the result does not depend on whether they run side by side.
 type contribMap struct {
 	s *System
 
@@ -137,8 +138,8 @@ type contribMap struct {
 	// eRef[ePtr[k]:ePtr[k+1]], and variable i's (Dx, Dy) sums the d slots
 	// referenced by dRef[dPtr[i]:dPtr[i+1]]. Reference 2i adds slot i and
 	// 2i+1 subtracts it: pass 2 multiplies the slot by signs[r&1], an
-	// exact negation, so adding −v is bit for bit assembleInto's
-	// subtraction of v, and the loop never branches on the sign.
+	// exact negation, so adding −v is bit for bit a subtraction of v, and
+	// the loop never branches on the sign.
 	ePtr, eRef []int32
 	dPtr, dRef []int32
 
@@ -173,7 +174,7 @@ func (t *sumsHalf) Run() { t.cm.sumRows(t.lo, t.hi) }
 
 // newContribMap records s's assembly: the slot layout of every net, the
 // CSR pattern, which becomes s.C, and the contributions of every entry in
-// assembleInto's insertion order.
+// insertion order.
 func newContribMap(s *System) *contribMap {
 	nl := s.nl
 	cm := &contribMap{s: s}
@@ -286,9 +287,13 @@ func sortByCol(cols, refs []int32) {
 	}
 }
 
-// walk replays assembleInto's insertion sequence without values: each
+// walk states the assembly's insertion sequence without values: each
 // matrix insertion (row i, column j) and each d update of variable v is
-// reported, in assembly order, with its reference (see contribMap).
+// reported, in assembly order, with its reference (see contribMap). A star
+// net adds its center's diagonal, then per movable pin the pin's diagonal
+// and the symmetric spoke; a clique net adds, per pin pair, both diagonals
+// and the symmetric edge, or one diagonal against a fixed pin. The anchor
+// springs come last.
 func (s *System) walk(mat func(i, j int, ref int32), dvec func(v int, ref int32)) {
 	add := func(slot int32) int32 { return 2 * slot }
 	sub := func(slot int32) int32 { return 2*slot + 1 }
@@ -364,10 +369,10 @@ func (cm *contribMap) refill() bool {
 	for _, w := range cm.netW {
 		totalW += w
 	}
-	anchor := s.opts.Anchor
-	if anchor <= 0 {
-		anchor = 1e-4 * (totalW/float64(max(len(s.CellOf), 1)) + 1)
-	}
+	// Anchor springs to the region center keep C strictly positive
+	// definite even for floating components, and bound the displacement
+	// response of isolated cell islands to external forces.
+	anchor := anchorScale * (totalW/float64(max(len(s.CellOf), 1)) + 1)
 	c := s.nl.Region.Outline.Center()
 	cm.setSpring(0, anchor)
 	cm.setPull(0, anchor*c.X, anchor*c.Y)
@@ -385,8 +390,8 @@ func (cm *contribMap) run(a, b par.Task) {
 	b.Run()
 }
 
-// netValues is pass 1 over the nets [lo, hi): the values assembleStar and
-// assembleClique add, computed the same way, written to the nets' slots.
+// netValues is pass 1 over the nets [lo, hi): each net's spring values
+// and d terms, written to its slots.
 func (cm *contribMap) netValues(lo, hi int) bool {
 	s := cm.s
 	nl := s.nl
@@ -406,8 +411,15 @@ func (cm *contribMap) netValues(lo, hi int) bool {
 	return true
 }
 
-// starValues writes net ni's star values (see assembleStar) from slots m
-// and d on, and returns the net's weight total.
+// starValues writes net ni's values as a star from slots m and d on: every
+// pin is tied to the free center by a spoke of weight w, the net weight.
+// Minimizing over the center's position leaves a clique of pair weight
+// w/k — the paper's clique exactly. When linearizing, every spoke is
+// divided by R, the mean distance of the pins to their centroid (clamped
+// below by minDist), which leaves a clique of pair weight w/(k·R): one
+// linearization distance per net instead of one per pin pair. It returns
+// the weight of that clique, w(k−1)/(2R), so the anchor scales as it would
+// under the clique.
 func (cm *contribMap) starValues(ni int, m, d int32) float64 {
 	s := cm.s
 	nl := s.nl
@@ -420,8 +432,10 @@ func (cm *contribMap) starValues(ni int, m, d int32) float64 {
 		for _, p := range net.Pins {
 			r += nl.PinPos(p).Dist(centroid)
 		}
-		w /= max(r/k, s.opts.MinDist)
+		w /= max(r/k, minDist)
 	}
+	// The center's diagonal sums its k spokes. A zero-weight net leaves
+	// the center decoupled; a unit diagonal keeps its row nonsingular.
 	cc := k * w
 	if cc == 0 {
 		cc = 1
@@ -429,6 +443,8 @@ func (cm *contribMap) starValues(ni int, m, d int32) float64 {
 	cm.setSpring(m, cc)
 	cm.setSpring(m+1, w)
 	for _, p := range net.Pins {
+		// Cost w((x+o)−x_c)² per pin: the offset o shifts d; a fixed
+		// pin folds entirely into the center's d.
 		if s.VarOf[p.Cell] >= 0 {
 			cm.setPull(d, w*p.Offset.X, w*p.Offset.Y)
 		} else {
@@ -440,8 +456,11 @@ func (cm *contribMap) starValues(ni int, m, d int32) float64 {
 	return w * (k - 1) / 2
 }
 
-// cliqueValues writes net ni's clique values (see assembleClique and
-// assembleEdge) from slots m and d on, and returns the net's weight total.
+// cliqueValues writes net ni's values as the paper's clique (§2.1) from
+// slots m and d on: k(k−1)/2 edges of weight w/k, each divided by its
+// pin-to-pin distance when linearizing. Each pin is cellPos + offset;
+// offsets fold into d, and a fixed pin folds into it entirely. It returns
+// the summed edge weight (for anchor scaling).
 func (cm *contribMap) cliqueValues(ni int, m, d int32) float64 {
 	s := cm.s
 	nl := s.nl
@@ -459,8 +478,8 @@ func (cm *contribMap) cliqueValues(ni int, m, d int32) float64 {
 			w := base
 			if s.opts.Linearize {
 				dist := nl.PinPos(pi).Dist(nl.PinPos(pj))
-				if dist < s.opts.MinDist {
-					dist = s.opts.MinDist
+				if dist < minDist {
+					dist = minDist
 				}
 				w /= dist
 			}
@@ -469,6 +488,7 @@ func (cm *contribMap) cliqueValues(ni int, m, d int32) float64 {
 			va, vb := s.VarOf[pi.Cell], s.VarOf[pj.Cell]
 			switch {
 			case va >= 0 && vb >= 0:
+				// Cost w((xa+oa)−(xb+ob))²; the offset difference shifts d.
 				cm.setPull(d, w*(pi.Offset.X-pj.Offset.X), w*(pi.Offset.Y-pj.Offset.Y))
 			case va >= 0:
 				p := nl.PinPos(pj)

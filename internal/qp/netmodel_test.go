@@ -33,7 +33,6 @@ func starCircuit(t *testing.T) *netlist.Netlist {
 // per pair divided by the pair's own distance. Eliminating the star
 // centers of s must give exactly this system.
 func cliqueReference(nl *netlist.Netlist, s *System, opts Options) (c *sparse.CSR, dx, dy []float64) {
-	opts = normalize(opts)
 	n := len(s.CellOf)
 	b := sparse.NewBuilder(n)
 	dx, dy = make([]float64, n), make([]float64, n)
@@ -61,7 +60,7 @@ func cliqueReference(nl *netlist.Netlist, s *System, opts Options) (c *sparse.CS
 					if k < starMinPins {
 						d = nl.PinPos(pa).Dist(nl.PinPos(pb))
 					}
-					w /= math.Max(d, opts.MinDist)
+					w /= max(d, minDist)
 				}
 				total += w
 				va, vb := s.VarOf[pa.Cell], s.VarOf[pb.Cell]

@@ -108,7 +108,7 @@ func TestRefilledFactorMatchesFreshAssembler(t *testing.T) {
 	}
 
 	// Fresh assembler at the identical pre-solve state: same insertion
-	// sequence → bit-identical CSR (Symbolic.Refill contract) → the fresh
+	// sequence → bit-identical CSR (a refill sums like a first assembly) → the fresh
 	// factor and cached refactored factor are bit-identical → so are the
 	// solves.
 	nl.Restore(snap)

@@ -25,19 +25,22 @@ import (
 // Options controls system assembly.
 type Options struct {
 	// Linearize divides each spring weight by a current length (clamped
-	// below by MinDist), so successive solves approximate a linear
+	// below by minDist), so successive solves approximate a linear
 	// wire-length objective [14]: a clique edge by its pin-to-pin
 	// distance, a star net's spokes by the mean distance of its pins to
 	// their centroid.
 	Linearize bool
-	// MinDist is the linearization distance clamp. Defaults to 1 layout
-	// unit (one row height).
-	MinDist float64
-	// Anchor adds a tiny spring from every movable cell to the region
-	// center so components with no fixed connection still have a unique
-	// solution. Defaults to 1e-6 of the average connectivity.
-	Anchor float64
 }
+
+// minDist is the linearization distance clamp: 1 layout unit (one row
+// height).
+const minDist = 1
+
+// anchorScale sets the anchor spring that ties every movable cell to the
+// region center, so components with no fixed connection still have a
+// unique solution: each anchor weighs anchorScale·(W/n + 1), where W is
+// the summed clique weight of all nets and n the number of movable cells.
+const anchorScale = 1e-4
 
 // starMinPins is the pin count from which a net is assembled as a star
 // with a free center instead of a clique. At 4 pins the star's 4 spokes
@@ -74,7 +77,7 @@ type System struct {
 	// chol caches the IC0 preconditioner across the solves of one
 	// assembly: the pattern is built once per System (it is fixed by C's
 	// sparsity), the numeric factor is recomputed lazily after each
-	// assembleInto, and both axis solves share it read-only. cholBroken
+	// refill, and both axis solves share it read-only. cholBroken
 	// remembers a pivot breakdown for the current values, so the
 	// Jacobi fallback is decided once per assembly, not per solve.
 	chol       *sparse.IC0Factor
@@ -85,23 +88,12 @@ type System struct {
 }
 
 // Build assembles the system from the netlist's current state (weights,
-// and — when linearizing — current positions). Iterative callers that
-// rebuild the same netlist repeatedly should hold an Assembler instead,
-// which caches the sparsity pattern and storage between assemblies.
+// and — when linearizing — current positions): the first assembly of a
+// fresh Assembler. Iterative callers that rebuild the same netlist
+// repeatedly should hold an Assembler instead, which keeps the sparsity
+// pattern and storage between assemblies.
 func Build(nl *netlist.Netlist, opts Options) *System {
-	s := newSkeleton(nl, normalize(opts))
-	b := sparse.NewBuilderSized(s.rowCounts())
-	s.assembleInto(b)
-	s.C = b.Build()
-	return s
-}
-
-// normalize fills Options defaults.
-func normalize(opts Options) Options {
-	if opts.MinDist <= 0 {
-		opts.MinDist = 1
-	}
-	return opts
+	return NewAssembler(nl, opts).Assemble()
 }
 
 // newSkeleton allocates the structural half of a system: the variable
@@ -129,132 +121,6 @@ func newSkeleton(nl *netlist.Netlist, opts Options) *System {
 	return s
 }
 
-// rowCounts returns how many entries assembleInto adds to each row of the
-// builder: the insertion sequence depends on the topology alone, so the
-// first assembly can reserve every row at its final length.
-func (s *System) rowCounts() []int {
-	counts := make([]int, s.N())
-	s.walk(func(i, _ int, _ int32) { counts[i]++ }, func(int, int32) {})
-	return counts
-}
-
-// assembleInto zeroes d and accumulates every net plus the anchor springs
-// into b. The triplet insertion sequence is fully determined by the netlist
-// topology — never by weights or positions — which is what lets Assembler
-// record it once (contribMap). Each d term is rounded before it is added:
-// the float64 conversions keep a compiler from fusing the multiply into
-// the add, so this assembly and the contribution map, which stores every
-// term, agree bit for bit on every platform.
-func (s *System) assembleInto(b *sparse.Builder) {
-	nl := s.nl
-	s.cholDirty = true // values change; the cached factor must refresh
-	s.cholBroken = false
-	clear(s.Dx)
-	clear(s.Dy)
-	totalW := 0.0
-	center := len(s.CellOf)
-	for ni := range nl.Nets {
-		if len(nl.Nets[ni].Pins) >= starMinPins {
-			totalW += s.assembleStar(b, ni, center)
-			center++
-		} else {
-			totalW += s.assembleClique(b, ni)
-		}
-	}
-
-	// Anchor springs to the region center keep C strictly positive
-	// definite even for floating components, and bound the displacement
-	// response of isolated cell islands to external forces.
-	anchor := s.opts.Anchor
-	if anchor <= 0 {
-		anchor = 1e-4 * (totalW/float64(max(len(s.CellOf), 1)) + 1)
-	}
-	c := nl.Region.Outline.Center()
-	for vi := range s.CellOf {
-		b.Add(vi, vi, anchor)
-		s.Dx[vi] -= float64(anchor * c.X)
-		s.Dy[vi] -= float64(anchor * c.Y)
-	}
-}
-
-// assembleClique adds net ni as the paper's clique (§2.1): k(k−1)/2 edges
-// of weight w/k, each divided by its pin-to-pin distance when linearizing.
-// It returns the summed edge weight (for anchor scaling).
-func (s *System) assembleClique(b *sparse.Builder, ni int) float64 {
-	nl := s.nl
-	net := &nl.Nets[ni]
-	k := len(net.Pins)
-	if k < 2 {
-		return 0
-	}
-	base := net.Weight / float64(k)
-	var total float64
-	for i := 0; i < k; i++ {
-		pi := net.Pins[i]
-		for j := i + 1; j < k; j++ {
-			pj := net.Pins[j]
-			w := base
-			if s.opts.Linearize {
-				d := nl.PinPos(pi).Dist(nl.PinPos(pj))
-				if d < s.opts.MinDist {
-					d = s.opts.MinDist
-				}
-				w /= d
-			}
-			total += w
-			s.assembleEdge(b, pi, pj, w)
-		}
-	}
-	return total
-}
-
-// assembleStar adds net ni as a star: every pin is tied to the free center
-// variable c by a spoke of weight w, the net weight. Minimizing over the
-// center's position leaves a clique of pair weight w/k — the paper's
-// clique exactly. When linearizing, every spoke is divided by R, the mean
-// distance of the pins to their centroid (clamped below by MinDist), which
-// leaves a clique of pair weight w/(k·R): one linearization distance per
-// net instead of one per pin pair. It returns the weight of that clique,
-// w(k−1)/(2R), so the anchor scales as it would under the clique.
-func (s *System) assembleStar(b *sparse.Builder, ni, c int) float64 {
-	nl := s.nl
-	net := &nl.Nets[ni]
-	k := float64(len(net.Pins))
-	w := net.Weight
-	if s.opts.Linearize {
-		centroid := s.centroid(ni)
-		var r float64
-		for _, p := range net.Pins {
-			r += nl.PinPos(p).Dist(centroid)
-		}
-		w /= max(r/k, s.opts.MinDist)
-	}
-	// The center's diagonal sums its k spokes. A zero-weight net leaves
-	// the center decoupled; a unit diagonal keeps its row nonsingular.
-	cc := k * w
-	if cc == 0 {
-		cc = 1
-	}
-	b.Add(c, c, cc)
-	for _, p := range net.Pins {
-		// Cost w((x+o)−x_c)² per pin: the offset o shifts d; a fixed
-		// pin folds entirely into the center's d.
-		if vi := s.VarOf[p.Cell]; vi >= 0 {
-			b.Add(vi, vi, w)
-			b.AddSym(vi, c, -w)
-			s.Dx[vi] += float64(w * p.Offset.X)
-			s.Dy[vi] += float64(w * p.Offset.Y)
-			s.Dx[c] -= float64(w * p.Offset.X)
-			s.Dy[c] -= float64(w * p.Offset.Y)
-		} else {
-			pos := nl.PinPos(p)
-			s.Dx[c] -= float64(w * pos.X)
-			s.Dy[c] -= float64(w * pos.Y)
-		}
-	}
-	return w * (k - 1) / 2
-}
-
 // centroid returns the mean position of net ni's pins.
 func (s *System) centroid(ni int) geom.Point {
 	pins := s.nl.Nets[ni].Pins
@@ -263,37 +129,6 @@ func (s *System) centroid(ni int) geom.Point {
 		c = c.Add(s.nl.PinPos(p))
 	}
 	return c.Scale(1 / float64(len(pins)))
-}
-
-// assembleEdge adds one weighted spring between two pins. Each pin is
-// cellPos + offset; offsets fold into the linear term, fixed cells fold
-// entirely into it.
-func (s *System) assembleEdge(b *sparse.Builder, pa, pb netlist.Pin, w float64) {
-	nl := s.nl
-	va, vb := s.VarOf[pa.Cell], s.VarOf[pb.Cell]
-	switch {
-	case va >= 0 && vb >= 0:
-		b.Add(va, va, w)
-		b.Add(vb, vb, w)
-		b.AddSym(va, vb, -w)
-		// Cost w((xa+oa)−(xb+ob))²; the offset difference shifts d.
-		ox := pa.Offset.X - pb.Offset.X
-		oy := pa.Offset.Y - pb.Offset.Y
-		s.Dx[va] += float64(w * ox)
-		s.Dx[vb] -= float64(w * ox)
-		s.Dy[va] += float64(w * oy)
-		s.Dy[vb] -= float64(w * oy)
-	case va >= 0:
-		p := nl.PinPos(pb) // absolute fixed pin position
-		b.Add(va, va, w)
-		s.Dx[va] += float64(w * (pa.Offset.X - p.X))
-		s.Dy[va] += float64(w * (pa.Offset.Y - p.Y))
-	case vb >= 0:
-		p := nl.PinPos(pa)
-		b.Add(vb, vb, w)
-		s.Dx[vb] += float64(w * (pb.Offset.X - p.X))
-		s.Dy[vb] += float64(w * (pb.Offset.Y - p.Y))
-	}
 }
 
 // N returns the number of unknowns per axis: the movable cells followed

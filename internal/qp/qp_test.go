@@ -224,7 +224,7 @@ func TestLinearizeApproximatesLinearObjective(t *testing.T) {
 
 	// Iterated linearized solves drift toward the median (x≈1).
 	for it := 0; it < 15; it++ {
-		s = Build(nl, Options{Linearize: true, MinDist: 0.1})
+		s = Build(nl, Options{Linearize: true})
 		if _, err := s.Solve(nil, sparse.CGOptions{Tol: 1e-12}); err != nil {
 			t.Fatal(err)
 		}

@@ -9,13 +9,12 @@ import "math"
 // on placement matrices at the cost of a sequential triangular solve per
 // iteration.
 //
-// The factor is split symbolically/numerically the same way Builder/
-// Symbolic split matrix assembly: NewIC0Pattern records the strict-lower
-// pattern and the value-source mapping once, and Refactor re-derives the
-// numeric factor from the matrix's current values with no allocation and no
-// position lookups. Placement matrices are refilled (same pattern, new
-// spring weights) on every transformation, so the steady state is one
-// Refactor per assembly.
+// The factor is split into a pattern and its values: NewIC0Pattern records
+// the strict-lower pattern and the value-source mapping once, and Refactor
+// re-derives the numeric factor from the matrix's current values with no
+// allocation and no position lookups. Placement matrices are refilled
+// (same pattern, new spring weights) on every transformation, so the
+// steady state is one Refactor per assembly.
 //
 // Refactor eliminates each row through a dense scatter: the finished
 // entries of the row being eliminated sit in the scratch row w, indexed by
@@ -42,8 +41,8 @@ type IC0Factor struct {
 
 // NewIC0Pattern records the strict-lower-triangle pattern of m and the
 // value-source mapping Refactor scatters from. The pattern stays valid for
-// any matrix refilled through the same sparse.Symbolic (identical rowPtr and
-// cols); the values are free to change.
+// any matrix with m's rowPtr and cols, such as m itself after its values
+// are rewritten in place; the values are free to change.
 func NewIC0Pattern(m *CSR) *IC0Factor {
 	n := m.N()
 	f := &IC0Factor{
@@ -83,7 +82,7 @@ func NewIC0(m *CSR) *IC0Factor {
 
 // Refactor recomputes the numeric factor from m's current values through
 // the recorded pattern. m must have the exact sparsity NewIC0Pattern saw
-// (the Symbolic.Refill contract); only the values may differ. It reports
+// (identical rowPtr and cols); only the values may differ. It reports
 // false on breakdown (a non-positive or NaN pivot) — the factor's values
 // are then unspecified and the caller must fall back to Jacobi until the
 // next refill. Refactor allocates nothing.
@@ -93,9 +92,10 @@ func NewIC0(m *CSR) *IC0Factor {
 // Where row i has no column t, w[t] is +0 and the product is ±0; a row j
 // of a factor still being built holds finite entries (a non-finite one
 // fails row j's own pivot first), so such a term leaves the running sum
-// unchanged unless that sum is -0. Builder and Symbolic.Refill never
-// store -0, so on the matrices they produce the factor is bit-identical
-// to one that visits only the shared columns.
+// unchanged unless that sum is -0. Builder.Build and qp's assembler sum
+// every stored value from +0, and such a sum is never -0, so on the
+// matrices they produce the factor is bit-identical to one that visits
+// only the shared columns.
 func (f *IC0Factor) Refactor(m *CSR) bool {
 	// Load the raw strict-lower values; row i's raw values are consumed
 	// exactly when row i is eliminated, and rows j < i already hold L.

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -31,8 +32,8 @@ type spdSpring struct {
 }
 
 // randomSPDSprings draws a random diagonally dominant spring system whose
-// Add sequence can be replayed with rescaled weights — the Symbolic.Refill
-// contract needs the identical triplet shape on every fill.
+// Add sequence can be replayed with rescaled weights, giving matrices of
+// one pattern with new values.
 func randomSPDSprings(rng *rand.Rand, n int) []spdSpring {
 	var ss []spdSpring
 	for k := 0; k < n*3; k++ {
@@ -59,12 +60,27 @@ func fillSPD(b *Builder, n int, ss []spdSpring, s float64) {
 	}
 }
 
-func buildSPDSymbolic(rng *rand.Rand, n int) (*CSR, *Symbolic, *Builder, []spdSpring) {
-	ss := randomSPDSprings(rng, n)
+// springMatrix builds the spring system ss, its weights scaled by s.
+func springMatrix(n int, ss []spdSpring, s float64) *CSR {
 	b := NewBuilder(n)
-	fillSPD(b, n, ss, 1)
-	m, sym := b.BuildSymbolic()
-	return m, sym, b, ss
+	fillSPD(b, n, ss, s)
+	return b.Build()
+}
+
+func buildSPD(rng *rand.Rand, n int) (*CSR, []spdSpring) {
+	ss := randomSPDSprings(rng, n)
+	return springMatrix(n, ss, 1), ss
+}
+
+// setValues overwrites m's values with fresh's, a matrix of the same
+// pattern: the same-pattern, new-values matrix a cached IC0 pattern
+// refactors.
+func setValues(t testing.TB, m, fresh *CSR) {
+	t.Helper()
+	if !slices.Equal(m.rowPtr, fresh.rowPtr) || !slices.Equal(m.cols, fresh.cols) {
+		t.Fatal("the rebuilt matrix has a different pattern")
+	}
+	copy(m.vals, fresh.vals)
 }
 
 // refactorMerge is the two-pointer merge kernel Refactor used before the
@@ -149,7 +165,7 @@ func cliqueSprings(rng *rand.Rand, n, nets int) []spdSpring {
 	return ss
 }
 
-// reweight keeps the springs' (i, j) sequence, the Refill contract, and
+// reweight keeps the springs' (i, j) sequence, and so the pattern, and
 // draws fresh weights.
 func reweight(rng *rand.Rand, ss []spdSpring) []spdSpring {
 	out := make([]spdSpring, len(ss))
@@ -161,16 +177,14 @@ func reweight(rng *rand.Rand, ss []spdSpring) []spdSpring {
 
 // TestIC0RefactorMatchesMergeKernel pins the dense-scatter Refactor to the
 // merge kernel, entry for entry, on clique-shaped systems with placement's
-// row degree, across several refills of one pattern.
+// row degree, across several value sets on one pattern.
 func TestIC0RefactorMatchesMergeKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 4; trial++ {
 		n := 200 + rng.Intn(400)
 		nets := n/2 + rng.Intn(n)
 		ss := cliqueSprings(rng, n, nets)
-		b := NewBuilder(n)
-		fillSPD(b, n, ss, 1)
-		m, sym := b.BuildSymbolic()
+		m := springMatrix(n, ss, 1)
 		if deg := float64(m.NNZ()) / float64(n); deg < 20 || deg > 100 {
 			t.Fatalf("trial %d: %.1f stored entries per row, want 20–100", trial, deg)
 		}
@@ -178,11 +192,7 @@ func TestIC0RefactorMatchesMergeKernel(t *testing.T) {
 		ref := NewIC0Pattern(m)
 		for round := 0; round < 4; round++ {
 			if round > 0 {
-				b.Reset()
-				fillSPD(b, n, reweight(rng, ss), 1)
-				if !sym.Refill(m, b) {
-					t.Fatalf("trial %d round %d: refill rejected", trial, round)
-				}
+				setValues(t, m, springMatrix(n, reweight(rng, ss), 1))
 			}
 			ok, refOK := f.Refactor(m), refactorMerge(ref, m)
 			if !ok || !refOK {
@@ -203,7 +213,7 @@ func TestIC0RefactorMatchesFreshFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		n := 10 + rng.Intn(120)
-		m, sym, b, ss := buildSPDSymbolic(rng, n)
+		m, ss := buildSPD(rng, n)
 
 		f := NewIC0Pattern(m)
 		if !f.Refactor(m) {
@@ -217,30 +227,26 @@ func TestIC0RefactorMatchesFreshFactor(t *testing.T) {
 			t.Fatalf("trial %d: pattern+Refactor diverges from one-shot NewIC0", trial)
 		}
 
-		// Refill with scaled weights through the same symbolic pattern,
-		// refactor the cached pattern, and compare against a factor built
-		// from scratch on the refilled matrix: bit-identical.
-		b.Reset()
-		fillSPD(b, n, ss, 0.5+rng.Float64())
-		if !sym.Refill(m, b) {
-			t.Fatalf("trial %d: refill rejected", trial)
-		}
+		// Rescale the weights on the same pattern, refactor the cached
+		// pattern, and compare against a factor built from scratch on the
+		// new values: bit-identical.
+		setValues(t, m, springMatrix(n, ss, 0.5+rng.Float64()))
 		if !f.Refactor(m) {
-			t.Fatalf("trial %d: refactor broke down after refill", trial)
+			t.Fatalf("trial %d: refactor broke down after rescaling", trial)
 		}
 		fresh2 := NewIC0(m)
 		if fresh2 == nil {
-			t.Fatalf("trial %d: fresh factor broke down after refill", trial)
+			t.Fatalf("trial %d: fresh factor broke down after rescaling", trial)
 		}
 		if !sameFactor(f, fresh2) {
-			t.Fatalf("trial %d: refactor-vs-fresh-factor not bit-identical after refill", trial)
+			t.Fatalf("trial %d: refactor-vs-fresh-factor not bit-identical after rescaling", trial)
 		}
 	}
 }
 
 func TestIC0RefactorAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m, _, _, _ := buildSPDSymbolic(rng, 200)
+	m, _ := buildSPD(rng, 200)
 	f := NewIC0Pattern(m)
 	allocs := testing.AllocsPerRun(20, func() {
 		if !f.Refactor(m) {
@@ -255,7 +261,7 @@ func TestIC0RefactorAllocFree(t *testing.T) {
 func TestIC0SharedFactorMatchesPerSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	n := 300
-	m, _, _, _ := buildSPDSymbolic(rng, n)
+	m, _ := buildSPD(rng, n)
 	b1 := make([]float64, n)
 	b2 := make([]float64, n)
 	for i := range b1 {
@@ -296,17 +302,16 @@ func TestIC0SharedFactorMatchesPerSolve(t *testing.T) {
 func TestIC0RefactorBreakdownReported(t *testing.T) {
 	// A tridiagonal 3×3 pattern, so a breakdown can come at row 0, before
 	// any scatter, or at row 1, after L[1][0] went into the scratch row.
-	fill := func(b *Builder, d0, d1, d2 float64) {
-		b.Reset()
+	tridiag := func(d0, d1, d2 float64) *CSR {
+		b := NewBuilder(3)
 		b.AddSym(0, 0, d0)
 		b.AddSym(1, 1, d1)
 		b.AddSym(2, 2, d2)
 		b.AddSym(0, 1, 1)
 		b.AddSym(1, 2, 1)
+		return b.Build()
 	}
-	b := NewBuilder(3)
-	fill(b, 4, 4, 4)
-	m, sym := b.BuildSymbolic()
+	m := tridiag(4, 4, 4)
 	f := NewIC0Pattern(m)
 	if !f.Refactor(m) {
 		t.Fatal("refactor broke down on an SPD matrix")
@@ -319,12 +324,9 @@ func TestIC0RefactorBreakdownReported(t *testing.T) {
 		{"negative-definite", -4, -4, -4}, // breaks down at row 0
 		{"indefinite", 4, -4, 4},          // breaks down at row 1, after L[1][0]
 	} {
-		// Refill the same pattern with bad values: Refactor must report
-		// breakdown, matching NewIC0's nil on the same matrix.
-		fill(b, bad.d0, bad.d1, bad.d2)
-		if !sym.Refill(m, b) {
-			t.Fatal("refill rejected")
-		}
+		// Bad values on the same pattern: Refactor must report breakdown,
+		// matching NewIC0's nil on the same matrix.
+		setValues(t, m, tridiag(bad.d0, bad.d1, bad.d2))
 		if f.Refactor(m) {
 			t.Fatalf("%s: refactor succeeded", bad.name)
 		}
@@ -337,12 +339,9 @@ func TestIC0RefactorBreakdownReported(t *testing.T) {
 
 		// SPD values again: the factor that just broke down must refactor
 		// to exactly what a fresh factorization gives.
-		fill(b, 4, 5, 6)
-		if !sym.Refill(m, b) {
-			t.Fatal("refill rejected")
-		}
+		setValues(t, m, tridiag(4, 5, 6))
 		if !f.Refactor(m) {
-			t.Fatalf("%s: refactor broke down on the SPD refill", bad.name)
+			t.Fatalf("%s: refactor broke down on the SPD values", bad.name)
 		}
 		fresh := NewIC0(m)
 		if fresh == nil || !sameFactor(f, fresh) {

@@ -28,25 +28,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n, rows: make([][]entry, n)}
 }
 
-// NewBuilderSized creates a builder for a len(counts)×len(counts) matrix
-// whose row i will receive counts[i] entries. The rows are carved from one
-// backing array, so an assembly of that many entries per row never grows
-// a row; a row that receives more still grows, on its own.
-func NewBuilderSized(counts []int) *Builder {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	slab := make([]entry, total)
-	b := &Builder{n: len(counts), rows: make([][]entry, len(counts))}
-	off := 0
-	for i, c := range counts {
-		b.rows[i] = slab[off : off : off+c]
-		off += c
-	}
-	return b
-}
-
 // N returns the matrix dimension.
 func (b *Builder) N() int { return b.n }
 

@@ -395,3 +395,63 @@ func TestIC0FallsBackOnBreakdown(t *testing.T) {
 		t.Errorf("applied %v, want jacobi", res.Precond)
 	}
 }
+
+// fillRandomSPDish adds a random symmetric diagonally-augmented pattern with
+// duplicate entries, the shape qp assembly produces.
+func fillRandomSPDish(b *Builder, rng *rand.Rand, n, nnz int) {
+	for i := 0; i < n; i++ {
+		b.Add(i, i, 1+rng.Float64())
+	}
+	for k := 0; k < nnz; k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		// Repeated pairs produce duplicate triplets, which Build merges.
+		b.AddSym(i, j, rng.NormFloat64())
+	}
+}
+
+func benchMatrix(n int) *CSR {
+	rng := rand.New(rand.NewSource(99))
+	b := NewBuilder(n)
+	fillRandomSPDish(b, rng, n, 6*n)
+	return b.Build()
+}
+
+func BenchmarkMulVec(b *testing.B) {
+	m := benchMatrix(20000)
+	x := make([]float64, m.N())
+	dst := make([]float64, m.N())
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulVec(dst, x)
+	}
+}
+
+func BenchmarkDiag(b *testing.B) {
+	m := benchMatrix(20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Diag()
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(100))
+	n := 5000
+	tpl := NewBuilder(n)
+	fillRandomSPDish(tpl, rng, n, 6*n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bb := NewBuilder(n)
+		bb.rows = append([][]entry(nil), tpl.rows...)
+		_ = bb.Build()
+	}
+}
