@@ -86,7 +86,7 @@ func main() {
 		}
 	}
 	if *httpAddr != "" {
-		//lint:ignore parpolicy background debug server: deliberately fire-and-forget, it lives for the whole process
+		// The debug server lives for the whole process; nothing joins it.
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
 				log.Printf("debug server: %v", err)

@@ -69,7 +69,7 @@ func main() {
 
 	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
-	//lint:ignore parpolicy long-lived HTTP accept loop for the daemon's whole life, not data parallelism
+	// The accept loop lives as long as the daemon; its error arrives on errc.
 	go func() { errc <- hs.ListenAndServe() }()
 	h := s.Health()
 	fmt.Printf("serving on %s (%d workers, queue %d)\n", *addr, h.Workers, *queue)

@@ -79,30 +79,11 @@ type Pass struct {
 	Report func(Diagnostic)
 }
 
-// TextEdit replaces the source range [Pos, End) with NewText. Pos == End
-// inserts; empty NewText deletes.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is one self-contained repair for a diagnostic: a set of
-// non-overlapping edits that, applied together, remove the finding while
-// keeping the package compiling. Fixes must be conservative — kvet -fix
-// applies them unattended.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// Diagnostic is one finding at one source position.
+// Diagnostic is one finding at one source position. There are no
+// suggested fixes: a finding names a defect for a person to repair.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// SuggestedFixes carries machine-applicable repairs; kvet -fix applies
-	// the first one, -diff previews it.
-	SuggestedFixes []SuggestedFix
 }
 
 // Reportf reports a formatted diagnostic at pos.

@@ -13,11 +13,6 @@
 // iteration sees it), and any reference from a nested function literal
 // counts as a read (the closure may run at any time). Named result
 // parameters are skipped entirely — a bare return reads them invisibly.
-//
-// Findings on plain `=` assignments carry a suggested fix replacing the
-// dead `err` with `_`, which preserves behavior exactly while making the
-// discard explicit; `:=` findings get no fix (blanking the only variable
-// would break the declaration).
 package errflow
 
 import (
@@ -93,7 +88,7 @@ func checkFunc(pass *analysis.Pass, ftype *ast.FuncType, body *ast.BlockStmt, to
 				}
 				writeIdents[id] = true
 				writes[obj] = append(writes[obj], writeEvent{
-					id: id, tok: n.Tok, stmt: n,
+					id: id, stmt: n,
 					// Order by statement end so reads on the RHS of the
 					// same assignment precede their own write.
 					order: n.End(),
@@ -145,7 +140,6 @@ func (s span) contains(p token.Pos) bool { return s.lo <= p && p < s.hi }
 
 type writeEvent struct {
 	id    *ast.Ident
-	tok   token.Token
 	stmt  *ast.AssignStmt
 	order token.Pos
 }
@@ -231,14 +225,7 @@ func flagUnchecked(pass *analysis.Pass, writes map[types.Object][]writeEvent, re
 			if loopRescued(loops, rs, w.id.Pos()) {
 				continue
 			}
-			d := analysis.Diagnostic{
-				Pos:     w.id.Pos(),
-				Message: w.id.Name + " assigned and never checked; the failure this call can report is silently dropped",
-			}
-			if fix, ok := blankFix(w); ok {
-				d.SuggestedFixes = []analysis.SuggestedFix{fix}
-			}
-			pass.Report(d)
+			pass.Reportf(w.id.Pos(), "%s assigned and never checked; the failure this call can report is silently dropped", w.id.Name)
 		}
 	}
 }
@@ -294,14 +281,7 @@ func flagOverwrites(pass *analysis.Pass, body *ast.BlockStmt, writes map[types.O
 					obj := objOf(w)
 					if prev, ok := last[obj]; ok && !readBetween(reads[obj], prev.order, w.stmt.Pos()) && !rhsReads(pass, w.stmt, obj) {
 						line := pass.Fset.Position(w.id.Pos()).Line
-						d := analysis.Diagnostic{
-							Pos:     prev.id.Pos(),
-							Message: prev.id.Name + " overwritten at line " + itoa(line) + " before this value is checked",
-						}
-						if fix, ok := blankFix(prev); ok {
-							d.SuggestedFixes = []analysis.SuggestedFix{fix}
-						}
-						pass.Report(d)
+						pass.Reportf(prev.id.Pos(), "%s overwritten at line %d before this value is checked", prev.id.Name, line)
 					}
 					last[obj] = w
 				}
@@ -424,23 +404,8 @@ func usedAfter(pass *analysis.Pass, obj types.Object, pos token.Pos) bool {
 	return false
 }
 
-// blankFix builds the err -> _ replacement for plain assignments. A :=
-// write gets no fix: blanking a freshly declared variable breaks the
-// declaration.
-func blankFix(w writeEvent) (analysis.SuggestedFix, bool) {
-	if w.tok != token.ASSIGN {
-		return analysis.SuggestedFix{}, false
-	}
-	return analysis.SuggestedFix{
-		Message: "discard explicitly with _",
-		TextEdits: []analysis.TextEdit{{
-			Pos: w.id.Pos(), End: w.id.End(), NewText: "_",
-		}},
-	}, true
-}
-
 // sortedObjs orders map keys by declaration position so reports come out
-// deterministically (the lint suite's own detrange rule applies to us too).
+// deterministically.
 func sortedObjs(writes map[types.Object][]writeEvent) []types.Object {
 	objs := make([]types.Object, 0, len(writes))
 	for obj := range writes {
@@ -448,18 +413,4 @@ func sortedObjs(writes map[types.Object][]writeEvent) []types.Object {
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i].Pos() < objs[j].Pos() })
 	return objs
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -10,9 +10,3 @@ import (
 func TestFixture(t *testing.T) {
 	analysistest.Run(t, "testdata/fixture", errflow.Analyzer)
 }
-
-// TestFix proves the err -> _ autofix matches the golden, still compiles,
-// and leaves nothing for a second -fix pass.
-func TestFix(t *testing.T) {
-	analysistest.RunFix(t, "testdata/fixture", errflow.Analyzer)
-}

@@ -16,38 +16,28 @@
 // on the flagged line or the line directly above it. The reason is
 // mandatory — a bare ignore does not suppress — so every deliberate
 // exception documents itself. A directive that suppresses nothing is
-// itself reported (analyzer name "staleignore") with a fix that deletes
-// it: dead suppressions otherwise outlive the finding they excused and
-// silently blind the next occurrence.
+// itself reported (analyzer name "staleignore"): dead suppressions
+// otherwise outlive the finding they excused and silently blind the next
+// occurrence.
 package lint
 
 import (
-	"fmt"
-	"go/token"
-	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/callgraph"
-	"repro/internal/lint/detrange"
-	"repro/internal/lint/enumswitch"
 	"repro/internal/lint/errflow"
-	"repro/internal/lint/floatcmp"
 	"repro/internal/lint/load"
 	"repro/internal/lint/lockheld"
-	"repro/internal/lint/nilsafe"
 	"repro/internal/lint/noclock"
-	"repro/internal/lint/parpolicy"
-	"repro/internal/obsv"
 )
 
 // StaleIgnore is the pseudo-analyzer stale-suppression findings are
 // attributed to. Its Run is a no-op: the detection lives in RunSuite,
 // which sees every directive and every suppression hit; the analyzer
-// exists so the findings have a name that -list documents and that a
-// //lint:ignore directive can itself name.
+// exists so the findings have a name that a //lint:ignore directive can
+// itself name.
 var StaleIgnore = &analysis.Analyzer{
 	Name: "staleignore",
 	Doc:  "flags //lint:ignore directives that suppress no finding; a dead suppression blinds the next real occurrence on that line",
@@ -57,8 +47,6 @@ var StaleIgnore = &analysis.Analyzer{
 // Rule binds an analyzer to the set of packages it polices.
 type Rule struct {
 	Analyzer *analysis.Analyzer
-	// Only restricts the rule to the listed import paths when non-empty.
-	Only []string
 	// Exempt lists import paths the rule skips. Entries ending in "/..."
 	// match the path and everything below it.
 	Exempt []string
@@ -66,78 +54,48 @@ type Rule struct {
 
 // AppliesTo reports whether the rule polices the package at importPath.
 func (r Rule) AppliesTo(importPath string) bool {
-	if len(r.Only) > 0 {
-		return matchAny(r.Only, importPath)
-	}
-	return !matchAny(r.Exempt, importPath)
-}
-
-func matchAny(pats []string, path string) bool {
-	for _, p := range pats {
+	for _, p := range r.Exempt {
 		if rest, ok := strings.CutSuffix(p, "/..."); ok {
-			if path == rest || strings.HasPrefix(path, rest+"/") {
-				return true
+			if importPath == rest || strings.HasPrefix(importPath, rest+"/") {
+				return false
 			}
-		} else if path == p {
-			return true
+		} else if importPath == p {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Rules returns the repo policy. Rationale per rule:
 //
-//   - detrange guards run-to-run reproducibility of the placement loop, so
-//     it polices algorithm packages; obsv/bench/cmds/examples only render
-//     output and order their own emissions.
 //   - noclock keeps wall-clock reads inside obsv (the sanctioned Stopwatch),
-//     bench and the binaries.
-//   - parpolicy funnels all fan-out through internal/par, the one place
-//     that decides worker counts; par itself is the implementation. The
-//     serving layer (internal/serve, cmd/kserved) is deliberately NOT
-//     exempt: its worker pool is par.Pool, and the daemon's one raw
-//     accept-loop goroutine carries a reasoned //lint:ignore.
-//   - floatcmp applies everywhere: exact float equality is as wrong in a
-//     cmd as in the solver.
-//   - nilsafe enforces the obsv handle contract (every exported method on a
-//     nil handle is a no-op), so it runs only there.
+//     bench, the binaries and the examples.
 //   - lockheld applies everywhere: a critical section that blocks is wrong
 //     in a cmd exactly as in the solver.
 //   - errflow applies everywhere: a dropped error hides a failure path
 //     regardless of the package.
-//   - enumswitch applies everywhere: a silent fall-through on a new enum
-//     constant is wrong in a cmd exactly as in the solver.
 //   - staleignore applies everywhere a directive can appear.
 func Rules() []Rule {
-	reporting := []string{
-		"repro/internal/obsv",
-		"repro/internal/bench",
-		"repro/cmd/...",
-		"repro/examples/...",
-	}
 	return []Rule{
-		{Analyzer: detrange.Analyzer, Exempt: reporting},
-		{Analyzer: noclock.Analyzer, Exempt: reporting},
-		{Analyzer: parpolicy.Analyzer, Exempt: []string{"repro/internal/par"}},
-		{Analyzer: floatcmp.Analyzer},
-		{Analyzer: nilsafe.Analyzer, Only: []string{"repro/internal/obsv"}},
+		{Analyzer: noclock.Analyzer, Exempt: []string{
+			"repro/internal/obsv",
+			"repro/internal/bench",
+			"repro/cmd/...",
+			"repro/examples/...",
+		}},
 		{Analyzer: lockheld.Analyzer},
 		{Analyzer: errflow.Analyzer},
-		{Analyzer: enumswitch.Analyzer},
 		{Analyzer: StaleIgnore},
 	}
 }
 
 // Finding is one unsuppressed diagnostic with a resolved position.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	// Fixes carries the analyzer's suggested fixes, if any. ApplyFixes
-	// applies the first one.
-	Fixes []analysis.SuggestedFix `json:"-"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // Options adjusts a RunSuite call.
@@ -146,42 +104,17 @@ type Options struct {
 	CheckStale bool
 }
 
-// Timing is the accumulated wall time of one analyzer across every
-// package it ran on. The pseudo-analyzer name "facts" carries the
-// whole-program fact phase.
-type Timing struct {
-	Analyzer string
-	Wall     time.Duration
-}
-
-// Result is the outcome of one suite run.
-type Result struct {
-	Findings []Finding
-	// Fset resolves the positions inside Findings (one shared FileSet
-	// spans every loaded package), which ApplyFixes needs.
-	Fset *token.FileSet
-	// Timings lists per-analyzer wall time, slowest first (kvet
-	// -debug-timing renders it).
-	Timings []Timing
-}
-
 // RunSuite applies the rule set to the loaded packages: one whole-program
 // fact phase (package summaries in dependency order, MayBlock fixpoint),
 // then the reporting analyzers per package, then stale-suppression
-// detection over the accumulated directive hits.
-func RunSuite(pkgs []*load.Package, rules []Rule, opts Options) (*Result, error) {
-	if len(pkgs) == 0 {
-		return &Result{}, nil
-	}
-	res := &Result{Fset: pkgs[0].Fset}
-	wall := make(map[string]time.Duration)
-
+// detection over the accumulated directive hits. Findings come back
+// sorted by position, each reported once.
+func RunSuite(pkgs []*load.Package, rules []Rule, opts Options) ([]Finding, error) {
+	var findings []Finding
 	var store *callgraph.Store
 	if anyNeedsFacts(rules) {
 		store = callgraph.NewStore()
-		sw := obsv.StartTimer()
 		callgraph.Analyze(pkgs, store, callgraph.DefaultBounded)
-		wall["facts"] = sw.Elapsed()
 	}
 
 	ix := collectIgnores(pkgs)
@@ -207,32 +140,26 @@ func RunSuite(pkgs []*load.Package, rules []Rule, opts Options) (*Result, error)
 				if ix.suppressed(pos.Filename, pos.Line, name, nil) {
 					return
 				}
-				res.Findings = append(res.Findings, Finding{
+				findings = append(findings, Finding{
 					Analyzer: name,
 					File:     pos.Filename,
 					Line:     pos.Line,
 					Col:      pos.Column,
 					Message:  d.Message,
-					Fixes:    d.SuggestedFixes,
 				})
 			}
-			sw := obsv.StartTimer()
-			err := a.Run(pass)
-			wall[name] += sw.Elapsed()
-			if err != nil {
+			if err := a.Run(pass); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	if opts.CheckStale {
-		res.Findings = append(res.Findings, ix.stale()...)
+		findings = append(findings, ix.stale()...)
 	}
 
-	sortFindings(res.Findings)
-	res.Findings = dedupeFindings(res.Findings)
-	res.Timings = sortTimings(wall)
-	return res, nil
+	sortFindings(findings)
+	return dedupeFindings(findings), nil
 }
 
 // dedupeFindings collapses identical (analyzer, position, message)
@@ -251,21 +178,6 @@ func dedupeFindings(fs []Finding) []Finding {
 		}
 		out = append(out, f)
 	}
-	return out
-}
-
-// sortTimings renders the wall map slowest-first, ties by name.
-func sortTimings(wall map[string]time.Duration) []Timing {
-	out := make([]Timing, 0, len(wall))
-	for name, d := range wall {
-		out = append(out, Timing{Analyzer: name, Wall: d})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Wall != out[j].Wall {
-			return out[i].Wall > out[j].Wall
-		}
-		return out[i].Analyzer < out[j].Analyzer
-	})
 	return out
 }
 
@@ -296,12 +208,11 @@ func sortFindings(fs []Finding) {
 
 // directive is one parsed //lint:ignore comment and its usage count.
 type directive struct {
-	names    []string
-	file     string
-	line     int
-	col      int
-	pos, end token.Pos // the comment's span, for the deletion fix
-	hits     int
+	names []string
+	file  string
+	line  int
+	col   int
+	hits  int
 }
 
 // ignoreIndex locates directives by file and line and remembers every one
@@ -368,10 +279,6 @@ func (ix *ignoreIndex) stale() []Finding {
 			Line:     d.line,
 			Col:      d.col,
 			Message:  "//lint:ignore " + strings.Join(d.names, ",") + " suppresses no finding; delete the stale directive",
-			Fixes: []analysis.SuggestedFix{{
-				Message:   "delete the stale directive",
-				TextEdits: []analysis.TextEdit{{Pos: d.pos, End: d.end, NewText: ""}},
-			}},
 		}})
 	}
 	var out []Finding
@@ -407,8 +314,6 @@ func collectIgnores(pkgs []*load.Package) *ignoreIndex {
 						file:  pos.Filename,
 						line:  pos.Line,
 						col:   pos.Column,
-						pos:   c.Pos(),
-						end:   c.End(),
 					}
 					lines := ix.at[d.file]
 					if lines == nil {
@@ -422,35 +327,4 @@ func collectIgnores(pkgs []*load.Package) *ignoreIndex {
 		}
 	}
 	return ix
-}
-
-// WriteList renders the rule set for kvet -list: one line per analyzer,
-// sorted by name, with the first sentence of its doc string. The full
-// paragraph stays in the analyzer's package documentation; the listing is
-// a table of contents, not a manual.
-func WriteList(w io.Writer, rules []Rule) error {
-	byName := make(map[string]*analysis.Analyzer, len(rules))
-	for _, r := range rules {
-		byName[r.Analyzer.Name] = r.Analyzer
-	}
-	names := make([]string, 0, len(byName))
-	for name := range byName {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, err := fmt.Fprintf(w, "%-12s %s\n", name, firstSentence(byName[name].Doc)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// firstSentence cuts doc at the first period-space boundary; docs without
-// one are already a single sentence.
-func firstSentence(doc string) string {
-	if i := strings.Index(doc, ". "); i >= 0 {
-		return doc[:i+1]
-	}
-	return strings.TrimSpace(doc)
 }

@@ -44,9 +44,9 @@ func TestLoadDistinctKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading stale: %v", err)
 	}
-	other, err := Load(cfg, "./floatcmp/testdata/fixture")
+	other, err := Load(cfg, "./noclock/testdata/fixture")
 	if err != nil {
-		t.Fatalf("loading floatcmp fixture: %v", err)
+		t.Fatalf("loading noclock fixture: %v", err)
 	}
 	if stale[0].ImportPath == other[0].ImportPath {
 		t.Errorf("distinct patterns returned the same package %q", stale[0].ImportPath)

@@ -3,24 +3,26 @@
 // deliberately retained under a reasoned staleignore directive.
 package stale
 
-// live: the directive below suppresses a real floatcmp finding.
-func live(a, b float64) bool {
-	//lint:ignore floatcmp the caller quantized both operands to the same grid
-	return a == b
+import "time"
+
+// live: the directive below suppresses a real noclock finding.
+func live() time.Time {
+	//lint:ignore noclock the caller needs a wall-clock timestamp
+	return time.Now()
 }
 
-// dead: integer comparison never triggers floatcmp, so the directive is
+// dead: an integer comparison never reads the clock, so the directive is
 // stale and must be reported.
 func dead(a, b int) bool {
-	//lint:ignore floatcmp nothing here compares floats
+	//lint:ignore noclock nothing here reads the clock
 	return a == b
 }
 
-// kept: the floatcmp directive is stale too, but the staleignore
+// kept: the noclock directive is stale too, but the staleignore
 // directive above it vouches for keeping it — and thereby earns its own
 // hit, so neither is reported.
 func kept(a, b int) bool {
 	//lint:ignore staleignore retained to document the historical exception
-	//lint:ignore floatcmp nothing here compares floats either
+	//lint:ignore noclock nothing here reads the clock either
 	return a == b
 }

@@ -107,6 +107,7 @@ func TestBookshelfRoundTrip(t *testing.T) {
 	orig := tiny(t)
 	orig.Cells[2].Pos = geom.Point{X: 3.25, Y: 0.5}
 	orig.Nets[1].Pins[0].Offset = geom.Point{X: 0.5, Y: -0.25}
+	withAllDirs(orig)
 
 	var nodes, nets, pl, scl bytes.Buffer
 	if err := WriteBookshelf(orig, &nodes, &nets, &pl, &scl); err != nil {
@@ -128,6 +129,7 @@ func TestBookshelfRoundTrip(t *testing.T) {
 	if got.Cells[2].Pos.Dist(orig.Cells[2].Pos) > 1e-9 {
 		t.Errorf("position %v vs %v", got.Cells[2].Pos, orig.Cells[2].Pos)
 	}
+	samePins(t, got, orig)
 }
 
 func TestLoadBookshelfAux(t *testing.T) {

@@ -52,7 +52,8 @@ func Write(w io.Writer, nl *Netlist) error {
 	for ni := range nl.Nets {
 		n := &nl.Nets[ni]
 		fmt.Fprintf(bw, "net %s", nameOr(n.Name, fmt.Sprintf("n%d", ni)))
-		//lint:ignore floatcmp 1 is the exact stored default weight, not a computed value; only explicit weights are written back
+		// 1 is the exact stored default, not a computed value: only
+		// explicit weights are written back.
 		if n.Weight != 1 {
 			fmt.Fprintf(bw, " weight %g", n.Weight)
 		}

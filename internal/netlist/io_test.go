@@ -18,6 +18,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	nl.Nets[1].Weight = 2.5
 	nl.Nets[1].Pins[0].Offset = geom.Point{X: 0.5, Y: -0.25}
 	nl.Nets[1].Pins[1].Cap = 1e-14
+	withAllDirs(nl)
 
 	var buf bytes.Buffer
 	if err := Write(&buf, nl); err != nil {
@@ -55,13 +56,37 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if math.Abs(got.Region.W()-10) > 1e-12 || len(got.Region.Rows) != 4 {
 		t.Errorf("region lost: %v rows=%d", got.Region.Outline, len(got.Region.Rows))
 	}
-	// Pin directions survive.
-	if got.Nets[0].Pins[0].Dir != Output || got.Nets[0].Pins[1].Dir != Input {
-		t.Error("pin directions lost")
-	}
+	samePins(t, got, nl)
 	// Fixed pads survive.
 	if !got.Cells[0].Fixed || got.Cells[0].Pos != (geom.Point{X: 0, Y: 2}) {
 		t.Errorf("pad lost: %+v", got.Cells[0])
+	}
+}
+
+// withAllDirs makes net n2 of tiny carry all three PinDir values: b
+// drives it, c is a sink, and d is bidirectional, with an offset.
+func withAllDirs(nl *Netlist) {
+	pins := nl.Nets[1].Pins
+	pins[0].Dir, pins[1].Dir, pins[2].Dir = Output, Input, Inout
+	pins[2].Offset = geom.Point{X: -0.25, Y: 0.125}
+}
+
+// samePins requires every pin of got to match want's: cell, direction
+// and offset.
+func samePins(t *testing.T, got, want *Netlist) {
+	t.Helper()
+	for ni := range want.Nets {
+		wp, gp := want.Nets[ni].Pins, got.Nets[ni].Pins
+		if len(gp) != len(wp) {
+			t.Errorf("net %d: %d pins, want %d", ni, len(gp), len(wp))
+			continue
+		}
+		for k := range wp {
+			if gp[k].Cell != wp[k].Cell || gp[k].Dir != wp[k].Dir || gp[k].Offset != wp[k].Offset {
+				t.Errorf("net %d pin %d: cell %d %v %v, want cell %d %v %v", ni, k,
+					gp[k].Cell, gp[k].Dir, gp[k].Offset, wp[k].Cell, wp[k].Dir, wp[k].Offset)
+			}
+		}
 	}
 }
 

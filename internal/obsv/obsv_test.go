@@ -4,46 +4,75 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// TestNilSafety holds every handle type to the nil-handle contract: each
+// exported method on a nil receiver is a no-op. It walks each type's
+// method set, so a method added without a nil guard fails here too. Every
+// argument is its zero value, except writers and requests, which get a
+// buffer or httptest values; every call must not panic, must write
+// nothing, and must return only zero values (a nil error included).
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x_total", "")
-	g := r.Gauge("x", "")
-	h := r.Histogram("x_seconds", "", SecondsBuckets)
-	c.Inc()
-	c.Add(5)
-	g.Set(3)
-	g.Add(1)
-	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("nil handles must stay zero: %d %g %d", c.Value(), g.Value(), h.Count())
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil registry WritePrometheus: %v, %q", err, buf.String())
+	writerT := reflect.TypeOf((*io.Writer)(nil)).Elem()
+	respT := reflect.TypeOf((*http.ResponseWriter)(nil)).Elem()
+	reqT := reflect.TypeOf((*http.Request)(nil))
+	for _, handle := range []any{
+		(*Registry)(nil), (*Counter)(nil), (*Gauge)(nil),
+		(*Histogram)(nil), (*Spans)(nil), (*TraceWriter)(nil),
+	} {
+		v := reflect.ValueOf(handle)
+		typ := v.Type()
+		if typ.NumMethod() == 0 {
+			t.Fatalf("%v has no exported methods", typ)
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Elem().Name() + "." + typ.Method(i).Name
+			m := v.Method(i)
+			var buf bytes.Buffer
+			rec := httptest.NewRecorder()
+			args := make([]reflect.Value, m.Type().NumIn())
+			for k := range args {
+				switch in := m.Type().In(k); in {
+				case respT:
+					args[k] = reflect.ValueOf(rec)
+				case reqT:
+					args[k] = reflect.ValueOf(httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				case writerT:
+					args[k] = reflect.ValueOf(&buf)
+				default:
+					args[k] = reflect.Zero(in)
+				}
+			}
+			t.Run(name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panics on a nil receiver: %v", p)
+					}
+				}()
+				for k, out := range m.Call(args) {
+					if !out.IsZero() {
+						t.Errorf("result %d = %v on a nil receiver, want the zero value", k, out)
+					}
+				}
+				if buf.Len() != 0 || rec.Body.Len() != 0 {
+					t.Errorf("wrote %q%q on a nil receiver, want nothing", buf.String(), rec.Body.String())
+				}
+			})
+		}
 	}
 
+	// The zero Span a nil *Spans hands out is inert too.
 	var s *Spans
-	sp := s.Start("phase")
-	if d := sp.End(); d != 0 {
+	if d := s.Start("phase").End(); d != 0 {
 		t.Fatalf("nil spans recorded %v", d)
-	}
-	s.Record("phase", time.Second)
-	if got := s.Get("phase"); got.Count != 0 {
-		t.Fatalf("nil spans aggregated %+v", got)
-	}
-
-	var tw *TraceWriter
-	if err := tw.Write(map[string]int{"a": 1}); err != nil {
-		t.Fatalf("nil trace writer: %v", err)
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatalf("nil trace writer close: %v", err)
 	}
 }
 

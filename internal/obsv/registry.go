@@ -369,8 +369,6 @@ var quantilePoints = []struct {
 // ServeHTTP serves the Prometheus text encoding, making a *Registry
 // mountable at /metrics on any mux. Safe on nil (serves the empty
 // encoding).
-//
-//lint:ignore nilsafe headers are set unconditionally, then the body delegates to the nil-safe WritePrometheus
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = r.WritePrometheus(w)

@@ -21,9 +21,8 @@ var (
 // long-lived counterpart of Run's fork-join: Run fans a known amount of
 // work out and joins immediately, while a Pool serves an open-ended task
 // stream (the placement job queue). Keeping it here, with Run and Fork,
-// preserves the repo's parallelism policy — kvet's parpolicy analyzer
-// forbids raw go statements elsewhere, so every goroutine in the serving
-// layer is accounted for by this one type.
+// keeps the repo's parallelism policy in one package: every goroutine in
+// the serving layer is accounted for by this one type.
 type Pool struct {
 	// OnPanic, when set before the first Submit, receives the value
 	// recovered from a panicking task. A panic never kills a worker:

@@ -95,7 +95,8 @@ func (a *Assembler) weightsUnchanged() bool {
 		return false
 	}
 	for i := range a.nl.Nets {
-		//lint:ignore floatcmp cache invalidation must be bit-exact: any weight change, however small, has to trigger a refill
+		// Bit-exact on purpose: any weight change, however small, has to
+		// trigger a refill.
 		if a.nl.Nets[i].Weight != a.lastWeights[i] {
 			return false
 		}
