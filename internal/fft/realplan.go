@@ -3,8 +3,6 @@ package fft
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/par"
 )
 
 // RealPlan is a W×H 2-D transform pipeline for real input. It exploits the
@@ -17,11 +15,11 @@ import (
 // (c = row_y + i·row_{y+1}), runs a single length-W complex FFT on the
 // shared radix-2 tables, and unpacks both rows' half-spectra from the
 // symmetric/antisymmetric parts; the column pass then transforms only the
-// W/2+1 retained columns. Both passes fan out across GOMAXPROCS goroutines
-// above par.Threshold with the same per-row/per-column serial kernels, so
-// results are bit-identical to the serial path. Each worker gathers its
-// rows or columns through a line buffer the plan keeps, so a warmed
-// transform allocates no scratch.
+// W/2+1 retained columns, as one sweep over whole spectrum rows (see
+// transformCols). Every pass runs on the calling goroutine: a caller that
+// wants the transform beside other work forks it onto a lane of its own,
+// as the placement step does. The row passes pack through one line buffer
+// the plan keeps, so a warmed transform allocates nothing.
 //
 // A RealPlan's scratch is not safe for concurrent use; share tables, not
 // plans.
@@ -31,9 +29,7 @@ type RealPlan struct {
 	row  *radix2
 	col  *radix2
 	a, b []complex128 // lazily allocated hw·H spectrum scratch
-	// line holds one max(W, H) line buffer per worker of a pass, grown
-	// on demand; worker k of par.Run owns line[k].
-	line [][]complex128
+	line []complex128 // the row passes' length-W packing buffer
 }
 
 // NewRealPlan prepares a real-input plan for W×H grids (both powers of
@@ -42,7 +38,7 @@ func NewRealPlan(w, h int) *RealPlan {
 	if !IsPow2(w) || !IsPow2(h) {
 		panic(fmt.Sprintf("fft: real plan %dx%d not power-of-two", w, h))
 	}
-	return &RealPlan{W: w, H: h, hw: w/2 + 1, row: tableFor(w), col: tableFor(h)}
+	return &RealPlan{W: w, H: h, hw: w/2 + 1, row: tableFor(w), col: tableFor(h), line: make([]complex128, w)}
 }
 
 // SpecLen returns the length of a half-spectrum: (W/2+1)·H. Spectrum
@@ -91,7 +87,7 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64, rows int) {
 	if h == 1 {
 		// A single row has no partner to pack with: transform it as a
 		// complex signal and keep the non-redundant half.
-		c := p.lines(1)[0][:w]
+		c := p.line
 		for x, v := range src {
 			c[x] = complex(v, 0)
 		}
@@ -110,36 +106,31 @@ func (p *RealPlan) forwardRows(spec []complex128, src []float64, rows int) {
 			s1[k] = zero
 		}
 	}
-	workers := par.Workers(w * h)
-	lines := p.lines(workers)
-	par.Run(workers, pairs, func(k, lo, hi int) {
-		c := lines[k][:w]
-		for pr := lo; pr < hi; pr++ {
-			y := 2 * pr
-			r0 := src[y*w : (y+1)*w]
-			r1 := src[(y+1)*w : (y+2)*w]
-			for x := range c {
-				c[x] = complex(r0[x], r1[x])
-			}
-			p.row.transform(c, false)
-			// Unpack: with C = FFT(r0 + i·r1),
-			//   F0[k] = (C[k] + conj(C[W−k]))/2
-			//   F1[k] = −i·(C[k] − conj(C[W−k]))/2
-			// (k=0 and k=W/2 are self-mirrored, covered by the same code).
-			s0 := spec[y*hw : (y+1)*hw]
-			s1 := spec[(y+1)*hw : (y+2)*hw]
-			s0[0] = complex(real(c[0]), 0)
-			s1[0] = complex(imag(c[0]), 0)
-			for k := 1; k < hw; k++ {
-				u := c[k]
-				v := c[w-k]
-				sr, si := real(u)+real(v), imag(u)-imag(v)
-				dr, di := real(u)-real(v), imag(u)+imag(v)
-				s0[k] = complex(sr/2, si/2)
-				s1[k] = complex(di/2, -dr/2)
-			}
+	c := p.line
+	for y := 0; y < 2*pairs; y += 2 {
+		r0 := src[y*w : (y+1)*w]
+		r1 := src[(y+1)*w : (y+2)*w]
+		for x := range c {
+			c[x] = complex(r0[x], r1[x])
 		}
-	})
+		p.row.transform(c, false)
+		// Unpack: with C = FFT(r0 + i·r1),
+		//   F0[k] = (C[k] + conj(C[W−k]))/2
+		//   F1[k] = −i·(C[k] − conj(C[W−k]))/2
+		// (k=0 and k=W/2 are self-mirrored, covered by the same code).
+		s0 := spec[y*hw : (y+1)*hw]
+		s1 := spec[(y+1)*hw : (y+2)*hw]
+		s0[0] = complex(real(c[0]), 0)
+		s1[0] = complex(imag(c[0]), 0)
+		for k := 1; k < hw; k++ {
+			u := c[k]
+			v := c[w-k]
+			sr, si := real(u)+real(v), imag(u)-imag(v)
+			dr, di := real(u)-real(v), imag(u)+imag(v)
+			s0[k] = complex(sr/2, si/2)
+			s1[k] = complex(di/2, -dr/2)
+		}
+	}
 }
 
 // inverseRows reconstructs pairs of real rows from the (already
@@ -150,7 +141,7 @@ func (p *RealPlan) inverseRows(dst []float64, spec []complex128, rows int) {
 	w, h, hw := p.W, p.H, p.hw
 	scale := 1 / float64(w*h)
 	if h == 1 {
-		c := p.lines(1)[0][:w]
+		c := p.line
 		copy(c, spec[:hw])
 		for k := hw; k < w; k++ {
 			m := spec[w-k]
@@ -162,65 +153,70 @@ func (p *RealPlan) inverseRows(dst []float64, spec []complex128, rows int) {
 		}
 		return
 	}
-	workers := par.Workers(w * h)
-	lines := p.lines(workers)
-	par.Run(workers, (rows+1)/2, func(k, lo, hi int) {
-		c := lines[k][:w]
-		for pr := lo; pr < hi; pr++ {
-			y := 2 * pr
-			g0 := spec[y*hw : (y+1)*hw]
-			g1 := spec[(y+1)*hw : (y+2)*hw]
-			// Pack the Hermitian extensions of both rows into one complex
-			// inverse: C[k] = G0[k] + i·G1[k], with the mirrored tail
-			// C[W−m] = conj(G0[m]) + i·conj(G1[m]).
-			for k := 0; k < hw; k++ {
-				c[k] = complex(real(g0[k])-imag(g1[k]), imag(g0[k])+real(g1[k]))
-			}
-			for k := hw; k < w; k++ {
-				m0, m1 := g0[w-k], g1[w-k]
-				c[k] = complex(real(m0)+imag(m1), real(m1)-imag(m0))
-			}
-			p.row.transform(c, true)
-			d0 := dst[y*w : (y+1)*w]
-			d1 := dst[(y+1)*w : (y+2)*w]
-			for x, v := range c {
-				d0[x] = real(v) * scale
-				d1[x] = imag(v) * scale
-			}
+	c := p.line
+	for y := 0; y < rows; y += 2 {
+		g0 := spec[y*hw : (y+1)*hw]
+		g1 := spec[(y+1)*hw : (y+2)*hw]
+		// Pack the Hermitian extensions of both rows into one complex
+		// inverse: C[k] = G0[k] + i·G1[k], with the mirrored tail
+		// C[W−m] = conj(G0[m]) + i·conj(G1[m]).
+		for k := 0; k < hw; k++ {
+			c[k] = complex(real(g0[k])-imag(g1[k]), imag(g0[k])+real(g1[k]))
 		}
-	})
+		for k := hw; k < w; k++ {
+			m0, m1 := g0[w-k], g1[w-k]
+			c[k] = complex(real(m0)+imag(m1), real(m1)-imag(m0))
+		}
+		p.row.transform(c, true)
+		d0 := dst[y*w : (y+1)*w]
+		d1 := dst[(y+1)*w : (y+2)*w]
+		for x, v := range c {
+			d0[x] = real(v) * scale
+			d1[x] = imag(v) * scale
+		}
+	}
 }
 
-// transformCols runs length-H transforms down each of the hw retained
-// spectrum columns, gathered through per-worker line buffers.
+// transformCols runs a length-H transform down each of the hw retained
+// spectrum columns. It sweeps whole rows instead of gathering one strided
+// column at a time: the bit-reversal swaps rows, and each butterfly of a
+// stage pairs two rows under one twiddle, applied across the row. Every
+// column thus gets exactly radix2.transform's operations, in its order,
+// while the sweep reads the spectrum contiguously.
 func (p *RealPlan) transformCols(spec []complex128, inverse bool) {
-	h, hw := p.H, p.hw
+	t, hw := p.col, p.hw
+	h := t.n
 	if h == 1 {
 		return
 	}
-	workers := par.Workers(p.W * h)
-	lines := p.lines(workers)
-	par.Run(workers, hw, func(k, lo, hi int) {
-		col := lines[k][:h]
-		for x := lo; x < hi; x++ {
-			for y := 0; y < h; y++ {
-				col[y] = spec[y*hw+x]
-			}
-			p.col.transform(col, inverse)
-			for y := 0; y < h; y++ {
-				spec[y*hw+x] = col[y]
+	for i, jj := range t.rev {
+		if j := int(jj); i < j {
+			ri, rj := spec[i*hw:(i+1)*hw], spec[j*hw:(j+1)*hw]
+			for x := range ri {
+				ri[x], rj[x] = rj[x], ri[x]
 			}
 		}
-	})
-}
-
-// lines returns the plan's per-worker line buffers, grown to at least
-// workers of them. Passes call it before fanning out, never concurrently.
-func (p *RealPlan) lines(workers int) [][]complex128 {
-	for len(p.line) < workers {
-		p.line = append(p.line, make([]complex128, max(p.W, p.H)))
 	}
-	return p.line
+	tw := t.twF
+	if inverse {
+		tw = t.twI
+	}
+	for size := 2; size <= h; size <<= 1 {
+		half := size / 2
+		ws := tw[half-1 : size-1]
+		for start := 0; start < h; start += size {
+			for k, w := range ws {
+				lo := spec[(start+k)*hw : (start+k+1)*hw]
+				hi := spec[(start+half+k)*hw : (start+half+k+1)*hw]
+				for x := range lo {
+					u := lo[x]
+					v := hi[x] * w
+					lo[x] = u + v
+					hi[x] = u - v
+				}
+			}
+		}
+	}
 }
 
 // scratch returns the plan's two owned half-spectrum grids.

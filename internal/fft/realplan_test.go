@@ -5,8 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-
-	"repro/internal/par"
 )
 
 func randomReal(rng *rand.Rand, n int) []float64 {
@@ -143,14 +141,43 @@ func TestRealConvolveMatchesComplex(t *testing.T) {
 	}
 }
 
-// TestRealPlanParallelIsBitIdentical forces the parallel fan-out on a grid
-// large enough to split and compares against a serial run of the same
-// kernels (par.Threshold trick, mirroring the density reuse tests).
-func TestRealPlanParallelIsBitIdentical(t *testing.T) {
-	const w, h = 64, 32
+// TestRealPlanColumnSweepIsBitIdentical pins the row-sweep column pass
+// to the per-column kernel it replaces: each retained column gathered,
+// run through radix2.transform and scattered back must give the same
+// spectrum bit for bit, forward and inverse, at every column length. A
+// plan reused across transforms must give the same bits as a fresh one.
+func TestRealPlanColumnSweepIsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	src := randomReal(rng, w*h)
+	for _, h := range []int{2, 4, 16, 32} {
+		const w = 64
+		p := NewRealPlan(w, h)
+		for _, inverse := range []bool{false, true} {
+			spec := make([]complex128, p.SpecLen())
+			for i := range spec {
+				spec[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			want := append([]complex128(nil), spec...)
+			col := make([]complex128, h)
+			for x := 0; x < p.hw; x++ {
+				for y := range col {
+					col[y] = want[y*p.hw+x]
+				}
+				p.col.transform(col, inverse)
+				for y, v := range col {
+					want[y*p.hw+x] = v
+				}
+			}
+			p.transformCols(spec, inverse)
+			for i := range want {
+				if !sameComplexBits(spec[i], want[i]) {
+					t.Fatalf("%dx%d inverse=%v: entry %d = %v, per-column kernel %v", w, h, inverse, i, spec[i], want[i])
+				}
+			}
+		}
+	}
 
+	const w, h = 64, 32
+	src := randomReal(rng, w*h)
 	runOn := func(rp *RealPlan) ([]complex128, []float64) {
 		spec := make([]complex128, rp.SpecLen())
 		rp.Spectrum(spec, src)
@@ -158,53 +185,35 @@ func TestRealPlanParallelIsBitIdentical(t *testing.T) {
 		rp.Inverse(out, spec)
 		return spec, out
 	}
-	run := func() ([]complex128, []float64) { return runOn(NewRealPlan(w, h)) }
-
-	// shared carries its line buffers from a serial pass into a parallel
-	// one and back, so reused scratch must not leak between passes.
 	shared := NewRealPlan(w, h)
-	old := par.Threshold
-	par.Threshold = w * h * 2 // force serial
-	serialSpec, serialOut := run()
 	runOn(shared)
-	par.Threshold = 1 // force the fan-out
-	parSpec, parOut := run()
-	sharedParSpec, sharedParOut := runOn(shared)
-	par.Threshold = w * h * 2
-	sharedSpec, sharedOut := runOn(shared)
-	par.Threshold = old
-
-	for name, got := range map[string][]complex128{"parallel": parSpec, "shared parallel": sharedParSpec, "shared serial": sharedSpec} {
-		for i := range serialSpec {
-			if serialSpec[i] != got[i] {
-				t.Fatalf("spectrum entry %d differs between serial and %s runs", i, name)
-			}
+	wantSpec, wantOut := runOn(NewRealPlan(w, h))
+	gotSpec, gotOut := runOn(shared)
+	for i := range wantSpec {
+		if !sameComplexBits(gotSpec[i], wantSpec[i]) {
+			t.Fatalf("reused plan: spectrum entry %d differs from a fresh plan's", i)
 		}
 	}
-	for name, got := range map[string][]float64{"parallel": parOut, "shared parallel": sharedParOut, "shared serial": sharedOut} {
-		for i := range serialOut {
-			if math.Float64bits(serialOut[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("inverse entry %d differs between serial and %s runs", i, name)
-			}
+	for i := range wantOut {
+		if math.Float64bits(gotOut[i]) != math.Float64bits(wantOut[i]) {
+			t.Fatalf("reused plan: inverse entry %d differs from a fresh plan's", i)
 		}
 	}
 }
 
-// TestConvolveSpectraNoLineAllocs: every pass gathers through the plan's
-// own line buffers, so a warmed ConvolveSpectra allocates no scratch. What
-// remains is the par.Run closure of each packed-pair grid pass: one row
-// and one column pass forward, and one of each per inverse. The single-row
-// path runs no par.Run and allocates nothing.
+// sameComplexBits compares two complex values by the bits of both parts.
+func sameComplexBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestConvolveSpectraNoLineAllocs: the row passes pack through the plan's
+// own line buffer, the column pass works in place and no pass fans out,
+// so a warmed ConvolveSpectra allocates nothing.
 func TestConvolveSpectraNoLineAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
-	for _, tc := range []struct {
-		w, h   int
-		allocs float64
-	}{
-		{32, 16, 6}, // 2 forward passes + 2 inverses × 2 passes
-		{64, 1, 0},
-	} {
-		w, h := tc.w, tc.h
+	for _, sz := range [][2]int{{32, 16}, {64, 1}} {
+		w, h := sz[0], sz[1]
 		p := NewRealPlan(w, h)
 		spec1 := make([]complex128, p.SpecLen())
 		spec2 := make([]complex128, p.SpecLen())
@@ -215,15 +224,15 @@ func TestConvolveSpectraNoLineAllocs(t *testing.T) {
 		specs := [][]complex128{spec1, spec2}
 		p.ConvolveSpectra(dsts, src, specs)
 		allocs := testing.AllocsPerRun(10, func() { p.ConvolveSpectra(dsts, src, specs) })
-		if allocs != tc.allocs {
-			t.Errorf("%dx%d: warmed ConvolveSpectra allocates %.1f objects, want %.0f", w, h, allocs, tc.allocs)
+		if allocs != 0 {
+			t.Errorf("%dx%d: warmed ConvolveSpectra allocates %.1f objects, want 0", w, h, allocs)
 		}
 	}
 }
 
 // TestConvolveSpectraRowsBitIdentical: on a source zero past row r, the
 // row-pruned convolution writes rows [0, r) bit-identical to the full
-// ConvolveSpectra, for every r, serially and with the passes fanned out.
+// ConvolveSpectra, for every r.
 // The skipped forward pairs are written as the transform of two +0 rows
 // would leave them, which the full path checks here too.
 func TestConvolveSpectraRowsBitIdentical(t *testing.T) {
@@ -239,29 +248,22 @@ func TestConvolveSpectraRowsBitIdentical(t *testing.T) {
 	p.forwardRows(pruned, make([]float64, w*h), 1)
 	p.forwardRows(zeroSpec, make([]float64, w*h), h)
 	for i := range zeroSpec {
-		if math.Float64bits(real(pruned[i])) != math.Float64bits(real(zeroSpec[i])) ||
-			math.Float64bits(imag(pruned[i])) != math.Float64bits(imag(zeroSpec[i])) {
+		if !sameComplexBits(pruned[i], zeroSpec[i]) {
 			t.Fatalf("skipped zero rows: spectrum entry %d = %v, the transform gives %v", i, pruned[i], zeroSpec[i])
 		}
 	}
 
-	old := par.Threshold
-	defer func() { par.Threshold = old }()
-	for _, threshold := range []int{w * h * 2, 1} {
-		par.Threshold = threshold
-		for rows := 1; rows <= h; rows++ {
-			src := randomReal(rng, w*h)
-			clear(src[rows*w:])
-			full := [][]float64{make([]float64, w*h), make([]float64, w*h)}
-			p.ConvolveSpectra(full, src, specs)
-			got := [][]float64{make([]float64, w*h), make([]float64, w*h)}
-			p.ConvolveSpectraRows(got, src, specs, rows)
-			for s := range got {
-				for i := range got[s][:rows*w] {
-					if math.Float64bits(got[s][i]) != math.Float64bits(full[s][i]) {
-						t.Fatalf("threshold %d, %d rows: kernel %d entry %d = %v, full path %v",
-							threshold, rows, s, i, got[s][i], full[s][i])
-					}
+	for rows := 1; rows <= h; rows++ {
+		src := randomReal(rng, w*h)
+		clear(src[rows*w:])
+		full := [][]float64{make([]float64, w*h), make([]float64, w*h)}
+		p.ConvolveSpectra(full, src, specs)
+		got := [][]float64{make([]float64, w*h), make([]float64, w*h)}
+		p.ConvolveSpectraRows(got, src, specs, rows)
+		for s := range got {
+			for i := range got[s][:rows*w] {
+				if math.Float64bits(got[s][i]) != math.Float64bits(full[s][i]) {
+					t.Fatalf("%d rows: kernel %d entry %d = %v, full path %v", rows, s, i, got[s][i], full[s][i])
 				}
 			}
 		}

@@ -177,7 +177,9 @@ func readNets(nl *Netlist, index map[string]int, r io.Reader) error {
 			}
 			pin := Pin{Cell: ci}
 			rest := f[1:]
-			if len(rest) > 0 {
+			// An optional direction marker; a pin without one is Inout,
+			// and its line may go straight on to the offset.
+			if len(rest) > 0 && rest[0] != ":" {
 				switch rest[0] {
 				case "I":
 					pin.Dir = Input

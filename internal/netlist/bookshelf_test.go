@@ -113,10 +113,25 @@ func TestBookshelfRoundTrip(t *testing.T) {
 	if err := WriteBookshelf(orig, &nodes, &nets, &pl, &scl); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBookshelf("rt", &nodes, &nets, &pl, &scl)
-	if err != nil {
-		t.Fatal(err)
+	files := [4]string{nodes.String(), nets.String(), pl.String(), scl.String()}
+	read := func(nets string) *Netlist {
+		t.Helper()
+		got, err := ReadBookshelf("rt", strings.NewReader(files[0]), strings.NewReader(nets),
+			strings.NewReader(files[2]), strings.NewReader(files[3]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
+	// Bookshelf's direction marker is optional: the same nets with the
+	// bidirectional markers dropped, so that an Inout pin's line reads
+	// "d : -0.25 0.125", must read back the same pins, offsets included.
+	unmarked := strings.ReplaceAll(files[1], " B : ", " : ")
+	if unmarked == files[1] {
+		t.Fatal("the written nets carry no bidirectional pin to unmark")
+	}
+	samePins(t, read(unmarked), orig)
+	got := read(files[1])
 	if len(got.Cells) != len(orig.Cells) || len(got.Nets) != len(orig.Nets) {
 		t.Fatalf("shape mismatch")
 	}

@@ -3,11 +3,11 @@
 // fanning out to goroutines, a chunked fork-join helper (Run) whose chunk
 // ordering is deterministic, and the two-lane fork-join (Fork) that runs
 // two pre-bound tasks side by side on the caller and one persistent
-// helper goroutine without allocating: the placement step's x/y axis
-// solves, the halves of its system assembly, and its end-of-step
-// bookkeeping. fft (the 2-D transform passes) and density (the demand
-// gather) both consult the same threshold, so a single tunable governs
-// when chunked parallelism engages across the engine.
+// helper goroutine without allocating: the placement step's field solve
+// beside its system build, its x/y axis solves, the halves of its system
+// assembly, and its end-of-step bookkeeping. density (the demand gather)
+// and qp (the assembly halves) consult the same threshold, so a single
+// tunable governs when chunked parallelism engages across the engine.
 package par
 
 import (
@@ -43,8 +43,10 @@ func Workers(n int) int {
 // merge it in a deterministic order — runs fn on each concurrently, and
 // waits for all of them. workers <= 1 calls fn(0, 0, n) inline. With two
 // workers, chunk 1 runs on the helper lane when it is free (see Fork), so
-// the fan-out starts no goroutine; otherwise every chunk but the first
-// gets a goroutine of its own.
+// the fan-out starts no goroutine. When the helper lane is taken, as it is
+// for a Run made from inside a lane task, or when two workers meet
+// GOMAXPROCS 1, the chunks run inline in worker order, as Fork's tasks
+// do. Otherwise every chunk but the first gets a goroutine of its own.
 func Run(workers, n int, fn func(worker, lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -59,6 +61,12 @@ func Run(workers, n int, fn func(worker, lo, hi int)) {
 		lane.task <- &lane.chunk
 		defer join()
 		fn(0, 0, chunk)
+		return
+	}
+	if workers == 2 || lane.busy.Load() {
+		for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
+			fn(w, lo, min(lo+chunk, n))
+		}
 		return
 	}
 	var wg sync.WaitGroup

@@ -15,31 +15,28 @@ import (
 
 // TestStepAllocs pins the steady-state allocations of one placement
 // transformation at two design sizes, as an object count and as bytes.
-// Step reuses its density field, force increment, position snapshot and
-// finish-phase lane tasks; the grid keeps its cell demand (a
+// Step reuses its density field, force increment, position snapshot,
+// displacement buffers and lane tasks; the grid keeps its cell demand (a
 // transformation whose cells did not move since the last accumulation
 // re-folds it instead of depositing again) and its empty-square rows; qp
 // reuses its stiffness diagonal, right-hand sides, contribution map and
 // one solve task per axis; the IC0 factor and field solver cache their
-// storage; and the FFT passes gather through the plan's line buffers.
-// Every fork-join of the step (the axis solve pair, the assembly halves,
-// the displacement sorts, the accumulation beside the wire length) hands
-// a pre-bound task to the persistent helper lane, which allocates
-// nothing. What remains is 6 objects: the par.Run closure of each FFT
-// pass (forward rows and columns, then columns and rows for each of the
-// two inverses), 624 bytes in all. testing.AllocsPerRun measures at
-// GOMAXPROCS 1, where every pass stays inline. The bytes are measured at
-// GOMAXPROCS 1 and 2: at 2 the lane tasks run on the helper, and the
-// two-worker FFT passes run their second chunk there too, so they start
-// no goroutine. Both counts are deterministic for a fixed design and step
-// sequence, so the object ceiling is the measured count: a new
-// per-transformation allocation anywhere under Step fails it.
-// AllocsPerRun rounds down over five steps, so up to four stray runtime
-// allocations stay below the next whole count. The byte ceiling leaves
-// room for the runtime's occasional stray allocation but not for any
-// per-step buffer the size of a grid row: the field the placer once
-// allocated every step was 2·NX·NY floats (32 KB at 1k cells), the
-// empty-square rows 2·NX ints.
+// storage; and the FFT passes run on the field lane's goroutine through
+// the plan's one line buffer. Every fork-join of the step (the field
+// beside the build, the axis solve pair, the assembly halves, the
+// accumulation beside the wire length) hands a pre-bound task to the
+// persistent helper lane, which allocates nothing, so the step measures
+// 0 objects and 0 bytes. The object ceiling of 6 is the count from when
+// the FFT passes still fanned out through par.Run closures.
+// testing.AllocsPerRun measures at GOMAXPROCS 1, where every fork runs
+// inline. The bytes are measured at GOMAXPROCS 1 and 2: at 2 the lane
+// tasks run on the helper. A new per-transformation allocation anywhere
+// under Step beyond the ceiling fails it. AllocsPerRun rounds down over
+// five steps, so up to four stray runtime allocations stay below the
+// next whole count. The byte ceiling leaves room for the runtime's
+// occasional stray allocation but not for any per-step buffer the size
+// of a grid row: the field the placer once allocated every step was
+// 2·NX·NY floats (32 KB at 1k cells), the empty-square rows 2·NX ints.
 func TestStepAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("places a 6000-cell design")
@@ -74,9 +71,9 @@ func TestStepAllocs(t *testing.T) {
 				t.Errorf("Step allocates %.0f objects per transformation, ceiling %.0f", allocs, tc.maxAllocs)
 			}
 
-			// Bytes are measured at GOMAXPROCS 1 and 2: at 2 the solve
-			// pair, the assembly halves and the finish-phase tasks run on
-			// the helper lane, and the larger design's FFT passes fan out.
+			// Bytes are measured at GOMAXPROCS 1 and 2: at 2 the field
+			// solve, the solve pair and the finish-phase tasks run beside
+			// their partners on the helper lane.
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			for _, procs := range []int{1, 2} {
 				runtime.GOMAXPROCS(procs)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"time"
 
@@ -161,16 +160,19 @@ type IterStats struct {
 // or their sums over a run (Result.Phases). It declares the phase schema
 // once: its JSON tags are the trace keys, and PhaseKeys and every
 // per-phase breakdown derive from its fields. The phases before TStep are
-// sequential wall-clock segments of the step, so they sum to at most
-// TStep; work that runs on both lanes at once (the x/y solve pair, the
-// halves of the assembly, the end-of-step accumulation beside the wire
-// length) counts once, as wall time.
+// wall-clock segments of the step that do not overlap, so they sum to at
+// most TStep; work that runs on both lanes at once counts once. The x/y
+// solve pair and the end-of-step accumulation beside the wire length
+// count as their wall time. The field solve runs on one lane while the
+// other assembles the system and refactors its preconditioner: TBuild
+// and TPrecond are that lane's own times, and TField is the rest of the
+// overlapped section's wall time plus the force increments.
 type Phases struct {
 	TWeight    time.Duration `json:"t_weight_ns"`     // BeforeTransform (net-weight update)
 	TGather    time.Duration `json:"t_gather_ns"`     // density of the current placement
-	TField     time.Duration `json:"t_field_ns"`      // Poisson force field and the force increments
-	TBuild     time.Duration `json:"t_build_ns"`      // quadratic system assembly
-	TPrecond   time.Duration `json:"t_precond_ns"`    // preconditioner set-up (the IC0 refactor)
+	TField     time.Duration `json:"t_field_ns"`      // Poisson force field beyond the build lane, and the force increments
+	TBuild     time.Duration `json:"t_build_ns"`      // quadratic system assembly, on the build lane
+	TPrecond   time.Duration `json:"t_precond_ns"`    // preconditioner set-up (the IC0 refactor), on the build lane
 	TSolvePair time.Duration `json:"t_solve_pair_ns"` // wall time of the concurrent x/y solve pair
 	TFinish    time.Duration `json:"t_finish_ns"`     // displacement cap, clamp, end-of-step density and stats
 	TStep      time.Duration `json:"t_step_ns"`       // whole transformation
@@ -285,16 +287,18 @@ type Placer struct {
 	// start does not change where the iteration ends up.
 	zeroGuess bool
 	// Step scratch, reused across transformations so the steady-state
-	// iteration allocates nothing: the density force field, the force
-	// increment, the pre-solve position snapshot, and the lane tasks of
-	// the finish phase: capDelta's two displacement sorts, and the
-	// end-of-step accumulation beside the per-net wire lengths.
-	field        *density.Field
-	inc          []geom.Point
-	before       netlist.Placement
-	sortX, sortY sortTask
-	accumulate   accumulateTask
-	netLengths   netLengthsTask
+	// iteration allocates nothing: the force increment, the pre-solve
+	// position snapshot, capDelta's displacement buffers, and the lane
+	// tasks: the field solve beside the system build (the field task
+	// keeps the density force field), and the end-of-step accumulation
+	// beside the per-net wire lengths.
+	inc        []geom.Point
+	before     netlist.Placement
+	dxs, dys   []float64
+	field      fieldTask
+	build      buildTask
+	accumulate accumulateTask
+	netLengths netLengthsTask
 
 	// rs is the Run loop's progress state. It lives on the Placer (rather
 	// than in Run's frame) so Checkpoint can capture it and Resume can
@@ -376,13 +380,17 @@ func New(nl *netlist.Netlist, cfg Config) *Placer {
 	if avg <= 0 {
 		avg = 1
 	}
+	grid := density.NewGrid(nl.Region.Outline, nx, ny)
+	asm := qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize})
 	return &Placer{
 		nl:      nl,
 		cfg:     cfg,
-		grid:    density.NewGrid(nl.Region.Outline, nx, ny),
+		grid:    grid,
 		forces:  make([]geom.Point, len(nl.Cells)),
 		avgArea: avg,
-		asm:     qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize}),
+		asm:     asm,
+		field:   fieldTask{grid: grid},
+		build:   buildTask{asm: asm},
 		rs:      runState{gain: 1},
 	}
 }
@@ -448,17 +456,18 @@ func (p *Placer) Step() (IterStats, error) {
 	ph.TGather = mark.Elapsed()
 	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
-	// Assemble the (possibly re-linearized) quadratic system; the force
-	// normalization depends on its stiffness.
+	// Solve for the density's force field on one lane while the other
+	// assembles the (possibly re-linearized) quadratic system and
+	// refactors its preconditioner; the force normalization below depends
+	// on the system's stiffness. The field reads only the density, the
+	// build only the netlist, and neither writes what the other reads.
 	mark = obsv.StartTimer()
-	sys := p.asm.Assemble()
-	ph.TBuild = mark.Elapsed()
+	par.Fork(&p.field, &p.build)
+	sys := p.build.sys
+	ph.TBuild, ph.TPrecond = p.build.tBuild, p.build.tPrecond
 	check.Symmetric("place/step C", sys.C, 1e-8)
 	check.SPDHint("place/step C", sys.C, 1e-8)
-
-	mark = obsv.StartTimer()
-	p.field = density.ComputeFieldInto(p.field, p.grid, density.Auto)
-	field := p.field
+	field := p.field.out
 	check.Finite("place/step field FX", field.FX)
 	check.Finite("place/step field FY", field.FY)
 
@@ -517,7 +526,10 @@ func (p *Placer) Step() (IterStats, error) {
 		p.pending = nil
 	}
 	p.before = nl.SnapshotInto(p.before)
-	ph.TField = mark.Elapsed()
+	// The build lane's times are its own phases; the field phase is the
+	// rest of the overlapped section, so the phases still sum to at most
+	// the step.
+	ph.TField = mark.Elapsed() - ph.TBuild - ph.TPrecond
 
 	// Apply the transformation: starting from the previous equilibrium,
 	// growing e by the increment moves the solution of C·p + d + e = 0 by
@@ -536,7 +548,7 @@ func (p *Placer) Step() (IterStats, error) {
 		}
 		res, err = sys.SolveDeltaFrom(inc, p.warmDX, p.warmDY, cfg.CG)
 	}
-	ph.TPrecond = res.PrecondWall
+	ph.TPrecond += res.PrecondWall
 	ph.TSolvePair = res.PairWall
 	if err != nil {
 		// An unconverged CG still yields a usable iterate; report but
@@ -558,7 +570,7 @@ func (p *Placer) Step() (IterStats, error) {
 	// full-size cap would let such cells keep jumping after the damping
 	// has settled the rest.
 	kCap := math.Min(cfg.K, 0.45) * damping
-	capDelta(nl, p.before, kCap*nl.Region.W(), kCap*nl.Region.H(), &p.sortX, &p.sortY)
+	p.dxs, p.dys = capDelta(nl, p.before, kCap*nl.Region.W(), kCap*nl.Region.H(), p.dxs, p.dys)
 
 	// Keep cells inside the placement area; the supply model pushes them
 	// back anyway, clamping merely speeds that up and keeps metrics sane.
@@ -608,10 +620,31 @@ func (p *Placer) Step() (IterStats, error) {
 	return stats, err
 }
 
-// sortTask sorts its slice in place, as a par.Task.
-type sortTask struct{ v []float64 }
+// fieldTask computes grid's density force field into out, as a par.Task.
+type fieldTask struct {
+	grid *density.Grid
+	out  *density.Field
+}
 
-func (t *sortTask) Run() { sort.Float64s(t.v) }
+func (t *fieldTask) Run() { t.out = density.ComputeFieldInto(t.out, t.grid, density.Auto) }
+
+// buildTask assembles the quadratic system and brings its IC0 factor up
+// to date, as a par.Task, timing each: they are the step's build and
+// precond phases.
+type buildTask struct {
+	asm              *qp.Assembler
+	sys              *qp.System
+	tBuild, tPrecond time.Duration
+}
+
+func (t *buildTask) Run() {
+	mark := obsv.StartTimer()
+	t.sys = t.asm.Assemble()
+	t.tBuild = mark.Elapsed()
+	mark = obsv.StartTimer()
+	t.sys.Factor()
+	t.tPrecond = mark.Elapsed()
+}
 
 // accumulateTask recomputes the grid's density from nl, as a par.Task.
 type accumulateTask struct {
@@ -646,21 +679,20 @@ func (t *netLengthsTask) Run() {
 // differential components are clipped per cell, so an outlier cannot crush
 // everyone else's movement and a saturated translation cannot erase the
 // spreading.
-// The two sort tasks carry the displacement buffers, reused across calls,
-// and sort them side by side on the par.Fork lanes.
-func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float64, sx, sy *sortTask) {
+// dxs and dys are the displacement buffers, reused across calls: capDelta
+// returns them, grown to the movable cell count.
+func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float64, dxs, dys []float64) ([]float64, []float64) {
 	movable := 0
 	for ci := range nl.Cells {
 		if !nl.Cells[ci].Fixed {
 			movable++
 		}
 	}
-	if cap(sx.v) < movable {
-		sx.v = make([]float64, movable)
-		sy.v = make([]float64, movable)
+	if cap(dxs) < movable {
+		dxs = make([]float64, movable)
+		dys = make([]float64, movable)
 	}
-	dxs, dys := sx.v[:movable], sy.v[:movable]
-	sx.v, sy.v = dxs, dys
+	dxs, dys = dxs[:movable], dys[:movable]
 	k := 0
 	for ci := range nl.Cells {
 		if nl.Cells[ci].Fixed {
@@ -672,14 +704,13 @@ func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float6
 		k++
 	}
 	if len(dxs) == 0 {
-		return
+		return dxs, dys
 	}
 	// The translation estimate must be robust: a single near-floating cell
 	// (tiny anchor stiffness) can have a displacement many orders of
 	// magnitude above everyone else, and a polluted mean would cancel the
 	// whole iteration after clipping. The median ignores such outliers.
-	par.Fork(sx, sy)
-	med := geom.Point{X: dxs[len(dxs)/2], Y: dys[len(dys)/2]}
+	med := geom.Point{X: median(dxs), Y: median(dys)}
 
 	shift := geom.Point{X: clip(med.X, maxDX), Y: clip(med.Y, maxDY)}
 	for ci := range nl.Cells {
@@ -692,6 +723,57 @@ func capDelta(nl *netlist.Netlist, before netlist.Placement, maxDX, maxDY float6
 			Y: before[ci].Y + shift.Y + clip(d.Y, maxDY),
 		}
 	}
+	return dxs, dys
+}
+
+// median returns the value a full ascending sort.Float64s of v would put
+// at index len(v)/2, found by selection in O(len(v)) expected time; v,
+// which must be non-empty and free of NaNs, is reordered. The three-way
+// partition compares with < alone, so it ranks like sort.Float64s: equal
+// values, −0 and +0 among them, tie. Which of two tied zeros either puts
+// at the middle is unspecified.
+func median(v []float64) float64 {
+	k := len(v) / 2
+	lo, hi := 0, len(v)
+	for hi-lo > 1 {
+		// A median-of-three pivot keeps sorted and reversed input linear.
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
+		if b < a {
+			a, b = b, a
+		}
+		if c < b {
+			b = c
+			if b < a {
+				b = a
+			}
+		}
+		pivot := b
+		// Dutch-flag partition: [lo, lt) < pivot, [lt, i) == pivot,
+		// [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := v[i]; {
+			case x < pivot:
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case pivot < x:
+				gt--
+				v[gt], v[i] = x, v[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return v[k]
+		}
+	}
+	return v[k]
 }
 
 // clip bounds v to [-lim, lim].

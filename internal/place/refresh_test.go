@@ -32,7 +32,7 @@ func (d *densityProbe) record(extra []float64) {
 
 func (d *densityProbe) check(t *testing.T, step int) {
 	t.Helper()
-	got := d.p.field
+	got := d.p.field.out
 	for i := range d.want.FX {
 		if math.Float64bits(got.FX[i]) != math.Float64bits(d.want.FX[i]) ||
 			math.Float64bits(got.FY[i]) != math.Float64bits(d.want.FY[i]) {

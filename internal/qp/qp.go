@@ -168,7 +168,8 @@ type SolveResult struct {
 	X, Y sparse.CGResult
 	// PrecondWall is the wall time of preparing the shared
 	// preconditioner before the pair: the IC0 refactor after a fresh
-	// assembly, nothing for an up-to-date factor.
+	// assembly, nothing for a factor already brought up to date by
+	// Factor.
 	PrecondWall time.Duration
 	// Fallback is set when the IC0 factorization broke down, so both
 	// axes were solved with Jacobi.
@@ -255,13 +256,14 @@ func (s *System) solveBoth(x, bx, y, by []float64, opt sparse.CGOptions, out *So
 	return s.ax.err, s.ay.err
 }
 
-// prepPrecond points opt at the cached IC0 factor, refactoring the cached
-// pattern if the assembly changed since the last solve. A pivot breakdown
-// leaves opt without a factor, so this assembly's solves run with Jacobi,
-// reported as fallback. Factoring once here keeps the concurrent axis
-// solves from each factoring, and keeps repeated solves of one assembly at
-// zero extra cost.
-func (s *System) prepPrecond(opt *sparse.CGOptions) (fallback bool) {
+// Factor brings the cached IC0 factor up to date with the assembly:
+// it builds the pattern on first use and refactors it if the values
+// changed since the last factoring, and does nothing for an up-to-date
+// factor. It reports a pivot breakdown, after which this assembly's
+// solves run with Jacobi. The solves factor a stale factor themselves;
+// calling Factor first lets a caller run the refactor beside other work,
+// as the placement step runs it beside the field solve.
+func (s *System) Factor() (fallback bool) {
 	if s.chol == nil {
 		s.chol = sparse.NewIC0Pattern(s.C)
 		s.cholDirty = true
@@ -270,8 +272,17 @@ func (s *System) prepPrecond(opt *sparse.CGOptions) (fallback bool) {
 		s.cholBroken = !s.chol.Refactor(s.C)
 		s.cholDirty = false
 	}
+	return s.cholBroken
+}
+
+// prepPrecond points opt at the cached IC0 factor, factoring it first if
+// needed (see Factor). A pivot breakdown leaves opt without a factor, so
+// this assembly's solves run with Jacobi, reported as fallback. Factoring
+// once here keeps the concurrent axis solves from each factoring, and
+// keeps repeated solves of one assembly at zero extra cost.
+func (s *System) prepPrecond(opt *sparse.CGOptions) (fallback bool) {
 	opt.Factor = nil
-	if s.cholBroken {
+	if s.Factor() {
 		return true
 	}
 	opt.Factor = s.chol
