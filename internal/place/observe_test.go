@@ -60,7 +60,7 @@ func TestObserverConsistency(t *testing.T) {
 	// The run-level phase totals must equal the trace sums.
 	var want Phases
 	for _, s := range res.Trace {
-		want.add(s.Phases)
+		want.Add(s.Phases)
 	}
 	if res.Phases != want {
 		t.Fatalf("Result.Phases %+v != trace sum %+v", res.Phases, want)
@@ -94,7 +94,7 @@ func TestNoTraceSuppressesTrace(t *testing.T) {
 }
 
 // TestPhaseSchema pins the phase schema derived from Phases: the trace
-// record's keys and their order, the PhaseKeys names, and that Each and add
+// record's keys and their order, the PhaseKeys names, and that Each and Add
 // visit every field in declaration order.
 func TestPhaseSchema(t *testing.T) {
 	raw, err := json.Marshal(IterStats{})
@@ -141,11 +141,11 @@ func TestPhaseSchema(t *testing.T) {
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(i + 1))
 	}
-	p.add(p)
+	p.Add(p)
 	i := 0
 	p.Each(func(k string, d time.Duration) {
 		if k != wantPhases[i] || d != time.Duration(2*(i+1)) {
-			t.Errorf("Each visit %d: %s=%d, want %s=%d after add", i, k, d, wantPhases[i], 2*(i+1))
+			t.Errorf("Each visit %d: %s=%d, want %s=%d after Add", i, k, d, wantPhases[i], 2*(i+1))
 		}
 		i++
 	})

@@ -203,8 +203,8 @@ func (p Phases) Each(fn func(key string, d time.Duration)) {
 	}
 }
 
-// add accumulates q into p, phase by phase.
-func (p *Phases) add(q Phases) {
+// Add accumulates q into p, phase by phase.
+func (p *Phases) Add(q Phases) {
 	v, w := reflect.ValueOf(p).Elem(), reflect.ValueOf(q)
 	for i := range phaseKeys {
 		v.Field(i).SetInt(v.Field(i).Int() + w.Field(i).Int())
@@ -855,7 +855,7 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 		if !p.cfg.NoTrace {
 			res.Trace = append(res.Trace, stats)
 		}
-		res.Phases.add(stats.Phases)
+		res.Phases.Add(stats.Phases)
 		res.Iterations = p.iter
 		res.HPWL = stats.HPWL
 		res.Overflow = stats.Overflow

@@ -372,7 +372,11 @@ func ApplyECO(nl *Netlist, changes []ECOChange) ([]int, error) {
 }
 
 // ReplaceECO incrementally re-places after edits with density-deviation
-// forces only; preEdit is the snapshot from before ApplyECO.
+// forces only; preEdit is the snapshot from before ApplyECO. It runs 15
+// gentle (K = 0.1) transformations whose axis solves stop at a relative
+// CG residual of 1e-3 unless cfg.CG.Tol is set: the fixed step budget never
+// reads the placement, so the global flow's 1e-6 would only buy solver
+// iterations (EXPERIMENTS E31).
 func ReplaceECO(nl *Netlist, preEdit Placement, cfg Config) (ECOResult, error) {
 	return eco.Replace(nl, preEdit, cfg)
 }
