@@ -15,12 +15,12 @@
 package eco
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/density"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/obsv"
 	"repro/internal/place"
 )
 
@@ -151,12 +151,9 @@ func seedNewCells(nl *netlist.Netlist, added []int) {
 // shorter than the current cell count; only common cells are measured).
 //
 // Unset fields of cfg take ECO defaults: K = 0.1, 15 transformations and a
-// CG tolerance of 1e-3. As in place.Placer.Run, a solve that stops short
-// of its tolerance is not an error (the trace reports its residuals); only
-// a step whose solves made no progress at all ends the run with an error.
-// Result.Place is filled as Run fills it, NoTrace included.
+// CG tolerance of 1e-3. The run is place.Placer.Continue with no stop
+// policy, so its error rule and Result.Place are Run's, NoTrace included.
 func Replace(nl *netlist.Netlist, preEdit netlist.Placement, cfg place.Config) (Result, error) {
-	start := obsv.StartTimer()
 	cfg.KeepPlacement = true
 	if cfg.MaxIter <= 0 || cfg.MaxIter > 30 {
 		// ECO wants absorption, not re-placement: few gentle steps.
@@ -205,40 +202,21 @@ func Replace(nl *netlist.Netlist, preEdit netlist.Placement, cfg place.Config) (
 		return sum
 	}
 	res := Result{HPWLBefore: nl.HPWL()}
-	// Drive a fixed number of placement transformations directly: the
-	// global stopping criterion is already satisfied by the converged
-	// pre-edit placement, so Run would exit before the density-deviation
-	// forces had any chance to absorb the change.
-	placer := place.New(nl, cfg)
-	if err := placer.Initialize(); err != nil {
+	// The whole budget runs with no stop policy: the global stopping
+	// criterion is already satisfied by the converged pre-edit placement,
+	// so Run would exit before the density-deviation forces had any chance
+	// to absorb the change.
+	pres, err := place.New(nl, cfg).Continue(context.Background(), cfg.MaxIter, nil)
+	if err != nil {
 		return res, err
 	}
-	var pres place.Result
-	for it := 0; it < cfg.MaxIter; it++ {
-		stats, err := placer.Step()
-		if err != nil && stats.CGIterX == 0 && stats.CGIterY == 0 {
-			// A solve that made no progress at all is fatal; an
-			// unconverged one still moved toward the solution.
-			return res, err
-		}
-		if !cfg.NoTrace {
-			pres.Trace = append(pres.Trace, stats)
-		}
-		pres.Phases.Add(stats.Phases)
-		pres.Iterations = it + 1
-		pres.HPWL = stats.HPWL
-		pres.Overflow = stats.Overflow
-	}
-	pres.StopReason = place.StopMaxIter // the whole step budget ran
-	pres.Runtime = start.Elapsed()
 	res.Place = pres
 	res.HPWLAfter = nl.HPWL()
-	after := nl.Snapshot()
 	for ci := range preEdit {
 		if nl.Cells[ci].Fixed {
 			continue
 		}
-		d := preEdit[ci].Dist(after[ci])
+		d := preEdit[ci].Dist(nl.Cells[ci].Pos)
 		res.TotalDisplacement += d
 		if d > res.MaxDisplacement {
 			res.MaxDisplacement = d

@@ -1,6 +1,6 @@
 // Checkpointing: the full mutable state of the iterative algorithm —
 // positions, iteration counter, accumulated forces, net weights, CG warm
-// vectors, the step control, and the Run loop's progress — serialized to
+// vectors, the step control, and Run's stop-policy state — serialized to
 // a versioned JSON snapshot. Because encoding/json emits float64 in the
 // shortest form that round-trips exactly, a Resume from a snapshot
 // continues bit-compatibly: Run-to-completion and

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -91,4 +93,77 @@ func TestPullLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	p.Pull(make([]geom.Point, 1))
+}
+
+// TestRunToleratesUnconvergedCG injects CG non-convergence into every
+// solve, the initial one included: two iterations per axis never reach
+// the tolerance. The run must still end on a defined stop reason with a
+// nil error and finite, in-region positions, because each unconverged
+// iterate is kept and the next transformation corrects it.
+func TestRunToleratesUnconvergedCG(t *testing.T) {
+	nl := testCircuit(t, 300, 5)
+	cfg := Config{MaxIter: 40}
+	cfg.CG.MaxIter = 2
+	res, err := Global(nl, cfg)
+	if err != nil {
+		t.Fatalf("unconverged solves ended the run: %v", err)
+	}
+	switch res.StopReason {
+	case StopCriterion, StopStagnation, StopMaxIter:
+	default:
+		t.Errorf("stop reason %q", res.StopReason)
+	}
+	if res.Iterations == 0 || len(res.Trace) != res.Iterations {
+		t.Errorf("%d iterations, %d trace records", res.Iterations, len(res.Trace))
+	}
+	if s := res.Trace[0]; s.CGIterX != 2 || s.CGIterY != 2 {
+		t.Errorf("first transformation took %d/%d CG iterations, want the 2/2 cap", s.CGIterX, s.CGIterY)
+	}
+	for ci, c := range nl.Cells {
+		if math.IsNaN(c.Pos.X) || math.IsNaN(c.Pos.Y) || math.IsInf(c.Pos.X, 0) || math.IsInf(c.Pos.Y, 0) {
+			t.Fatalf("cell %d at non-finite %v", ci, c.Pos)
+		}
+		if !nl.Region.Outline.Contains(c.Pos) {
+			t.Fatalf("cell %d at %v outside %v", ci, c.Pos, nl.Region.Outline)
+		}
+	}
+}
+
+// TestContinueBudgetAndPolicy: Continue initializes an unstarted placer,
+// stops on its policy's reason or after its budget, and a later call
+// continues the same placer where the first left off.
+func TestContinueBudgetAndPolicy(t *testing.T) {
+	nl := testCircuit(t, 200, 6)
+	p := New(nl, Config{})
+	calls := 0
+	res, err := p.Continue(context.Background(), 10, func(s IterStats) StopReason {
+		calls++
+		if s.Iter == 3 {
+			return StopCriterion
+		}
+		return ""
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StopReason != StopCriterion || res.Iterations != 4 || calls != 4 || len(res.Trace) != 4 {
+		t.Fatalf("policy stop: %s after %d iterations, %d calls, %d records", res.StopReason, res.Iterations, calls, len(res.Trace))
+	}
+	var sum Phases
+	for _, s := range res.Trace {
+		sum.Add(s.Phases)
+	}
+	if sum != res.Phases {
+		t.Errorf("phases %+v, trace sums to %+v", res.Phases, sum)
+	}
+	res, err = p.Continue(context.Background(), 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StopReason != StopMaxIter || res.Iterations != 9 || len(res.Trace) != 5 || res.Trace[0].Iter != 4 {
+		t.Errorf("budget stop: %s after %d iterations, %d records", res.StopReason, res.Iterations, len(res.Trace))
+	}
+	if res.HPWL != res.Trace[4].HPWL || res.Overflow != res.Trace[4].Overflow {
+		t.Errorf("result HPWL/overflow %v/%v, last step's %v/%v", res.HPWL, res.Overflow, res.Trace[4].HPWL, res.Trace[4].Overflow)
+	}
 }

@@ -300,14 +300,14 @@ type Placer struct {
 	accumulate accumulateTask
 	netLengths netLengthsTask
 
-	// rs is the Run loop's progress state. It lives on the Placer (rather
-	// than in Run's frame) so Checkpoint can capture it and Resume can
+	// rs is the state of Run's stop policy and of the step control. It
+	// lives on the Placer so Checkpoint can capture it and Resume can
 	// restore it: a resumed run must make the same stop/restore decisions
 	// an uninterrupted run would have made.
 	rs runState
 }
 
-// runState is the mutable state of the Run loop between transformations.
+// runState is the mutable state of Run between transformations.
 type runState struct {
 	// started is set once Initialize has run, so a resumed or re-entered
 	// Run continues instead of re-gathering all cells at the center.
@@ -408,7 +408,9 @@ func (p *Placer) Forces() []geom.Point { return p.forces }
 // center, additional forces zero, followed by the first force-free solve —
 // the global optimum of the quadratic wire length, which every subsequent
 // placement transformation perturbs. With KeepPlacement set (ECO), the
-// existing placement is kept as the equilibrium instead.
+// existing placement is kept as the equilibrium instead. As in Continue,
+// only a solve that made no progress at all is an error; an unconverged
+// one leaves a usable iterate.
 func (p *Placer) Initialize() error {
 	p.iter = 0
 	for i := range p.forces {
@@ -427,8 +429,11 @@ func (p *Placer) Initialize() error {
 		}
 	}
 	sys := p.asm.Assemble()
-	_, err := sys.Solve(nil, p.cfg.CG)
+	res, err := sys.Solve(nil, p.cfg.CG)
 	p.rs.bestSnap = p.nl.SnapshotInto(p.rs.bestSnap)
+	if res.X.Iterations+res.Y.Iterations > 0 {
+		return nil
+	}
 	return err
 }
 
@@ -814,74 +819,39 @@ func (p *Placer) Done(last IterStats) bool {
 	return last.EmptySquare <= p.cfg.StopSquareFactor*avg
 }
 
-// Run iterates Step until the stopping criterion, MaxIter, or ctx is done,
-// checking ctx between transformations (step granularity). On the first
-// call it runs Initialize; a placer reconstructed by Resume — or a placer
-// whose previous Run was cancelled — continues from where it stopped, so
-// Run/cancel/Run and an uninterrupted Run walk the identical iteration
-// sequence.
-//
-// Cancellation is not an error: because every intermediate placement is
-// usable, a cancelled or deadline-expired run returns the best placement
-// reached so far with StopReason set to StopCancelled or StopDeadline and
-// a nil error. Solver non-convergence is likewise tolerated; only
-// structural errors (a solve that made no progress at all) abort.
-func (p *Placer) Run(ctx context.Context) (Result, error) {
+// Continue is the placer's one step loop. It runs at most budget placement
+// transformations from the current state, running Initialize first if it
+// has not run. After each it asks stop, the flow's stop policy, whether to
+// end with a StopReason; a nil stop runs the whole budget (StopMaxIter).
+// ctx is checked between transformations: a cancelled or expired one ends
+// the loop on StopCancelled or StopDeadline with a nil error, because every
+// intermediate placement is usable. Only a solve that made no progress at
+// all is an error. The result's Iterations counts all of the placer's
+// transformations; Trace, Phases and Runtime cover this call.
+func (p *Placer) Continue(ctx context.Context, budget int, stop func(IterStats) StopReason) (Result, error) {
 	start := obsv.StartTimer()
-	var res Result
 	if !p.rs.started {
 		if err := p.Initialize(); err != nil {
-			return res, fmt.Errorf("place: initial solve: %w", err)
+			return Result{}, fmt.Errorf("place: initial solve: %w", err)
 		}
 	}
-	res.Iterations = p.iter
-	res.HPWL = p.nl.HPWL()
-	// Fast mode gives up on a stalled distribution much sooner.
-	stagnationWindow := 30
-	if p.cfg.K > 0.5 {
-		stagnationWindow = 12
-	}
-	for p.iter < p.cfg.MaxIter {
+	res := Result{Iterations: p.iter, HPWL: p.nl.HPWL()}
+	for n := 0; n < budget && res.StopReason == ""; n++ {
 		if err := ctx.Err(); err != nil {
 			res.StopReason = stopReasonFor(err)
 			break
 		}
-		it := p.iter
 		stats, err := p.Step()
 		if err != nil && stats.CGIterX == 0 && stats.CGIterY == 0 {
-			// A solve that made no progress at all is fatal.
 			return res, err
 		}
 		if !p.cfg.NoTrace {
 			res.Trace = append(res.Trace, stats)
 		}
 		res.Phases.Add(stats.Phases)
-		res.Iterations = p.iter
-		res.HPWL = stats.HPWL
-		res.Overflow = stats.Overflow
-		if stats.Overflow < p.rs.bestOvf*0.99 {
-			p.rs.bestOvf = stats.Overflow
-			p.rs.bestIter = it
-			p.rs.bestSnap = p.nl.SnapshotInto(p.rs.bestSnap)
-		}
-		// Require the criterion on consecutive iterations (see doneStreak).
-		if p.Done(stats) {
-			p.rs.doneStreak++
-			if p.rs.doneStreak >= 2 {
-				res.StopReason = StopCriterion
-				break
-			}
-		} else {
-			p.rs.doneStreak = 0
-		}
-		// Secondary stop: the distribution stopped improving; keep the best
-		// placement seen instead of wherever the last step left it.
-		if it-p.rs.bestIter >= stagnationWindow {
-			p.nl.Restore(p.rs.bestSnap)
-			res.StopReason = StopStagnation
-			res.HPWL = p.nl.HPWL()
-			res.Overflow = p.rs.bestOvf
-			break
+		res.Iterations, res.HPWL, res.Overflow = p.iter, stats.HPWL, stats.Overflow
+		if stop != nil {
+			res.StopReason = stop(stats)
 		}
 	}
 	if res.StopReason == "" {
@@ -889,6 +859,53 @@ func (p *Placer) Run(ctx context.Context) (Result, error) {
 	}
 	res.Runtime = start.Elapsed()
 	return res, nil
+}
+
+// Run is Continue with the §4.2 stop policy, until MaxIter transformations
+// have run in all. A placer rebuilt by Resume, or one whose previous Run
+// was cancelled, continues where it stopped, so Run/cancel/Run walks the
+// same sequence as one Run. A run that stops on stagnation leaves the best
+// placement seen in the netlist and reports its HPWL and overflow.
+func (p *Placer) Run(ctx context.Context) (Result, error) {
+	budget := p.cfg.MaxIter - p.iter
+	if !p.rs.started {
+		budget = p.cfg.MaxIter // Initialize starts the count afresh
+	}
+	res, err := p.Continue(ctx, budget, p.converged)
+	if res.StopReason == StopStagnation {
+		res.HPWL = p.nl.HPWL()
+		res.Overflow = p.rs.bestOvf
+	}
+	return res, err
+}
+
+// converged is Run's stop policy: the §4.2 criterion on two consecutive
+// transformations (see doneStreak), or, as a safety net, stagnation of the
+// overflow, which restores the best placement seen.
+func (p *Placer) converged(s IterStats) StopReason {
+	if s.Overflow < p.rs.bestOvf*0.99 {
+		p.rs.bestOvf = s.Overflow
+		p.rs.bestIter = s.Iter
+		p.rs.bestSnap = p.nl.SnapshotInto(p.rs.bestSnap)
+	}
+	if p.Done(s) {
+		p.rs.doneStreak++
+		if p.rs.doneStreak >= 2 {
+			return StopCriterion
+		}
+	} else {
+		p.rs.doneStreak = 0
+	}
+	// Fast mode gives up on a stalled distribution much sooner.
+	window := 30
+	if p.cfg.K > 0.5 {
+		window = 12
+	}
+	if s.Iter-p.rs.bestIter >= window {
+		p.nl.Restore(p.rs.bestSnap)
+		return StopStagnation
+	}
+	return ""
 }
 
 // Global is the convenience entry point: place nl with cfg and return the

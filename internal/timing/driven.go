@@ -32,29 +32,39 @@ func (r DrivenResult) Exploitation() float64 {
 // transformation a longest-path analysis updates net criticalities and
 // weights (§5, "Timing Optimization"). before should be the longest path of
 // a non-timing-driven placement of the same circuit (pass 0 to measure it
-// with a plain run first).
+// with a plain run of a copy, which reports to no OnIteration). Place
+// covers the §4.2 run and the polish after it, with the run's StopReason.
 func PlaceDriven(nl *netlist.Netlist, cfg place.Config, params Params, before float64) (DrivenResult, error) {
 	params.setDefaults()
 	if before <= 0 {
-		plain := nl.Clone()
-		if _, err := place.Global(plain, cfg); err != nil {
+		plain, probe := nl.Clone(), cfg
+		probe.OnIteration = nil
+		if _, err := place.Global(plain, probe); err != nil {
 			return DrivenResult{}, err
 		}
 		before = NewAnalyzer(plain, params).Analyze().MaxDelay
 	}
 
-	analyzer := NewAnalyzer(nl, params)
-	weighter := NewWeighter(nl)
+	analyzer, weighter := NewAnalyzer(nl, params), NewWeighter(nl)
 	analyses := 0
+	adapt := func(p *place.Placer) {
+		analyses++
+		weighter.Update(nl, analyzer.Analyze())
+		p.Pull(weighter.PullForces(nl))
+	}
+	polishing := false
 	userHook := cfg.BeforeTransform
 	cfg.BeforeTransform = func(iter int, p *place.Placer) {
+		// A polish step updates the weights before and after the caller's
+		// hook, and Analyses counts both. Updating once there measured
+		// lower exploitation (average 46.2 % → 43.8 %, E24).
+		if polishing {
+			adapt(p)
+		}
 		if userHook != nil {
 			userHook(iter, p)
 		}
-		rep := analyzer.Analyze()
-		analyses++
-		weighter.Update(nl, rep)
-		p.Pull(weighter.PullForces(nl))
+		adapt(p)
 	}
 	placer := place.New(nl, cfg)
 	res, err := placer.Run(context.Background())
@@ -62,45 +72,73 @@ func PlaceDriven(nl *netlist.Netlist, cfg place.Config, params Params, before fl
 		return DrivenResult{}, err
 	}
 
-	// Polish phase: the spreading run has converged; keep adapting weights
-	// and stepping while the longest path still falls ("even in late
-	// stages the placement has the ability to change globally", §5). The
-	// polish continues the converged placer, so its steps start from the
-	// step-control gain the run settled at; a fresh placer would restart
-	// at the full step and shake the spread placement (kbench -table 4
-	// average 45.9 % → 52.0 %, EXPERIMENTS E25). The placer keeps the
-	// wrapped hook, so each polish step updates the weights twice: in the
-	// loop body and again in the hook. Running only the caller's hook
-	// there measured lower exploitation (average 46.2 % → 43.8 %, E24).
-	best := nl.Snapshot()
-	bestDelay := analyzer.Analyze().MaxDelay
-	sinceBest := 0
-	for step := 0; step < 60 && sinceBest < 15; step++ {
-		rep := analyzer.Analyze()
-		analyses++
-		weighter.Update(nl, rep)
-		placer.Pull(weighter.PullForces(nl))
-		if _, err := placer.Step(); err != nil && step == 0 {
-			break
-		}
-		if d := analyzer.Analyze().MaxDelay; d < bestDelay {
-			bestDelay = d
-			best = nl.Snapshot()
-			sinceBest = 0
-		} else {
-			sinceBest++
-		}
+	// Polish phase: keep adapting weights and stepping while the longest
+	// path still falls ("even in late stages the placement has the ability
+	// to change globally", §5). Continuing the converged placer keeps the
+	// step-control gain the run settled at; a fresh placer would restart at
+	// the full step and shake the spread placement (kbench -table 4 average
+	// 45.9 % → 52.0 %, EXPERIMENTS E25).
+	polishing = true
+	pol := &delayPolicy{nl: nl, analyzer: analyzer, req: math.Inf(-1), patience: 15,
+		best: nl.Snapshot(), bestDelay: analyzer.Analyze().MaxDelay, bestOvf: res.Overflow}
+	pres, err := placer.Continue(context.Background(), 60, pol.stop)
+	if err != nil {
+		return DrivenResult{}, err
 	}
-	nl.Restore(best)
+	nl.Restore(pol.best)
+	res.Iterations, res.HPWL, res.Overflow = pres.Iterations, nl.HPWL(), pol.bestOvf
+	res.Trace = append(res.Trace, pres.Trace...)
+	res.Phases.Add(pres.Phases)
+	res.Runtime += pres.Runtime
 
-	after := analyzer.Analyze().MaxDelay
 	return DrivenResult{
 		Place:      res,
 		Before:     before,
-		After:      after,
+		After:      analyzer.Analyze().MaxDelay,
 		LowerBound: LowerBound(nl, params),
 		Analyses:   analyses,
 	}, nil
+}
+
+// delayPolicy is the timing flows' stop policy for place.Placer.Continue.
+// After each transformation it analyzes the placement (rep) and keeps the
+// one with the shortest longest path (best). It stops with StopCriterion
+// once that path is at most req, and with StopStagnation after patience
+// transformations without a new best (0: never). With spread set, only a
+// spread placement counts (the escalation's §4.2 criterion). A non-nil
+// curve gets one point per transformation.
+type delayPolicy struct {
+	nl                  *netlist.Netlist
+	analyzer            *Analyzer
+	req                 float64
+	patience, sinceBest int
+	spread              func(place.IterStats) bool
+	curve               []TradeoffPoint
+	rep                 Report
+	best                netlist.Placement
+	bestDelay, bestOvf  float64
+}
+
+func (t *delayPolicy) stop(s place.IterStats) place.StopReason {
+	t.rep = t.analyzer.Analyze()
+	d := t.rep.MaxDelay
+	if t.curve != nil {
+		t.curve = append(t.curve, TradeoffPoint{Step: len(t.curve), HPWL: s.HPWL, MaxDelay: d})
+	}
+	counts := t.spread == nil || t.spread(s)
+	if d < t.bestDelay && counts {
+		t.best = t.nl.SnapshotInto(t.best)
+		t.bestDelay, t.bestOvf, t.sinceBest = d, s.Overflow, 0
+	} else {
+		t.sinceBest++
+	}
+	switch {
+	case d <= t.req && counts:
+		return place.StopCriterion
+	case t.patience > 0 && t.sinceBest >= t.patience:
+		return place.StopStagnation
+	}
+	return ""
 }
 
 // TradeoffPoint is one step of the timing/area tradeoff curve recorded
@@ -136,98 +174,58 @@ func MeetRequirement(nl *netlist.Netlist, cfg place.Config, params Params, req f
 	if maxSteps <= 0 {
 		maxSteps = 200
 	}
+	// After phase 1, which adapts no weights, each transformation adapts
+	// them to the policy's analysis of the placement it starts from.
+	analyzer, weighter := NewAnalyzer(nl, params), NewWeighter(nl)
+	var pol *delayPolicy
+	userHook := cfg.BeforeTransform
+	cfg.BeforeTransform = func(iter int, p *place.Placer) {
+		if pol != nil {
+			weighter.Update(nl, pol.rep)
+			p.Pull(weighter.PullForces(nl))
+		}
+		if userHook != nil {
+			userHook(iter, p)
+		}
+	}
 	// Phase 1: plain run until convergence.
-	if _, err := place.Global(nl, cfg); err != nil {
+	phase1 := place.New(nl, cfg)
+	_, err := phase1.Run(context.Background())
+	if err != nil {
 		return MeetResult{}, err
 	}
-	analyzer := NewAnalyzer(nl, params)
-	weighter := NewWeighter(nl)
-
 	rep := analyzer.Analyze()
-	out := MeetResult{
-		Curve: []TradeoffPoint{{Step: 0, HPWL: nl.HPWL(), MaxDelay: rep.MaxDelay}},
-		Final: rep.MaxDelay,
-		HPWL:  nl.HPWL(),
+	pol = &delayPolicy{nl: nl, analyzer: analyzer, req: req, patience: 30, rep: rep, best: nl.Snapshot(),
+		bestDelay: rep.MaxDelay, curve: []TradeoffPoint{{Step: 0, HPWL: nl.HPWL(), MaxDelay: rep.MaxDelay}}}
+	// A placement that meets req becomes the best one seen, so bestDelay
+	// tells whether req is met, and the flow returns best either way.
+	if rep.MaxDelay > req {
+		// Phase 2: weight adaption from the converged placement, on a fresh
+		// KeepPlacement placer (continuing phase1 would move placements).
+		cfg.KeepPlacement = true
+		_, err = place.New(nl, cfg).Continue(context.Background(), maxSteps, pol.stop)
 	}
-	if rep.MaxDelay <= req {
-		out.Met = true
-		return out, nil
+	if err == nil && pol.bestDelay > req {
+		// Phase 2 stalled above the requirement. Escalate to a full
+		// re-placement with weight adaption, which can restructure far
+		// more (§5); a placement counts only once it is spread.
+		cfg.KeepPlacement = false
+		full := place.New(nl, cfg)
+		if full.Initialize() == nil {
+			budget := cfg.MaxIter
+			if budget <= 0 {
+				budget = 120
+			}
+			pol.rep, pol.patience, pol.spread = analyzer.Analyze(), 0, full.Done
+			_, err = full.Continue(context.Background(), budget, pol.stop)
+		}
+	}
+	if err != nil {
+		return MeetResult{}, err
 	}
 
-	// Phase 2: continue transformations with weight adaption, starting
-	// from the converged placement.
-	cfg.KeepPlacement = true
-	placer := place.New(nl, cfg)
-	if err := placer.Initialize(); err != nil {
-		return out, err
-	}
-	best := nl.Snapshot()
-	bestDelay := rep.MaxDelay
-	sinceBest := 0
-	for step := 1; step <= maxSteps && sinceBest < 30; step++ {
-		weighter.Update(nl, rep)
-		placer.Pull(weighter.PullForces(nl))
-		if _, err := placer.Step(); err != nil && step == 1 {
-			return out, err
-		}
-		rep = analyzer.Analyze()
-		out.Steps = step
-		out.Curve = append(out.Curve, TradeoffPoint{Step: step, HPWL: nl.HPWL(), MaxDelay: rep.MaxDelay})
-		if rep.MaxDelay < bestDelay {
-			bestDelay = rep.MaxDelay
-			best = nl.Snapshot()
-			sinceBest = 0
-		} else {
-			sinceBest++
-		}
-		if rep.MaxDelay <= req {
-			out.Met = true
-			out.Final = rep.MaxDelay
-			out.HPWL = nl.HPWL()
-			return out, nil
-		}
-	}
-	// Phase 2 stalled above the requirement. Escalate: a full re-placement
-	// with weight adaption before every transformation ("even in late
-	// stages the placement has the ability to change globally", §5) can
-	// restructure far more than perturbing the converged placement. The
-	// result is still measured on the actual placement, so the guarantee
-	// stands.
-	cfg.KeepPlacement = false
-	full := place.New(nl, cfg)
-	if err := full.Initialize(); err == nil {
-		maxIter := cfg.MaxIter
-		if maxIter <= 0 {
-			maxIter = 120
-		}
-		for step := 0; step < maxIter; step++ {
-			rep = analyzer.Analyze()
-			weighter.Update(nl, rep)
-			full.Pull(weighter.PullForces(nl))
-			stats, err := full.Step()
-			if err != nil && step == 0 {
-				break
-			}
-			rep = analyzer.Analyze()
-			out.Steps++
-			out.Curve = append(out.Curve, TradeoffPoint{Step: out.Steps, HPWL: nl.HPWL(), MaxDelay: rep.MaxDelay})
-			if rep.MaxDelay < bestDelay && full.Done(stats) {
-				bestDelay = rep.MaxDelay
-				best = nl.Snapshot()
-			}
-			if rep.MaxDelay <= req && full.Done(stats) {
-				out.Met = true
-				out.Final = rep.MaxDelay
-				out.HPWL = nl.HPWL()
-				return out, nil
-			}
-		}
-	}
-
-	// Requirement not reachable: return the best placement seen.
-	nl.Restore(best)
-	out.Final = bestDelay
-	out.HPWL = nl.HPWL()
-	out.Met = bestDelay <= req || math.Abs(bestDelay-req) < 1e-15
+	nl.Restore(pol.best)
+	out := MeetResult{Final: pol.bestDelay, HPWL: nl.HPWL(), Curve: pol.curve, Steps: len(pol.curve) - 1}
+	out.Met = out.Final <= req || math.Abs(out.Final-req) < 1e-15
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/netgen"
+	"repro/internal/place"
 )
 
 // TestDrivenFlowsPinned pins both timing flows bit for bit: PlaceDriven's
@@ -62,4 +63,57 @@ func TestDrivenFlowsPinned(t *testing.T) {
 			t.Errorf("curve digest %016x, want %016x", got, want)
 		}
 	})
+}
+
+// TestPlaceDrivenResultCoversPolish: the result's Place reports every
+// transformation of nl, the polish's included, and only those: the plain
+// probe run that measures the starting delay places a copy.
+func TestPlaceDrivenResultCoversPolish(t *testing.T) {
+	nl := netgen.Generate(netgen.Config{Name: "td", Cells: 400, Nets: 520, Rows: 10, Seed: 21})
+	cfg := placeCfg()
+	seen := 0
+	cfg.OnIteration = func(place.IterStats) { seen++ }
+	res, err := PlaceDriven(nl, cfg, DefaultParams(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := res.Place
+	if pr.Iterations != seen || len(pr.Trace) != seen {
+		t.Errorf("Place has %d iterations and %d trace records; OnIteration fired %d times", pr.Iterations, len(pr.Trace), seen)
+	}
+	if pr.Iterations <= cfg.MaxIter {
+		t.Errorf("%d iterations: the polish after the %d-step run is missing", pr.Iterations, cfg.MaxIter)
+	}
+	var sum place.Phases
+	for _, s := range pr.Trace {
+		sum.Add(s.Phases)
+	}
+	if sum != pr.Phases {
+		t.Errorf("Place.Phases %+v, trace sums to %+v", pr.Phases, sum)
+	}
+	if pr.StopReason != place.StopMaxIter {
+		t.Errorf("StopReason %q, want the §4.2 run's %q", pr.StopReason, place.StopMaxIter)
+	}
+	if got := nl.HPWL(); math.Float64bits(got) != math.Float64bits(pr.HPWL) {
+		t.Errorf("Place.HPWL %v, returned placement's %v", pr.HPWL, got)
+	}
+}
+
+// TestDrivenFlowsTolerateUnconvergedCG: both flows apply the placer's
+// error rule, so solves capped at two CG iterations, the initial solves
+// included, end no flow with an error.
+func TestDrivenFlowsTolerateUnconvergedCG(t *testing.T) {
+	cfg := place.Config{MaxIter: 15}
+	cfg.CG.MaxIter = 2
+	nl := netgen.Generate(netgen.Config{Name: "cg", Cells: 200, Nets: 260, Rows: 8, Seed: 23})
+	if _, err := PlaceDriven(nl.Clone(), cfg, DefaultParams(), 0); err != nil {
+		t.Errorf("PlaceDriven: %v", err)
+	}
+	res, err := MeetRequirement(nl, cfg, DefaultParams(), 1e-15, 5)
+	if err != nil {
+		t.Errorf("MeetRequirement: %v", err)
+	}
+	if res.Steps <= 5 {
+		t.Errorf("%d steps: the escalation did not run", res.Steps)
+	}
 }

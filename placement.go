@@ -179,7 +179,8 @@ func GlobalContext(ctx context.Context, nl *Netlist, cfg Config) (Result, error)
 	return place.GlobalContext(ctx, nl, cfg)
 }
 
-// NewPlacer prepares a stepwise placer (call Initialize, then Step).
+// NewPlacer prepares a placer: Run places to the §4.2 stop, and Continue
+// runs a step budget under the caller's stop policy.
 func NewPlacer(nl *Netlist, cfg Config) *Placer { return place.New(nl, cfg) }
 
 // Checkpoint / resume: a Placer's full iteration state (positions,
