@@ -7,14 +7,13 @@
 //
 // Usage:
 //
-//	kvet [-tags tags] [patterns ...]
+//	kvet [patterns ...]
 //
-// Patterns default to ./... ; -tags is forwarded to go list, so
-// `kvet -tags kraftwerkcheck ./...` lints the files behind that build tag.
-// Findings print as file:line:col: [analyzer] message. Suppress a
-// deliberate exception with a "//lint:ignore <analyzer> <reason>" comment
-// on or directly above the flagged line; a directive that suppresses
-// nothing is itself a finding (staleignore).
+// Patterns default to ./... and kvet takes no flags. Findings print as
+// file:line:col: [analyzer] message. Suppress a deliberate exception with
+// a "//lint:ignore <analyzer> <reason>" comment on or directly above the
+// flagged line; a directive that suppresses nothing is itself a finding
+// (staleignore).
 //
 // Exit status: 0 no findings, 1 findings, 2 operational error.
 package main
@@ -29,10 +28,8 @@ import (
 )
 
 func main() {
-	tags := flag.String("tags", "", "build tags to select files, forwarded to go list")
 	flag.Parse()
-
-	pkgs, err := load.Load(load.Config{BuildTags: *tags}, flag.Args()...)
+	pkgs, err := load.Load(load.Config{}, flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}

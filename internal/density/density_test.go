@@ -203,6 +203,19 @@ func TestMaxMagnitude(t *testing.T) {
 	if m := f.MaxMagnitude(); math.Abs(m-5) > 1e-12 {
 		t.Errorf("MaxMagnitude = %v", m)
 	}
+	// A NaN bin poisons the maximum wherever it lies, before or after the
+	// largest finite bin; an infinite component makes it +Inf.
+	for _, i := range []int{0, 15} {
+		f.FY[i] = math.NaN()
+		if m := f.MaxMagnitude(); !math.IsNaN(m) {
+			t.Errorf("NaN at bin %d: MaxMagnitude = %v, want NaN", i, m)
+		}
+		f.FY[i] = 0
+	}
+	f.FX[9] = math.Inf(-1)
+	if m := f.MaxMagnitude(); !math.IsInf(m, 1) {
+		t.Errorf("-Inf component: MaxMagnitude = %v, want +Inf", m)
+	}
 }
 
 func TestLargestEmptySquare(t *testing.T) {

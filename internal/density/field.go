@@ -261,12 +261,14 @@ func bilerp(v00, v10, v01, v11, tx, ty float64) float64 {
 }
 
 // MaxMagnitude returns the largest |f| over all bins, used for the paper's
-// K·(W+H) force normalization.
+// K·(W+H) force normalization. A field with a NaN anywhere returns NaN and
+// one with an infinite component +Inf, so the one pass over the bins also
+// tells whether the field is finite.
 func (f *Field) MaxMagnitude() float64 {
 	var m float64
 	for i := range f.FX {
 		v := f.FX[i]*f.FX[i] + f.FY[i]*f.FY[i]
-		if v > m {
+		if v > m || v != v {
 			m = v
 		}
 	}

@@ -52,18 +52,15 @@ type Config struct {
 	// Dir is the working directory for the go command (the module root in
 	// normal use). Empty means the current directory.
 	Dir string
-	// BuildTags is passed to go list as -tags and therefore selects which
-	// build-constrained files are listed, compiled and analyzed.
-	BuildTags string
 }
 
 // cache memoizes Load results for the process lifetime, keyed by the
-// resolved working directory, build tags and patterns. One kvet
-// invocation (or one test binary) then pays the go list + parse +
-// typecheck cost once per distinct pattern set, no matter how many
-// analyzers or subtests ask for the same packages. Results are shared,
-// not copied: callers must treat the returned packages as read-only,
-// which every analysis pass already does.
+// resolved working directory and patterns. One kvet invocation (or one
+// test binary) then pays the go list + parse + typecheck cost once per
+// distinct pattern set, no matter how many analyzers or subtests ask for
+// the same packages. Results are shared, not copied: callers must treat
+// the returned packages as read-only, which every analysis pass already
+// does.
 var cache struct {
 	mu sync.Mutex
 	m  map[string][]*Package
@@ -74,14 +71,14 @@ func cacheKey(cfg Config, patterns []string) string {
 	if abs, err := filepath.Abs(dir); err == nil {
 		dir = abs
 	}
-	return dir + "\x00" + cfg.BuildTags + "\x00" + strings.Join(patterns, "\x00")
+	return dir + "\x00" + strings.Join(patterns, "\x00")
 }
 
 // Load lists, parses and type-checks the packages matching patterns. Only
 // packages named by the patterns are returned; dependencies are consumed
 // as compiled export data. Returns an error on the first package that
 // fails to list, parse or type-check — an analyzer run on a broken tree
-// would report nonsense. Successful results are memoized per (dir, tags,
+// would report nonsense. Successful results are memoized per (dir,
 // patterns) for the process lifetime; see cache.
 func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
@@ -109,11 +106,7 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 
 // load is the uncached Load body.
 func load(cfg Config, patterns []string) ([]*Package, error) {
-	args := []string{"list", "-export", "-json=Dir,ImportPath,Export,GoFiles,DepOnly,Incomplete,Error", "-deps"}
-	if cfg.BuildTags != "" {
-		args = append(args, "-tags", cfg.BuildTags)
-	}
-	args = append(args, patterns...)
+	args := append([]string{"list", "-export", "-json=Dir,ImportPath,Export,GoFiles,DepOnly,Incomplete,Error", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = cfg.Dir
 	var stdout, stderr bytes.Buffer

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// TestLoadMemoized proves a second Load of the same (dir, tags, patterns)
+// TestLoadMemoized proves a second Load of the same (dir, patterns)
 // returns the cached result — same packages, no second go list — by
 // pointer identity and by wall time (a real load shells out to the go
 // command; a cache hit is a map lookup).

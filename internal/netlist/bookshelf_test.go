@@ -179,6 +179,9 @@ func TestBookshelfErrors(t *testing.T) {
 	if err := bad("UCLA nodes 1.0\n a x y\n", bsNets); err == nil {
 		t.Error("bad dimensions accepted")
 	}
+	if err := bad(strings.Replace(bsNodes, "bb\t1\t1", "bb\tNaN\t1", 1), bsNets); err == nil {
+		t.Error("NaN node width accepted")
+	}
 	if err := bad("UCLA nodes 1.0\n a 1 1\n a 1 1\n", bsNets); err == nil {
 		t.Error("duplicate node accepted")
 	}

@@ -297,8 +297,8 @@ func parsePin(tok string, lineNo int, cells map[string]int) (Pin, error) {
 	return p, nil
 }
 
-// isFiniteF reports whether f is a finite number (parsers reject NaN/Inf
-// geometry before it can propagate).
+// isFiniteF reports whether f is a finite number: the region parser and
+// Validate reject NaN and ±Inf before they can reach a placement.
 func isFiniteF(f float64) bool {
 	return f == f && f < math.MaxFloat64 && f > -math.MaxFloat64
 }

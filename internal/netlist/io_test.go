@@ -141,6 +141,35 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestReadRejectsNonFinite: strconv.ParseFloat accepts "NaN" and "Inf",
+// so every number the text format carries past the region line reaches
+// Validate, which must reject a non-finite one wherever it sits.
+func TestReadRejectsNonFinite(t *testing.T) {
+	const base = "circuit nf\nregion 20 8 4 2\n" +
+		"cell a 2 2\ncell b 2 2\ncell c 2 2\ncell p 1 1 fixed 0 4\n" +
+		"net n1 a:out b:in c:in\nnet n2 c:out p:in\n"
+	if _, err := Read(strings.NewReader(base)); err != nil {
+		t.Fatalf("finite design rejected: %v", err)
+	}
+	for _, c := range []struct{ name, old, new string }{
+		{"cell width", "cell a 2 2", "cell a NaN 2"},
+		{"cell height", "cell b 2 2", "cell b 2 Inf"},
+		{"fixed position", "fixed 0 4", "fixed 0 -Inf"},
+		{"placed position", "net n2", "place a Inf 3\nnet n2"},
+		{"delay", "cell c 2 2", "cell c 2 2 delay NaN"},
+		{"power", "cell c 2 2", "cell c 2 2 power +Inf"},
+		{"net weight NaN", "net n1", "net n1 weight NaN"},
+		{"net weight Inf", "net n2", "net n2 weight Inf"},
+		{"pin offset", "b:in", "b:in:Inf,0"},
+		{"pin capacitance", "p:in", "p:in:0,0:NaN"},
+	} {
+		src := strings.Replace(base, c.old, c.new, 1)
+		if _, err := Read(strings.NewReader(src)); err == nil {
+			t.Errorf("%s: %q accepted", c.name, c.new)
+		}
+	}
+}
+
 func TestReadRowlessRegion(t *testing.T) {
 	src := "circuit fp\nregion 100 100 0 0\ncell a 10 10\ncell b 10 10\nnet n a b\n"
 	nl, err := Read(strings.NewReader(src))

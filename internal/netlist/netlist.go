@@ -9,7 +9,6 @@ package netlist
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 )
@@ -193,19 +192,23 @@ func (nl *Netlist) Normalize() {
 	}
 }
 
-// Validate checks structural consistency and returns the first problem
-// found, or nil when the netlist is well formed.
+// Validate checks structural consistency, and that every cell size,
+// position, delay and power, net weight and pin offset and capacitance is
+// a finite number, and returns the first problem found, or nil when the
+// netlist is well formed.
 func (nl *Netlist) Validate() error {
 	if nl.Region.Outline.Empty() {
 		return fmt.Errorf("netlist %q: empty placement region", nl.Name)
 	}
 	for i := range nl.Cells {
 		c := &nl.Cells[i]
+		if !isFiniteF(c.W) || !isFiniteF(c.H) || !isFiniteF(c.Pos.X) || !isFiniteF(c.Pos.Y) ||
+			!isFiniteF(c.Delay) || !isFiniteF(c.Power) {
+			return fmt.Errorf("cell %d (%q): non-finite size %gx%g, position (%g, %g), delay %g or power %g",
+				i, c.Name, c.W, c.H, c.Pos.X, c.Pos.Y, c.Delay, c.Power)
+		}
 		if c.W < 0 || c.H < 0 {
 			return fmt.Errorf("cell %d (%q): negative dimensions %gx%g", i, c.Name, c.W, c.H)
-		}
-		if math.IsNaN(c.Pos.X) || math.IsNaN(c.Pos.Y) {
-			return fmt.Errorf("cell %d (%q): NaN position", i, c.Name)
 		}
 	}
 	for ni := range nl.Nets {
@@ -213,13 +216,17 @@ func (nl *Netlist) Validate() error {
 		if len(n.Pins) < 2 {
 			return fmt.Errorf("net %d (%q): fewer than 2 pins", ni, n.Name)
 		}
-		if n.Weight < 0 {
-			return fmt.Errorf("net %d (%q): negative weight %g", ni, n.Name, n.Weight)
+		if !isFiniteF(n.Weight) || n.Weight < 0 {
+			return fmt.Errorf("net %d (%q): weight %g, want finite and non-negative", ni, n.Name, n.Weight)
 		}
 		drivers := 0
 		for pi, p := range n.Pins {
 			if p.Cell < 0 || p.Cell >= len(nl.Cells) {
 				return fmt.Errorf("net %d (%q) pin %d: cell index %d out of range", ni, n.Name, pi, p.Cell)
+			}
+			if !isFiniteF(p.Offset.X) || !isFiniteF(p.Offset.Y) || !isFiniteF(p.Cap) {
+				return fmt.Errorf("net %d (%q) pin %d: non-finite offset (%g, %g) or capacitance %g",
+					ni, n.Name, pi, p.Offset.X, p.Offset.Y, p.Cap)
 			}
 			if p.Dir == Output {
 				drivers++

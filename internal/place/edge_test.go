@@ -2,9 +2,12 @@ package place
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/density"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 )
@@ -165,5 +168,69 @@ func TestContinueBudgetAndPolicy(t *testing.T) {
 	}
 	if res.HPWL != res.Trace[4].HPWL || res.Overflow != res.Trace[4].Overflow {
 		t.Errorf("result HPWL/overflow %v/%v, last step's %v/%v", res.HPWL, res.Overflow, res.Trace[4].HPWL, res.Trace[4].Overflow)
+	}
+}
+
+// TestStepRejectsNonFinite injects a NaN on the second transformation,
+// once into the density (one bin of the ExtraDemand map, which poisons the
+// force field) and once into the moved positions (a NaN CG starting guess,
+// which the x solve hands back as its response when it breaks down). Run must end with an error wrapping
+// ErrNonFinite, no trace record may carry a non-finite value, and the
+// netlist must keep the placement the first transformation left.
+func TestStepRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(cfg *Config)
+	}{
+		{"field", func(cfg *Config) {
+			calls := 0
+			cfg.ExtraDemand = func(g *density.Grid) []float64 {
+				calls++
+				extra := make([]float64, len(g.Demand))
+				if calls == 2 {
+					extra[len(extra)/3] = math.NaN()
+				}
+				return extra
+			}
+		}},
+		{"position", func(cfg *Config) {
+			cfg.BeforeTransform = func(iter int, p *Placer) {
+				if iter == 1 {
+					for i := range p.warmDX {
+						p.warmDX[i] = math.NaN()
+					}
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nl := testCircuit(t, 200, 7)
+			cfg := Config{MaxIter: 20}
+			tc.inject(&cfg)
+			var after0 netlist.Placement
+			records := 0
+			cfg.OnIteration = func(IterStats) {
+				records++
+				after0 = nl.SnapshotInto(after0)
+			}
+			res, err := New(nl, cfg).Run(context.Background())
+			if !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Run returned %v (stop %q after %d iterations), want ErrNonFinite", err, res.StopReason, res.Iterations)
+			}
+			if records != 1 || len(res.Trace) != 1 {
+				t.Fatalf("%d observed transformations, %d trace records, want 1 each", records, len(res.Trace))
+			}
+			v := reflect.ValueOf(res.Trace[0])
+			for i := 0; i < v.NumField(); i++ {
+				if f := v.Field(i); f.Kind() == reflect.Float64 && !finite(f.Float()) {
+					t.Errorf("trace record %s = %v", v.Type().Field(i).Name, f.Float())
+				}
+			}
+			for ci := range nl.Cells {
+				if nl.Cells[ci].Pos != after0[ci] {
+					t.Fatalf("cell %d at %v, the first transformation left it at %v", ci, nl.Cells[ci].Pos, after0[ci])
+				}
+			}
+		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/density"
 	"repro/internal/fft"
 	"repro/internal/geom"
@@ -439,7 +438,9 @@ func (p *Placer) Initialize() error {
 
 // Step performs one placement transformation (§4.1): determine the density
 // forces of the current placement, accumulate them into e, and solve the
-// extended quadratic system.
+// extended quadratic system. A field or moved position that is not finite
+// ends the transformation with an error wrapping ErrNonFinite and the
+// netlist at the placement it started from.
 func (p *Placer) Step() (IterStats, error) {
 	nl := p.nl
 	cfg := &p.cfg
@@ -459,7 +460,6 @@ func (p *Placer) Step() (IterStats, error) {
 	}
 	p.grid.Refresh(nl)
 	ph.TGather = mark.Elapsed()
-	check.DensityBalanced("place/step grid", p.grid, 1e-6)
 
 	// Solve for the density's force field on one lane while the other
 	// assembles the (possibly re-linearized) quadratic system and
@@ -470,11 +470,7 @@ func (p *Placer) Step() (IterStats, error) {
 	par.Fork(&p.field, &p.build)
 	sys := p.build.sys
 	ph.TBuild, ph.TPrecond = p.build.tBuild, p.build.tPrecond
-	check.Symmetric("place/step C", sys.C, 1e-8)
-	check.SPDHint("place/step C", sys.C, 1e-8)
 	field := p.field.out
-	check.Finite("place/step field FX", field.FX)
-	check.Finite("place/step field FY", field.FY)
 
 	// Force increment normalization (§4.1): the strongest field force is
 	// scaled to the pull of a net of length K·(W+H). Two refinements over
@@ -487,7 +483,12 @@ func (p *Placer) Step() (IterStats, error) {
 	// has re-weighted the springs. The step-control gain (runState.react)
 	// then scales the increment down after overshoots.
 	damping := p.rs.gain
+	// The maximum is NaN or +Inf unless the whole field is finite; e and
+	// the positions are still untouched here.
 	maxMag := field.MaxMagnitude()
+	if !finite(maxMag) {
+		return IterStats{}, fmt.Errorf("place: iteration %d: density force field: %w", p.iter, ErrNonFinite)
+	}
 	kick := kickRef * math.Sqrt(cfg.K/0.2)
 	targetMax := kick * (nl.Region.W() + nl.Region.H()) * meanStiffness(sys)
 	scale := 0.0
@@ -579,6 +580,7 @@ func (p *Placer) Step() (IterStats, error) {
 
 	// Keep cells inside the placement area; the supply model pushes them
 	// back anyway, clamping merely speeds that up and keeps metrics sane.
+	// A NaN survives the clamp; the netlist then gets the snapshot back.
 	out := nl.Region.Outline
 	for ci := range nl.Cells {
 		c := &nl.Cells[ci]
@@ -586,8 +588,13 @@ func (p *Placer) Step() (IterStats, error) {
 			continue
 		}
 		c.Pos = out.ClampCenter(c.Pos, math.Min(c.W, out.W()), math.Min(c.H, out.H()))
+		if !finite(c.Pos.X) || !finite(c.Pos.Y) {
+			err = fmt.Errorf("place: iteration %d: cell %d (%q) moved to (%g, %g): %w",
+				p.iter, ci, c.Name, c.Pos.X, c.Pos.Y, ErrNonFinite)
+			nl.Restore(p.before)
+			return IterStats{}, err
+		}
 	}
-	check.CellsFinite("place/step positions", nl)
 
 	// Refresh the density for the stats and the stopping rule on one lane
 	// while the other measures every net; the lengths are summed in net
@@ -624,6 +631,15 @@ func (p *Placer) Step() (IterStats, error) {
 	}
 	return stats, err
 }
+
+// ErrNonFinite is wrapped by Step's error when the density force field or
+// a moved cell position is NaN or infinite. The transformation means
+// nothing then, so Continue ends every flow on it.
+var ErrNonFinite = errors.New("non-finite value")
+
+// finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every
+// finite v and NaN otherwise.
+func finite(v float64) bool { return v-v == 0 }
 
 // fieldTask computes grid's density force field into out, as a par.Task.
 type fieldTask struct {
@@ -826,7 +842,8 @@ func (p *Placer) Done(last IterStats) bool {
 // ctx is checked between transformations: a cancelled or expired one ends
 // the loop on StopCancelled or StopDeadline with a nil error, because every
 // intermediate placement is usable. Only a solve that made no progress at
-// all is an error. The result's Iterations counts all of the placer's
+// all, or a transformation that met a non-finite value (ErrNonFinite), is
+// an error. The result's Iterations counts all of the placer's
 // transformations; Trace, Phases and Runtime cover this call.
 func (p *Placer) Continue(ctx context.Context, budget int, stop func(IterStats) StopReason) (Result, error) {
 	start := obsv.StartTimer()
@@ -842,7 +859,7 @@ func (p *Placer) Continue(ctx context.Context, budget int, stop func(IterStats) 
 			break
 		}
 		stats, err := p.Step()
-		if err != nil && stats.CGIterX == 0 && stats.CGIterY == 0 {
+		if err != nil && (errors.Is(err, ErrNonFinite) || stats.CGIterX == 0 && stats.CGIterY == 0) {
 			return res, err
 		}
 		if !p.cfg.NoTrace {
