@@ -6,7 +6,6 @@
 //	kbench -table 4            # Table 4 (exploitation; runs Table 3)
 //	kbench -exp fast           # §6.1 fast-vs-standard mode experiment
 //	kbench -exp tradeoff       # §5 timing/area tradeoff curve
-//	kbench -exp ablation       # design-choice ablation with stop reasons (E7)
 //	kbench -exp scaling        # runtime over a cell-count ladder (E8)
 //	kbench -exp step           # place.Step phase breakdown (E10)
 //	kbench -all                # everything
@@ -43,7 +42,7 @@ func main() {
 
 	var (
 		table    = flag.Int("table", 0, "paper table to regenerate (1-4)")
-		exp      = flag.String("exp", "", "experiment: fast, tradeoff, ablation, scaling, step")
+		exp      = flag.String("exp", "", "experiment: fast, tradeoff, scaling, step")
 		stepOut  = flag.String("step-out", "", "write the step experiment's JSON document to this file (e.g. BENCH_step.json)")
 		stepIter = flag.Int("step-iter", 60, "max placement transformations per step-experiment run")
 		stepChk  = flag.String("step-check", "", "compare the step experiment's hot run against this baseline BENCH_step.json and exit nonzero on regression")
@@ -125,19 +124,6 @@ func main() {
 	}
 	if *all || *exp == "fast" {
 		bench.PrintFast(os.Stdout, bench.RunFastVsStandard(opts))
-		fmt.Println()
-		ran = true
-	}
-	if *all || *exp == "ablation" {
-		circuit := "primary2"
-		if len(opts.Circuits) > 0 {
-			circuit = opts.Circuits[0]
-		}
-		rows, err := bench.RunAblation(opts, circuit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		bench.PrintAblation(os.Stdout, circuit, rows)
 		fmt.Println()
 		ran = true
 	}

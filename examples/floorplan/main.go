@@ -28,9 +28,7 @@ func main() {
 	})
 	fmt.Println(placement.ComputeStats(nl))
 
-	res, err := placement.Floorplan(nl, placement.FloorplanConfig{
-		Place: placement.Config{MaxIter: 120},
-	})
+	res, err := placement.Floorplan(nl, placement.Config{MaxIter: 120})
 	if err != nil {
 		log.Fatal(err)
 	}

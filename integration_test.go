@@ -189,9 +189,7 @@ func TestIntegrationFloorplanThenTiming(t *testing.T) {
 	nl := placement.Generate(placement.GenConfig{
 		Name: "fp+t", Cells: 250, Nets: 330, Rows: 24, Blocks: 3, Seed: 2028,
 	})
-	fres, err := placement.Floorplan(nl, placement.FloorplanConfig{
-		Place: placement.Config{MaxIter: 80},
-	})
+	fres, err := placement.Floorplan(nl, placement.Config{MaxIter: 80})
 	if err != nil {
 		t.Fatal(err)
 	}

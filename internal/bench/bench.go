@@ -146,11 +146,11 @@ func RunTable1(opts Options) []Table1Row {
 		st := netlist.ComputeStats(base)
 		row := Table1Row{Circuit: c.Name, Cells: st.Cells, Nets: st.Nets, Rows: st.Rows}
 
-		row.TWHigh = runAnneal(base, anneal.Config{Effort: anneal.High, Seed: opts.Seed})
+		row.TWHigh = runAnneal(&opts, base, anneal.Config{Effort: anneal.High, Seed: opts.Seed})
 		opts.logf("%-10s tw-high  wl %.4g m cpu %.2fs\n", c.Name, row.TWHigh.WL, row.TWHigh.CPU)
-		row.TWMed = runAnneal(base, anneal.Config{Effort: anneal.Medium, Seed: opts.Seed})
+		row.TWMed = runAnneal(&opts, base, anneal.Config{Effort: anneal.Medium, Seed: opts.Seed})
 		opts.logf("%-10s tw-med   wl %.4g m cpu %.2fs\n", c.Name, row.TWMed.WL, row.TWMed.CPU)
-		row.Gord = runGordian(base, gordian.Config{Seed: opts.Seed})
+		row.Gord = runGordian(&opts, base, gordian.Config{Seed: opts.Seed})
 		opts.logf("%-10s gordian  wl %.4g m cpu %.2fs\n", c.Name, row.Gord.WL, row.Gord.CPU)
 		row.Ours = runKraftwerk(&opts, base, place.Config{})
 		opts.logf("%-10s ours     wl %.4g m cpu %.2fs\n", c.Name, row.Ours.WL, row.Ours.CPU)
@@ -160,45 +160,50 @@ func RunTable1(opts Options) []Table1Row {
 	return rows
 }
 
-// finish runs the Domino-style final placement, as the paper does for both
-// Gordian and Kraftwerk (§6.1).
-func finish(nl *netlist.Netlist) {
-	_, _ = legalize.Legalize(nl, legalize.Options{})
+// The final placements: domino is the Domino-style final placement the
+// paper runs after both Gordian and Kraftwerk (§6.1); legalOnly snaps to
+// legal rows without its improver, as the paper's TimberWolf columns are
+// standalone annealing results.
+var (
+	domino    = legalize.Options{}
+	legalOnly = legalize.Options{DetailedPasses: -1}
+)
+
+// finish legalizes nl with lo. An error is logged and returned: the run has
+// no legal wire length, so its runner reports it as failed, as it does a
+// placement error.
+func (o *Options) finish(nl *netlist.Netlist, lo legalize.Options) error {
+	_, err := legalize.Legalize(nl, lo)
+	if err != nil {
+		o.logf("%s: %v\n", nl.Name, err)
+	}
+	return err
 }
 
-// finishLegalOnly snaps to legal rows without the Domino-style improver:
-// the paper's TimberWolf columns are standalone annealing results.
-func finishLegalOnly(nl *netlist.Netlist) {
-	_, _ = legalize.Legalize(nl, legalize.Options{DetailedPasses: -1})
-}
-
-func runAnneal(base *netlist.Netlist, cfg anneal.Config) EngineRun {
+func runAnneal(o *Options, base *netlist.Netlist, cfg anneal.Config) EngineRun {
 	nl := base.Clone()
 	start := time.Now()
-	if _, err := anneal.Place(nl, cfg); err != nil {
+	if _, err := anneal.Place(nl, cfg); err != nil || o.finish(nl, legalOnly) != nil {
 		return EngineRun{}
 	}
-	finishLegalOnly(nl)
 	return EngineRun{WL: nl.HPWL() * metersPerUnit, CPU: time.Since(start).Seconds()}
 }
 
-func runGordian(base *netlist.Netlist, cfg gordian.Config) EngineRun {
+func runGordian(o *Options, base *netlist.Netlist, cfg gordian.Config) EngineRun {
 	nl := base.Clone()
 	start := time.Now()
-	if _, err := gordian.Place(nl, cfg); err != nil {
+	if _, err := gordian.Place(nl, cfg); err != nil || o.finish(nl, domino) != nil {
 		return EngineRun{}
 	}
-	finish(nl)
 	return EngineRun{WL: nl.HPWL() * metersPerUnit, CPU: time.Since(start).Seconds()}
 }
 
 func runKraftwerk(o *Options, base *netlist.Netlist, cfg place.Config) EngineRun {
 	nl := base.Clone()
 	start := time.Now()
-	if _, err := place.Global(nl, o.placeCfg(cfg, nl)); err != nil {
+	if _, err := place.Global(nl, o.placeCfg(cfg, nl)); err != nil || o.finish(nl, domino) != nil {
 		return EngineRun{}
 	}
-	finish(nl)
 	return EngineRun{WL: nl.HPWL() * metersPerUnit, CPU: time.Since(start).Seconds()}
 }
 

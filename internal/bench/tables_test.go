@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/netgen"
 	"repro/internal/place"
 )
 
@@ -150,38 +151,19 @@ func TestRunTradeoffUnknownCircuit(t *testing.T) {
 	}
 }
 
-func TestRunAblationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several placement runs")
+// TestLegalizeErrorFailsRun: a run whose final placement cannot be
+// legalized (here, a region without rows) reports no wire length, as a
+// failed placement does, and the error reaches the progress log.
+func TestLegalizeErrorFailsRun(t *testing.T) {
+	nl := netgen.Generate(netgen.Config{Name: "rowless", Cells: 60, Nets: 80, Rows: 6, Seed: 3})
+	nl.Region.Rows = nil
+	var log strings.Builder
+	opts := Options{Progress: &log}
+	if r := runKraftwerk(&opts, nl, place.Config{MaxIter: 5}); r != (EngineRun{}) {
+		t.Errorf("unlegalized run reported %+v", r)
 	}
-	rows, err := RunAblation(Options{Scale: 0.05}, "fract")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // default, no linearization, coarse and fine grid
-		t.Fatalf("ablation rows = %d, want 4", len(rows))
-	}
-	var sb strings.Builder
-	PrintAblation(&sb, "fract", rows)
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2+len(rows) || !strings.Contains(lines[2], "default") {
-		t.Fatalf("ablation output malformed:\n%s", sb.String())
-	}
-	for i, r := range rows {
-		if r.WL <= 0 {
-			t.Errorf("variant %q produced no wire length", r.Variant)
-		}
-		switch r.Stop {
-		case place.StopCriterion, place.StopStagnation, place.StopMaxIter, place.StopCancelled, place.StopDeadline:
-		default:
-			t.Errorf("variant %q: stop %q is not a declared place.Stop* constant", r.Variant, r.Stop)
-		}
-		if !strings.HasSuffix(lines[2+i], " "+string(r.Stop)) {
-			t.Errorf("variant %q: row %q does not end in its stop column %q", r.Variant, lines[2+i], r.Stop)
-		}
-	}
-	if _, err := RunAblation(Options{Scale: 0.05}, "ghost"); err == nil {
-		t.Error("unknown circuit accepted")
+	if !strings.Contains(log.String(), "rowless: legalize: ") {
+		t.Errorf("progress log %q does not report the legalization error", log.String())
 	}
 }
 

@@ -49,9 +49,9 @@ func RunTable3(opts Options) []Table3Row {
 		row := Table3Row{Circuit: c.Name}
 		row.LowerBound = timing.LowerBound(base, params) * nsPerSecond
 
-		row.TW = runTWTiming(base, params, opts.Seed)
+		row.TW = runTWTiming(&opts, base, params)
 		opts.logf("%-10s tw-timing  %.3g -> %.3g ns (%.2fs)\n", c.Name, row.TW.Without, row.TW.With, row.TW.CPU)
-		row.Speed = runSpeed(base, params)
+		row.Speed = runSpeed(&opts, base, params)
 		opts.logf("%-10s speed      %.3g -> %.3g ns (%.2fs)\n", c.Name, row.Speed.Without, row.Speed.With, row.Speed.CPU)
 		row.Ours = runOursTiming(&opts, base, params)
 		opts.logf("%-10s ours       %.3g -> %.3g ns (%.2fs)\n", c.Name, row.Ours.Without, row.Ours.With, row.Ours.CPU)
@@ -63,13 +63,12 @@ func RunTable3(opts Options) []Table3Row {
 
 // runTWTiming stands in for timing-driven TimberWolf [20]: annealing on the
 // weighted wire length with criticality updates between stages.
-func runTWTiming(base *netlist.Netlist, params timing.Params, seed int64) TimingRun {
+func runTWTiming(o *Options, base *netlist.Netlist, params timing.Params) TimingRun {
 	// Without: plain annealing.
 	plain := base.Clone()
-	if _, err := anneal.Place(plain, anneal.Config{Seed: seed}); err != nil {
+	if _, err := anneal.Place(plain, anneal.Config{Seed: o.Seed}); err != nil || o.finish(plain, legalOnly) != nil {
 		return TimingRun{}
 	}
-	finishLegalOnly(plain)
 	without := timing.NewAnalyzer(plain, params).Analyze().MaxDelay
 
 	// With: weighted annealing, criticality refresh per stage.
@@ -77,14 +76,13 @@ func runTWTiming(base *netlist.Netlist, params timing.Params, seed int64) Timing
 	start := time.Now()
 	analyzer := timing.NewAnalyzer(nl, params)
 	weighter := timing.NewWeighter(nl)
-	cfg := anneal.Config{Seed: seed, Weighted: true,
+	cfg := anneal.Config{Seed: o.Seed, Weighted: true,
 		BeforeStage: func(stage int, nl *netlist.Netlist) {
 			weighter.Update(nl, analyzer.Analyze())
 		}}
-	if _, err := anneal.Place(nl, cfg); err != nil {
+	if _, err := anneal.Place(nl, cfg); err != nil || o.finish(nl, legalOnly) != nil {
 		return TimingRun{}
 	}
-	finishLegalOnly(nl)
 	with := timing.NewAnalyzer(nl, params).Analyze().MaxDelay
 	return TimingRun{
 		Without: without * nsPerSecond,
@@ -95,14 +93,13 @@ func runTWTiming(base *netlist.Netlist, params timing.Params, seed int64) Timing
 
 // runSpeed stands in for SPEED [21]: static slack-derived weights and one
 // weighted re-placement.
-func runSpeed(base *netlist.Netlist, params timing.Params) TimingRun {
+func runSpeed(o *Options, base *netlist.Netlist, params timing.Params) TimingRun {
 	nl := base.Clone()
 	start := time.Now()
 	res, err := speedtd.Place(nl, speedtd.Config{Params: params})
-	if err != nil {
+	if err != nil || o.finish(nl, domino) != nil {
 		return TimingRun{}
 	}
-	finish(nl)
 	with := timing.NewAnalyzer(nl, params).Analyze().MaxDelay
 	return TimingRun{
 		Without: res.Before * nsPerSecond,
@@ -116,18 +113,16 @@ func runSpeed(base *netlist.Netlist, params timing.Params) TimingRun {
 func runOursTiming(o *Options, base *netlist.Netlist, params timing.Params) TimingRun {
 	// Without: plain Kraftwerk.
 	plain := base.Clone()
-	if _, err := place.Global(plain, o.placeCfg(place.Config{}, plain)); err != nil {
+	if _, err := place.Global(plain, o.placeCfg(place.Config{}, plain)); err != nil || o.finish(plain, domino) != nil {
 		return TimingRun{}
 	}
-	finish(plain)
 	without := timing.NewAnalyzer(plain, params).Analyze().MaxDelay
 
 	nl := base.Clone()
 	start := time.Now()
-	if _, err := timing.PlaceDriven(nl, o.placeCfg(place.Config{}, nl), params, without); err != nil {
+	if _, err := timing.PlaceDriven(nl, o.placeCfg(place.Config{}, nl), params, without); err != nil || o.finish(nl, domino) != nil {
 		return TimingRun{}
 	}
-	finish(nl)
 	with := timing.NewAnalyzer(nl, params).Analyze().MaxDelay
 	return TimingRun{
 		Without: without * nsPerSecond,

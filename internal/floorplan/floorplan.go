@@ -16,35 +16,13 @@ import (
 	"repro/internal/place"
 )
 
-// Config controls a floorplanning run.
-type Config struct {
-	// Place configures the global placement engine.
-	Place place.Config
-	// AspectMin/AspectMax bound flexible block aspect ratios (H/W);
-	// defaults 0.4 and 2.5. Equal values disable reshaping.
-	AspectMin float64
-	AspectMax float64
-	// ReshapeEvery reshapes flexible blocks every n placement
-	// transformations (default 10; 0 disables).
-	ReshapeEvery int
-	// BlockRowFactor classifies blocks (see legalize.Options).
-	BlockRowFactor float64
-}
-
-func (c *Config) setDefaults() {
-	if c.AspectMin <= 0 {
-		c.AspectMin = 0.4
-	}
-	if c.AspectMax <= 0 {
-		c.AspectMax = 2.5
-	}
-	if c.ReshapeEvery == 0 {
-		c.ReshapeEvery = 10
-	}
-	if c.BlockRowFactor <= 0 {
-		c.BlockRowFactor = 1.5
-	}
-}
+// Flexible blocks are reshaped every reshapeEvery placement
+// transformations, to an aspect ratio (H/W) in [aspectMin, aspectMax].
+const (
+	aspectMin    = 0.4
+	aspectMax    = 2.5
+	reshapeEvery = 10
+)
 
 // Result summarizes a floorplanning run.
 type Result struct {
@@ -56,48 +34,41 @@ type Result struct {
 	Runtime  time.Duration
 }
 
-// Run floorplans nl in place: global mixed placement with periodic
-// flexible-block reshaping, then legalization.
-func Run(nl *netlist.Netlist, cfg Config) (Result, error) {
-	cfg.setDefaults()
+// Run floorplans nl in place with the placement configuration cfg: global
+// mixed placement with periodic flexible-block reshaping, then
+// legalization.
+func Run(nl *netlist.Netlist, cfg place.Config) (Result, error) {
 	start := obsv.StartTimer()
 
-	rowH := 1.0
-	if len(nl.Region.Rows) > 0 {
-		rowH = nl.Region.Rows[0].Height
-	}
 	var blocks []int
 	for ci := range nl.Cells {
-		c := &nl.Cells[ci]
-		if !c.Fixed && c.H > cfg.BlockRowFactor*rowH {
+		if nl.IsBlock(ci) {
 			blocks = append(blocks, ci)
 		}
 	}
 
 	reshapes := 0
-	userHook := cfg.Place.BeforeTransform
-	if cfg.ReshapeEvery > 0 && cfg.AspectMin < cfg.AspectMax {
-		cfg.Place.BeforeTransform = func(iter int, p *place.Placer) {
-			if userHook != nil {
-				userHook(iter, p)
-			}
-			if iter > 0 && iter%cfg.ReshapeEvery == 0 {
-				for _, bi := range blocks {
-					if ReshapeBlock(nl, bi, cfg.AspectMin, cfg.AspectMax) {
-						reshapes++
-					}
+	userHook := cfg.BeforeTransform
+	cfg.BeforeTransform = func(iter int, p *place.Placer) {
+		if userHook != nil {
+			userHook(iter, p)
+		}
+		if iter > 0 && iter%reshapeEvery == 0 {
+			for _, bi := range blocks {
+				if ReshapeBlock(nl, bi, aspectMin, aspectMax) {
+					reshapes++
 				}
 			}
 		}
 	}
 
-	pres, err := place.Global(nl, cfg.Place)
+	pres, err := place.Global(nl, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	var lres legalize.Result
 	if len(nl.Region.Rows) > 0 {
-		lres, err = legalize.Legalize(nl, legalize.Options{BlockRowFactor: cfg.BlockRowFactor})
+		lres, err = legalize.Legalize(nl, legalize.Options{})
 		if err != nil {
 			return Result{}, err
 		}
@@ -180,14 +151,4 @@ func candidateAspects(lo, hi float64) []float64 {
 		out = append(out, lo*math.Pow(hi/lo, t))
 	}
 	return out
-}
-
-// Whitespace returns 1 − (placed area / region area), the classical
-// floorplan quality measure.
-func Whitespace(nl *netlist.Netlist) float64 {
-	a := nl.Region.Area()
-	if a <= 0 {
-		return 0
-	}
-	return 1 - nl.MovableArea()/a
 }

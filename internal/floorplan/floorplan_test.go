@@ -13,7 +13,7 @@ func TestRunMixedBlockCell(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{
 		Name: "fp", Cells: 250, Nets: 330, Rows: 24, Blocks: 4, Seed: 111,
 	})
-	res, err := Run(nl, Config{Place: place.Config{MaxIter: 80}})
+	res, err := Run(nl, place.Config{MaxIter: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,48 +62,12 @@ func TestReshapeBlockImprovesIncidentWL(t *testing.T) {
 	}
 }
 
-func TestReshapeDisabledByEqualBounds(t *testing.T) {
-	nl := netgen.Generate(netgen.Config{
-		Name: "nr", Cells: 100, Nets: 130, Rows: 12, Blocks: 2, Seed: 112,
-	})
-	var shapes [][2]float64
-	for i := range nl.Cells {
-		if !nl.Cells[i].Fixed && nl.Cells[i].H > 1.5 {
-			shapes = append(shapes, [2]float64{nl.Cells[i].W, nl.Cells[i].H})
-		}
-	}
-	_, err := Run(nl, Config{
-		Place:     place.Config{MaxIter: 30},
-		AspectMin: 1, AspectMax: 1, // equal: reshaping off
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := 0
-	for i := range nl.Cells {
-		if !nl.Cells[i].Fixed && nl.Cells[i].H > 1.5 {
-			if nl.Cells[i].W != shapes[j][0] || nl.Cells[i].H != shapes[j][1] {
-				t.Error("block reshaped despite equal aspect bounds")
-			}
-			j++
-		}
-	}
-}
-
-func TestWhitespace(t *testing.T) {
-	nl := netgen.Generate(netgen.Config{Name: "ws", Cells: 100, Nets: 130, Rows: 8, Seed: 113})
-	ws := Whitespace(nl)
-	if ws < 0.15 || ws > 0.25 {
-		t.Errorf("whitespace = %v, want ~0.2 at 0.8 utilization", ws)
-	}
-}
-
 func TestRunRowlessRegion(t *testing.T) {
 	nl := netgen.Generate(netgen.Config{
 		Name: "rl", Cells: 60, Nets: 80, Rows: 12, Blocks: 3, Seed: 114,
 	})
 	nl.Region.Rows = nil
-	res, err := Run(nl, Config{Place: place.Config{MaxIter: 30}})
+	res, err := Run(nl, place.Config{MaxIter: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Manhattan returns the L1 distance between p and q.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 // Norm returns the Euclidean length of p treated as a vector.
 func (p Point) Norm() float64 { return math.Sqrt(p.X*p.X + p.Y*p.Y) }
 
@@ -113,21 +108,6 @@ func (r Rect) Intersect(s Rect) Rect {
 
 // Overlap returns the area of the intersection of r and s.
 func (r Rect) Overlap(s Rect) float64 { return r.Intersect(s).Area() }
-
-// Union returns the smallest rectangle covering both r and s. An empty
-// rectangle acts as the identity.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Point{min(r.Lo.X, s.Lo.X), min(r.Lo.Y, s.Lo.Y)},
-		Point{max(r.Hi.X, s.Hi.X), max(r.Hi.Y, s.Hi.Y)},
-	}
-}
 
 // Expand returns r grown by m on every side (shrunk when m is negative).
 func (r Rect) Expand(m float64) Rect {
@@ -265,13 +245,4 @@ func (g Region) RowAt(y float64) int {
 		}
 	}
 	return best
-}
-
-// RowCapacity returns the summed capacity of all rows.
-func (g Region) RowCapacity() float64 {
-	var c float64
-	for _, r := range g.Rows {
-		c += r.Capacity()
-	}
-	return c
 }

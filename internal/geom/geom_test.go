@@ -31,9 +31,6 @@ func TestPointDistances(t *testing.T) {
 	if d := p.Dist2(q); !almostEq(d, 25) {
 		t.Errorf("Dist2 = %v, want 25", d)
 	}
-	if d := p.Manhattan(q); !almostEq(d, 7) {
-		t.Errorf("Manhattan = %v, want 7", d)
-	}
 	if n := q.Norm(); !almostEq(n, 5) {
 		t.Errorf("Norm = %v, want 5", n)
 	}
@@ -97,7 +94,7 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersectUnion(t *testing.T) {
+func TestRectIntersect(t *testing.T) {
 	a := NewRect(0, 0, 4, 4)
 	b := NewRect(2, 2, 6, 6)
 	got := a.Intersect(b)
@@ -107,27 +104,12 @@ func TestRectIntersectUnion(t *testing.T) {
 	if !almostEq(a.Overlap(b), 4) {
 		t.Errorf("Overlap = %v", a.Overlap(b))
 	}
-	u := a.Union(b)
-	if u.Lo != (Point{0, 0}) || u.Hi != (Point{6, 6}) {
-		t.Errorf("Union = %v", u)
-	}
 	c := NewRect(10, 10, 12, 12)
 	if !a.Intersect(c).Empty() {
 		t.Error("disjoint Intersect not empty")
 	}
 	if a.Overlap(c) != 0 {
 		t.Error("disjoint Overlap not zero")
-	}
-}
-
-func TestRectUnionEmptyIdentity(t *testing.T) {
-	var zero Rect
-	a := NewRect(1, 1, 2, 3)
-	if got := zero.Union(a); got != a {
-		t.Errorf("empty.Union(a) = %v", got)
-	}
-	if got := a.Union(zero); got != a {
-		t.Errorf("a.Union(empty) = %v", got)
 	}
 }
 
@@ -224,9 +206,6 @@ func TestNewRegion(t *testing.T) {
 	}
 	if !almostEq(g.Area(), 1000) {
 		t.Errorf("Area = %v", g.Area())
-	}
-	if !almostEq(g.RowCapacity(), 500) {
-		t.Errorf("RowCapacity = %v", g.RowCapacity())
 	}
 	if r := g.Rows[3]; !almostEq(r.Y, 6) || !almostEq(r.Capacity(), 50) {
 		t.Errorf("row 3 = %+v", r)

@@ -35,15 +35,9 @@ import (
 
 // Options controls legalization.
 type Options struct {
-	// RowSearch is how many rows above/below the target row are tried for
-	// each cell (default 6; widened automatically when space runs out).
-	RowSearch int
 	// DetailedPasses is the number of improvement sweeps after
 	// legalization (default 3 when 0; a negative value disables them).
 	DetailedPasses int
-	// BlockRowFactor: movable cells taller than this many row heights are
-	// treated as macro blocks (default 1.5).
-	BlockRowFactor float64
 	// Spans, when set, receives pass-level span recordings
 	// ("legalize/blocks", "legalize/assign", "legalize/clump",
 	// "legalize/detailed", and inside the last one a span per improvement
@@ -53,18 +47,16 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.RowSearch <= 0 {
-		o.RowSearch = 6
-	}
 	if o.DetailedPasses < 0 {
 		o.DetailedPasses = 0
 	} else if o.DetailedPasses == 0 {
 		o.DetailedPasses = 3
 	}
-	if o.BlockRowFactor <= 0 {
-		o.BlockRowFactor = 1.5
-	}
 }
+
+// rowSearch is how many rows above and below its target row assignCells
+// first tries for each cell; the window widens when space runs out.
+const rowSearch = 6
 
 // Result summarizes a legalization.
 type Result struct {
@@ -94,17 +86,14 @@ func legalize(nl *netlist.Netlist, opts Options, afterPass func(pass string, seg
 	if len(nl.Region.Rows) == 0 {
 		return res, fmt.Errorf("legalize: region has no rows")
 	}
-	rowH := nl.Region.Rows[0].Height
 
 	var blocks, cells []int
 	for ci := range nl.Cells {
-		c := &nl.Cells[ci]
-		if c.Fixed {
-			continue
-		}
-		if c.H > opts.BlockRowFactor*rowH {
+		switch {
+		case nl.Cells[ci].Fixed:
+		case nl.IsBlock(ci):
 			blocks = append(blocks, ci)
-		} else {
+		default:
 			cells = append(cells, ci)
 		}
 	}
@@ -115,7 +104,7 @@ func legalize(nl *netlist.Netlist, opts Options, afterPass func(pass string, seg
 	segs := buildSegments(nl, blocks)
 	sp.End()
 	sp = opts.Spans.Start("legalize/assign")
-	if err := assignCells(nl, cells, segs, opts); err != nil {
+	if err := assignCells(nl, cells, segs); err != nil {
 		return res, err
 	}
 	sp.End()
@@ -329,7 +318,7 @@ func buildSegments(nl *netlist.Netlist, blocks []int) []*Segment {
 // assignCells maps every standard cell to a segment with enough free
 // capacity, minimizing displacement Tetris-style (cells processed in x
 // order, greedy best segment).
-func assignCells(nl *netlist.Netlist, cells []int, segs []*Segment, opts Options) error {
+func assignCells(nl *netlist.Netlist, cells []int, segs []*Segment) error {
 	if len(segs) == 0 {
 		return fmt.Errorf("legalize: no free row segments")
 	}
@@ -349,10 +338,7 @@ func assignCells(nl *netlist.Netlist, cells []int, segs []*Segment, opts Options
 		targetRow := nl.Region.RowAt(c.Pos.Y - c.H/2)
 		var best *Segment
 		bestCost := math.Inf(1)
-		radius := opts.RowSearch
-		if radius > nRows {
-			radius = nRows
-		}
+		radius := min(rowSearch, nRows)
 		for {
 			for ri := targetRow - radius; ri <= targetRow+radius; ri++ {
 				if ri < 0 || ri >= nRows {

@@ -160,6 +160,10 @@ func TestReadRejectsNonFinite(t *testing.T) {
 		{"power", "cell c 2 2", "cell c 2 2 power +Inf"},
 		{"net weight NaN", "net n1", "net n1 weight NaN"},
 		{"net weight Inf", "net n2", "net n2 weight Inf"},
+		{"net weight -Inf", "net n1", "net n1 weight -Inf"},
+		{"negative net weight", "net n2", "net n2 weight -5"},
+		{"negative cell width", "cell a 2 2", "cell a -2 2"},
+		{"negative cell height", "cell b 2 2", "cell b 2 -1"},
 		{"pin offset", "b:in", "b:in:Inf,0"},
 		{"pin capacitance", "p:in", "p:in:0,0:NaN"},
 	} {

@@ -119,6 +119,17 @@ func (nl *Netlist) NumMovable() int {
 	return n
 }
 
+// IsBlock reports whether cell ci is a macro block: a movable cell taller
+// than 1.5 row heights. A region without rows counts rows one unit high.
+func (nl *Netlist) IsBlock(ci int) bool {
+	rowH := 1.0
+	if len(nl.Region.Rows) > 0 {
+		rowH = nl.Region.Rows[0].Height
+	}
+	c := &nl.Cells[ci]
+	return !c.Fixed && c.H > 1.5*rowH
+}
+
 // MovableArea returns the summed area of all movable cells.
 func (nl *Netlist) MovableArea() float64 {
 	var a float64
@@ -174,19 +185,20 @@ func (nl *Netlist) CellNets() [][]int {
 // adding or removing cells, nets, or pins.
 func (nl *Netlist) InvalidateIndex() { nl.cellNets = nil }
 
-// Normalize fills defaulted fields: net weights of 0 become 1, cells with
-// non-positive dimensions get a minimal footprint.
+// Normalize fills defaulted fields: a net weight of 0 becomes 1, and a
+// cell width or height of 0 becomes 1e-6. Any other value is kept, so
+// Validate rejects a negative or non-finite one.
 func (nl *Netlist) Normalize() {
 	for i := range nl.Nets {
-		if nl.Nets[i].Weight <= 0 {
+		if nl.Nets[i].Weight == 0 {
 			nl.Nets[i].Weight = 1
 		}
 	}
 	for i := range nl.Cells {
-		if nl.Cells[i].W <= 0 {
+		if nl.Cells[i].W == 0 {
 			nl.Cells[i].W = 1e-6
 		}
-		if nl.Cells[i].H <= 0 {
+		if nl.Cells[i].H == 0 {
 			nl.Cells[i].H = 1e-6
 		}
 	}

@@ -314,26 +314,25 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	nl := tiny(t)
-	h := DegreeHistogram(nl)
-	if !strings.Contains(h, "2:1") || !strings.Contains(h, "3:2") {
-		t.Errorf("histogram = %q", h)
+// TestIsBlock: a movable cell taller than 1.5 rows is a block; a fixed
+// one never is, and a region without rows counts rows one unit high.
+func TestIsBlock(t *testing.T) {
+	nl := &Netlist{
+		Region: geom.NewRegion(4, 2, 20), // rows 2 units high
+		Cells: []Cell{
+			{W: 1, H: 3}, {W: 1, H: 3.5}, {W: 1, H: 3.5, Fixed: true}, {W: 1, H: 1.6},
+		},
 	}
-}
-
-func TestTopNets(t *testing.T) {
-	nl := tiny(t)
-	top := TopNets(nl, 2)
-	if len(top) != 2 {
-		t.Fatalf("top = %v", top)
+	for ci, want := range []bool{false, true, false, false} {
+		if got := nl.IsBlock(ci); got != want {
+			t.Errorf("rows: IsBlock(%d) = %v, want %v", ci, got, want)
+		}
 	}
-	if nl.Nets[top[0]].Degree() < nl.Nets[top[1]].Degree() {
-		t.Error("not sorted descending")
-	}
-	all := TopNets(nl, 100)
-	if len(all) != 3 {
-		t.Errorf("TopNets over-count = %d", len(all))
+	nl.Region.Rows = nil
+	for ci, want := range []bool{true, true, false, true} {
+		if got := nl.IsBlock(ci); got != want {
+			t.Errorf("rowless: IsBlock(%d) = %v, want %v", ci, got, want)
+		}
 	}
 }
 

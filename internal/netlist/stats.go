@@ -1,10 +1,6 @@
 package netlist
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Stats summarizes the structural properties of a netlist, in the shape of
 // the paper's Table 1 parameter columns (#cells, #nets, #rows) plus extras.
@@ -18,25 +14,20 @@ type Stats struct {
 	MaxDegree   int
 	AvgDegree   float64
 	Utilization float64
-	BlockCount  int // movable cells taller than one row
+	BlockCount  int // macro blocks (IsBlock)
 }
 
 // ComputeStats gathers statistics over nl.
 func ComputeStats(nl *Netlist) Stats {
 	s := Stats{Name: nl.Name, Nets: len(nl.Nets), Rows: len(nl.Region.Rows)}
-	rowH := 0.0
-	if s.Rows > 0 {
-		rowH = nl.Region.Rows[0].Height
-	}
 	for i := range nl.Cells {
-		c := &nl.Cells[i]
-		if c.Fixed {
+		if nl.Cells[i].Fixed {
 			s.Pads++
-		} else {
-			s.Cells++
-			if rowH > 0 && c.H > rowH*1.5 {
-				s.BlockCount++
-			}
+			continue
+		}
+		s.Cells++
+		if nl.IsBlock(i) {
+			s.BlockCount++
 		}
 	}
 	for ni := range nl.Nets {
@@ -56,49 +47,4 @@ func ComputeStats(nl *Netlist) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("%s: %d cells, %d pads, %d nets (%d pins, max deg %d, avg %.2f), %d rows, util %.2f",
 		s.Name, s.Cells, s.Pads, s.Nets, s.Pins, s.MaxDegree, s.AvgDegree, s.Rows, s.Utilization)
-}
-
-// DegreeHistogram returns net pin-count buckets (2, 3, 4, 5-10, 11-60, >60)
-// as a formatted single-line summary. The >60 bucket matters because the
-// paper's timing analysis disregards nets with more than 60 pins.
-func DegreeHistogram(nl *Netlist) string {
-	buckets := map[string]int{}
-	order := []string{"2", "3", "4", "5-10", "11-60", ">60"}
-	for ni := range nl.Nets {
-		d := nl.Nets[ni].Degree()
-		switch {
-		case d == 2:
-			buckets["2"]++
-		case d == 3:
-			buckets["3"]++
-		case d == 4:
-			buckets["4"]++
-		case d <= 10:
-			buckets["5-10"]++
-		case d <= 60:
-			buckets["11-60"]++
-		default:
-			buckets[">60"]++
-		}
-	}
-	parts := make([]string, 0, len(order))
-	for _, k := range order {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, buckets[k]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// TopNets returns the indices of the n highest-degree nets, descending.
-func TopNets(nl *Netlist, n int) []int {
-	idx := make([]int, len(nl.Nets))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return nl.Nets[idx[a]].Degree() > nl.Nets[idx[b]].Degree()
-	})
-	if n > len(idx) {
-		n = len(idx)
-	}
-	return idx[:n]
 }

@@ -234,3 +234,69 @@ func TestStepRejectsNonFinite(t *testing.T) {
 		})
 	}
 }
+
+// TestStepRejectsNonFiniteInput: a non-finite value that enters from
+// outside Step, a position set by a BeforeTransform hook or between steps
+// or a force queued by Pull, ends the next Step on ErrNonFinite with e and
+// every position as they were when the transformation began.
+func TestStepRejectsNonFiniteInput(t *testing.T) {
+	pull := func(p *Placer, ci int, f geom.Point) {
+		forces := make([]geom.Point, len(p.nl.Cells))
+		forces[ci] = f
+		p.Pull(forces)
+	}
+	for _, tc := range []struct {
+		name   string
+		hook   bool // inject from BeforeTransform instead of between steps
+		inject func(p *Placer, ci int)
+	}{
+		{"hook NaN x", true, func(p *Placer, ci int) { p.nl.Cells[ci].Pos.X = math.NaN() }},
+		{"hook +Inf y", true, func(p *Placer, ci int) { p.nl.Cells[ci].Pos.Y = math.Inf(1) }},
+		{"between steps -Inf x", false, func(p *Placer, ci int) { p.nl.Cells[ci].Pos.X = math.Inf(-1) }},
+		{"Pull NaN", false, func(p *Placer, ci int) { pull(p, ci, geom.Point{X: math.NaN()}) }},
+		{"Pull +Inf", false, func(p *Placer, ci int) { pull(p, ci, geom.Point{Y: math.Inf(1)}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nl := testCircuit(t, 200, 7)
+			ci := 0
+			for nl.Cells[ci].Fixed {
+				ci++
+			}
+			var p *Placer
+			var pos netlist.Placement
+			armed := false
+			p = New(nl, Config{BeforeTransform: func(int, *Placer) {
+				if armed && tc.hook {
+					tc.inject(p, ci)
+					pos = nl.SnapshotInto(pos)
+				}
+			}})
+			if err := p.Initialize(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.hook {
+				tc.inject(p, ci)
+				pos = nl.SnapshotInto(pos)
+			}
+			armed = true
+			forces := append([]geom.Point(nil), p.Forces()...)
+			if _, err := p.Step(); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("Step returned %v, want ErrNonFinite", err)
+			}
+			same := func(a, b geom.Point) bool {
+				return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+			}
+			for i := range nl.Cells {
+				if !same(nl.Cells[i].Pos, pos[i]) {
+					t.Fatalf("cell %d moved to %v from %v", i, nl.Cells[i].Pos, pos[i])
+				}
+				if !same(p.Forces()[i], forces[i]) {
+					t.Fatalf("e[%d] changed to %v from %v", i, p.Forces()[i], forces[i])
+				}
+			}
+		})
+	}
+}

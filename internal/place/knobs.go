@@ -26,10 +26,7 @@ func (k Knob) value(c *Config) reflect.Value { return reflect.ValueOf(k.field(c)
 var knobs = []Knob{
 	{"k", "k", "Kraftwerk speed parameter K (0 = default 0.2 standard mode; 1.0 fast)", func(c *Config) any { return &c.K }},
 	{"max_iter", "maxiter", "iteration cap (0 = default)", func(c *Config) any { return &c.MaxIter }},
-	{"grid_bins", "gridbins", "density grid resolution per axis (0 = automatic from design size)", func(c *Config) any { return &c.GridBins }},
-	{"no_linearize", "nolinearize", "disable the net-weight linearization (purely quadratic solve)", func(c *Config) any { return &c.NoLinearize }},
 	{"keep_placement", "keep", "start from the input netlist's positions instead of gathering at the region center", func(c *Config) any { return &c.KeepPlacement }},
-	{"stop_square_factor", "stopsq", "stopping-criterion multiple of average cell area (0 = default 4)", func(c *Config) any { return &c.StopSquareFactor }},
 	{"cg_tol", "cgtol", "CG relative residual tolerance (0 = default 1e-6)", func(c *Config) any { return &c.CG.Tol }},
 	{"cg_max_iter", "cgmaxiter", "CG iteration cap per solve (0 = default)", func(c *Config) any { return &c.CG.MaxIter }},
 }

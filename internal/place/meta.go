@@ -20,10 +20,8 @@ import (
 // processes and platforms but NOT across releases that add knobs; it
 // identifies configurations, it does not authenticate them.
 func (c Config) Hash() string {
-	// Hash the knobs as given: GridBins=0 ("automatic") hashes as 0,
-	// which is correct — the resolved resolution follows from the
-	// netlist, and NewRunMeta resolves defaults before hashing so
-	// recorded hashes describe the run as executed.
+	// Hash the knobs as given: NewRunMeta resolves defaults before
+	// hashing, so recorded hashes describe the run as executed.
 	h := fnv.New64a()
 	put := func(format string, args ...any) {
 		fmt.Fprintf(h, format, args...)
@@ -61,7 +59,7 @@ type RunMeta struct {
 // resolved to its defaults first so the recorded K/MaxIter (and the
 // hash) describe what will actually run, not what was typed.
 func NewRunMeta(nl *netlist.Netlist, cfg Config, seed int64, start time.Time) RunMeta {
-	cfg.setDefaults(nl)
+	cfg.setDefaults()
 	return RunMeta{
 		Type:       "meta",
 		Design:     nl.Name,

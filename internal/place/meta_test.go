@@ -100,7 +100,8 @@ func TestKnobFlags(t *testing.T) {
 			t.Errorf("%s: config %+v, want %+v", arg, got, want)
 		}
 	}
-	for _, arg := range []string{"-precond=ic0", "-field=rfft", "-netmodel=clique", "-cold", "-forcefloor=0.1", "-emptyfrac=0.3"} {
+	for _, arg := range []string{"-precond=ic0", "-field=rfft", "-netmodel=clique", "-cold", "-forcefloor=0.1", "-emptyfrac=0.3",
+		"-gridbins=64", "-nolinearize", "-stopsq=2"} {
 		var c Config
 		fs := flag.NewFlagSet("kplace", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

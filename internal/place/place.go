@@ -37,19 +37,9 @@ type Config struct {
 	// MaxIter caps the number of placement transformations. Defaults
 	// to 300.
 	MaxIter int
-	// GridBins is the density grid resolution per axis (power of two
-	// recommended). 0 picks automatically from the design size.
-	GridBins int
-	// NoLinearize disables the [14] net-weight linearization, making the
-	// solve purely quadratic.
-	NoLinearize bool
 	// KeepPlacement starts from the netlist's current positions instead of
 	// gathering all cells at the region center. Used by ECO.
 	KeepPlacement bool
-	// StopSquareFactor is the stopping criterion multiple: iteration ends
-	// when no empty square larger than this many average cell areas
-	// remains (§4.2). Defaults to 4.
-	StopSquareFactor float64
 	// CG configures the linear solver.
 	CG sparse.CGOptions
 	// BeforeTransform, when set, runs before every placement
@@ -68,41 +58,32 @@ type Config struct {
 	NoTrace bool
 }
 
-func (c *Config) setDefaults(nl *netlist.Netlist) {
+func (c *Config) setDefaults() {
 	if c.K <= 0 {
 		c.K = 0.2
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 300
 	}
-	if c.StopSquareFactor <= 0 {
-		c.StopSquareFactor = 4
-	}
 	if c.CG.Tol <= 0 {
 		// Placement transformations tolerate a loose solve; the next
 		// iteration corrects any residual.
 		c.CG.Tol = 1e-6
 	}
-	if c.GridBins <= 0 {
-		n := nl.NumMovable()
-		b := int(math.Sqrt(float64(n)))
-		if c.K > 0.5 {
-			// Fast mode trades field resolution for speed.
-			b /= 2
-		}
-		c.GridBins = fft.NextPow2(b)
-		if c.GridBins < 8 {
-			c.GridBins = 8
-		}
-		if c.GridBins > 256 {
-			c.GridBins = 256
-		}
-	}
 }
 
-// gridDims splits the bin budget across the axes proportionally to the
-// region aspect ratio so bins stay roughly square even on wide row regions.
-func gridDims(nl *netlist.Netlist, bins int) (nx, ny int) {
+// gridDims sizes the density grid from the design: about one bin per
+// movable cell (half the resolution per axis in fast mode, K > 0.5),
+// rounded to a power of two within [8, 256] per axis, then split across
+// the axes proportionally to the region aspect ratio so bins stay roughly
+// square even on wide row regions.
+func gridDims(nl *netlist.Netlist, k float64) (nx, ny int) {
+	b := int(math.Sqrt(float64(nl.NumMovable())))
+	if k > 0.5 {
+		// Fast mode trades field resolution for speed.
+		b /= 2
+	}
+	bins := min(max(fft.NextPow2(b), 8), 256)
 	w, h := nl.Region.W(), nl.Region.H()
 	aspect := math.Sqrt(w / h)
 	nx = fft.NextPow2(int(float64(bins) * aspect))
@@ -128,7 +109,7 @@ type IterStats struct {
 	Overflow    float64 `json:"overflow"`
 	EmptySquare float64 `json:"empty_square"` // largest empty square area
 	// GapProxy is EmptySquare normalized by the §4.2 stopping threshold
-	// (StopSquareFactor × average cell area): a dimensionless
+	// (stopSquareFactor × average cell area): a dimensionless
 	// distance-to-convergence in the spirit of Coloquinte's LB/UB gap.
 	// It falls toward 1 as the run approaches the stopping criterion;
 	// ≤1 means the criterion is met.
@@ -370,8 +351,8 @@ func (p *Placer) Pull(forces []geom.Point) {
 // New prepares a placer for the netlist. The configuration is captured by
 // value; the netlist is mutated in place by Step/Run.
 func New(nl *netlist.Netlist, cfg Config) *Placer {
-	cfg.setDefaults(nl)
-	nx, ny := gridDims(nl, cfg.GridBins)
+	cfg.setDefaults()
+	nx, ny := gridDims(nl, cfg.K)
 	// The coarse grid holds ~6 average cells per bin: at that granularity
 	// an evenly spread placement has near-zero overflow, so the coarse
 	// overflow measures genuine clumping rather than cell quantization.
@@ -380,7 +361,7 @@ func New(nl *netlist.Netlist, cfg Config) *Placer {
 		avg = 1
 	}
 	grid := density.NewGrid(nl.Region.Outline, nx, ny)
-	asm := qp.NewAssembler(nl, qp.Options{Linearize: !cfg.NoLinearize})
+	asm := qp.NewAssembler(nl, qp.Options{Linearize: true})
 	return &Placer{
 		nl:      nl,
 		cfg:     cfg,
@@ -438,9 +419,10 @@ func (p *Placer) Initialize() error {
 
 // Step performs one placement transformation (§4.1): determine the density
 // forces of the current placement, accumulate them into e, and solve the
-// extended quadratic system. A field or moved position that is not finite
-// ends the transformation with an error wrapping ErrNonFinite and the
-// netlist at the placement it started from.
+// extended quadratic system. A position or queued Pull force that is not
+// finite when the field is applied, or a field or moved position that is
+// not finite, ends the transformation with an error wrapping ErrNonFinite,
+// e unchanged and the netlist at the placement it started from.
 func (p *Placer) Step() (IterStats, error) {
 	nl := p.nl
 	cfg := &p.cfg
@@ -499,27 +481,40 @@ func (p *Placer) Step() (IterStats, error) {
 		p.inc = make([]geom.Point, len(nl.Cells))
 	}
 	inc := p.inc
-	for ci := range inc {
-		inc[ci] = geom.Point{}
-	}
 	for ci := range nl.Cells {
-		if nl.Cells[ci].Fixed {
+		c := &nl.Cells[ci]
+		if c.Fixed {
+			inc[ci] = geom.Point{}
 			continue
 		}
-		inc[ci] = field.At(nl.Cells[ci].Pos).Scale(scale)
-		p.forces[ci] = p.forces[ci].Add(inc[ci]) // accumulated e, for observers
+		// A position set outside Step (a BeforeTransform hook, or a
+		// caller between steps) is checked before the field lookup.
+		if !finite(c.Pos.X) || !finite(c.Pos.Y) {
+			return IterStats{}, fmt.Errorf("place: iteration %d: cell %d (%q) at (%g, %g): %w",
+				p.iter, ci, c.Name, c.Pos.X, c.Pos.Y, ErrNonFinite)
+		}
+		inc[ci] = field.At(c.Pos).Scale(scale)
 	}
 
-	// Fold in externally injected forces (timing-driven net-weight pulls,
-	// queued via Pull), normalized to the same per-iteration budget as the
-	// density kick so compounding net weights cannot blow the iteration up.
+	// Externally injected forces (timing-driven net-weight pulls, queued
+	// via Pull) are normalized to the same per-iteration budget as the
+	// density kick so compounding net weights cannot blow the iteration
+	// up. The largest is NaN or +Inf unless every queued force is finite.
+	var maxPull float64
 	if p.pending != nil {
-		var maxPull float64
 		for ci := range p.pending {
-			if m := p.pending[ci].Norm(); m > maxPull {
+			if m := p.pending[ci].Norm(); m > maxPull || m != m {
 				maxPull = m
 			}
 		}
+		if !finite(maxPull) {
+			return IterStats{}, fmt.Errorf("place: iteration %d: queued pull: %w", p.iter, ErrNonFinite)
+		}
+	}
+	for ci := range inc {
+		p.forces[ci] = p.forces[ci].Add(inc[ci]) // accumulated e, for observers
+	}
+	if p.pending != nil {
 		pullScale := 1.0
 		if maxPull > targetMax && targetMax > 0 {
 			pullScale = targetMax / maxPull
@@ -620,7 +615,7 @@ func (p *Placer) Step() (IterStats, error) {
 		PrecondFallback: res.Fallback,
 		Damping:         damping,
 	}
-	stats.GapProxy = stats.EmptySquare / (cfg.StopSquareFactor * p.avgArea)
+	stats.GapProxy = stats.EmptySquare / (stopSquareFactor * p.avgArea)
 	stats.Backoff = p.rs.react(p.iter, stats.Overflow, cfg.K)
 	ph.TFinish = mark.Elapsed()
 	stats.Phases = ph
@@ -632,9 +627,9 @@ func (p *Placer) Step() (IterStats, error) {
 	return stats, err
 }
 
-// ErrNonFinite is wrapped by Step's error when the density force field or
-// a moved cell position is NaN or infinite. The transformation means
-// nothing then, so Continue ends every flow on it.
+// ErrNonFinite is wrapped by Step's error when a cell position, a queued
+// Pull force or the density force field is NaN or infinite. The
+// transformation means nothing then, so Continue ends every flow on it.
 var ErrNonFinite = errors.New("non-finite value")
 
 // finite reports whether v is neither NaN nor ±Inf: v−v is 0 for every
@@ -826,13 +821,13 @@ func meanStiffness(sys *qp.System) float64 {
 }
 
 // Done implements the §4.2 stopping criterion: no empty square larger than
-// StopSquareFactor times the average cell area remains.
+// stopSquareFactor times the average cell area remains.
 func (p *Placer) Done(last IterStats) bool {
 	avg := p.nl.AvgCellArea()
 	if avg <= 0 {
 		return true
 	}
-	return last.EmptySquare <= p.cfg.StopSquareFactor*avg
+	return last.EmptySquare <= stopSquareFactor*avg
 }
 
 // Continue is the placer's one step loop. It runs at most budget placement
@@ -941,6 +936,10 @@ func GlobalContext(ctx context.Context, nl *netlist.Netlist, cfg Config) (Result
 // emptyFrac is the demand fraction of average supply below which a density
 // bin counts as empty in the §4.2 empty-square measure.
 const emptyFrac = 0.25
+
+// stopSquareFactor is the §4.2 stopping criterion: placement ends when no
+// empty square larger than this many average cell areas remains.
+const stopSquareFactor = 4
 
 // kickRef calibrates the force increment: the effective per-iteration kick
 // is kickRef·√(K/0.2), so the paper's standard mode (K=0.2) sits at the

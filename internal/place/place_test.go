@@ -54,12 +54,14 @@ func TestInitializeSolvesWireLengthOptimum(t *testing.T) {
 	nl := testCircuit(t, 50, 2)
 	netgen.ScatterRandom(nl, 9)
 	scattered := nl.QuadraticWL()
-	p := New(nl, Config{NoLinearize: true})
+	p := New(nl, Config{})
 	if err := p.Initialize(); err != nil {
 		t.Fatal(err)
 	}
 	// Initialize gathers at the center then performs the force-free solve:
-	// the result is the quadratic wire-length optimum.
+	// the result is the quadratic wire-length optimum (at the center every
+	// linearization length clamps to one unit, so the weights are the
+	// nets' own).
 	if got := nl.QuadraticWL(); got >= scattered {
 		t.Errorf("initial solve quadratic WL %v not below scattered %v", got, scattered)
 	}
@@ -316,11 +318,10 @@ func TestGridBinsAutoSelection(t *testing.T) {
 	if ratio := g.BinW / g.BinH; ratio > 4 || ratio < 0.25 {
 		t.Errorf("bin aspect ratio = %v", ratio)
 	}
-	// A larger explicit budget yields a finer grid.
-	p2 := New(nl, Config{GridBins: 64})
-	if p2.Grid().NX*p2.Grid().NY <= g.NX*g.NY {
-		t.Errorf("explicit 64 budget gave %dx%d, auto gave %dx%d",
-			p2.Grid().NX, p2.Grid().NY, g.NX, g.NY)
+	// A larger design yields a finer grid.
+	g2 := New(testCircuit(t, 1200, 12), Config{}).Grid()
+	if g2.NX*g2.NY <= g.NX*g.NY {
+		t.Errorf("1200 cells gave %dx%d, 300 cells gave %dx%d", g2.NX, g2.NY, g.NX, g.NY)
 	}
 }
 

@@ -66,21 +66,25 @@ func TestGlobalInvariantsProperty(t *testing.T) {
 // placements. The algorithm has no hidden randomness, and the reuse
 // machinery (pattern refill, refactored IC0 factor, cached field spectra,
 // warm start) carries no hidden state between runs. Every run solves with
-// IC0; ic0-rfft sets a grid large enough that the field is evaluated by
-// the real-FFT pipeline, and checks that it is.
+// IC0; ic0-rfft places a design large enough that the automatic grid has
+// at least 2048 bins, so the field is evaluated by the real-FFT pipeline,
+// and checks that it is.
 func TestDeterministicRuns(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		rfft bool
+		name   string
+		design func() *netlist.Netlist
+		rfft   bool
 	}{
-		{"default", Config{MaxIter: 40}, false},
-		{"ic0-rfft", Config{MaxIter: 40, GridBins: 64}, true},
+		{"default", func() *netlist.Netlist { return warmNetlist(53) }, false},
+		{"ic0-rfft", func() *netlist.Netlist {
+			return netgen.Generate(netgen.Config{Name: "rfft", Cells: 1200, Nets: 1560, Rows: 12, Seed: 53})
+		}, true},
 	} {
+		cfg := Config{MaxIter: 40}
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.rfft {
-				nl := warmNetlist(53)
-				g := New(nl, tc.cfg).Grid()
+				nl := tc.design()
+				g := New(nl, cfg).Grid()
 				g.Accumulate(nl)
 				fa, fr := density.ComputeField(g, density.Auto), density.ComputeField(g, density.RealFFT)
 				for i := range fa.FX {
@@ -90,8 +94,8 @@ func TestDeterministicRuns(t *testing.T) {
 				}
 			}
 			run := func() *netlist.Netlist {
-				nl := warmNetlist(53)
-				if _, err := Global(nl, tc.cfg); err != nil {
+				nl := tc.design()
+				if _, err := Global(nl, cfg); err != nil {
 					t.Fatal(err)
 				}
 				return nl

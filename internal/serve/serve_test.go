@@ -240,25 +240,37 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 }
 
+// holdAt returns a BeforeTransform hook that holds the run before
+// transformation iter, closing reached when it gets there, until gate is
+// closed.
+func holdAt(iter int, reached, gate chan struct{}) func(int, *place.Placer) {
+	return func(i int, _ *place.Placer) {
+		if i == iter {
+			close(reached)
+			<-gate
+		}
+	}
+}
+
 // TestCancelMidRun cancels a running job over HTTP and checks it stops
 // with a usable partial placement and stop_reason "cancelled".
 func TestCancelMidRun(t *testing.T) {
 	s, hs := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
-	started := make(chan struct{})
-	var once sync.Once
+	// The job waits before its second transformation until it is
+	// cancelled, so it cannot reach the §4.2 stop first.
+	reached, gate := make(chan struct{}), make(chan struct{})
 	job, err := s.Submit(JobRequest{
 		Netlist: testNetlist(300, 4),
-		Config: place.Config{MaxIter: 100000, StopSquareFactor: 1e-9, BeforeTransform: func(int, *place.Placer) {
-			once.Do(func() { close(started) })
-		}},
+		Config:  place.Config{MaxIter: 100000, BeforeTransform: holdAt(1, reached, gate)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	<-reached
 
 	resp, err := http.Post(hs.URL+"/jobs/"+job.ID()+"/cancel", "application/json", nil)
+	close(gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,27 +461,25 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 
+	// Let it make real progress before pulling the plug: the job waits
+	// before its third transformation until Shutdown has cancelled it.
+	reached, gate := make(chan struct{}), make(chan struct{})
 	job, err := s.Submit(JobRequest{
 		Netlist: testNetlist(800, 8),
-		Config:  place.Config{MaxIter: 100000, StopSquareFactor: 1e-9},
+		Config:  place.Config{MaxIter: 100000, BeforeTransform: holdAt(2, reached, gate)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let it make real progress before pulling the plug.
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		if st := job.Status(); st.Iterations >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job made no progress")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	<-reached
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	shut := make(chan error)
+	go func() { shut <- s.Shutdown(ctx) }()
+	<-job.ctx.Done()
+	close(gate)
+	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
 
@@ -639,6 +649,9 @@ func TestSubmitRejectsUnknownKeys(t *testing.T) {
 		{"precon": "ic0"},
 		{"force_floor": 0.1},
 		{"empty_frac": 0.3},
+		{"grid_bins": 64},
+		{"no_linearize": true},
+		{"stop_square_factor": 2},
 	} {
 		code, er := postBody(t, hs.URL, text, extra)
 		if code != http.StatusBadRequest {

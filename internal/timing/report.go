@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/netlist"
 )
@@ -108,30 +107,6 @@ func SlackHistogram(rep Report, n int) (edges []float64, counts []int) {
 		counts[k]++
 	}
 	return edges, counts
-}
-
-// WorstNets returns the indices of the n smallest-slack nets, ascending by
-// slack.
-func WorstNets(rep Report, n int) []int {
-	type ns struct {
-		net   int
-		slack float64
-	}
-	all := make([]ns, 0, len(rep.NetSlack))
-	for ni, s := range rep.NetSlack {
-		if !math.IsInf(s, 1) {
-			all = append(all, ns{ni, s})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].slack < all[b].slack })
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].net
-	}
-	return out
 }
 
 // WriteReport renders a human-readable timing report: summary, the

@@ -68,18 +68,6 @@ func TestSlackHistogramDegenerate(t *testing.T) {
 	}
 }
 
-func TestWorstNets(t *testing.T) {
-	rep := Report{NetSlack: []float64{3e-9, 1e-9, math.Inf(1), 2e-9}}
-	w := WorstNets(rep, 2)
-	if len(w) != 2 || w[0] != 1 || w[1] != 3 {
-		t.Errorf("WorstNets = %v", w)
-	}
-	all := WorstNets(rep, 100)
-	if len(all) != 3 {
-		t.Errorf("over-request returned %d", len(all))
-	}
-}
-
 func TestWriteReport(t *testing.T) {
 	nl := pipeline(t)
 	p := DefaultParams()

@@ -25,10 +25,6 @@ func Plot(w io.Writer, nl *netlist.Netlist, width, height int) {
 	blocks := make([]bool, width*height)
 	pads := make([]bool, width*height)
 
-	rowH := 1.0
-	if len(nl.Region.Rows) > 0 {
-		rowH = nl.Region.Rows[0].Height
-	}
 	at := func(x, y float64) (int, int, bool) {
 		ix := int((x - out.Lo.X) / out.W() * float64(width))
 		iy := int((y - out.Lo.Y) / out.H() * float64(height))
@@ -46,7 +42,7 @@ func Plot(w io.Writer, nl *netlist.Netlist, width, height int) {
 		switch {
 		case c.Fixed:
 			pads[iy*width+ix] = true
-		case c.H > 1.5*rowH:
+		case nl.IsBlock(i):
 			// Mark the whole block footprint.
 			r := c.Rect()
 			x0, y0, ok0 := at(r.Lo.X, r.Lo.Y)

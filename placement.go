@@ -342,17 +342,12 @@ func MeetTiming(nl *Netlist, cfg Config, p TimingParams, req float64) (MeetResul
 	return timing.MeetRequirement(nl, cfg, p, req, 0)
 }
 
-// Floorplanning (§5).
-type (
-	// FloorplanConfig controls mixed block/cell floorplanning.
-	FloorplanConfig = floorplan.Config
-	// FloorplanResult summarizes a floorplanning run.
-	FloorplanResult = floorplan.Result
-)
+// FloorplanResult summarizes a floorplanning run (§5).
+type FloorplanResult = floorplan.Result
 
 // Floorplan runs mixed block/cell placement with flexible-block reshaping
 // and legalization.
-func Floorplan(nl *Netlist, cfg FloorplanConfig) (FloorplanResult, error) {
+func Floorplan(nl *Netlist, cfg Config) (FloorplanResult, error) {
 	return floorplan.Run(nl, cfg)
 }
 
