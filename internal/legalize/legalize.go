@@ -89,11 +89,12 @@ func legalize(nl *netlist.Netlist, opts Options, afterPass func(pass string, seg
 
 	var blocks, cells []int
 	for ci := range nl.Cells {
-		switch {
-		case nl.Cells[ci].Fixed:
-		case nl.IsBlock(ci):
+		if nl.Cells[ci].Fixed {
+			continue
+		}
+		if nl.IsBlock(ci) {
 			blocks = append(blocks, ci)
-		default:
+		} else {
 			cells = append(cells, ci)
 		}
 	}
