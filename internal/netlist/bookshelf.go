@@ -75,33 +75,21 @@ func LoadBookshelf(auxPath string) (*Netlist, error) {
 	if nodesF == "" || netsF == "" {
 		return nil, fmt.Errorf("bookshelf aux %q: missing .nodes or .nets reference", auxPath)
 	}
-	open := func(name string) (io.ReadCloser, error) {
+	// A file the .aux names must open; one it does not name is optional.
+	var rs [4]io.Reader
+	for i, name := range [4]string{nodesF, netsF, plF, sclF} {
 		if name == "" {
-			return nil, nil
+			continue
 		}
-		return os.Open(filepath.Join(dir, name))
-	}
-	nodes, err := open(nodesF)
-	if err != nil {
-		return nil, err
-	}
-	defer nodes.Close()
-	nets, err := open(netsF)
-	if err != nil {
-		return nil, err
-	}
-	defer nets.Close()
-	var pl, scl io.Reader
-	if plc, err := open(plF); err == nil && plc != nil {
-		defer plc.Close()
-		pl = plc
-	}
-	if sclc, err := open(sclF); err == nil && sclc != nil {
-		defer sclc.Close()
-		scl = sclc
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		rs[i] = f
 	}
 	base := strings.TrimSuffix(filepath.Base(auxPath), filepath.Ext(auxPath))
-	return ReadBookshelf(base, nodes, nets, pl, scl)
+	return ReadBookshelf(base, rs[0], rs[1], rs[2], rs[3])
 }
 
 // bookshelfLines iterates non-empty, non-comment lines, skipping the

@@ -147,24 +147,46 @@ func TestBookshelfRoundTrip(t *testing.T) {
 	samePins(t, got, orig)
 }
 
+// TestLoadBookshelfAux loads designs through their .aux file. A file the
+// .aux names must exist and parse; one it does not name is optional.
 func TestLoadBookshelfAux(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, data string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("d.aux", "RowBasedPlacement : d.nodes d.nets d.pl d.scl\n")
-	write("d.nodes", bsNodes)
-	write("d.nets", bsNets)
-	write("d.pl", bsPl)
-	write("d.scl", bsScl)
-	nl, err := LoadBookshelf(filepath.Join(dir, "d.aux"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nl.Name != "d" || len(nl.Cells) != 4 {
-		t.Errorf("loaded %q with %d cells", nl.Name, len(nl.Cells))
+	const all = "RowBasedPlacement : d.nodes d.nets d.pl d.scl\n"
+	for _, tc := range []struct {
+		name, aux, pl string
+		skip          string // file left off the disk
+		wantErr       bool
+	}{
+		{name: "complete", aux: all, pl: bsPl},
+		{name: "scl not named", aux: "RowBasedPlacement : d.nodes d.nets d.pl\n", pl: bsPl, skip: "d.scl"},
+		{name: "named pl missing", aux: all, pl: bsPl, skip: "d.pl", wantErr: true},
+		{name: "named scl missing", aux: all, pl: bsPl, skip: "d.scl", wantErr: true},
+		{name: "malformed pl", aux: all, pl: "UCLA pl 1.0\na\tx\ty\t: N\n", wantErr: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			files := map[string]string{"d.aux": tc.aux, "d.nodes": bsNodes, "d.nets": bsNets, "d.pl": tc.pl, "d.scl": bsScl}
+			for name, data := range files {
+				if name == tc.skip {
+					continue
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nl, err := LoadBookshelf(filepath.Join(dir, "d.aux"))
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("LoadBookshelf returned no error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nl.Name != "d" || len(nl.Cells) != 4 {
+				t.Errorf("loaded %q with %d cells", nl.Name, len(nl.Cells))
+			}
+		})
 	}
 }
 

@@ -14,7 +14,6 @@ type Stats struct {
 	MaxDegree   int
 	AvgDegree   float64
 	Utilization float64
-	BlockCount  int // macro blocks (IsBlock)
 }
 
 // ComputeStats gathers statistics over nl.
@@ -26,9 +25,6 @@ func ComputeStats(nl *Netlist) Stats {
 			continue
 		}
 		s.Cells++
-		if nl.IsBlock(i) {
-			s.BlockCount++
-		}
 	}
 	for ni := range nl.Nets {
 		d := nl.Nets[ni].Degree()

@@ -3,8 +3,8 @@ package obsv
 import "time"
 
 // Stopwatch is the sanctioned wall-clock reader for the algorithm
-// packages. kvet's noclock analyzer forbids direct time.Now/time.Since
-// there, so clock access stays concentrated in this package: runtime
+// packages. TestNoClockReads forbids direct time.Now/time.Since there,
+// so clock access stays concentrated in this package: runtime
 // measurement routes through one type that a future fake clock (or a
 // build that strips timing entirely) can intercept.
 type Stopwatch struct{ t0 time.Time }

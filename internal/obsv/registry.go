@@ -302,7 +302,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	for name, h := range r.histograms {
 		fam, labels := splitName(name)
-		//lint:ignore lockheld fixed registry→histogram lock order, and snapshot is an O(buckets) copy with no I/O; nothing can deadlock or stall
+		// The registry→histogram lock order is fixed, and snapshot is an
+		// O(buckets) copy with no I/O, so nothing can deadlock or stall.
 		uppers, cum, sum, total := h.snapshot()
 		var sb strings.Builder
 		for i, up := range uppers {

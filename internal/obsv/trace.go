@@ -44,7 +44,9 @@ func (t *TraceWriter) Write(rec any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	enc := json.NewEncoder(t.buf) // Encode appends the trailing newline
-	//lint:ignore lockheld the mutex exists to serialize writers into the shared buffer; the write lands in memory, the file only sees Flush
+	// Encoding under the lock is the lock's purpose: it serializes
+	// writers into the shared buffer. The write lands in memory; the file
+	// only sees Flush.
 	return enc.Encode(rec)
 }
 
@@ -55,7 +57,8 @@ func (t *TraceWriter) Flush() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//lint:ignore lockheld Flush must exclude concurrent Write or records interleave mid-line; trace I/O stalling a tracer is the accepted cost
+	// Flush must exclude a concurrent Write or records interleave
+	// mid-line; trace I/O stalling a tracer is the accepted cost.
 	return t.buf.Flush()
 }
 
@@ -67,7 +70,8 @@ func (t *TraceWriter) Close() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//lint:ignore lockheld final flush under the writer lock: Close must win against any straggling Write before the file goes away
+	// The final flush runs under the writer lock: Close must win against
+	// any straggling Write before the file goes away.
 	err := t.buf.Flush()
 	if t.c != nil {
 		if cerr := t.c.Close(); err == nil {

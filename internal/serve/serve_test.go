@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -537,6 +539,110 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP submit after Shutdown: %d, want 503", hresp.StatusCode)
+	}
+}
+
+// fakeFile is a checkpoint file whose Sync or Close fails on demand.
+type fakeFile struct {
+	bytes.Buffer
+	syncErr, closeErr error
+	closed            bool
+}
+
+func (f *fakeFile) Sync() error { return f.syncErr }
+
+func (f *fakeFile) Close() error {
+	f.closed = true
+	return f.closeErr
+}
+
+// TestSaveCheckpointReportsErrors: a checkpoint whose Sync or Close fails
+// is not durable, so saving it must fail, and the file is closed either
+// way.
+func TestSaveCheckpointReportsErrors(t *testing.T) {
+	failed := errors.New("disk gone")
+	for _, tc := range []struct {
+		name string
+		f    *fakeFile
+		want error
+	}{
+		{"ok", &fakeFile{}, nil},
+		{"sync fails", &fakeFile{syncErr: failed}, failed},
+		{"close fails", &fakeFile{closeErr: failed}, failed},
+	} {
+		err := saveCheckpoint(tc.f, &place.Checkpoint{Design: "d"})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+		if !tc.f.closed {
+			t.Errorf("%s: file left open", tc.name)
+		}
+		if tc.f.Len() == 0 {
+			t.Errorf("%s: nothing encoded", tc.name)
+		}
+	}
+}
+
+// TestHealthDoesNotNestJobLock holds one job's lock while Health runs.
+// Health may wait for it, but not while it holds the server's lock, or a
+// slow status holder would stall every lookup and submission.
+func TestHealthDoesNotNestJobLock(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	reached, gate := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	job, err := s.Submit(JobRequest{
+		Netlist: testNetlist(100, 3),
+		Config:  place.Config{MaxIter: 100000, BeforeTransform: holdAt(0, reached, gate)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+
+	health := make(chan Health, 1)
+	func() {
+		job.mu.Lock()
+		defer job.mu.Unlock()
+		go func() { health <- s.Health() }()
+		waitGoroutine(t, "sync.Mutex.Lock", "(*Server).Health")
+		within(t, "Server.Job", func() { s.Job(job.ID()) })
+		within(t, "Server.Submit", func() { _, _ = s.Submit(JobRequest{Netlist: testNetlist(60, 9)}) })
+	}()
+	if h := <-health; h.Running != 1 {
+		t.Errorf("health counts %d running jobs, want 1", h.Running)
+	}
+}
+
+// waitGoroutine waits until some goroutine is parked in state, the
+// bracketed word of a stack dump such as "IO wait", with frame on its
+// stack.
+func waitGoroutine(t *testing.T, state, frame string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			if strings.Contains(g, "["+state) && strings.Contains(g, frame) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine in %s parked in %q", frame, state)
+}
+
+// within fails the test unless f returns within five seconds. A call that
+// times out finishes later, once the test releases what it waits on.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Errorf("%s did not return within 5s", what)
 	}
 }
 
